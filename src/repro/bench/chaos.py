@@ -299,8 +299,6 @@ def _serving_drift_run(
     # One reference oracle per fault segment: a fresh engine retargeted
     # at the overlay's effective platform for that segment.
     oracles: dict[tuple, StepCostOracle] = {}
-    max_prompt = max((r.prompt_len for r in result.requests), default=64)
-    max_gen = max((r.gen_len for r in result.requests), default=32)
     windows: list[dict[str, Any]] = []
     max_err = 0.0
     over = 0
@@ -312,13 +310,8 @@ def _serving_drift_run(
             engine.retarget(
                 engine.platform.with_faults(schedule, g["start_s"])
             )
-            oracles[seg] = StepCostOracle(
-                engine=engine,
-                model=model_cfg,
-                num_gpu_batches=config.num_gpu_batches,
-                ctx_bucket=config.ctx_bucket,
-                plan_prompt_len=max_prompt,
-                plan_gen_len=max_gen,
+            oracles[seg] = StepCostOracle.for_requests(
+                engine, model_cfg, result.requests, config
             )
         oracle = oracles[seg]
         record: dict[str, Any] = {

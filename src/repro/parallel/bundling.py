@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.runtime.graph import OpGraph, OpNode
+from repro.runtime.graph import OpGraph, OpNode, topological_order
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,9 @@ def bundle_operators(
     exactly the "concat_kv -> scores" and "softmax -> context" fusion the
     attention graph of Figure 6 admits.
     """
-    g = graph.networkx()
+    names = [op.name for op in graph.ops()]
     # Union-find over ops -> bundle representative.
-    parent: dict[str, str] = {n: n for n in g.nodes}
+    parent: dict[str, str] = {n: n for n in names}
 
     def find(x: str) -> str:
         while parent[x] != x:
@@ -50,14 +50,14 @@ def bundle_operators(
             x = parent[x]
         return x
 
-    for name in list(g.nodes):
+    for name in names:
         node = graph.node(name)
-        succs = list(g.successors(name))
+        succs = graph.successors(name)
         if node.work < small_work_threshold and len(succs) == 1:
             parent[find(name)] = find(succs[0])
 
     groups: dict[str, list[str]] = {}
-    for name in g.nodes:
+    for name in names:
         groups.setdefault(find(name), []).append(name)
 
     # Build bundle descriptors for every group.
@@ -73,24 +73,25 @@ def bundle_operators(
         )
         rep_to_bundle[rep] = bname
 
-    # Collect inter-group edges, then insert bundles in a topological order
-    # of the quotient graph (so add_op always sees its deps).
-    import networkx as nx
-
-    quotient = nx.DiGraph()
-    quotient.add_nodes_from(rep_to_bundle)
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            quotient.add_edge(ru, rv)
+    # Collect inter-group edges (first-seen order, no duplicates), then
+    # insert bundles in a topological order of the quotient graph (so
+    # add_op always sees its deps).
+    succ: dict[str, dict[str, None]] = {rep: {} for rep in rep_to_bundle}
+    pred: dict[str, dict[str, None]] = {rep: {} for rep in rep_to_bundle}
+    for u in names:
+        for v in graph.successors(u):
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                succ[ru][rv] = None
+                pred[rv][ru] = None
 
     by_rep = {find(b.members[0]): b for b in bundles}
     bundled = OpGraph()
-    for rep in nx.topological_sort(quotient):
+    for rep in topological_order({r: list(s) for r, s in succ.items()}):
         bundle = by_rep[rep]
         # The bundle inherits the kind of its terminal (largest-work) op.
         terminal = max(bundle.members, key=lambda m: graph.node(m).work)
-        deps = sorted(rep_to_bundle[p] for p in quotient.predecessors(rep))
+        deps = sorted(rep_to_bundle[p] for p in pred[rep])
         bundled.add_op(
             OpNode(
                 name=bundle.name,

@@ -2,8 +2,8 @@
 
 Algorithm 3's first step is: *"Estimate inter_op_p_comp using the max
 concurrency level"* of the compute task's dependency graph, computed with
-Kahn's topological sort.  We implement the graph on top of
-:mod:`networkx` and expose:
+Kahn's topological sort.  The graph keeps insertion-ordered adjacency
+dicts, and every traversal walks them in that order.  We expose:
 
 * :func:`kahn_levels` — partition nodes into dependency levels (every node's
   predecessors live in strictly earlier levels);
@@ -17,8 +17,6 @@ Kahn's topological sort.  We implement the graph on top of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from repro.errors import ScheduleError
 
@@ -37,16 +35,47 @@ class OpNode:
     kind: str = "generic"
 
 
+def topological_order(successors: dict[str, list[str]]) -> list[str]:
+    """Kahn's generations, flattened, each in insertion order.
+
+    Every node of one generation precedes the next generation, and a
+    generation lists nodes in the order the previous one released them
+    (the same order ``networkx.topological_sort`` yields).  Raises
+    :class:`ScheduleError` if some node is never released (a cycle).
+    """
+    indegree = dict.fromkeys(successors, 0)
+    for succs in successors.values():
+        for succ in succs:
+            indegree[succ] += 1
+    frontier = [n for n, d in indegree.items() if d == 0]
+    order: list[str] = []
+    while frontier:
+        order.extend(frontier)
+        nxt: list[str] = []
+        for name in frontier:
+            for succ in successors[name]:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    nxt.append(succ)
+        frontier = nxt
+    if len(order) != len(successors):
+        stuck = sorted(n for n, d in indegree.items() if d > 0)
+        raise ScheduleError(f"dependency cycle among {stuck}")
+    return order
+
+
 class OpGraph:
     """A DAG of :class:`OpNode` with convenience analysis methods."""
 
     def __init__(self) -> None:
-        self._g = nx.DiGraph()
         self._nodes: dict[str, OpNode] = {}
-        #: Memo for structure-derived analyses (acyclicity, adjacency,
-        #: Kahn levels).  Algorithm 3 re-analyses the same graph for every
-        #: candidate thread setting; the structure only changes on
-        #: ``add_op``, which clears this.
+        #: Insertion-ordered adjacency: node -> successors / predecessors.
+        self._succ: dict[str, list[str]] = {}
+        self._pred: dict[str, list[str]] = {}
+        #: Memo for structure-derived analyses (topological order,
+        #: adjacency, Kahn levels).  Algorithm 3 re-analyses the same graph
+        #: for every candidate thread setting; the structure only changes
+        #: on ``add_op``, which clears this.
         self._analysis_cache: dict = {}
 
     def add_op(self, node: OpNode, deps: list[str] | None = None) -> OpNode:
@@ -54,11 +83,13 @@ class OpGraph:
         if node.name in self._nodes:
             raise ScheduleError(f"duplicate op {node.name!r}")
         self._nodes[node.name] = node
-        self._g.add_node(node.name)
-        for dep in deps or []:
+        self._succ[node.name] = []
+        self._pred[node.name] = []
+        for dep in dict.fromkeys(deps or []):
             if dep not in self._nodes:
                 raise ScheduleError(f"op {node.name!r} depends on unknown {dep!r}")
-            self._g.add_edge(dep, node.name)
+            self._succ[dep].append(node.name)
+            self._pred[node.name].append(dep)
         self._analysis_cache.clear()
         return node
 
@@ -70,34 +101,32 @@ class OpGraph:
         return len(self._nodes)
 
     def ops(self) -> list[OpNode]:
-        return [self._nodes[n] for n in self._g.nodes]
+        return list(self._nodes.values())
 
     def predecessors(self, name: str) -> list[str]:
-        return list(self._g.predecessors(name))
+        return list(self._pred[name])
 
     def successors(self, name: str) -> list[str]:
-        return list(self._g.successors(name))
+        return list(self._succ[name])
+
+    def topological_order(self) -> list[str]:
+        """All ops in :func:`topological_order`; raises on a cycle."""
+        cached = self._analysis_cache.get("order")
+        if cached is None:
+            cached = self._analysis_cache["order"] = topological_order(self._succ)
+        return cached
 
     def validate(self) -> None:
         """Raise :class:`ScheduleError` if the graph has a cycle."""
-        if self._analysis_cache.get("acyclic"):
-            return
-        if not nx.is_directed_acyclic_graph(self._g):
-            cycle = nx.find_cycle(self._g)
-            raise ScheduleError(f"dependency cycle: {cycle}")
-        self._analysis_cache["acyclic"] = True
+        self.topological_order()
 
     def adjacency(self) -> tuple[dict[str, int], dict[str, list[str]]]:
         """Plain-dict ``(indegree, successors)`` snapshot of the structure.
-
-        Schedulers that sweep many candidate settings over one graph walk
-        the edges thousands of times; plain dicts avoid repeated networkx
-        view construction.  Callers must copy ``indegree`` before mutating.
-        """
+        Callers must copy ``indegree`` before mutating."""
         cached = self._analysis_cache.get("adjacency")
         if cached is None:
-            indegree = {n: self._g.in_degree(n) for n in self._g.nodes}
-            successors = {n: list(self._g.successors(n)) for n in self._g.nodes}
+            indegree = {n: len(p) for n, p in self._pred.items()}
+            successors = {n: list(s) for n, s in self._succ.items()}
             cached = self._analysis_cache["adjacency"] = (indegree, successors)
         return cached
 
@@ -106,16 +135,11 @@ class OpGraph:
 
     def critical_path_work(self) -> float:
         """Longest work-weighted path — the lower bound on any schedule."""
-        self.validate()
         best: dict[str, float] = {}
-        for name in nx.topological_sort(self._g):
-            incoming = [best[p] for p in self._g.predecessors(name)]
+        for name in self.topological_order():
+            incoming = [best[p] for p in self._pred[name]]
             best[name] = (max(incoming) if incoming else 0.0) + self._nodes[name].work
         return max(best.values(), default=0.0)
-
-    def networkx(self) -> nx.DiGraph:
-        """The underlying graph (read-only use)."""
-        return self._g
 
 
 def kahn_levels(graph: OpGraph) -> list[list[str]]:

@@ -8,6 +8,10 @@ turns the repo's offline block evaluator into an online serving study:
 requests arrive over time, queue under admission control, get batched
 continuously, and are scored against TTFT/TPOT SLOs.
 
+All three simulators below are drivers over one replica-step kernel
+(:class:`~repro.serving.kernel.ReplicaKernel`: queue, batch, clock,
+prefill/decode steps, transient-fault aborts).
+
 Entry points: ``python -m repro serve-sim`` (CLI),
 :class:`ServingSimulator` (library), and
 :func:`repro.bench.serving.run_serving_comparison` (the
@@ -20,8 +24,8 @@ the graceful-degradation ladder and retry/backoff semantics — see
 ``python -m repro chaos`` and :mod:`repro.bench.chaos`.
 
 Fleet-scale serving lives in :mod:`repro.serving.fleet`:
-:class:`FleetSimulator` composes N replicas (each a full single-engine
-stack) under a Firmament-style cost router, replica-level crash/restart
+:class:`FleetSimulator` composes N replicas (each a kernel over its own
+engine) under a Firmament-style cost router, replica-level crash/restart
 faults with fault-domain correlation, failover migration, hedged
 requests and per-replica circuit breakers — see
 ``python -m repro fleet-sim`` and :mod:`repro.bench.fleet`.

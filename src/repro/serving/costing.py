@@ -90,6 +90,23 @@ class StepCostOracle:
         if self.num_gpu_batches <= 0 or self.ctx_bucket <= 0:
             raise ServingError("num_gpu_batches and ctx_bucket must be positive")
 
+    @classmethod
+    def for_requests(
+        cls, engine: Any, model: ModelConfig, requests: Any, config: Any
+    ) -> "StepCostOracle":
+        """The oracle a serving loop over ``requests`` uses: planned at
+        their maximum prompt and generation lengths, so the chosen
+        placement stays memory-feasible for every step the loop can form.
+        ``config`` supplies ``num_gpu_batches`` and ``ctx_bucket``."""
+        return cls(
+            engine=engine,
+            model=model,
+            num_gpu_batches=config.num_gpu_batches,
+            ctx_bucket=config.ctx_bucket,
+            plan_prompt_len=max((r.prompt_len for r in requests), default=64),
+            plan_gen_len=max((r.gen_len for r in requests), default=32),
+        )
+
     # -- planning per concurrency level ------------------------------------
 
     def _bucket_ctx(self, ctx_len: int) -> int:

@@ -1,22 +1,25 @@
 """Fleet-scale serving: N replicas, one virtual clock, crash-recovery.
 
-A :class:`FleetSimulator` composes ``N`` heterogeneous replicas — each a
-full single-engine serving stack (:class:`~repro.serving.StepCostOracle`
-over its own engine + platform, an :class:`AdmissionQueue`, the shared
-:func:`~repro.serving.simulator.admit_batch` admission semantics) — under
-a cluster router and a fault layer the single-engine simulator cannot
-express: whole-replica crashes and restarts, fault-domain correlation,
-failover migration, hedged requests and per-replica circuit breakers.
+:class:`FleetSimulator` is the third driver over the replica kernel
+(:class:`~repro.serving.kernel.ReplicaKernel`): ``N`` heterogeneous
+replicas, each a kernel over its own engine, platform, step oracle and
+admission queue, under a cluster router and a fault layer the
+single-engine driver cannot express — whole-replica crashes and
+restarts, fault-domain correlation, failover migration, hedged requests
+and per-replica circuit breakers.
 
 **Clock discipline.**  Every replica advances its own clock one step at a
 time, but the fleet processes events in global time order: the next
 arrival, the next migration delivery, the next hedge deadline and each
 busy replica's next step boundary compete on a ``(time, kind, index)``
-key (arrivals < deliveries < hedges < boundaries at equal times).  A
-replica boundary executes one *atomic* iteration of the single-engine
-loop — expire, admit, prefill, decode — so a 1-replica zero-fault fleet
-replays :class:`~repro.serving.ServingSimulator` byte for byte (pinned
-in ``tests/test_fleet.py``).
+key (arrivals < deliveries < hedges < boundaries at equal times).  At a
+replica boundary the fleet handles outage windows, expiry and admission
+(the shared :func:`~repro.serving.simulator.admit_batch`), runs one
+kernel prefill and one decode step, and settles the requests those
+steps finished or dropped (breakers, hedge races).  The steps are the
+single engine's own, so a 1-replica zero-fault fleet replays
+:class:`~repro.serving.ServingSimulator` byte for byte (pinned in
+``tests/test_fleet.py``).
 
 **Routing.**  Placement follows a Firmament-style cost model (OCTOPUS
 load balancing): ``cost = in_system * BUSY_PU_OFFSET + step_price +
@@ -80,7 +83,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import ConfigError, RetryExhaustedError
+from repro.errors import ConfigError
 from repro.faults import (
     LADDER,
     REPLICA_KINDS,
@@ -94,17 +97,12 @@ from repro.obs.profiling import span
 from repro.obs.registry import MetricsRegistry
 from repro.serving.arrivals import RequestTrace
 from repro.serving.costing import StepCostOracle
+from repro.serving.kernel import ReplicaKernel, ServingAggregates
 from repro.serving.metrics import compute_metrics
 from repro.serving.policies import SchedulerPolicy
 from repro.serving.queue import AdmissionQueue
 from repro.serving.request import DropReason, Request, RequestState
-from repro.serving.simulator import (
-    ServingAggregates,
-    ServingConfig,
-    ServingResult,
-    StepRun,
-    admit_batch,
-)
+from repro.serving.simulator import ServingConfig, ServingResult, admit_batch
 from repro.trace.chrome import ChromeTraceBuilder
 from repro.util.rng import seeded_rng
 
@@ -402,8 +400,9 @@ class FleetStats:
         }
 
 
-class _Replica:
-    """Runtime state of one replica (internal)."""
+class _Replica(ReplicaKernel):
+    """One replica (internal): the shared step kernel plus its engine,
+    router price, breaker and outage windows."""
 
     def __init__(
         self,
@@ -416,6 +415,7 @@ class _Replica:
         schedule: FaultSchedule | None,
         breaker: CircuitBreaker,
         seed: int,
+        collect_steps: bool,
     ) -> None:
         self.idx = idx
         self.spec = spec
@@ -426,42 +426,35 @@ class _Replica:
         self.limit = max(
             1, scfg.max_batch // (rung.batch_divisor if rung else 1)
         )
-        max_prompt = max((r.prompt_len for r in trace.requests), default=64)
-        max_gen = max((r.gen_len for r in trace.requests), default=32)
-        self.plan_prompt = max_prompt
-        self.oracle = StepCostOracle(
-            engine=self.engine,
-            model=model,
-            num_gpu_batches=scfg.num_gpu_batches,
-            ctx_bucket=scfg.ctx_bucket,
-            plan_prompt_len=max_prompt,
-            plan_gen_len=max_gen,
+        oracle = StepCostOracle.for_requests(
+            self.engine, model, trace.requests, scfg
         )
         # The linear expire scan (use_heap=False) is deliberate: migration
         # moves requests between queues, which would leave stale entries in
         # a source queue's lazy deadline heap; the scan only ever touches
         # actual members.  Byte-identical either way (pinned upstream).
-        self.queue = AdmissionQueue(
+        queue = AdmissionQueue(
             scfg.queue_capacity, scfg.queue_timeout_s, use_heap=False
         )
         if getattr(policy, "static_order", False):
-            self.queue.attach_order(policy.sort_key)
-        self.running: list[Request] = []
-        self.t = 0.0
-        self.runs: list[StepRun] = []
-        self.agg = ServingAggregates()
-        self.breaker = breaker
-        self.schedule = schedule
-        self.chaos = schedule is not None and any(
+            queue.attach_order(policy.sort_key)
+        chaos = schedule is not None and any(
             f.kind is FaultKind.TRANSIENT_ERROR for f in schedule.faults
         )
-        self.rng = seeded_rng(seed, "fleet", spec.name, "chaos")
-        self.consec_aborts = 0
-        self.fstats = (
-            FaultStats(schedule_name=schedule.name)
-            if schedule is not None and len(schedule.faults) > 0
-            else None
+        super().__init__(
+            oracle, queue, scfg,
+            collect_steps=collect_steps,
+            predictor=getattr(policy, "predictor", None),
+            faults=schedule if chaos else None,
+            rng=seeded_rng(seed, "fleet", spec.name, "chaos"),
+            fault_stats=(
+                FaultStats(schedule_name=schedule.name)
+                if schedule is not None and len(schedule.faults) > 0
+                else None
+            ),
         )
+        self.breaker = breaker
+        self.schedule = schedule
         # Static outage windows, merged per kind, consumed by pointer.
         self.crash_windows = _merged_windows(schedule, FaultKind.REPLICA_CRASH)
         self.restart_windows = _merged_windows(
@@ -471,22 +464,27 @@ class _Replica:
         self.restart_i = 0
         self.restart_migrated = False
         # Router price: planned per-sequence decode-step time in points.
-        n_ref = self.oracle.warm_up(self.limit)
-        if self.oracle.planned(n_ref) is None:
-            self.price_points: int | None = None
-            self.price_batch = 0
-        else:
-            step_s = self.oracle.decode_step_seconds(n_ref, max_prompt + 1)
+        n_ref = oracle.warm_up(self.limit)
+        self.price_points: int | None = None
+        if oracle.planned(n_ref) is not None:
+            step_s = oracle.decode_step_seconds(n_ref, oracle.plan_prompt_len + 1)
             self.price_points = int(
                 round(PRICE_POINTS_PER_SECOND * step_s / n_ref)
             )
-            self.price_batch = n_ref
         # Accounting counters.
         self.placements = 0
         self.migrations_in = 0
         self.migrations_out = 0
         self.crashes = 0
         self.down_s = 0.0
+
+    def _cut(self, start: float, end: float) -> bool:
+        """A crash window opens strictly inside the step: the fleet
+        destroys it instead (see :meth:`FleetSimulator._step`)."""
+        return (
+            self.crash_i < len(self.crash_windows)
+            and start < self.crash_windows[self.crash_i][0] < end
+        )
 
     # -- outage-window queries (static: schedules are frozen) --------------
 
@@ -684,7 +682,6 @@ class FleetSimulator:
                     )
         active = faults if faults is not None and len(faults.faults) else None
         cfg = self.config
-        self.retry = cfg.serving.retry_policy()
         self.replicas = [
             _Replica(
                 idx=i,
@@ -698,6 +695,7 @@ class FleetSimulator:
                     cfg.breaker_threshold, cfg.breaker_cooldown_s
                 ),
                 seed=seed,
+                collect_steps=collect_steps,
             )
             for i, spec in enumerate(self.specs)
         ]
@@ -776,8 +774,8 @@ class FleetSimulator:
                     self._hedge_fire(t_ev, payload)
 
         for r in self.replicas:
-            if r.fstats is not None:
-                r.fstats.final_rung = r.spec.degradation or "nominal"
+            if r.fault_stats is not None:
+                r.fault_stats.final_rung = r.spec.degradation or "nominal"
 
         terminal = self.terminal
         replica_results = []
@@ -794,7 +792,7 @@ class FleetSimulator:
                 step_runs=r.runs,
                 aggregates=r.agg,
                 makespan_s=r.t,
-                fault_stats=r.fstats,
+                fault_stats=r.fault_stats,
                 fault_schedule=r.schedule,
             )
             replica_results.append(
@@ -938,8 +936,11 @@ class FleetSimulator:
 
     def _deliver(self, now: float, req: Request, from_idx: int) -> None:
         """Re-place a displaced request: budget check, then route with the
-        origin and any live hedge sibling's replica excluded."""
+        origin and any live hedge sibling's replica excluded.  A racer
+        whose race settled while it was in transit is discarded."""
         rid = req.rid
+        if rid in self.terminal:
+            return
         count = self.mig_count.get(rid, 0) + 1
         self.mig_count[rid] = count
         from_name = self.replicas[from_idx].spec.name
@@ -1017,15 +1018,15 @@ class FleetSimulator:
         self._place(dest, clone, due)
 
     def _cancel(self, obj: Request) -> None:
-        """Remove a losing racer from wherever it lives (by identity)."""
+        """Remove a losing racer from wherever it lives (by identity); a
+        racer in transit has no replica, and :meth:`_deliver` discards it."""
         r = self._replica_of(obj)
-        if r is None:
-            return
-        if any(x is obj for x in r.queue.waiting):
-            r.queue.take(obj)
-        else:
-            r.running = [x for x in r.running if x is not obj]
-        r.breaker.forget(obj.rid)
+        if r is not None:
+            if any(x is obj for x in r.queue.waiting):
+                r.queue.take(obj)
+            else:
+                r.running = [x for x in r.running if x is not obj]
+            r.breaker.forget(obj.rid)
         # Kill the lifecycle so nothing (expiry, admission) can touch a
         # cancelled racer again.
         obj.state = RequestState.DROPPED
@@ -1147,126 +1148,16 @@ class FleetSimulator:
         if r.t > self._makespan:
             self._makespan = r.t
 
-    def _crash_cut(
-        self, r: _Replica, start: float, end: float
-    ) -> tuple[float, float] | None:
-        """First crash window opening strictly inside ``(start, end)``."""
-        if r.crash_i < len(r.crash_windows):
-            cs, ce = r.crash_windows[r.crash_i]
-            if start < cs < end:
-                return cs, ce
-        return None
-
-    # -- the per-replica step boundary -------------------------------------
-
-    def _emit(
-        self,
-        r: _Replica,
-        kind: str,
-        start: float,
-        end: float,
-        dur: float,
-        batch: int,
-        max_ctx: int,
-        rids: tuple[int, ...],
-        running_after: int,
-    ) -> None:
-        r.agg.count_steps(kind, 1)
-        q = len(r.queue)
-        r.agg.observe_depth(q, batch, running_after, 1)
-        if self.collect_steps:
-            r.runs.append(
-                StepRun(
-                    kind=kind,
-                    start_s=start,
-                    end_s=end,
-                    dur_s=dur,
-                    count=1,
-                    batch=batch,
-                    max_ctx=max_ctx,
-                    rids=rids,
-                    queue_len=q,
-                    running_after=running_after,
-                    sample_t=r.t,
-                )
-            )
-
-    @staticmethod
-    def _finish_token(req: Request, now: float) -> bool:
-        req.tokens_done += 1
-        if req.first_token_s is None:
-            req.first_token_s = now
-        if req.tokens_done >= req.gen_len:
-            req.state = RequestState.FINISHED
-            req.finish_s = now
-            return True
-        return False
-
-    def _abort(
-        self,
-        r: _Replica,
-        start: float,
-        dur: float,
-        kind: str,
-        participants: list[Request],
-    ) -> tuple[float, list[Request]]:
-        """Mirror of the single-engine ``fault_abort`` with per-replica
-        backoff state, RNG stream and breaker."""
-        r.consec_aborts += 1
-        end = start + dur
-        elapsed = end - min(req.arrival_s for req in participants)
-        delay = self.retry.delay(
-            r.consec_aborts, float(r.rng.random()), elapsed
-        )
-        st = r.fstats
-        assert st is not None
-        st.aborts.append((start, end, kind, len(participants)))
-        st.backoffs.append((end, end + delay, r.consec_aborts))
-        st.lost_s += dur + delay
-        r.breaker.on_abort(end)
-        now = end + delay
-        deadline = self.config.serving.request_deadline_s
-        survivors: list[Request] = []
-        for req in participants:
-            req.retries += 1
-            if deadline is not None and now - req.arrival_s > deadline:
-                req.state = RequestState.DROPPED
-                req.drop_s = now
-                req.drop_reason = DropReason.FAULT_ABORT
-                req.drop_detail = (
-                    f"{kind} step aborted by a transient fault at "
-                    f"t={end:.3f}s; past the {deadline:g}s deadline"
-                )
-                self._on_drop(req, r, now)
-                continue
-            try:
-                self.retry.check_budget(req.rid, req.retries)
-            except RetryExhaustedError as exc:
-                req.state = RequestState.DROPPED
-                req.drop_s = now
-                req.drop_reason = DropReason.RETRY_EXHAUSTED
-                req.drop_detail = str(exc)
-                self._on_drop(req, r, now)
-                continue
-            survivors.append(req)
-        return now, survivors
-
     def _boundary(self, r: _Replica) -> None:
-        """One atomic single-engine loop iteration for one replica."""
+        """One driver iteration for one replica: outage windows, expiry
+        and admission here, then one kernel prefill and one decode step
+        (no run-length advance: the router reads replica state between
+        steps)."""
         t = r.t
-        keep = self.collect_steps
 
         # 1. Outage windows.  Late-firing (a window that closed during a
         # backoff gap with work in flight) still destroys the batch: the
         # replica was down while the work sat on it.
-        while (
-            r.crash_i < len(r.crash_windows)
-            and r.crash_windows[r.crash_i][1] <= t
-        ):
-            _, ce = r.crash_windows[r.crash_i]
-            r.crash_i += 1
-            self._crash(r, now=t, window_end=ce)
-            return
         if (
             r.crash_i < len(r.crash_windows)
             and r.crash_windows[r.crash_i][0] <= t
@@ -1307,106 +1198,45 @@ class FleetSimulator:
             for req in r.queue.dropped[before:]:
                 self._on_drop(req, r, t)  # INFEASIBLE singletons
 
-        # 4. Prefill.
-        if admitted:
-            max_ctx = max(req.context_len for req in admitted)
-            dur = r.oracle.prefill_seconds(len(admitted), max_ctx)
-            start = t
-            rids = tuple(req.rid for req in admitted)
-            cut = self._crash_cut(r, start, start + dur)
-            if cut is not None:
-                cs, ce = cut
-                r.crash_i += 1
-                self._crash(r, now=cs, window_end=ce, extra=admitted)
-                self._emit(
-                    r, "crash-prefill", start, cs, cs - start,
-                    len(admitted), max_ctx, rids if keep else (), 0,
-                )
-                return
-            if r.chaos and r.rng.random() < r.schedule.transient_abort_probability(start):
-                now, survivors = self._abort(
-                    r, start, dur, "prefill", admitted
-                )
-                r.t = now
-                for req in survivors:
-                    r.queue.requeue(req, now)
-                self._emit(
-                    r, "abort-prefill", start, start + dur, dur,
-                    len(admitted), max_ctx, rids if keep else (),
-                    len(r.running),
-                )
-            else:
-                if r.chaos:
-                    r.consec_aborts = 0
-                t = start + dur
-                r.t = t
-                done: list[Request] = []
-                for req in admitted:
-                    req.state = RequestState.RUNNING
-                    if req.admit_s is None:
-                        req.admit_s = start
-                    if self._finish_token(req, t):
-                        done.append(req)
-                    else:
-                        r.running.append(req)
-                self._emit(
-                    r, "prefill", start, t, dur,
-                    len(admitted), max_ctx, rids if keep else (),
-                    len(r.running),
-                )
-                r.breaker.on_success(t, rids)
-                for req in done:
-                    self._on_finish(req, r, t)
-
-        # 5. Decode.
-        if r.running:
-            max_ctx = max(req.context_len for req in r.running)
-            n = len(r.running)
-            dur = r.oracle.decode_step_seconds(n, max_ctx)
-            start = r.t
-            rids = tuple(req.rid for req in r.running)
-            cut = self._crash_cut(r, start, start + dur)
-            if cut is not None:
-                cs, ce = cut
-                r.crash_i += 1
-                self._crash(r, now=cs, window_end=ce)
-                self._emit(
-                    r, "crash-decode", start, cs, cs - start,
-                    n, max_ctx, rids if keep else (), 0,
-                )
-                return
-            if r.chaos and r.rng.random() < r.schedule.transient_abort_probability(start):
-                now, survivors = self._abort(
-                    r, start, dur, "decode", r.running
-                )
-                r.t = now
-                r.running = survivors
-                self._emit(
-                    r, "abort-decode", start, start + dur, dur,
-                    n, max_ctx, rids if keep else (), len(r.running),
-                )
-            else:
-                if r.chaos:
-                    r.consec_aborts = 0
-                r.t = start + dur
-                survivors = []
-                done = []
-                for req in r.running:
-                    if self._finish_token(req, r.t):
-                        done.append(req)
-                    else:
-                        survivors.append(req)
-                r.running = survivors
-                self._emit(
-                    r, "decode", start, r.t, dur,
-                    n, max_ctx, rids if keep else (), len(r.running),
-                )
-                r.breaker.on_success(r.t, rids)
-                for req in done:
-                    self._on_finish(req, r, r.t)
-
+        # 4-5. The kernel's prefill and decode steps.
+        if admitted and not self._step(r, "prefill", admitted):
+            return
+        if r.running and not self._step(r, "decode", r.running):
+            return
         if r.t > self._makespan:
             self._makespan = r.t
+
+    def _step(self, r: _Replica, kind: str, batch: list[Request]) -> bool:
+        """Run one kernel step on ``r`` and settle its outcome fleet-wide:
+        breaker bookkeeping, then finishes (hedge races) or abort drops.
+        False when a crash window opened inside the step and destroyed it
+        (recorded as a ``crash-<kind>`` slice, no tokens credited)."""
+        n_finished, n_dropped = len(r.finished), len(r.queue.dropped)
+        start = r.t
+        ok = r.prefill(batch) if kind == "prefill" else r.decode()
+        if ok is None:
+            cs, ce = r.crash_windows[r.crash_i]
+            r.crash_i += 1
+            rids = tuple(req.rid for req in batch) if self.collect_steps else ()
+            max_ctx = max(req.context_len for req in batch)
+            self._crash(
+                r, now=cs, window_end=ce,
+                extra=batch if kind == "prefill" else None,
+            )
+            r.emit(
+                f"crash-{kind}", start, cs, cs - start, 1,
+                len(batch), max_ctx, rids, 0,
+            )
+            return False
+        if ok:
+            r.breaker.on_success(r.t, tuple(req.rid for req in batch))
+            for req in r.finished[n_finished:]:
+                self._on_finish(req, r, r.t)
+        else:
+            r.breaker.on_abort(r.fault_stats.aborts[-1][1])
+            for req in r.queue.dropped[n_dropped:]:
+                self._on_drop(req, r, r.t)
+        return True
 
 
 # -- metrics / export ------------------------------------------------------

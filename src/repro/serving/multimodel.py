@@ -8,10 +8,13 @@ PCIe link every other offloading transfer uses (and the fault layer can
 degrade), so model switching is priced by exactly the transfer model the
 paper calibrates, not a made-up constant.
 
-:class:`MultiModelSimulator` runs the same continuous-batching loop as
+:class:`MultiModelSimulator` is a driver over the same
+:class:`~repro.serving.kernel.ReplicaKernel` as
 :class:`~repro.serving.simulator.ServingSimulator` — ingest, expire,
-admit, prefill, decode, one priced step per iteration — with one extra
-decision before admission: *which model deserves the platform now*.
+admit, then the kernel's prefill and decode, one priced step per
+iteration — with one extra decision before admission: *which model
+deserves the platform now*.  The kernel then steps on the resident
+slot's :class:`~repro.serving.costing.StepCostOracle`.
 
 * **swap-on-idle** — when nothing is running, the policy orders the whole
   queue and the platform swaps to the model of the head request (FCFS
@@ -26,8 +29,8 @@ decision before admission: *which model deserves the platform now*.
   :class:`~repro.serving.policies.PredictedSJFPolicy` makes the
   between-model choice length-aware without oracle knowledge.
 
-With one slot no swap can ever occur and the loop collapses to the
-single-model reference engine: a K=1 run with the oracle predictor is
+With one slot no swap can ever occur and the driver collapses to the
+single-model one: a K=1 run with the oracle predictor is
 byte-identical to :meth:`ServingSimulator.run` (pinned by an equivalence
 matrix across policies and traces).
 
@@ -36,7 +39,7 @@ swap is priced on (``Platform.with_faults`` at the swap instant) — slow
 links make model switching expensive, which is the operational reason
 co-residency decisions need a cost model.  The full chaos *step*
 semantics (transient aborts, drift watchdog, degradation ladder) remain
-the single-model simulator's; this loop prices steps on nominal specs.
+the single-model driver's; this driver prices steps on nominal specs.
 """
 
 from __future__ import annotations
@@ -53,16 +56,11 @@ from repro.obs.registry import Histogram, MetricsRegistry
 from repro.perfmodel.notation import HardwareParams
 from repro.serving.arrivals import RequestTrace
 from repro.serving.costing import StepCostOracle
+from repro.serving.kernel import ReplicaKernel
 from repro.serving.policies import SchedulerPolicy
 from repro.serving.queue import AdmissionQueue
 from repro.serving.request import Request, RequestState
-from repro.serving.simulator import (
-    ServingAggregates,
-    ServingConfig,
-    ServingResult,
-    StepRun,
-    admit_batch,
-)
+from repro.serving.simulator import ServingConfig, ServingResult, admit_batch
 from repro.units import dtype_bytes
 
 #: Bundled model mixes for ``serve-sim --models``.  Each entry lists the
@@ -307,16 +305,9 @@ class MultiModelSimulator:
             )
         self._initial = self._by_name[initial]
         self._predictor = getattr(self.policy, "predictor", None)
-        max_prompt = max((r.prompt_len for r in trace.requests), default=64)
-        max_gen = max((r.gen_len for r in trace.requests), default=32)
         self._oracles: dict[str, StepCostOracle] = {
-            s.name: StepCostOracle(
-                engine=engine,
-                model=s.model,
-                num_gpu_batches=self.config.num_gpu_batches,
-                ctx_bucket=self.config.ctx_bucket,
-                plan_prompt_len=max_prompt,
-                plan_gen_len=max_gen,
+            s.name: StepCostOracle.for_requests(
+                engine, s.model, trace.requests, self.config
             )
             for s in self.slots
         }
@@ -351,59 +342,29 @@ class MultiModelSimulator:
     def _run(self) -> MultiModelResult:
         cfg = self.config
         policy = self.policy
-        predictor = self._predictor
         pending = [
             Request.from_spec(i, spec) for i, spec in enumerate(self.trace.requests)
         ]
         all_requests = list(pending)
         queue = AdmissionQueue(cfg.queue_capacity, cfg.queue_timeout_s)
-        running: list[Request] = []
-        runs: list[StepRun] = []
-        agg = ServingAggregates()
-        keep = self.collect_steps
+        active = self._initial
+        kern = ReplicaKernel(
+            self._oracles[active.name], queue, cfg,
+            collect_steps=self.collect_steps, predictor=self._predictor,
+        )
         swaps: list[SwapRecord] = []
         residency: dict[str, float] = {s.name: 0.0 for s in self.slots}
-        active = self._initial
         resident_since = 0.0
-        t = 0.0
         i = 0
         n_pending = len(pending)
-
-        def emit(
-            kind: str, start: float, end: float, dur: float,
-            batch: int, max_ctx: int, rids: tuple[int, ...], running_after: int,
-        ) -> None:
-            agg.count_steps(kind, 1)
-            q = len(queue)
-            agg.observe_depth(q, batch, running_after, 1)
-            if keep:
-                runs.append(
-                    StepRun(
-                        kind=kind, start_s=start, end_s=end, dur_s=dur,
-                        count=1, batch=batch, max_ctx=max_ctx, rids=rids,
-                        queue_len=q, running_after=running_after, sample_t=t,
-                    )
-                )
-
-        def finish_token(req: Request, now: float) -> bool:
-            req.tokens_done += 1
-            if req.first_token_s is None:
-                req.first_token_s = now
-            if req.tokens_done >= req.gen_len:
-                req.state = RequestState.FINISHED
-                req.finish_s = now
-                if predictor is not None:
-                    predictor.observe(req)
-                return True
-            return False
 
         def swap_to(slot: ModelSlot, reason: str) -> None:
             """Charge the swap and make ``slot`` resident.  Recorded as a
             ``"swap"`` step so timelines and step counters carry it."""
-            nonlocal active, resident_since, t
-            dur = self.swap_seconds(slot, t)
-            start = t
-            t += dur
+            nonlocal active, resident_since
+            start = kern.t
+            dur = self.swap_seconds(slot, start)
+            t = kern.t = start + dur
             residency[active.name] += start - resident_since
             resident_since = t
             swaps.append(
@@ -414,24 +375,25 @@ class MultiModelSimulator:
                 )
             )
             active = slot
-            emit("swap", start, t, dur, 0, 0, (), len(running))
+            kern.oracle = self._oracles[slot.name]
+            kern.emit("swap", start, t, dur, 1, 0, 0, (), len(kern.running))
             if PROFILER.enabled:
                 PROFILER.count("serving.steps.swap")
 
-        while i < n_pending or queue.waiting or running:
-            if not queue.waiting and not running:
-                t = max(t, pending[i].arrival_s)
-            while i < n_pending and pending[i].arrival_s <= t:
+        while i < n_pending or queue.waiting or kern.running:
+            if not queue.waiting and not kern.running:
+                kern.t = max(kern.t, pending[i].arrival_s)
+            while i < n_pending and pending[i].arrival_s <= kern.t:
                 queue.offer(pending[i], pending[i].arrival_s)
                 i += 1
-            queue.expire(t)
+            queue.expire(kern.t)
 
             # -- between-model scheduling + admission ----------------------
             admitted: list[Request] = []
             if queue.waiting:
-                ordered = policy.order(list(queue.waiting), t)
+                ordered = policy.order(list(queue.waiting), kern.t)
                 head_slot = self._slot_of(ordered[0])
-                if not running:
+                if not kern.running:
                     # Swap-on-idle: the platform follows the policy's head.
                     if head_slot is not active:
                         swap_to(head_slot, "idle")
@@ -439,58 +401,31 @@ class MultiModelSimulator:
                     policy.preemptive
                     and head_slot is not active
                     and ordered[0].priority
-                    > max(r.priority for r in running)
+                    > max(r.priority for r in kern.running)
                 ):
                     # Cross-model preemption: evict the whole resident
                     # batch (another model's requests cannot share a step),
                     # then pay the swap.  Re-prefill on return is the
                     # standard preemption cost; the victims re-enter the
                     # queue with their tokens intact.
-                    for victim in running:
+                    for victim in kern.running:
                         victim.preemptions += 1
-                        queue.requeue(victim, t)
-                    running = []
+                        queue.requeue(victim, kern.t)
+                    kern.running = []
                     swap_to(head_slot, "preempt")
-                    ordered = policy.order(list(queue.waiting), t)
+                    ordered = policy.order(list(queue.waiting), kern.t)
                 candidates = [r for r in ordered if self._slot_of(r) is active]
                 admitted = admit_batch(
-                    policy, self._oracles[active.name], queue, running, t,
+                    policy, kern.oracle, queue, kern.running, kern.t,
                     cfg.max_batch, candidates=candidates,
                 )
 
-            oracle = self._oracles[active.name]
             if admitted:
-                max_ctx = max(r.context_len for r in admitted)
-                dur = oracle.prefill_seconds(len(admitted), max_ctx)
-                start = t
-                t += dur
-                for req in admitted:
-                    req.state = RequestState.RUNNING
-                    if req.admit_s is None:
-                        req.admit_s = start
-                    if not finish_token(req, t):
-                        running.append(req)
-                rids = tuple(r.rid for r in admitted) if keep else ()
-                emit(
-                    "prefill", start, t, dur,
-                    len(admitted), max_ctx, rids, len(running),
-                )
-                if PROFILER.enabled:
-                    PROFILER.count("serving.steps.prefill")
+                kern.prefill(admitted)
+            if kern.running:
+                kern.decode()
 
-            if running:
-                max_ctx = max(r.context_len for r in running)
-                n = len(running)
-                dur = oracle.decode_step_seconds(n, max_ctx)
-                start = t
-                t += dur
-                rids = tuple(r.rid for r in running) if keep else ()
-                running = [r for r in running if not finish_token(r, t)]
-                emit("decode", start, t, dur, n, max_ctx, rids, len(running))
-                if PROFILER.enabled:
-                    PROFILER.count("serving.steps.decode")
-
-        residency[active.name] += t - resident_since
+        residency[active.name] += kern.t - resident_since
 
         serving = ServingResult(
             engine=getattr(self.engine, "name", type(self.engine).__name__),
@@ -498,9 +433,9 @@ class MultiModelSimulator:
             policy_name=self.policy.name,
             config=cfg,
             requests=all_requests,
-            step_runs=runs,
-            aggregates=agg,
-            makespan_s=t,
+            step_runs=kern.runs,
+            aggregates=kern.agg,
+            makespan_s=kern.t,
         )
         return MultiModelResult(
             serving=serving,

@@ -1,62 +1,52 @@
-"""Continuous-batching serving simulator over the zig-zag schedule.
+"""Single-engine serving: the reference driver over the replica kernel.
 
-The simulator is an event-driven engine: between scheduling events —
-the next arrival, the next queue-deadline expiry, the next fault-window
-boundary, the earliest request completion, and the next step-price
-bucket boundary — the running batch's composition *and* its bucketed
-step price are constant, so the loop advances all ``k`` identical decode
-steps in one multiply instead of ``k`` Python iterations.  Each loop
-iteration still performs the same four phases a real offloading serving
+:class:`ServingSimulator` replays a request trace against one engine.
+Each loop iteration performs the four phases a real offloading serving
 loop would:
 
 1. **ingest** — arrivals up to the clock enter the bounded admission
    queue (overflow and timeouts are dropped with accounting);
-2. **admit** — the scheduler policy orders the queue; requests are
-   admitted while a GPU slot is free *and* the planner's memory prescreen
-   says the enlarged batch still fits (admission control is the same
-   feasibility question the policy search asks).  Preemptive policies may
-   evict a running victim at this token boundary;
-3. **prefill** — newly admitted prompts run one batched prefill step,
-   producing each request's first token (TTFT); resumed (preempted)
-   requests re-prefill their accumulated context, which is the real cost
-   of preemption under offloading;
-4. **decode** — every running request advances one token per step in a
-   single overlapped step, priced by the performance model (Eq. 2's max
-   over the six tasks, times the ``l x k`` zig-zag iterations) at the
-   batch's maximum context length; with no event on the horizon, a whole
-   *run* of identical steps is committed at once.
+2. **admit** — :func:`admit_batch`: the scheduler policy orders the
+   queue; requests are admitted while a GPU slot is free *and* the
+   planner's memory prescreen says the enlarged batch still fits
+   (admission control is the same feasibility question the policy search
+   asks).  Preemptive policies may evict a running victim at this token
+   boundary;
+3. **prefill** and 4. **decode** — the shared
+   :class:`~repro.serving.kernel.ReplicaKernel` steps, priced by the
+   performance model (Eq. 2's max over the six tasks, times the
+   ``l x k`` zig-zag iterations).
 
-Coalesced runs are recorded as :class:`StepRun` entries that expand
-lazily into the exact legacy per-step :class:`StepRecord` sequence only
-when something actually iterates steps (Chrome-trace export, the
-machine-facing metrics registry); summary metrics come from running
-aggregates accumulated during the loop, so results are byte-identical
-whether per-step collection is on, sampled or off.  The pre-rewrite
-per-step loop is kept as :meth:`ServingSimulator._run_reference` and an
-equivalence test matrix pins the two engines byte-for-byte across
-traces, policies and fault scenarios.
+The same kernel runs under the multi-model and fleet drivers; this
+driver adds only ingest, the drift watchdog/degradation ladder and stall
+handling.  It is event-driven: between scheduling events — the next
+arrival, the next queue-deadline expiry, the earliest request
+completion, and the next step-price bucket boundary — the batch and its
+bucketed step price are constant, so the kernel advances a whole run of
+identical decode steps in one multiply.  Coalesced runs are recorded as
+:class:`StepRun` entries that expand lazily into the exact per-step
+:class:`StepRecord` sequence only when something iterates steps;
+summary metrics come from running aggregates, so results are
+byte-identical whether per-step collection is on or off.  The per-step
+loop is kept as :meth:`ServingSimulator._run_reference`, and an
+equivalence matrix pins the two byte for byte across traces, policies
+and fault scenarios.
 
 Fault injection (optional, off by default): pass a
 :class:`~repro.faults.FaultSchedule` and the loop gains chaos semantics —
 a **drift watchdog** re-derives the effective platform at every fault
 segment boundary, retargets the engine and invalidates every cached plan
 when the deviation exceeds ``drift_tolerance``, and walks the
-:data:`~repro.faults.LADDER` until a rung plans again; **transient
-faults** abort in-flight steps (the work is lost) and retry after a
-capped, seeded-jitter exponential backoff, with per-request retry budgets
-and optional deadlines producing ``RETRY_EXHAUSTED`` / ``FAULT_ABORT``
-drops.  Chaos draws one RNG sample per attempted step, so runs are never
-coalesced under a non-empty schedule — the RNG stream (and therefore the
-whole simulation) stays byte-identical to the per-step engine.  With no
-schedule (or an empty one) none of this code runs.
+:data:`~repro.faults.LADDER` until a rung plans again; the kernel's
+**transient faults** abort in-flight steps and retry after a seeded
+backoff.  Chaos draws one RNG sample per attempted step, so runs are
+never coalesced under a non-empty schedule.  With no schedule (or an
+empty one) none of this code runs.
 
 Nothing here is stochastic unless a fault schedule says so: traces are
-frozen up front, ties are total orders, the clock is pure float
-arithmetic (coalesced runs advance it with ``np.cumsum``, whose
-sequential accumulation is bit-identical to ``k`` repeated ``t += dur``
-additions), and every fault draw comes from one named seeded stream —
-two runs with the same trace, schedule and seed are byte-identical,
-which the tests assert.
+frozen up front, ties are total orders, and every fault draw comes from
+one named seeded stream — two runs with the same trace, schedule and
+seed are byte-identical, which the tests assert.
 """
 
 from __future__ import annotations
@@ -64,16 +54,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
-from repro.errors import ConfigError, RetryExhaustedError
+from repro.errors import ConfigError
 from repro.faults import LADDER, FaultSchedule, FaultStats, RetryPolicy, relative_drift
 from repro.models.config import ModelConfig
-from repro.obs.profiling import PROFILER, span
+from repro.obs.profiling import span
 from repro.obs.registry import MetricsRegistry
 from repro.perfmodel.notation import HardwareParams
 from repro.serving.arrivals import RequestTrace
 from repro.serving.costing import StepCostOracle
+from repro.serving.kernel import ReplicaKernel, ServingAggregates, StepRecord, StepRun
 from repro.serving.policies import SchedulerPolicy
 from repro.serving.queue import AdmissionQueue
 from repro.serving.request import DropReason, Request, RequestState
@@ -157,143 +146,6 @@ class ServingConfig:
         )
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One GPU step: what ran, when, at what batch/context.
-
-    ``kind`` is ``"prefill"`` / ``"decode"`` for completed steps and
-    ``"abort-prefill"`` / ``"abort-decode"`` for steps a transient fault
-    killed (their interval covers the lost work, not the backoff wait).
-    """
-
-    kind: str
-    start_s: float
-    end_s: float
-    batch: int
-    max_ctx: int
-    rids: tuple[int, ...]
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
-
-def _run_clock(start_s: float, dur_s: float, count: int) -> np.ndarray:
-    """Clock values ``[start, t_1, ..., t_count]`` of ``count`` equal
-    steps.  ``np.cumsum`` accumulates sequentially, so every intermediate
-    value is bit-identical to the legacy loop's repeated ``t += dur``."""
-    steps = np.empty(count + 1, dtype=np.float64)
-    steps[0] = start_s
-    steps[1:] = dur_s
-    return np.cumsum(steps)
-
-
-@dataclass(frozen=True)
-class StepRun:
-    """``count`` consecutive identical steps, recorded as one entry.
-
-    Between scheduling events the batch composition and the bucketed
-    step price are constant, so one run captures what the legacy engine
-    recorded as ``count`` :class:`StepRecord` entries plus ``count``
-    queue-depth samples.  :meth:`expand` / :meth:`expand_depth`
-    reconstruct those sequences exactly (decode context grows one token
-    per step; the clock is re-derived with the same ``np.cumsum`` the
-    engine advanced it with).  Abort and prefill runs always have
-    ``count == 1``.
-    """
-
-    kind: str
-    start_s: float
-    end_s: float
-    dur_s: float
-    count: int
-    batch: int
-    max_ctx: int
-    rids: tuple[int, ...]
-    #: Waiting-queue length at every step of the run (constant: arrivals
-    #: and expiries are run boundaries).
-    queue_len: int
-    #: ``len(running)`` after the run's final step (completions happen
-    #: only there; during the run it equals ``batch``).
-    running_after: int
-    #: Clock at the post-step sample point — equals ``end_s`` except for
-    #: aborted steps, whose sample lands after the retry backoff.
-    sample_t: float
-
-    def expand(self) -> list[StepRecord]:
-        if self.count == 1:
-            return [
-                StepRecord(
-                    kind=self.kind, start_s=self.start_s, end_s=self.end_s,
-                    batch=self.batch, max_ctx=self.max_ctx, rids=self.rids,
-                )
-            ]
-        times = _run_clock(self.start_s, self.dur_s, self.count)
-        return [
-            StepRecord(
-                kind=self.kind, start_s=float(times[j]), end_s=float(times[j + 1]),
-                batch=self.batch, max_ctx=self.max_ctx + j, rids=self.rids,
-            )
-            for j in range(self.count)
-        ]
-
-    def expand_depth(self) -> list[tuple[float, int, int]]:
-        if self.count == 1:
-            return [(self.sample_t, self.queue_len, self.running_after)]
-        times = _run_clock(self.start_s, self.dur_s, self.count)
-        out = [
-            (float(times[j]), self.queue_len, self.batch)
-            for j in range(1, self.count)
-        ]
-        out.append((self.sample_t, self.queue_len, self.running_after))
-        return out
-
-
-@dataclass
-class ServingAggregates:
-    """Running aggregates the loop maintains instead of unbounded
-    per-step lists — everything :func:`repro.serving.metrics.compute_metrics`
-    needs, accumulated incrementally and byte-identical to the values the
-    legacy engine derived from ``result.steps`` / ``result.queue_depth``
-    (integer sums and maxima are exact)."""
-
-    step_counts: dict[str, int] = field(default_factory=dict)
-    depth_samples: int = 0
-    waiting_sum: int = 0
-    max_waiting: int = 0
-    max_in_system: int = 0
-    #: Largest step batch observed — lets the metrics registry report a
-    #: batch series without retaining per-step records.
-    max_batch: int = 0
-
-    def count_steps(self, kind: str, count: int) -> None:
-        self.step_counts[kind] = self.step_counts.get(kind, 0) + count
-
-    def observe_depth(
-        self, waiting: int, batch: int, running_after: int, count: int
-    ) -> None:
-        self.depth_samples += count
-        self.waiting_sum += waiting * count
-        if batch > self.max_batch:
-            self.max_batch = batch
-        if waiting > self.max_waiting:
-            self.max_waiting = waiting
-        if count > 1 and waiting + batch > self.max_in_system:
-            self.max_in_system = waiting + batch
-        if waiting + running_after > self.max_in_system:
-            self.max_in_system = waiting + running_after
-
-    def steps_of_kind(self, kind: str) -> int:
-        return self.step_counts.get(kind, 0)
-
-    @property
-    def aborted_steps(self) -> int:
-        return sum(
-            n for kind, n in self.step_counts.items()
-            if kind.startswith("abort-")
-        )
-
-
 @dataclass
 class ServingResult:
     """Everything a simulation produced, metrics-layer ready.
@@ -373,9 +225,8 @@ def admit_batch(
     """Move requests queue -> GPU per the policy, bounded by slots and
     by memory feasibility of the enlarged batch.
 
-    Module-level so the fleet simulator's replicas run the exact same
-    admission semantics as :class:`ServingSimulator` (which delegates
-    here) — the 1-replica byte-identity guarantee depends on it.
+    The one admission routine of all three drivers — the 1-replica and
+    K=1 byte-identity guarantees depend on it.
 
     ``candidates`` overrides the admission view: a policy-ordered subset
     of ``queue.waiting`` to consider (the multi-model simulator passes
@@ -483,31 +334,9 @@ class ServingSimulator:
         self._chaos = faults is not None and len(faults.faults) > 0
         #: The pristine platform every degraded overlay derives from.
         self.base_platform = engine.platform
-        max_prompt = max((r.prompt_len for r in trace.requests), default=64)
-        max_gen = max((r.gen_len for r in trace.requests), default=32)
-        # Plan at the trace's maximum context so the chosen placement stays
-        # memory-feasible for every step the loop can form.
-        self.oracle = StepCostOracle(
-            engine=engine,
-            model=model,
-            num_gpu_batches=self.config.num_gpu_batches,
-            ctx_bucket=self.config.ctx_bucket,
-            plan_prompt_len=max_prompt,
-            plan_gen_len=max_gen,
+        self.oracle = StepCostOracle.for_requests(
+            engine, model, trace.requests, self.config
         )
-
-    # -- admission ---------------------------------------------------------
-
-    def _admit(
-        self,
-        queue: AdmissionQueue,
-        running: list[Request],
-        now: float,
-        limit: int | None = None,
-    ) -> list[Request]:
-        if limit is None:
-            limit = self.config.max_batch
-        return admit_batch(self.policy, self.oracle, queue, running, now, limit)
 
     # -- the loop ----------------------------------------------------------
 
@@ -526,6 +355,7 @@ class ServingSimulator:
 
     def _run(self, coalesce: bool) -> ServingResult:
         cfg = self.config
+        policy = self.policy
         chaos = self._chaos
         pending = [
             Request.from_spec(i, spec) for i, spec in enumerate(self.trace.requests)
@@ -534,87 +364,63 @@ class ServingSimulator:
         queue = AdmissionQueue(
             cfg.queue_capacity, cfg.queue_timeout_s, use_heap=coalesce
         )
-        if coalesce and getattr(self.policy, "static_order", False):
-            queue.attach_order(self.policy.sort_key)
-        running: list[Request] = []
-        runs: list[StepRun] = []
-        agg = ServingAggregates()
-        keep = self.collect_steps
-        t = 0.0
+        if coalesce and getattr(policy, "static_order", False):
+            queue.attach_order(policy.sort_key)
         i = 0
         n_pending = len(pending)
 
         stats: FaultStats | None = None
+        rng = None
+        rung_idx = 0
         if chaos:
             assert self.faults is not None
             stats = FaultStats(schedule_name=self.faults.name)
             rng = seeded_rng(self.seed, "serving", "chaos", self.faults.name)
-            retry = cfg.retry_policy()
             base_hw = HardwareParams.from_platform(self.base_platform)
             applied_hw = base_hw
             fault_key: tuple | None = None
-            rung_idx = 0
-            consec_aborts = 0
             degraded_since: float | None = None
             # The loop's planning ceiling under nominal specs: the rung
             # probe divides this rather than max_batch so a ceiling the
             # engine never planned at doesn't masquerade as fault damage.
             probe_n = self.oracle.warm_up(cfg.max_batch)
+        kern = ReplicaKernel(
+            self.oracle, queue, cfg,
+            collect_steps=self.collect_steps,
+            predictor=self._predictor,
+            faults=self.faults if chaos else None,
+            rng=rng,
+            fault_stats=stats,
+        )
 
         reg = self.metrics
+        if reg is not None:
+            def sample_step(start: float, end: float, batch: int) -> None:
+                """One point per curve at each step boundary, timestamped
+                with the clock the loop actually advanced to (aborted steps
+                land after their backoff)."""
+                t = kern.t
+                reg.timeseries("curve.queue_waiting").sample(t, float(len(queue)))
+                reg.timeseries("curve.in_system").sample(
+                    t, float(len(queue) + len(kern.running))
+                )
+                reg.timeseries("curve.step_s").sample(t, end - start)
+                reg.timeseries("curve.batch").sample(t, float(batch))
+                reg.timeseries("curve.rung").sample(t, float(rung_idx))
+
+            kern.sample = sample_step
         # Run-length advance only when every per-step observer is inert:
         # chaos draws one RNG sample per attempted step, and a live
         # registry samples each step's curves — both force k=1.
         fast = coalesce and not chaos and reg is None
 
-        def emit(
-            kind: str, start: float, end: float, dur: float, count: int,
-            batch: int, max_ctx: int, rids: tuple[int, ...], running_after: int,
-        ) -> None:
-            agg.count_steps(kind, count)
-            q = len(queue)
-            agg.observe_depth(q, batch, running_after, count)
-            if keep:
-                runs.append(
-                    StepRun(
-                        kind=kind, start_s=start, end_s=end, dur_s=dur,
-                        count=count, batch=batch, max_ctx=max_ctx, rids=rids,
-                        queue_len=q, running_after=running_after, sample_t=t,
-                    )
-                )
-
-        def sample_step(start: float, end: float, batch: int) -> None:
-            """One point per curve at each step boundary, timestamped with
-            the clock the loop actually advanced to (aborted steps land
-            after their backoff, like everything else that observes them).
-            No-op without a registry — no RNG draw, no state, no branch
-            the fault-free loop could observe."""
-            if reg is None:
-                return
-            reg.timeseries("curve.queue_waiting").sample(t, float(len(queue)))
-            reg.timeseries("curve.in_system").sample(
-                t, float(len(queue) + len(running))
+        def admission_can_act() -> bool:
+            # False proves admission a no-op: an empty queue admits
+            # nothing, and a full batch under a non-preemptive policy
+            # breaks at the first candidate without touching any state.
+            return bool(queue.waiting) and (
+                policy.preemptive or len(kern.running) < cfg.max_batch
             )
-            reg.timeseries("curve.step_s").sample(t, end - start)
-            reg.timeseries("curve.batch").sample(t, float(batch))
-            reg.timeseries("curve.rung").sample(
-                t, float(rung_idx) if chaos else 0.0
-            )
-
-        predictor = self._predictor
-
-        def finish_token(req: Request, now: float) -> bool:
-            """Credit one generated token; True when the request completed."""
-            req.tokens_done += 1
-            if req.first_token_s is None:
-                req.first_token_s = now
-            if req.tokens_done >= req.gen_len:
-                req.state = RequestState.FINISHED
-                req.finish_s = now
-                if predictor is not None:
-                    predictor.observe(req)
-                return True
-            return False
 
         def probe_ladder() -> int:
             """First rung (mildest first) whose constrained search still
@@ -635,7 +441,7 @@ class ServingSimulator:
             """Drift watchdog: runs once per fault segment (cheap key check
             otherwise); retargets/replans/walks the ladder on drift and
             unwinds everything on recovery."""
-            nonlocal running, fault_key, applied_hw, rung_idx, degraded_since
+            nonlocal fault_key, applied_hw, rung_idx, degraded_since
             assert self.faults is not None and stats is not None
             key = self.faults.segment_key(now)
             if key != fault_key:
@@ -666,6 +472,7 @@ class ServingSimulator:
                         rung_idx = new_idx
                     # Shed the most recently admitted requests until the
                     # running batch fits the degraded platform again.
+                    running = kern.running
                     while running and not self.oracle.feasible(
                         len(running), max(r.context_len + 1 for r in running)
                     ):
@@ -680,206 +487,41 @@ class ServingSimulator:
                 stats.degraded_s += now - degraded_since
                 degraded_since = None
 
-        def fault_abort(
-            start: float, dur: float, kind: str, participants: list[Request]
-        ) -> tuple[float, list[Request]]:
-            """Charge an aborted step + backoff; cull requests that blew
-            their deadline (FAULT_ABORT) or budget (RETRY_EXHAUSTED).
-            Returns (clock after backoff, surviving participants)."""
-            nonlocal consec_aborts
-            assert stats is not None
-            consec_aborts += 1
-            end = start + dur
-            elapsed = end - min(r.arrival_s for r in participants)
-            delay = retry.delay(consec_aborts, float(rng.random()), elapsed)
-            stats.aborts.append((start, end, kind, len(participants)))
-            stats.backoffs.append((end, end + delay, consec_aborts))
-            stats.lost_s += dur + delay
-            now = end + delay
-            survivors: list[Request] = []
-            for req in participants:
-                req.retries += 1
-                if (
-                    cfg.request_deadline_s is not None
-                    and now - req.arrival_s > cfg.request_deadline_s
-                ):
-                    req.state = RequestState.DROPPED
-                    req.drop_s = now
-                    req.drop_reason = DropReason.FAULT_ABORT
-                    req.drop_detail = (
-                        f"{kind} step aborted by a transient fault at "
-                        f"t={end:.3f}s; past the {cfg.request_deadline_s:g}s "
-                        "deadline"
-                    )
-                    queue.dropped.append(req)
-                    continue
-                try:
-                    retry.check_budget(req.rid, req.retries)
-                except RetryExhaustedError as exc:
-                    req.state = RequestState.DROPPED
-                    req.drop_s = now
-                    req.drop_reason = DropReason.RETRY_EXHAUSTED
-                    req.drop_detail = str(exc)
-                    queue.dropped.append(req)
-                    continue
-                survivors.append(req)
-            return now, survivors
-
-        while i < n_pending or queue.waiting or running:
-            if not queue.waiting and not running:
+        while i < n_pending or queue.waiting or kern.running:
+            if not queue.waiting and not kern.running:
                 # Idle: jump the clock to the next arrival.
-                t = max(t, pending[i].arrival_s)
+                kern.t = max(kern.t, pending[i].arrival_s)
+            t = kern.t
             while i < n_pending and pending[i].arrival_s <= t:
                 queue.offer(pending[i], pending[i].arrival_s)
                 i += 1
             queue.expire(t)
+            limit = cfg.max_batch
             if chaos:
                 sync_faults(t)
                 rung = LADDER[rung_idx]
-                if rung.admit:
-                    admitted = self._admit(
-                        queue, running, t,
-                        limit=max(1, cfg.max_batch // rung.batch_divisor),
-                    )
-                else:
-                    admitted = []
-            elif coalesce and not (
-                queue.waiting
-                and (self.policy.preemptive or len(running) < cfg.max_batch)
-            ):
-                # Provably a no-op: an empty queue admits nothing, and a
-                # full batch under a non-preemptive policy breaks at the
-                # first candidate without touching any state.
-                admitted = []
-            else:
-                admitted = self._admit(queue, running, t)
+                limit = max(1, limit // rung.batch_divisor) if rung.admit else 0
+            elif coalesce and not admission_can_act():
+                limit = 0
+            admitted = (
+                admit_batch(policy, self.oracle, queue, kern.running, t, limit)
+                if limit else []
+            )
 
             if admitted:
-                max_ctx = max(r.context_len for r in admitted)
-                dur = self.oracle.prefill_seconds(len(admitted), max_ctx)
-                start = t
-                if chaos and rng.random() < self.faults.transient_abort_probability(start):
-                    rids = tuple(r.rid for r in admitted) if keep else ()
-                    t, survivors = fault_abort(start, dur, "prefill", admitted)
-                    for req in survivors:
-                        # Aborted before its first token: back to the queue
-                        # intact (arrival_s keeps its place in FCFS order).
-                        queue.requeue(req, t)
-                    emit(
-                        "abort-prefill", start, start + dur, dur, 1,
-                        len(admitted), max_ctx, rids, len(running),
-                    )
-                    sample_step(start, start + dur, len(admitted))
-                else:
-                    if chaos:
-                        consec_aborts = 0
-                    t += dur
-                    for req in admitted:
-                        req.state = RequestState.RUNNING
-                        if req.admit_s is None:
-                            req.admit_s = start
-                        if not finish_token(req, t):
-                            running.append(req)
-                    rids = tuple(r.rid for r in admitted) if keep else ()
-                    emit(
-                        "prefill", start, t, dur, 1,
-                        len(admitted), max_ctx, rids, len(running),
-                    )
-                    sample_step(start, t, len(admitted))
-                    if PROFILER.enabled:
-                        PROFILER.count("serving.steps.prefill")
-
-            if running:
-                max_ctx = max(r.context_len for r in running)
-                n = len(running)
-                dur = self.oracle.decode_step_seconds(n, max_ctx)
-                start = t
-                if chaos and rng.random() < self.faults.transient_abort_probability(start):
-                    rids = tuple(r.rid for r in running) if keep else ()
-                    t, running = fault_abort(start, dur, "decode", running)
-                    emit(
-                        "abort-decode", start, start + dur, dur, 1,
-                        n, max_ctx, rids, len(running),
-                    )
-                    sample_step(start, start + dur, n)
-                else:
-                    if chaos:
-                        consec_aborts = 0
-                    k = 1
-                    if fast:
-                        # Horizon of the next scheduling event, in steps:
-                        # the earliest completion and the price-bucket
-                        # boundary bound the run up front; arrivals and
-                        # queue-deadline expiries cut it on the clock.
-                        k = min(
-                            min(r.remaining_tokens for r in running),
-                            self.oracle.decode_bucket_headroom(max_ctx),
-                        )
-                        if k > 1 and queue.waiting and (
-                            self.policy.preemptive or n < cfg.max_batch
-                        ):
-                            # Admission could act at the next boundary.
-                            k = 1
-                        if k > 1:
-                            times = _run_clock(start, dur, k)
-                            if i < n_pending:
-                                # First intermediate boundary that would
-                                # ingest the next arrival ends the run.
-                                cut = int(np.searchsorted(
-                                    times[1:k], pending[i].arrival_s, side="left"
-                                )) + 1
-                                if cut < k:
-                                    k = cut
-                            if cfg.queue_timeout_s is not None:
-                                a_min = queue.next_expirable_arrival()
-                                if a_min is not None:
-                                    # Exactly the legacy expiry comparison,
-                                    # vectorized over the run's boundaries.
-                                    hits = np.nonzero(
-                                        (times[1:k] - a_min) > cfg.queue_timeout_s
-                                    )[0]
-                                    if hits.size:
-                                        k = int(hits[0]) + 1
-                    if k == 1:
-                        t += dur
-                        rids = tuple(r.rid for r in running) if keep else ()
-                        running = [r for r in running if not finish_token(r, t)]
-                        emit(
-                            "decode", start, t, dur, 1,
-                            n, max_ctx, rids, len(running),
-                        )
-                        sample_step(start, t, n)
-                        if PROFILER.enabled:
-                            PROFILER.count("serving.steps.decode")
-                    else:
-                        t = float(times[k])
-                        rids = tuple(r.rid for r in running) if keep else ()
-                        survivors = []
-                        for r in running:
-                            r.tokens_done += k
-                            if r.tokens_done >= r.gen_len:
-                                # first_token_s was set at prefill; only
-                                # completion bookkeeping remains.
-                                r.state = RequestState.FINISHED
-                                r.finish_s = t
-                                if predictor is not None:
-                                    predictor.observe(r)
-                            else:
-                                survivors.append(r)
-                        running = survivors
-                        emit(
-                            "decode", start, t, dur, k,
-                            n, max_ctx, rids, len(running),
-                        )
-                        if PROFILER.enabled:
-                            PROFILER.count("serving.steps.decode", k)
-
-            if chaos and not admitted and not running and queue.waiting:
-                # Stalled: backpressure (or blanket infeasibility) with no
-                # step to advance the clock.  Jump to whatever can change
-                # the situation — the next arrival or the next fault
-                # transition; if neither exists the degradation is
-                # permanent and the queue can only be drained by dropping.
+                kern.prefill(admitted)
+            if kern.running:
+                kern.decode(
+                    coalesce=fast and not admission_can_act(),
+                    next_arrival=pending[i].arrival_s if i < n_pending else None,
+                )
+            elif chaos and not admitted and queue.waiting:
+                # Stalled: this iteration ran no step — backpressure (or
+                # blanket infeasibility) with nothing to advance the clock.
+                # Jump to whatever can change the situation — the next
+                # arrival or the next fault transition; if neither exists
+                # the degradation is permanent and the queue can only be
+                # drained by dropping.
                 horizon = [
                     x
                     for x in (
@@ -889,7 +531,7 @@ class ServingSimulator:
                     if x is not None and x > t
                 ]
                 if horizon:
-                    t = min(horizon)
+                    kern.t = min(horizon)
                 else:
                     for req in list(queue.waiting):
                         queue.take(req)
@@ -906,7 +548,7 @@ class ServingSimulator:
         if chaos:
             assert stats is not None
             if degraded_since is not None:
-                stats.degraded_s += t - degraded_since
+                stats.degraded_s += kern.t - degraded_since
             stats.final_rung = LADDER[rung_idx].name
             # Leave the engine as we found it: callers may reuse it for a
             # fault-free run afterwards.
@@ -918,12 +560,12 @@ class ServingSimulator:
         return ServingResult(
             engine=getattr(self.engine, "name", type(self.engine).__name__),
             trace_name=self.trace.name,
-            policy_name=self.policy.name,
+            policy_name=policy.name,
             config=cfg,
             requests=all_requests,
-            step_runs=runs,
-            aggregates=agg,
-            makespan_s=t,
+            step_runs=kern.runs,
+            aggregates=kern.agg,
+            makespan_s=kern.t,
             fault_stats=stats,
             fault_schedule=self.faults if chaos else None,
             timeseries=reg,

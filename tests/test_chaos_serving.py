@@ -24,6 +24,7 @@ from repro.serving import (
     ServingSimulator,
     compute_metrics,
     default_trace,
+    replay_trace,
 )
 
 
@@ -98,6 +99,19 @@ def test_different_seed_changes_abort_timeline(model, trace):
     r1 = simulate(model, trace, faults=sched, seed=0)
     r2 = simulate(model, trace, faults=sched, seed=99)
     assert r1.fault_stats.aborts != r2.fault_stats.aborts
+
+
+def test_finished_batch_is_not_a_stall(model):
+    """A batch that simply completes while requests wait is not a stall:
+    on a healthy platform with no arrival or fault change ahead, the
+    waiting requests must run, not be dropped INFEASIBLE."""
+    trace = replay_trace([(0.0, 16, 8)] * 8, name="backlog")
+    blip = FaultSchedule(
+        name="pcie-blip",
+        faults=(FaultSpec(FaultKind.PCIE_DEGRADE, 0.0, 0.01, 0.5),),
+    )
+    result = simulate(model, trace, faults=blip, max_batch=2)
+    assert len(result.finished) == 8 and result.dropped == []
 
 
 # -- retry/backoff semantics ----------------------------------------------

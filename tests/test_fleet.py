@@ -2,6 +2,7 @@
 failover/hedging, breaker determinism, crash re-prefill accounting,
 schedule validation, bench determinism."""
 
+import heapq
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from repro.serving import (
     FleetConfig,
     FleetSimulator,
     ReplicaSpec,
+    Request,
     RequestState,
     ServingConfig,
     ServingSimulator,
@@ -27,6 +29,7 @@ from repro.serving import (
     make_fleet_scenario,
     make_policy,
     poisson_trace,
+    replay_trace,
 )
 
 
@@ -49,12 +52,12 @@ def zi_specs(n, num_domains=3):
 
 
 def run_fleet(model, specs, trace, faults=None, seed=0, config=None,
-              collect_steps=True):
+              collect_steps=True, policy="fcfs"):
     return FleetSimulator(
         specs=specs,
         model=model,
         trace=trace,
-        policy=make_policy("fcfs"),
+        policy=make_policy(policy),
         config=config or FleetConfig(),
         faults=faults,
         seed=seed,
@@ -65,20 +68,27 @@ def run_fleet(model, specs, trace, faults=None, seed=0, config=None,
 # -- 1-replica zero-fault equivalence --------------------------------------
 
 
-def test_single_replica_zero_fault_byte_identical_to_serving_sim(model):
+@pytest.mark.parametrize("policy", ["fcfs", "sjf-predict"])
+def test_single_replica_zero_fault_byte_identical_to_serving_sim(model, policy):
     """The acceptance pin: a 1-replica fleet with no faults IS the
     single-engine simulator — requests, steps, queue depths, makespan and
-    the full metrics document, byte for byte."""
-    trace = default_trace(quick=True, seed=0)
+    the full metrics document, byte for byte.  Under ``sjf-predict`` the
+    learned predictor must see the same completions in the same order."""
+    if policy == "fcfs":
+        trace, config = default_trace(quick=True, seed=0), ServingConfig()
+    else:
+        trace = poisson_trace(rate=8.0, horizon_s=10.0, seed=3)
+        config = ServingConfig(max_batch=2)
     ss = ServingSimulator(
         engine=ZeroInferenceEngine(single_a100()),
         model=model,
         trace=trace,
-        policy=make_policy("fcfs"),
-        config=ServingConfig(),
+        policy=make_policy(policy),
+        config=config,
     ).run()
     fleet = run_fleet(
-        model, (ReplicaSpec(name="solo", engine="zero-inference"),), trace
+        model, (ReplicaSpec(name="solo", engine="zero-inference"),), trace,
+        config=FleetConfig(serving=config), policy=policy,
     )
     assert fleet.accounting()["ok"]
     view = fleet.single_replica_result()
@@ -184,6 +194,34 @@ def test_fleet_runs_are_deterministic(model, stress_setup):
         return json.dumps(compute_fleet_metrics(result), sort_keys=True)
 
     assert one_run() == one_run()
+
+
+def test_cancelled_racer_in_transit_is_not_replaced(model):
+    """A hedge clone displaced by a crash sits in a pending delivery when
+    its primary finishes.  The cancel must reach it in transit, and the
+    delivery must discard it rather than place a racer whose race is
+    already settled (a finish there used to hit a missing hedge entry)."""
+    trace = replay_trace([(0.0, 16, 4)], name="one")
+    sim = FleetSimulator(
+        specs=zi_specs(2), model=model, trace=trace,
+        policy=make_policy("fcfs"), config=FleetConfig(hedge_after_s=1.0),
+    )
+    now = sim.run().makespan_s  # builds the ledgers; the request ends on r0
+    canonical = sim.requests[0]
+    clone = Request(
+        rid=0, arrival_s=0.0, prompt_len=canonical.prompt_len,
+        gen_len=canonical.gen_len,
+    )
+    sim.hedges[0] = clone
+    del sim.terminal[0]
+    sim._push_deliver(now, clone, 1)  # crashed off r1, now in transit
+    sim._on_finish(canonical, sim.replicas[0], now)  # the primary wins
+    assert clone.state is RequestState.DROPPED
+    t_ev, _, _, payload = heapq.heappop(sim._events)
+    sim._deliver(t_ev, *payload)
+    assert sim._replica_of(clone) is None
+    assert all(r.empty() for r in sim.replicas)
+    assert sim.stats.hedges_cancelled == 1 and sim.terminal[0] == 0
 
 
 # -- crash semantics -------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.runtime.graph import (
     build_attention_graph,
     kahn_levels,
     max_concurrency,
+    topological_order,
 )
 
 
@@ -37,13 +38,22 @@ def test_fan_out_width():
 
 
 def test_cycle_detected():
+    with pytest.raises(ScheduleError, match="cycle"):
+        topological_order({"a": ["b"], "b": ["c"], "c": ["a"], "d": []})
     g = OpGraph()
     g.add_op(OpNode("a"))
     g.add_op(OpNode("b"), deps=["a"])
-    # Force a back edge through the underlying graph.
-    g.networkx().add_edge("b", "a")
+    # add_op only ever points edges at the new op, so force a back edge.
+    g._succ["b"].append("a")
+    g._pred["a"].append("b")
     with pytest.raises(ScheduleError, match="cycle"):
         kahn_levels(g)
+
+
+def test_topological_order_is_flattened_kahn_generations():
+    # Each generation in the order its parents released it, not sorted.
+    succ = {"z": ["y", "b"], "a": ["x"], "y": [], "b": ["x"], "x": []}
+    assert topological_order(succ) == ["z", "a", "y", "b", "x"]
 
 
 def test_duplicate_op_rejected():
