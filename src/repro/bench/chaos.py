@@ -26,18 +26,19 @@ bug in that restore leak state between runs.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.faults import make_scenario
 from repro.faults.scenarios import SCENARIO_SWEEP_ORDER
 from repro.models import get_model
+from repro.obs.drift import DEFAULT_TOLERANCE, DriftGate
 from repro.serving.arrivals import RequestTrace, default_trace
 from repro.serving.metrics import compute_metrics
 from repro.serving.policies import make_policy
 from repro.serving.request import RequestState
 from repro.serving.simulator import ServingConfig, ServingResult, ServingSimulator
 from repro.bench.serving import ENGINES, _make_engine
+from repro.util import write_json
 
 SCHEMA_VERSION = 1
 
@@ -45,11 +46,6 @@ SCHEMA_VERSION = 1
 #: shared with the faulted drift audit so both artifacts sweep the same
 #: scenarios in the same order.
 SCENARIO_ORDER = SCENARIO_SWEEP_ORDER
-
-#: Max steady-state relative error (Eq. 1/2 prediction vs the overlapped
-#: executor) allowed per degraded capability window when the drift gate
-#: is on.  Matches the faulted drift audit's default.
-DEFAULT_DRIFT_TOLERANCE = 0.10
 
 #: Max relative deviation between a step price the serving loop actually
 #: charged and a fresh engine's price on the exactly-faulted platform at
@@ -84,64 +80,28 @@ def _accounting(result: ServingResult) -> dict[str, Any]:
     }
 
 
-def _drift_window(
-    engine_name: str,
-    schedule,
-    start: float,
-    end: float,
-    config: ServingConfig,
-    model_cfg,
-) -> dict[str, Any]:
-    """Price one degraded capability window: the engine replans on the
-    faulted platform and Eq. 1/2's steady-state step time is checked
-    against the overlapped executor on the same task costs.
-
-    This is the *serving* companion of the faulted drift audit: instead
-    of a fixed policy grid it prices the plan the engine itself would
-    pick for the serving workload under that window's degradation — the
-    exact numbers the admission loop trusts mid-outage.
-    """
+def _drift_window(engine_name: str, schedule, workload):
+    """The plan-window pricer for one engine's schedule: at instant ``t``
+    a fresh engine replans the serving workload on the faulted platform,
+    and Eq. 1/2's steady-state step time is checked against the
+    overlapped executor on the same task costs — the exact numbers the
+    admission loop trusts mid-outage."""
     from repro.errors import MemoryCapacityError, PolicyError
-    from repro.perfmodel.latency import CostModel
-    from repro.perfmodel.notation import Workload
-    from repro.runtime.executor import OverlappedExecutor
+    from repro.obs.drift import steady_state
 
-    engine = _make_engine(engine_name)
-    effective = engine.platform.with_faults(schedule, (start + end) / 2.0)
-    engine.retarget(effective)
-    k = config.num_gpu_batches
-    b = max(1, -(-config.max_batch // k))
-    workload = Workload(model_cfg, 64, 32, b, k)
-    record: dict[str, Any] = {
-        "window": {"start_s": start, "end_s": end, "occurrences": 1},
-    }
-    try:
-        policy, cpu_ctx, _ = engine.plan_cached(workload)
-    except (PolicyError, MemoryCapacityError) as exc:
-        # An unplannable window is a capacity verdict, not model drift;
-        # the serving loop sheds under it (INFEASIBLE / degradation
-        # ladder), so the gate records it without failing.
-        record["plannable"] = False
-        record["plan_error"] = f"{type(exc).__name__}: {exc}"
-        return record
-    model = CostModel(workload, policy, engine.hw, cpu_ctx, engine.calibration)
-    iters = model_cfg.num_layers * policy.num_gpu_batches
-    costs = model.decode_task_costs(max(0, (workload.gen_len - 1) // 2))
-    predicted = CostModel.step_seconds(costs) * iters
-    executor = OverlappedExecutor(
-        num_layers=model_cfg.num_layers, num_gpu_batches=policy.num_gpu_batches
-    )
-    simulated = executor.steady_state_token_time(costs, warmup=3)
-    rel_err = abs(simulated - predicted) / simulated if simulated > 0 else 0.0
-    record.update(
-        {
-            "plannable": True,
-            "predicted_s": predicted,
-            "simulated_s": simulated,
-            "rel_err": rel_err,
-        }
-    )
-    return record
+    def price(t: float) -> dict[str, Any]:
+        engine = _make_engine(engine_name)
+        engine.retarget(engine.platform.with_faults(schedule, t))
+        try:
+            model = engine.planned_cost_model(workload)
+        except (PolicyError, MemoryCapacityError) as exc:
+            # An unplannable window is a capacity verdict, not model drift;
+            # the serving loop sheds under it (INFEASIBLE / degradation
+            # ladder), so the gate records it without failing.
+            return {"plannable": False, "plan_error": f"{type(exc).__name__}: {exc}"}
+        return {"plannable": True, **steady_state(model)[0]}
+
+    return price
 
 
 def _drift_sweep(
@@ -150,48 +110,30 @@ def _drift_sweep(
     scenarios: tuple[str, ...],
     config: ServingConfig,
     model_name: str,
-    tolerance: float,
+    gate: DriftGate,
 ) -> dict[str, Any]:
-    """The drift-gate payload section: every engine's degraded capability
-    windows (deduped by fault signature — eight identical link flaps
-    price once) checked at ``tolerance``.  Scenarios with no capability
+    """The drift-gate payload section: every engine's distinct degraded
+    capability windows checked by ``gate``.  Scenarios with no capability
     windows (pure transient-abort storms) contribute nothing: aborts
     perturb outcomes, not step prices."""
-    from repro.faults.overlay import capability_windows, fault_signature
+    from repro.obs.drift import price_windows
+    from repro.perfmodel.notation import Workload
 
-    model_cfg = get_model(model_name)
+    k = config.num_gpu_batches
+    workload = Workload(
+        get_model(model_name), 64, 32, max(1, -(-config.max_batch // k)), k
+    )
     doc_engines: dict[str, Any] = {}
-    over: list[str] = []
-    all_errs: list[float] = []
-    worst_ref: tuple[float, str] | None = None
     for engine_name in engines:
         doc_scenarios: dict[str, Any] = {}
         for scenario_name in scenarios:
             schedule = schedules[(engine_name, scenario_name)]
-            windows: list[dict[str, Any]] = []
-            seen: dict[tuple, int] = {}
-            for start, end, active in capability_windows(schedule):
-                sig = fault_signature(active)
-                if sig in seen:
-                    windows[seen[sig]]["window"]["occurrences"] += 1
-                    continue
-                seen[sig] = len(windows)
-                record = _drift_window(
-                    engine_name, schedule, start, end, config, model_cfg
-                )
-                record["window"]["kinds"] = sorted(
-                    {f.kind.value for f in active}
-                )
-                idx = len(windows)
-                windows.append(record)
-                if record["plannable"]:
-                    err = record["rel_err"]
-                    all_errs.append(err)
-                    ref = f"{engine_name}/{scenario_name}/{idx}"
-                    if err > tolerance:
-                        over.append(ref)
-                    if worst_ref is None or (err, ref) > worst_ref:
-                        worst_ref = (err, ref)
+            windows = price_windows(
+                schedule, _drift_window(engine_name, schedule, workload)
+            )
+            for idx, w in enumerate(windows):
+                if w["plannable"]:
+                    gate.add(f"{engine_name}/{scenario_name}/{idx}", w["rel_err"])
             doc_scenarios[scenario_name] = {
                 "num_unique_windows": len(windows),
                 "windows": windows,
@@ -202,7 +144,7 @@ def _drift_sweep(
             }
         doc_engines[engine_name] = doc_scenarios
     return {
-        "tolerance": tolerance,
+        "tolerance": gate.tolerance,
         "workload": {
             "prompt_len": 64,
             "gen_len": 32,
@@ -210,16 +152,7 @@ def _drift_sweep(
             "num_gpu_batches": config.num_gpu_batches,
         },
         "engines": doc_engines,
-        "summary": {
-            "num_windows_priced": len(all_errs),
-            "max_rel_err": worst_ref[0] if worst_ref is not None else 0.0,
-            "worst": worst_ref[1] if worst_ref is not None else None,
-            "mean_rel_err": (
-                sum(all_errs) / len(all_errs) if all_errs else 0.0
-            ),
-            "over_tolerance": sorted(over),
-            "ok": not over,
-        },
+        "summary": {"num_windows_priced": len(gate.errs), **gate.summary()},
     }
 
 
@@ -265,30 +198,34 @@ def _serving_drift_run(
     watchdog's deliberate staleness budget indicate the loop served steps
     at prices the fault overlay cannot justify.
     """
-    import math
-
     from repro.errors import ServingError
     from repro.serving.costing import StepCostOracle
 
     intervals = _rung_intervals(result)
 
-    def in_degraded(t: float) -> bool:
-        return any(a <= t < b for a, b in intervals)
-
     # Group executed steps; aborted steps are skipped (their recorded
     # interval is lost work, priced like the step that would have run —
     # auditing the completed twin of the same group covers the price).
+    # One reference oracle per fault segment: a fresh engine retargeted
+    # at the overlay's effective platform where the segment's first
+    # executed step starts.
     groups: dict[tuple, dict[str, Any]] = {}
+    oracles: dict[tuple, StepCostOracle] = {}
     skipped_degraded = 0
-    bucket = config.ctx_bucket
     for step in result.steps:
         if step.kind not in ("prefill", "decode"):
             continue
-        if in_degraded(step.start_s):
+        if any(a <= step.start_s < b for a, b in intervals):
             skipped_degraded += 1
             continue
-        ctx_b = max(bucket, math.ceil(step.max_ctx / bucket) * bucket)
         seg = schedule.segment_key(step.start_s)
+        if seg not in oracles:
+            engine = _make_engine(engine_name)
+            engine.retarget(engine.platform.with_faults(schedule, step.start_s))
+            oracles[seg] = StepCostOracle.for_requests(
+                engine, model_cfg, result.requests, config
+            )
+        ctx_b = oracles[seg]._bucket_ctx(step.max_ctx)
         g = groups.setdefault(
             (seg, step.kind, step.batch, ctx_b),
             {"start_s": step.start_s, "steps": 0, "durations": set()},
@@ -296,23 +233,11 @@ def _serving_drift_run(
         g["steps"] += 1
         g["durations"].add(step.duration_s)
 
-    # One reference oracle per fault segment: a fresh engine retargeted
-    # at the overlay's effective platform for that segment.
-    oracles: dict[tuple, StepCostOracle] = {}
+    gate = DriftGate(tolerance)
     windows: list[dict[str, Any]] = []
-    max_err = 0.0
-    over = 0
     for key in sorted(groups, key=lambda k: (groups[k]["start_s"], k[1], k[2], k[3])):
         seg, kind, batch, ctx_b = key
         g = groups[key]
-        if seg not in oracles:
-            engine = _make_engine(engine_name)
-            engine.retarget(
-                engine.platform.with_faults(schedule, g["start_s"])
-            )
-            oracles[seg] = StepCostOracle.for_requests(
-                engine, model_cfg, result.requests, config
-            )
         oracle = oracles[seg]
         record: dict[str, Any] = {
             "kind": kind,
@@ -321,6 +246,7 @@ def _serving_drift_run(
             "start_s": g["start_s"],
             "steps": g["steps"],
         }
+        windows.append(record)
         try:
             if kind == "prefill":
                 ref = oracle.prefill_seconds(batch, ctx_b)
@@ -332,7 +258,6 @@ def _serving_drift_run(
             # stale plan), recorded but not counted as price drift.
             record["plannable"] = False
             record["plan_error"] = str(exc)
-            windows.append(record)
             continue
         err = max(
             abs(dur - ref) / ref for dur in g["durations"]
@@ -345,15 +270,12 @@ def _serving_drift_run(
                 "rel_err": err,
             }
         )
-        windows.append(record)
-        max_err = max(max_err, err)
-        if err > tolerance:
-            over += 1
+        gate.add(str(len(windows) - 1), err)
     return {
         "num_step_groups": len(windows),
         "skipped_degraded_steps": skipped_degraded,
-        "max_rel_err": max_err,
-        "over_tolerance": over,
+        "max_rel_err": gate.max_rel_err,
+        "over_tolerance": len(gate.over),
         "windows": windows,
     }
 
@@ -365,14 +287,13 @@ def _serving_drift_sweep(
     results: dict[tuple[str, str], ServingResult],
     config: ServingConfig,
     model_name: str,
-    tolerance: float,
+    gate: DriftGate,
 ) -> dict[str, Any]:
     """The serving-drift payload section: every faulted run's executed
-    steps audited against freshly-priced faulted platforms."""
+    steps audited against freshly-priced faulted platforms.  ``gate``
+    rolls up one entry per run, its worst step group."""
     model_cfg = get_model(model_name)
     doc_engines: dict[str, Any] = {}
-    over: list[str] = []
-    worst_ref: tuple[float, str] | None = None
     priced = 0
     for engine_name in engines:
         doc_scenarios: dict[str, Any] = {}
@@ -383,26 +304,16 @@ def _serving_drift_sweep(
                 results[(engine_name, scenario_name)],
                 config,
                 model_cfg,
-                tolerance,
+                gate.tolerance,
             )
             doc_scenarios[scenario_name] = run
-            priced += sum(1 for w in run["windows"] if w.get("plannable"))
-            ref = f"{engine_name}/{scenario_name}"
-            if run["over_tolerance"]:
-                over.append(ref)
-            if worst_ref is None or (run["max_rel_err"], ref) > worst_ref:
-                worst_ref = (run["max_rel_err"], ref)
+            priced += sum(1 for w in run["windows"] if w["plannable"])
+            gate.add(f"{engine_name}/{scenario_name}", run["max_rel_err"])
         doc_engines[engine_name] = doc_scenarios
     return {
-        "tolerance": tolerance,
+        "tolerance": gate.tolerance,
         "engines": doc_engines,
-        "summary": {
-            "num_step_groups_priced": priced,
-            "max_rel_err": worst_ref[0] if worst_ref is not None else 0.0,
-            "worst": worst_ref[1] if worst_ref is not None else None,
-            "over_tolerance": sorted(over),
-            "ok": not over,
-        },
+        "summary": {"num_step_groups_priced": priced, **gate.summary()},
     }
 
 
@@ -416,7 +327,7 @@ def run_chaos(
     quick: bool = False,
     seed: int = 0,
     drift_gate: bool = False,
-    drift_tolerance: float = DEFAULT_DRIFT_TOLERANCE,
+    drift_tolerance: float = DEFAULT_TOLERANCE,
     serving_drift_gate: bool = False,
     serving_drift_tolerance: float = DEFAULT_SERVING_DRIFT_TOLERANCE,
 ) -> tuple[dict[str, Any], dict[tuple[str, str], ServingResult]]:
@@ -441,6 +352,12 @@ def run_chaos(
     legitimately serves on plans up to ``config.drift_tolerance`` stale).
     Adds ``"serving_drift"`` / ``"all_serving_drift_ok"`` sections.
     """
+    plan_gate = DriftGate(drift_tolerance, "drift_tolerance") if drift_gate else None
+    step_gate = (
+        DriftGate(serving_drift_tolerance, "serving_drift_tolerance")
+        if serving_drift_gate
+        else None
+    )
     trace = trace or default_trace(quick=quick, seed=seed)
     config = config or ServingConfig()
     results: dict[tuple[str, str], ServingResult] = {}
@@ -524,26 +441,23 @@ def run_chaos(
             for s in runs
         ),
     }
-    if drift_gate:
+    if plan_gate is not None:
         payload["drift"] = _drift_sweep(
-            engines, schedules, scenarios, config, model_name, drift_tolerance
+            engines, schedules, scenarios, config, model_name, plan_gate
         )
-        payload["all_drift_ok"] = payload["drift"]["summary"]["ok"]
-    if serving_drift_gate:
+        payload["all_drift_ok"] = plan_gate.ok
+    if step_gate is not None:
         payload["serving_drift"] = _serving_drift_sweep(
-            engines, schedules, scenarios, results, config, model_name,
-            serving_drift_tolerance,
+            engines, schedules, scenarios, results, config, model_name, step_gate
         )
-        payload["all_serving_drift_ok"] = payload["serving_drift"]["summary"]["ok"]
+        payload["all_serving_drift_ok"] = step_gate.ok
     return payload, results
 
 
 def write_bench_chaos(path: str = "BENCH_chaos.json", **kwargs: Any) -> dict[str, Any]:
     """Run the chaos matrix and write the payload to ``path``."""
     payload, _ = run_chaos(**kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
     return payload
 
 

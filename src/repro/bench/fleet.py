@@ -22,7 +22,6 @@ so two invocations with the same arguments produce byte-identical JSON
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.models import get_model
@@ -38,6 +37,7 @@ from repro.serving.fleet import (
     make_fleet_scenario,
 )
 from repro.serving.policies import make_policy
+from repro.util import write_json
 
 SCHEMA_VERSION = 1
 
@@ -206,9 +206,7 @@ def run_fleet_bench(
 def write_bench_fleet(path: str = "BENCH_fleet.json", **kwargs: Any) -> dict[str, Any]:
     """Run the fleet matrix and write the payload to ``path``."""
     payload, _ = run_fleet_bench(**kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
     return payload
 
 

@@ -22,7 +22,6 @@ byte-identical across same-seed invocations — CI diffs two.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.models import get_model
@@ -36,6 +35,7 @@ from repro.serving.multimodel import (
 from repro.serving.policies import make_policy
 from repro.serving.simulator import ServingConfig, ServingSimulator
 from repro.bench.serving import _make_engine
+from repro.util import write_json
 
 SCHEMA_VERSION = 1
 
@@ -206,9 +206,7 @@ def write_bench_multimodel(
 ) -> dict[str, Any]:
     """Run the comparison and write the payload to ``path``."""
     payload = run_multimodel_bench(**kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
     return payload
 
 

@@ -15,7 +15,6 @@ so differences are attributable to planning quality alone.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.errors import ReproError
@@ -24,6 +23,7 @@ from repro.serving.arrivals import RequestTrace, default_trace
 from repro.serving.metrics import compute_metrics
 from repro.serving.policies import make_policy
 from repro.serving.simulator import ServingConfig, ServingResult, ServingSimulator
+from repro.util import write_json
 
 SCHEMA_VERSION = 1
 
@@ -196,7 +196,5 @@ def write_bench_serving(
 ) -> dict[str, Any]:
     """Run the comparison and write the payload to ``path``."""
     payload, _ = run_serving_comparison(**kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
     return payload

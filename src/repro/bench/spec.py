@@ -17,7 +17,6 @@ planner refusing to plan.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 from typing import Any
 
@@ -25,6 +24,7 @@ from repro.obs.profiling import span
 from repro.perfmodel.latency import CostModel
 from repro.perfmodel.notation import Workload
 from repro.perfmodel.speculation import SpecConfig
+from repro.util import write_json
 
 SCHEMA_VERSION = 1
 
@@ -148,7 +148,5 @@ def spec_rows(payload: dict[str, Any]) -> list[dict[str, Any]]:
 def write_bench_spec(path: str = "BENCH_spec.json", **kwargs: Any) -> dict[str, Any]:
     """Run the sweep and write the payload to ``path``."""
     payload = run_spec_sweep(**kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
     return payload

@@ -30,12 +30,12 @@ Run it with ``python -m repro bench-timing [--quick] [--output PATH]``.
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
 from typing import Any, Callable
 
 from repro.obs.registry import Histogram, MetricsRegistry
+from repro.util import write_json
 
 SCHEMA_VERSION = 1
 
@@ -246,7 +246,5 @@ def write_bench_timing(
 ) -> dict[str, Any]:
     """Run the harness and write the payload to ``path``."""
     payload = run_bench_timing(quick=quick, registry=registry)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
     return payload

@@ -43,6 +43,7 @@ from repro.errors import (
     ReproError,
     ScheduleError,
 )
+from repro.util import write_json
 
 EXIT_CONFIG = 3
 EXIT_INFEASIBLE = 4
@@ -195,8 +196,6 @@ def cmd_whatif(args) -> int:
 
 def _serve_sim_models(args) -> int:
     """Multi-model mode: dedicated-vs-coresident comparison per mix."""
-    import json
-
     from repro.bench.multimodel import multimodel_rows, run_multimodel_bench
     from repro.serving.simulator import ServingConfig
 
@@ -234,9 +233,7 @@ def _serve_sim_models(args) -> int:
         args.output if args.output != "BENCH_serving.json"
         else "BENCH_multimodel.json"
     )
-    with open(output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(output, payload)
     print(f"written to {output}")
     return 0
 
@@ -330,9 +327,7 @@ def cmd_serve_sim(args) -> int:
             else:
                 parts.append(f"{name}={ratio:.2f}x")
         print(f"goodput vs flexgen: {'  '.join(parts)}")
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(args.output, payload)
     print(f"written to {args.output}")
     if args.metrics_out:
         from repro.serving import metrics_registry
@@ -361,8 +356,6 @@ def cmd_serve_sim(args) -> int:
 
 
 def cmd_spec_sim(args) -> int:
-    import json
-
     from repro.bench.spec import run_spec_sweep, spec_rows
     from repro.perfmodel.speculation import SpecConfig
 
@@ -383,9 +376,7 @@ def cmd_spec_sim(args) -> int:
         f"ctx={comp['best_cell']['context']} alpha={comp['best_cell']['alpha']:g}  "
         f"(long-context wins: {comp['long_context_wins']})"
     )
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(args.output, payload)
     print(f"written to {args.output}")
     return 0
 
@@ -414,11 +405,43 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _gate_verdict(
+    title: str,
+    summary: dict,
+    tolerance: float,
+    priced: str,
+    unit: str,
+    extra: str = "",
+) -> int:
+    """Print one drift gate's summary line; when the gate failed, name its
+    over-tolerance refs on stderr.  Returns the gate's exit code."""
+    print(
+        f"{title}: {priced} priced   worst: {summary['worst']} "
+        f"(rel_err={summary['max_rel_err']:.4g})   {extra}"
+        f"tolerance: {tolerance:g}"
+    )
+    if summary["ok"]:
+        return 0
+    over = summary["over_tolerance"]
+    print(
+        f"{title.upper()}: {len(over)} {unit} over tolerance: "
+        f"{', '.join(over)}",
+        file=sys.stderr,
+    )
+    return 1
+
+
 def cmd_chaos(args) -> int:
     import json
 
-    from repro.bench.chaos import SCENARIO_ORDER, chaos_rows, run_chaos
+    from repro.bench.chaos import (
+        DEFAULT_SERVING_DRIFT_TOLERANCE,
+        SCENARIO_ORDER,
+        chaos_rows,
+        run_chaos,
+    )
     from repro.bench.serving import ENGINES
+    from repro.obs.drift import DEFAULT_TOLERANCE
     from repro.serving import default_trace, export_request_timeline
     from repro.serving.simulator import ServingConfig
 
@@ -434,11 +457,6 @@ def cmd_chaos(args) -> int:
         backoff_cap_s=args.backoff_cap,
         request_deadline_s=args.deadline,
     )
-    from repro.bench.chaos import (
-        DEFAULT_DRIFT_TOLERANCE,
-        DEFAULT_SERVING_DRIFT_TOLERANCE,
-    )
-
     payload, results = run_chaos(
         model_name=args.model,
         trace=trace,
@@ -451,7 +469,7 @@ def cmd_chaos(args) -> int:
         drift_tolerance=(
             args.drift_tolerance
             if args.drift_tolerance is not None
-            else DEFAULT_DRIFT_TOLERANCE
+            else DEFAULT_TOLERANCE
         ),
         serving_drift_gate=args.serving_drift_gate,
         serving_drift_tolerance=(
@@ -462,27 +480,24 @@ def cmd_chaos(args) -> int:
     )
     print(f"trace: {trace.describe()}   seed: {args.seed}")
     print(format_table(chaos_rows(payload), f"chaos: {args.model}"))
+    code = 0
     if not payload["all_accounting_ok"]:
         print("WARNING: request accounting failed for at least one run")
+        code = 1
     if args.drift_gate:
-        ds = payload["drift"]["summary"]
-        print(
-            f"drift gate: {ds['num_windows_priced']} window(s) priced   "
-            f"worst: {ds['worst']} (rel_err="
-            f"{ds['max_rel_err']:.4g})   tolerance: "
-            f"{payload['drift']['tolerance']:g}"
+        gate = payload["drift"]
+        code |= _gate_verdict(
+            "plan-window drift", gate["summary"], gate["tolerance"],
+            f"{gate['summary']['num_windows_priced']} window(s)", "window(s)",
         )
     if args.serving_drift_gate:
-        ss = payload["serving_drift"]["summary"]
-        print(
-            f"serving drift gate: {ss['num_step_groups_priced']} step "
-            f"group(s) priced   worst: {ss['worst']} (rel_err="
-            f"{ss['max_rel_err']:.4g})   tolerance: "
-            f"{payload['serving_drift']['tolerance']:g}"
+        gate = payload["serving_drift"]
+        code |= _gate_verdict(
+            "executed-step drift", gate["summary"], gate["tolerance"],
+            f"{gate['summary']['num_step_groups_priced']} step group(s)",
+            "run(s)",
         )
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(args.output, payload)
     print(f"written to {args.output}")
     if args.metrics_out:
         from repro.serving import metrics_registry
@@ -507,23 +522,6 @@ def cmd_chaos(args) -> int:
             f"chaos timeline ({engine} x {scenario}) written to "
             f"{args.chrome_trace}"
         )
-    code = 0 if payload["all_accounting_ok"] else 1
-    if args.drift_gate and not payload["all_drift_ok"]:
-        over = payload["drift"]["summary"]["over_tolerance"]
-        print(
-            f"FAULTED SERVING DRIFT: {len(over)} window(s) over tolerance: "
-            f"{', '.join(over)}",
-            file=sys.stderr,
-        )
-        code = 1
-    if args.serving_drift_gate and not payload["all_serving_drift_ok"]:
-        over = payload["serving_drift"]["summary"]["over_tolerance"]
-        print(
-            f"EXECUTED-STEP DRIFT: {len(over)} run(s) over tolerance: "
-            f"{', '.join(over)}",
-            file=sys.stderr,
-        )
-        code = 1
     return code
 
 
@@ -568,9 +566,7 @@ def cmd_fleet_sim(args) -> int:
     print(format_table(fleet_rows(payload), f"fleet-sim: {args.model}"))
     if not payload["all_accounting_ok"]:
         print("WARNING: fleet request accounting failed for at least one run")
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(args.output, payload)
     print(f"written to {args.output}")
     if args.metrics_out:
         from repro.serving import fleet_metrics_registry
@@ -638,12 +634,11 @@ def cmd_bench_timing(args) -> int:
 def cmd_audit(args) -> int:
     from repro.obs.audit import (
         DEFAULT_E2E_TOLERANCE,
-        DEFAULT_FAULT_TOLERANCE,
-        DEFAULT_TOLERANCE,
         audit_rows,
         faulted_rows,
         write_bench_audit,
     )
+    from repro.obs.drift import DEFAULT_TOLERANCE
 
     payload = write_bench_audit(
         path=args.output,
@@ -660,43 +655,35 @@ def cmd_audit(args) -> int:
         fault_tolerance=(
             args.fault_tolerance
             if args.fault_tolerance is not None
-            else DEFAULT_FAULT_TOLERANCE
+            else DEFAULT_TOLERANCE
         ),
     )
     mode = "quick" if payload["quick"] else "full"
     print(format_table(audit_rows(payload), f"drift audit ({mode})"))
     summary = payload["summary"]
-    print(
-        f"cases: {summary['num_cases']}   worst: {summary['worst_case']} "
-        f"(rel_err={summary['max_rel_err']:.4g})   "
-        f"tolerance: {payload['tolerance']:g}"
+    # The fault-free gate fails on either steady-state or whole-generation
+    # drift; both name their cases.
+    code = _gate_verdict(
+        "drift",
+        dict(
+            summary,
+            worst=summary["worst_case"],
+            over_tolerance=summary["over_tolerance"]
+            + summary["e2e_over_tolerance"],
+        ),
+        payload["tolerance"],
+        f"{summary['num_cases']} case(s)",
+        "case(s)",
     )
     if args.faults:
         print(format_table(faulted_rows(payload), f"faulted drift audit ({mode})"))
         fs = payload["faulted"]["summary"]
-        print(
-            f"faulted: {fs['num_cases_priced']} case-windows   "
-            f"worst: {fs['worst']} (rel_err={fs['max_rel_err']:.4g})   "
-            f"dominant fault: {fs['dominant_fault']}   "
-            f"tolerance: {payload['fault_tolerance']:g}"
+        code |= _gate_verdict(
+            "faulted drift", fs, payload["fault_tolerance"],
+            f"{fs['num_cases_priced']} case-window(s)", "case-window(s)",
+            extra=f"dominant fault: {fs['dominant_fault']}   ",
         )
     print(f"written to {args.output}")
-    code = 0
-    if not summary["ok"]:
-        over = summary["over_tolerance"] + summary["e2e_over_tolerance"]
-        print(
-            f"DRIFT: {len(over)} case(s) over tolerance: {', '.join(over)}",
-            file=sys.stderr,
-        )
-        code = 1
-    if args.faults and not payload["faulted"]["summary"]["ok"]:
-        fault_over = payload["faulted"]["summary"]["over_tolerance"]
-        print(
-            f"FAULTED DRIFT: {len(fault_over)} case-window(s) over tolerance: "
-            f"{', '.join(fault_over)}",
-            file=sys.stderr,
-        )
-        code = 1
     return code
 
 

@@ -29,27 +29,18 @@ consciously raise the tolerance in review.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any
 
+from repro.obs.drift import DEFAULT_TOLERANCE, DriftGate
 from repro.obs.profiling import span
 from repro.obs.registry import MetricsRegistry
 
 SCHEMA_VERSION = 1
 
-#: Steady-state Eq. 2 vs executor: the pipelined schedule converges to the
-#: predicted marginal token time within a few percent (fill/drain effects
-#: and H2D serialization granularity account for the slack).
-DEFAULT_TOLERANCE = 0.10
 #: Whole-generation Eq. 1 vs DecodeLoop: one extra pipeline fill/drain is
 #: amortized over the run, so the bound is looser.
 DEFAULT_E2E_TOLERANCE = 0.15
-#: Faulted steady-state Eq. 2 vs executor: same drift mechanism as the
-#: fault-free gate (fill/drain + H2D serialization granularity), so the
-#: same bound applies — a degraded platform changes which term dominates,
-#: not how the executor schedules it.
-DEFAULT_FAULT_TOLERANCE = 0.10
 #: Virtual horizon the audit builds each ``make_scenario`` bundle over.
 #: Windows sit at fixed fractions of the horizon, so the value is
 #: arbitrary — it only has to be positive and fixed for determinism.
@@ -145,9 +136,9 @@ def audit_case(
     from repro.models import get_model
     from repro.offload.policy import OffloadPolicy
     from repro.perfmodel.latency import CostModel
+    from repro.obs.drift import steady_state
     from repro.perfmodel.notation import Workload
     from repro.quant.config import QuantConfig
-    from repro.runtime.executor import OverlappedExecutor
     from repro.runtime.pipeline import DecodeLoop
 
     model_cfg = get_model(case.model)
@@ -166,16 +157,9 @@ def audit_case(
     )
     model = CostModel(workload, policy, hw, ctx)
     iters = model_cfg.num_layers * case.num_gpu_batches
-    mid = max(0, (case.gen_len - 1) // 2)
-    costs = model.decode_task_costs(mid)
-
-    predicted = CostModel.step_seconds(costs) * iters
+    steady, costs = steady_state(model)
+    predicted = steady["predicted_s"]
     predicted_literal = costs.step_time() * iters
-    executor = OverlappedExecutor(
-        num_layers=model_cfg.num_layers, num_gpu_batches=case.num_gpu_batches
-    )
-    simulated = executor.steady_state_token_time(costs, warmup=3)
-    rel_err = abs(simulated - predicted) / simulated if simulated > 0 else 0.0
 
     terms = _grouped_terms(costs)
     dominant = max(terms, key=lambda k: (terms[k], k))
@@ -195,9 +179,7 @@ def audit_case(
             "kv_quant": "w4g64" if case.kv_quant else None,
         },
         "steady_state": {
-            "predicted_s": predicted,
-            "simulated_s": simulated,
-            "rel_err": rel_err,
+            **steady,
             "dominant_term": dominant,
             "terms_s": {k: v * iters for k, v in terms.items()},
             "bottleneck_task": costs.bottleneck().value,
@@ -253,87 +235,61 @@ def _faulted_sweep(
     platform,
     cases: list[AuditCase],
     registry: MetricsRegistry,
-    fault_tolerance: float,
+    gate: DriftGate,
 ) -> dict[str, Any]:
     """Price the audit grid under every bundled chaos scenario.
 
-    For each scenario the schedule is piecewise-constant, so the sweep
-    enumerates its :func:`~repro.faults.overlay.capability_windows`,
-    dedupes them by :func:`~repro.faults.overlay.fault_signature` (eight
-    identical link flaps price once, tallied as occurrences), applies the
-    overlay at the window midpoint, rebuilds the execution context from
-    the degraded platform, and re-runs the steady-state Eq. 2 vs executor
-    comparison for every case.  Whole-generation replays are skipped —
-    the fault gate is about whether degradation changes *how well the
-    model tracks the executor*, and steady state is where that shows.
+    Each scenario's distinct degraded capability windows
+    (:func:`~repro.obs.drift.price_windows`) rebuild the execution
+    context from the faulted platform and re-run the steady-state Eq. 2
+    vs executor comparison for every case; ``gate`` checks every
+    case-window.  Whole-generation replays are skipped — the fault gate
+    is about whether degradation changes *how well the model tracks the
+    executor*, and steady state is where that shows.
     """
     from repro.faults import make_scenario
-    from repro.faults.overlay import capability_windows, fault_signature
     from repro.faults.scenarios import SCENARIO_SWEEP_ORDER
+    from repro.obs.drift import price_windows
+
+    def price(t: float) -> dict[str, Any]:
+        hw_f, ctx_f = _execution_context(platform.with_faults(schedule, t))
+        records = [audit_case(case, hw_f, ctx_f, full=False) for case in cases]
+        window = DriftGate(gate.tolerance)
+        for record in records:
+            window.add(record["name"], record["steady_state"]["rel_err"])
+        return {
+            "cases": records,
+            "worst_case": window.worst,
+            "max_rel_err": window.max_rel_err,
+            "mean_rel_err": window.mean_rel_err,
+        }
 
     scenarios: list[dict[str, Any]] = []
-    all_errs: list[float] = []
     kind_worst: dict[str, float] = {}
-    over: list[str] = []
-    worst_ref: tuple[float, str] | None = None
-
     for scenario_name in SCENARIO_SWEEP_ORDER:
         schedule = make_scenario(
             scenario_name, FAULT_HORIZON_S, seed=FAULT_SCENARIO_SEED
         )
-        raw_windows = capability_windows(schedule)
-        windows: list[dict[str, Any]] = []
-        seen: dict[tuple, int] = {}
-        for start, end, active in raw_windows:
-            sig = fault_signature(active)
-            if sig in seen:
-                windows[seen[sig]]["window"]["occurrences"] += 1
-                continue
-            seen[sig] = len(windows)
-            effective = platform.with_faults(schedule, (start + end) / 2.0)
-            hw_f, ctx_f = _execution_context(effective)
-            case_records = [
-                audit_case(case, hw_f, ctx_f, full=False) for case in cases
-            ]
-            errs = {r["name"]: r["steady_state"]["rel_err"] for r in case_records}
-            worst = max(errs, key=lambda k: (errs[k], k))
-            kinds = sorted({f.kind.value for f in active})
-            windows.append({
-                "window": {
-                    "start_s": start,
-                    "end_s": end,
-                    "occurrences": 1,
-                    "kinds": kinds,
-                },
-                "cases": case_records,
-                "worst_case": worst,
-                "max_rel_err": errs[worst],
-                "mean_rel_err": sum(errs.values()) / len(errs),
-            })
+        windows = price_windows(schedule, price)
+        for idx, win in enumerate(windows):
             registry.counter("audit.faulted.windows").inc()
-            for name, err in errs.items():
-                all_errs.append(err)
+            for record in win["cases"]:
+                err = record["steady_state"]["rel_err"]
                 registry.histogram("audit.faulted.rel_err").observe(err)
-                if err > fault_tolerance:
-                    over.append(f"{scenario_name}/{len(windows) - 1}/{name}")
-            for kind in kinds:
-                kind_worst[kind] = max(kind_worst.get(kind, 0.0), errs[worst])
-
+                gate.add(f"{scenario_name}/{idx}/{record['name']}", err)
+            for kind in win["window"]["kinds"]:
+                kind_worst[kind] = max(kind_worst.get(kind, 0.0), win["max_rel_err"])
         worst_idx = max(
             range(len(windows)), key=lambda i: (windows[i]["max_rel_err"], -i)
         )
-        scenario_max = windows[worst_idx]["max_rel_err"]
-        ref = f"{scenario_name}/{worst_idx}/{windows[worst_idx]['worst_case']}"
-        if worst_ref is None or (scenario_max, ref) > worst_ref:
-            worst_ref = (scenario_max, ref)
         scenarios.append({
             "scenario": scenario_name,
             "schedule": schedule.to_dict(),
-            "num_windows": len(raw_windows),
+            "num_windows": sum(w["window"]["occurrences"] for w in windows),
             "num_unique_windows": len(windows),
             "windows": windows,
             "worst_window": worst_idx,
-            "max_rel_err": scenario_max,
+            "max_rel_err": windows[worst_idx]["max_rel_err"],
         })
         registry.counter("audit.faulted.scenarios").inc()
 
@@ -341,23 +297,18 @@ def _faulted_sweep(
     #: windows credit every kind present — "dominates" means "was active
     #: when the worst drift happened", not a causal attribution.
     dominant = max(kind_worst, key=lambda k: (kind_worst[k], k))
-    assert worst_ref is not None
     return {
         "horizon_s": FAULT_HORIZON_S,
         "seed": FAULT_SCENARIO_SEED,
-        "tolerance": fault_tolerance,
+        "tolerance": gate.tolerance,
         "scenarios": scenarios,
         "summary": {
             "num_scenarios": len(scenarios),
             "num_windows": sum(s["num_unique_windows"] for s in scenarios),
-            "num_cases_priced": len(all_errs),
-            "worst": worst_ref[1],
-            "max_rel_err": worst_ref[0],
-            "mean_rel_err": sum(all_errs) / len(all_errs),
+            "num_cases_priced": len(gate.errs),
+            **gate.summary(),
             "dominant_fault": dominant,
             "by_fault_kind": {k: kind_worst[k] for k in sorted(kind_worst)},
-            "over_tolerance": sorted(over),
-            "ok": not over,
         },
     }
 
@@ -367,7 +318,7 @@ def run_audit(
     e2e_tolerance: float = DEFAULT_E2E_TOLERANCE,
     quick: bool = False,
     faults: bool = False,
-    fault_tolerance: float = DEFAULT_FAULT_TOLERANCE,
+    fault_tolerance: float = DEFAULT_TOLERANCE,
 ) -> dict[str, Any]:
     """Sweep the grid; returns the ``BENCH_audit.json`` payload.
 
@@ -382,6 +333,9 @@ def run_audit(
     """
     from repro.hardware import single_a100
 
+    steady = DriftGate(tolerance, "tolerance")
+    e2e = DriftGate(e2e_tolerance, "e2e_tolerance")
+    fault_gate = DriftGate(fault_tolerance, "fault_tolerance") if faults else None
     platform = single_a100()
     hw, ctx = _execution_context(platform)
 
@@ -399,25 +353,18 @@ def run_audit(
             registry.counter(
                 f"audit.dominant.{record['steady_state']['dominant_term']}"
             ).inc()
+            steady.add(record["name"], record["steady_state"]["rel_err"])
             if "full_generation" in record:
                 registry.histogram("audit.full_generation.rel_err").observe(
                     record["full_generation"]["rel_err"]
                 )
+                e2e.add(record["name"], record["full_generation"]["rel_err"])
 
     faulted: dict[str, Any] | None = None
-    if faults:
+    if fault_gate is not None:
         with span("obs.audit.faulted_sweep"):
-            faulted = _faulted_sweep(platform, cases, registry, fault_tolerance)
+            faulted = _faulted_sweep(platform, cases, registry, fault_gate)
 
-    steady_errs = {r["name"]: r["steady_state"]["rel_err"] for r in records}
-    worst = max(steady_errs, key=lambda k: (steady_errs[k], k))
-    over = sorted(n for n, e in steady_errs.items() if e > tolerance)
-    e2e_over = sorted(
-        r["name"]
-        for r in records
-        if "full_generation" in r and r["full_generation"]["rel_err"] > e2e_tolerance
-    )
-    ok = not over and not e2e_over
     payload: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "quick": quick,
@@ -426,12 +373,12 @@ def run_audit(
         "cases": records,
         "summary": {
             "num_cases": len(records),
-            "worst_case": worst,
-            "max_rel_err": steady_errs[worst],
-            "mean_rel_err": sum(steady_errs.values()) / len(steady_errs),
-            "over_tolerance": over,
-            "e2e_over_tolerance": e2e_over,
-            "ok": ok,
+            "worst_case": steady.worst,
+            "max_rel_err": steady.max_rel_err,
+            "mean_rel_err": steady.mean_rel_err,
+            "over_tolerance": sorted(steady.over),
+            "e2e_over_tolerance": sorted(e2e.over),
+            "ok": steady.ok and e2e.ok,
         },
         "metrics": registry.to_dict(),
     }
@@ -445,10 +392,10 @@ def write_bench_audit(
     path: str = "BENCH_audit.json", **kwargs: Any
 ) -> dict[str, Any]:
     """Run the audit and write the payload to ``path`` (deterministic)."""
+    from repro.util import write_json
+
     payload = run_audit(**kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
     return payload
 
 

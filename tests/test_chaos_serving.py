@@ -305,3 +305,45 @@ def test_serving_drift_gate_reprices_executed_steps(model):
         run = gate["engines"]["zero-inference"][scenario]
         assert run["num_step_groups"] > 0
         assert not run["over_tolerance"]
+
+
+def test_plan_window_drift_gate_dedupes_windows(model):
+    from repro.bench.chaos import run_chaos
+    from repro.faults.overlay import capability_windows
+
+    payload, results = run_chaos(
+        model_name="opt-1.3b",
+        engines=("zero-inference",),
+        scenarios=("flaky-pcie", "multi-fault"),
+        quick=True,
+        seed=0,
+        drift_gate=True,
+    )
+    assert payload["all_drift_ok"]
+    makespan = results[("zero-inference", "baseline")].makespan_s
+    gate = payload["drift"]
+    doc = gate["engines"]["zero-inference"]
+    raw = {
+        name: capability_windows(make_scenario(name, makespan, 0))
+        for name in ("flaky-pcie", "multi-fault")
+    }
+    # Every flap of the link is the same regime: one pricing, seven tallies.
+    flaky = doc["flaky-pcie"]
+    assert flaky["num_unique_windows"] == 1
+    assert flaky["windows"][0]["window"]["occurrences"] == len(raw["flaky-pcie"]) == 7
+    # multi-fault: pcie, pcie+cpu and cpu regimes out of five windows.
+    multi = doc["multi-fault"]
+    assert multi["num_unique_windows"] == 3
+    assert sum(w["window"]["occurrences"] for w in multi["windows"]) == 5
+    assert len(raw["multi-fault"]) == 5
+
+    priced = {
+        f"zero-inference/{name}/{idx}": w["rel_err"]
+        for name, scenario in doc.items()
+        for idx, w in enumerate(scenario["windows"])
+        if w["plannable"]
+    }
+    summary = gate["summary"]
+    assert summary["num_windows_priced"] == len(priced) > 0
+    assert summary["max_rel_err"] == max(priced.values())
+    assert priced[summary["worst"]] == summary["max_rel_err"]

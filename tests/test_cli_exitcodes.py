@@ -20,6 +20,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -98,6 +100,34 @@ def test_audit_drift_gate_is_one(tmp_path):
     )
     assert proc.returncode == 1
     assert "DRIFT" in proc.stderr
+
+
+CHAOS_QUICK = (
+    "chaos", "--quick", "--engine", "zero-inference", "--scenario", "pcie-degrade",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("audit", "--quick", "--tolerance", "nan"),
+        ("audit", "--quick", "--e2e-tolerance", "nan"),
+        ("audit", "--quick", "--faults", "--fault-tolerance", "nan"),
+        CHAOS_QUICK + ("--drift-gate", "--drift-tolerance", "nan"),
+        CHAOS_QUICK + ("--serving-drift-gate", "--serving-drift-tolerance", "nan"),
+    ],
+    ids=[
+        "tolerance", "e2e-tolerance", "fault-tolerance", "drift-tolerance",
+        "serving-drift-tolerance",
+    ],
+)
+def test_nan_drift_tolerance_is_config_error(argv, tmp_path):
+    out = tmp_path / "out.json"
+    proc = run_repro(*argv, "--output", str(out))
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert "config error" in proc.stderr and "nan" in proc.stderr
+    # Rejected before any pricing: no artifact with a bare NaN is written.
+    assert not out.exists()
 
 
 def test_profile_flag_reports_to_stderr(tmp_path):
