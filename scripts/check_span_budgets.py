@@ -11,6 +11,11 @@ Budgets are deliberately generous — an order of magnitude above the
 container this was calibrated on — so the gate catches accidental
 quadratic blowups and dropped memoization, not CI-runner jitter.
 
+One check is structural and machine-independent: the ``engine.plan``
+span may run at most once per ``engine.plan_memo`` miss, so every
+search must come from a plan-cache miss (none bypasses the
+process-wide plan cache).
+
 Usage::
 
     python -m repro --profile audit --faults --quick 2> report.json
@@ -86,6 +91,13 @@ def check(
                 f"span {name!r} spent {total:.3f}s, budget {budget:.3f}s "
                 f"({scope['calls']} calls, max {float(scope['max_s']):.4f}s)"
             )
+    plans = scopes.get("engine.plan", {}).get("calls", 0)
+    misses = report.get("caches", {}).get("engine.plan_memo", {}).get("misses", 0)
+    if plans > misses:
+        problems.append(
+            f"span 'engine.plan' ran {plans} times for {misses} "
+            f"'engine.plan_memo' misses: a search bypassed the plan cache"
+        )
     return problems
 
 

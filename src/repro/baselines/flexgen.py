@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.plan_cache import PLAN_CACHE, platform_signature
 from repro.core.report import InferenceReport
 from repro.hardware.platform import Platform
 from repro.offload.planner import PolicyPlanner
@@ -43,11 +44,11 @@ class FlexGenEngine:
         self.topology = CpuTopology.from_device(self.platform.cpu)
         self.contention = ContentionModel(self.topology, self.platform.cache)
         self.ctx = CpuExecutionContext.pytorch_default(self.topology, self.contention)
-        self._plan_memo: dict[Workload, tuple] = {}
+        self._platform_sig = platform_signature(self.platform, self.hw)
 
     def retarget(self, platform: Platform) -> None:
-        """Re-derive everything from a (degraded) platform; drops the
-        plan memo so the next request replans against the new specs."""
+        """Re-derive everything from a (degraded) platform; the new
+        platform signature keys the next plan request."""
         self.platform = platform
         self._rebuild()
 
@@ -59,7 +60,6 @@ class FlexGenEngine:
         does apply (its search has the attention placement choice).
         """
         self._degradation = rung
-        self._plan_memo = {}
 
     def plan(self, workload: Workload) -> OffloadPolicy:
         rung = self._degradation
@@ -76,11 +76,13 @@ class FlexGenEngine:
     def plan_cached(
         self, workload: Workload
     ) -> tuple[OffloadPolicy, CpuExecutionContext, None]:
-        """Planned-step costing hook (same shape as LMOffloadEngine's)."""
-        hit = self._plan_memo.get(workload)
-        if hit is None:
-            hit = self._plan_memo[workload] = (self.plan(workload), self.ctx, None)
-        return hit
+        """Planned-step costing hook (same shape and shared cache as
+        LMOffloadEngine's)."""
+        key = (
+            type(self), self.calibration, self._platform_sig, self._degradation,
+            workload,
+        )
+        return PLAN_CACHE.get(key, lambda: (self.plan(workload), self.ctx, None))
 
     def planned_cost_model(self, workload: Workload) -> CostModel:
         policy, ctx, _ = self.plan_cached(workload)

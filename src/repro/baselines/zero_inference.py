@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.plan_cache import PLAN_CACHE, platform_signature
 from repro.core.report import InferenceReport
 from repro.errors import PolicyError
 from repro.hardware.platform import Platform
@@ -49,11 +50,11 @@ class ZeroInferenceEngine:
         # DeepSpeed streams through pre-pinned buffers: no staging limits.
         self.ctx.io_staging_threads = {}
         self.quant = QuantConfig(bits=4, group_size=64)
-        self._plan_memo: dict[Workload, tuple] = {}
+        self._platform_sig = platform_signature(self.platform, self.hw)
 
     def retarget(self, platform: Platform) -> None:
-        """Re-derive everything from a (degraded) platform; drops the
-        plan memo so the next request replans against the new specs."""
+        """Re-derive everything from a (degraded) platform; the new
+        platform signature keys the next plan request."""
         self.platform = platform
         self._rebuild()
 
@@ -63,9 +64,8 @@ class ZeroInferenceEngine:
         ZeRO-Inference already runs W4 resident weights and streams the
         whole KV cache, so the quant/attention rungs are inert; only the
         batch-shrink/backpressure mechanics (owned by the serving loop)
-        apply.  The memo is still dropped so replans see the rung."""
+        apply.  The rung still keys the plan cache."""
         self._degradation = rung
-        self._plan_memo = {}
 
     def _policy(self, batch: int) -> OffloadPolicy:
         return OffloadPolicy(
@@ -116,14 +116,20 @@ class ZeroInferenceEngine:
         ZeRO-Inference has no zig-zag blocking, so the workload's whole
         block runs as a single batch: the returned policy has
         ``num_gpu_batches=1`` and ``gpu_batch_size == block_size`` (raises
-        :class:`PolicyError` when that batch does not fit).
+        :class:`PolicyError` when that batch does not fit).  Shares
+        LMOffloadEngine's process-wide plan cache.
         """
-        hit = self._plan_memo.get(workload)
-        if hit is None:
-            block = workload.block_size
+        block = workload.block_size
+        key = (
+            type(self), self.calibration, self.max_batch, self.quant,
+            self._platform_sig, self._degradation, workload,
+        )
+
+        def search() -> tuple[OffloadPolicy, CpuExecutionContext, None]:
             policy = self.plan(workload.with_batches(block, 1), batch=block)
-            hit = self._plan_memo[workload] = (policy, self.ctx, None)
-        return hit
+            return policy, self.ctx, None
+
+        return PLAN_CACHE.get(key, search)
 
     def planned_cost_model(self, workload: Workload) -> CostModel:
         policy, ctx, _ = self.plan_cached(workload)

@@ -16,7 +16,14 @@ regression shows up as a number, not a feeling:
   Poisson trace (OPT-1.3B on ZeRO-Inference, ~100k requests at
   near-saturation; a ~5k-request slice in ``--quick``), reporting
   ``sim_steps_per_s`` and ``requests_per_s_of_simulation`` alongside the
-  wall times.
+  wall times;
+* ``fleet_sim`` — the fleet bench on the uniform-6 preset (six identical
+  LM-Offload replicas, OPT-30B): the fault-free run plus the
+  replica-crash run, the ``fleet-sim --quick`` trace in ``--quick``.
+
+Every repeat starts from an empty process-wide plan cache
+(:data:`~repro.core.plan_cache.PLAN_CACHE`), so each target times a cold
+run, as its pinned baseline did.
 
 ``BASELINES`` pins the pre-optimization medians (measured on the same
 container this harness first shipped from) so ``speedup_vs_baseline``
@@ -24,6 +31,8 @@ reports how much the vectorized cost path + planner caching bought.
 The ``serve_sim`` baselines are the pre-rewrite per-step engine
 (``ServingSimulator._run_reference``) on the identical trace/config,
 measured the same way — quick and full workloads each pin their own.
+The ``fleet_sim`` baselines are the same calls with per-engine plan
+memos, before engines shared one plan cache.
 
 Run it with ``python -m repro bench-timing [--quick] [--output PATH]``.
 """
@@ -49,6 +58,8 @@ BASELINES: dict[str, float] = {
     "tab3": 12.52,
     "serve_sim": 18.92,
     "serve_sim_quick": 0.397,
+    "fleet_sim": 75.06,
+    "fleet_sim_quick": 13.17,
 }
 
 
@@ -95,6 +106,18 @@ def _serve_sim_case(quick: bool):
         )
 
     return trace, build
+
+
+def _cold(fn: Callable[[], Any]) -> Callable[[], Any]:
+    """``fn`` behind an emptied process-wide plan cache, so no plan
+    searched by an earlier repeat is reused."""
+    from repro.core.plan_cache import PLAN_CACHE
+
+    def run() -> Any:
+        PLAN_CACHE.clear()
+        return fn()
+
+    return run
 
 
 def time_callable(
@@ -158,6 +181,7 @@ def run_bench_timing(
     ``registry`` additionally records every raw sample (see
     :func:`time_callable`) for ``--metrics-out``.
     """
+    from repro.bench.fleet import run_fleet_bench
     from repro.core import LMOffloadEngine
     from repro.hardware import single_a100
     from repro.perfmodel import CostModel
@@ -174,7 +198,7 @@ def run_bench_timing(
     results["plan"] = _with_baseline(
         "plan",
         time_callable(
-            fresh_plan, repeats=2 if quick else 5,
+            _cold(fresh_plan), repeats=2 if quick else 5,
             registry=registry, label="plan",
         ),
     )
@@ -213,7 +237,7 @@ def run_bench_timing(
         last_run["result"] = build_sim().run()
 
     serve_result = time_callable(
-        serve_sim, repeats=1 if quick else 3, warmup=0 if quick else 1,
+        _cold(serve_sim), repeats=1 if quick else 3, warmup=0 if quick else 1,
         registry=registry, label="serve_sim",
     )
     # The simulation is deterministic, so the step count is the same on
@@ -228,6 +252,19 @@ def run_bench_timing(
     )
     results["serve_sim"] = _with_baseline(
         "serve_sim_quick" if quick else "serve_sim", serve_result
+    )
+
+    def fleet_sim():
+        run_fleet_bench(
+            presets=("uniform-6",), scenarios=("replica-crash",), quick=quick
+        )
+
+    results["fleet_sim"] = _with_baseline(
+        "fleet_sim_quick" if quick else "fleet_sim",
+        time_callable(
+            _cold(fleet_sim), repeats=1 if quick else 3,
+            warmup=0 if quick else 1, registry=registry, label="fleet_sim",
+        ),
     )
 
     return {

@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import EngineConfig
+from repro.core.plan_cache import PLAN_CACHE, platform_signature
 from repro.core.report import InferenceReport
-from repro.obs.profiling import PROFILER, span
+from repro.obs.profiling import span
 from repro.hardware.platform import Platform
 from repro.offload.planner import PolicyPlanner
 from repro.offload.policy import OffloadPolicy
@@ -45,16 +46,12 @@ class LMOffloadEngine:
         self._rebuild()
 
     def _rebuild(self) -> None:
-        """Derive every platform-dependent structure (and drop the plan
-        memo — a plan is only valid for the platform it was searched on)."""
+        """Derive every platform-dependent structure."""
         self.hw = HardwareParams.from_platform(self.platform)
         self.topology = CpuTopology.from_device(self.platform.cpu)
         self.contention = ContentionModel(self.topology, self.platform.cache)
         self.profiles = build_default_profiles(self.contention)
-        #: Engine-lifetime memo for :meth:`plan_cached` (keyed by the frozen
-        #: workload).  Serving prices thousands of steps against a handful
-        #: of distinct geometries; each must pay for one search only.
-        self._plan_memo: dict[Workload, tuple] = {}
+        self._platform_sig = platform_signature(self.platform, self.hw)
 
     def retarget(self, platform: Platform) -> None:
         """Point the engine at a (possibly degraded) platform.
@@ -62,8 +59,9 @@ class LMOffloadEngine:
         The drift watchdog calls this when the effective hardware deviates
         beyond tolerance: every derived structure (hardware rates, CPU
         topology, contention model, thread profiles) is rebuilt from the
-        new specs and all :meth:`plan_cached` entries are invalidated, so
-        the next plan request replans from scratch against reality.
+        new specs.  The platform signature is part of the plan-cache key,
+        so the next plan request searches against reality — or finds the
+        plan already searched on these specs.
         """
         self.platform = platform
         self._rebuild()
@@ -73,11 +71,10 @@ class LMOffloadEngine:
 
         ``force_quant`` constrains the policy search to quantized W/KV
         candidates; ``force_cpu_attention`` pins attention to the CPU so
-        the KV cache stays off the (degraded) interconnect.  Invalidates
-        the plan memo — rung changes change the search space.
+        the KV cache stays off the (degraded) interconnect.  The rung is
+        part of the plan-cache key: rung changes change the search space.
         """
         self._degradation = rung
-        self._plan_memo = {}
 
     @property
     def calibration(self):
@@ -198,18 +195,18 @@ class LMOffloadEngine:
     ) -> tuple[OffloadPolicy, CpuExecutionContext, ParallelismPlan | None]:
         """Memoized :meth:`plan` — the planned-step costing hook.
 
-        Repeat callers with the same (frozen, hashable) workload — the
-        serving simulator's step oracle, sweep harnesses — get the searched
-        (policy, context, thread plan) back without re-running the two-pass
-        search.  The underlying caches (planner mem-cache, contention memo)
-        already make a repeat search cheap; this makes it free.
+        Looks the answer up in the process-wide
+        :data:`~repro.core.plan_cache.PLAN_CACHE` under everything the
+        search reads — engine type, config, platform signature, rung and
+        the (frozen) workload — so repeat callers, identical replicas and
+        an engine retargeted back to known specs all get the searched
+        (policy, context, thread plan) back without re-running the
+        two-pass search.  The returned tuple is shared: read-only.
         """
-        hit = self._plan_memo.get(workload)
-        if PROFILER.enabled:
-            PROFILER.cache("engine.plan_memo", hit=hit is not None)
-        if hit is None:
-            hit = self._plan_memo[workload] = self.plan(workload)
-        return hit
+        key = (
+            type(self), self.config, self._platform_sig, self._degradation, workload
+        )
+        return PLAN_CACHE.get(key, lambda: self.plan(workload))
 
     def planned_cost_model(self, workload: Workload) -> CostModel:
         """Plan (memoized) and bind the cost model — one call from any

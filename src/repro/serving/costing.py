@@ -2,8 +2,8 @@
 
 This is the bridge between the request-level simulator and the paper's
 analytic machinery.  The engine under test plans *once per concurrency
-level* (``engine.plan_cached`` memoizes the search, reusing PR 1's
-mem-cache so pass-2 prescreen work is shared), and the oracle then prices
+level* (``engine.plan_cached`` looks the search up in the process-wide
+plan cache, :mod:`repro.core.plan_cache`), and the oracle then prices
 every (batch, context) step the continuous-batching loop forms:
 
 * ``decode_step_seconds(n, ctx)`` — one token for all ``n`` running

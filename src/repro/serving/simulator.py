@@ -35,8 +35,8 @@ and fault scenarios.
 Fault injection (optional, off by default): pass a
 :class:`~repro.faults.FaultSchedule` and the loop gains chaos semantics —
 a **drift watchdog** re-derives the effective platform at every fault
-segment boundary, retargets the engine and invalidates every cached plan
-when the deviation exceeds ``drift_tolerance``, and walks the
+segment boundary, retargets the engine and invalidates the oracle's plans
+and prices when the deviation exceeds ``drift_tolerance``, and walks the
 :data:`~repro.faults.LADDER` until a rung plans again; the kernel's
 **transient faults** abort in-flight steps and retry after a seeded
 backoff.  Chaos draws one RNG sample per attempted step, so runs are

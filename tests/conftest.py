@@ -5,10 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.plan_cache import PLAN_CACHE
 from repro.hardware import single_a100, small_test_platform
 from repro.models import get_model
 from repro.parallel import ContentionModel, CpuTopology
 from repro.perfmodel import CpuExecutionContext, HardwareParams, Workload
+
+
+@pytest.fixture(autouse=True)
+def _cold_plan_cache():
+    """Start every test with an empty process-wide plan cache, so
+    cold-start expectations (a first lookup misses) hold in any order."""
+    PLAN_CACHE.clear()
 
 
 @pytest.fixture

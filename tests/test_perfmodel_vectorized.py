@@ -188,7 +188,7 @@ def test_bench_timing_quick_smoke(tmp_path):
     payload = write_bench_timing(path=str(out), quick=True)
     assert out.exists()
     assert payload["quick"] is True
-    assert set(payload["targets"]) == {"plan", "breakdown", "serve_sim"}
+    assert set(payload["targets"]) == {"plan", "breakdown", "serve_sim", "fleet_sim"}
     for result in payload["targets"].values():
         assert result["median_s"] > 0
         assert result["speedup_vs_baseline"] > 0

@@ -83,3 +83,26 @@ def test_main_end_to_end(budgets_mod, tmp_path, capsys):
     assert budgets_mod.main([str(serving), "--require", "serving.run"]) == 0
     assert budgets_mod.main([str(serving)]) == 1  # audit spans missing
     capsys.readouterr()
+
+
+def _plan_report(plan_calls, misses):
+    report = _report(**{"fleet.run": 1.0, "engine.plan": 0.5})
+    report["scopes"]["engine.plan"]["calls"] = plan_calls
+    report["caches"] = {"engine.plan_memo": {"hits": 9, "misses": misses}}
+    return report
+
+
+def test_plan_memo_gate_allows_one_search_per_miss(budgets_mod):
+    for report in (_plan_report(5, 5), _plan_report(0, 0), _report()):
+        assert budgets_mod.check(report, {}, required=()) == []
+
+
+def test_plan_memo_gate_flags_searches_that_bypass_the_cache(budgets_mod, tmp_path):
+    problems = budgets_mod.check(_plan_report(12, 2), {}, required=())
+    assert len(problems) == 1 and "12 times for 2" in problems[0]
+    no_memo = _plan_report(3, 0)
+    del no_memo["caches"]
+    assert budgets_mod.check(no_memo, {}, required=())
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps(_plan_report(12, 2)))
+    assert budgets_mod.main([str(path), "--require", "fleet.run"]) == 1
