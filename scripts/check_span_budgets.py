@@ -11,10 +11,15 @@ Budgets are deliberately generous — an order of magnitude above the
 container this was calibrated on — so the gate catches accidental
 quadratic blowups and dropped memoization, not CI-runner jitter.
 
-One check is structural and machine-independent: the ``engine.plan``
-span may run at most once per ``engine.plan_memo`` miss, so every
-search must come from a plan-cache miss (none bypasses the
-process-wide plan cache).
+Two checks are structural and machine-independent:
+
+* the ``engine.plan`` span may run at most once per ``engine.plan_memo``
+  miss, so every search must come from a plan-cache miss (none bypasses
+  the process-wide plan cache);
+* the ``planner.score_grid`` span may run at most once per
+  ``planner.search_fixed`` call, so each strategy's candidates are
+  priced in one grid pass (scoring them one at a time would run it
+  ~24 times as often).
 
 Usage::
 
@@ -97,6 +102,14 @@ def check(
         problems.append(
             f"span 'engine.plan' ran {plans} times for {misses} "
             f"'engine.plan_memo' misses: a search bypassed the plan cache"
+        )
+    searches = scopes.get("planner.search_fixed", {}).get("calls", 0)
+    grids = scopes.get("planner.score_grid", {}).get("calls", 0)
+    if grids > searches:
+        problems.append(
+            f"span 'planner.score_grid' ran {grids} times for {searches} "
+            f"'planner.search_fixed' calls: candidates were scored one at a "
+            f"time instead of in one grid pass per strategy"
         )
     return problems
 

@@ -8,7 +8,7 @@ regression shows up as a number, not a feeling:
 
 * ``plan``      — ``LMOffloadEngine.plan`` on OPT-30B (s=64, n=32,
   bsz=64, k=10), fresh engine per repeat so no cross-repeat cache
-  (contention memo, planner mem-cache) flatters the result;
+  (contention memo, plan cache) flatters the result;
 * ``breakdown`` — ``CostModel`` construction + ``breakdown()`` for the
   policy ``plan`` chooses on that workload;
 * ``tab3``      — ``run_tab3_overall()``, the heaviest experiment sweep;
@@ -19,7 +19,10 @@ regression shows up as a number, not a feeling:
   wall times;
 * ``fleet_sim`` — the fleet bench on the uniform-6 preset (six identical
   LM-Offload replicas, OPT-30B): the fault-free run plus the
-  replica-crash run, the ``fleet-sim --quick`` trace in ``--quick``.
+  replica-crash run, the ``fleet-sim --quick`` trace in ``--quick``;
+* ``chaos`` — the quick chaos matrix (every engine x every fault
+  scenario): ``run_chaos(quick=True)`` in ``--quick``, and the document
+  ``chaos --quick --drift-gate --serving-drift-gate`` writes otherwise.
 
 Every repeat starts from an empty process-wide plan cache
 (:data:`~repro.core.plan_cache.PLAN_CACHE`), so each target times a cold
@@ -32,7 +35,9 @@ The ``serve_sim`` baselines are the pre-rewrite per-step engine
 (``ServingSimulator._run_reference``) on the identical trace/config,
 measured the same way — quick and full workloads each pin their own.
 The ``fleet_sim`` baselines are the same calls with per-engine plan
-memos, before engines shared one plan cache.
+memos, before engines shared one plan cache.  The ``chaos`` baselines
+are the same calls with the planner scoring one candidate at a time,
+before it priced each strategy's placement grid in one array pass.
 
 Run it with ``python -m repro bench-timing [--quick] [--output PATH]``.
 """
@@ -60,6 +65,8 @@ BASELINES: dict[str, float] = {
     "serve_sim_quick": 0.397,
     "fleet_sim": 75.06,
     "fleet_sim_quick": 13.17,
+    "chaos": 13.87,
+    "chaos_quick": 12.70,
 }
 
 
@@ -181,6 +188,7 @@ def run_bench_timing(
     ``registry`` additionally records every raw sample (see
     :func:`time_callable`) for ``--metrics-out``.
     """
+    from repro.bench.chaos import run_chaos
     from repro.bench.fleet import run_fleet_bench
     from repro.core import LMOffloadEngine
     from repro.hardware import single_a100
@@ -191,7 +199,7 @@ def run_bench_timing(
 
     def fresh_plan():
         # A fresh engine per repeat: the engine-lifetime caches (speedup
-        # memo, planner mem-cache) must not carry over, or repeat 2+
+        # memo) must not carry over, or repeat 2+
         # would measure cache hits instead of a cold plan().
         LMOffloadEngine(single_a100()).plan(workload)
 
@@ -264,6 +272,17 @@ def run_bench_timing(
         time_callable(
             _cold(fleet_sim), repeats=1 if quick else 3,
             warmup=0 if quick else 1, registry=registry, label="fleet_sim",
+        ),
+    )
+
+    def chaos():
+        run_chaos(quick=True, drift_gate=not quick, serving_drift_gate=not quick)
+
+    results["chaos"] = _with_baseline(
+        "chaos_quick" if quick else "chaos",
+        time_callable(
+            _cold(chaos), repeats=1 if quick else 3,
+            warmup=0 if quick else 1, registry=registry, label="chaos",
         ),
     )
 

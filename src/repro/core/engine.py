@@ -86,9 +86,7 @@ class LMOffloadEngine:
     def default_context(self) -> CpuExecutionContext:
         return CpuExecutionContext.pytorch_default(self.topology, self.contention)
 
-    def _planner(
-        self, ctx: CpuExecutionContext, mem_cache: dict | None = None
-    ) -> PolicyPlanner:
+    def _planner(self, ctx: CpuExecutionContext) -> PolicyPlanner:
         rung = self._degradation
         allow_gpu_attention = self.config.allow_gpu_attention
         require_quant = False
@@ -104,7 +102,6 @@ class LMOffloadEngine:
             wg_step=self.config.wg_step,
             allow_gpu_attention=allow_gpu_attention,
             require_quant=require_quant,
-            mem_cache=mem_cache,
         )
 
     def planner(self, ctx: CpuExecutionContext | None = None) -> PolicyPlanner:
@@ -164,17 +161,15 @@ class LMOffloadEngine:
         refinement tied to a specific policy's volumes); the final thread
         plan is then rebuilt for the policy actually chosen.
 
-        Pass 1's results seed pass 2 twice over: the shared ``mem_cache``
-        replays every memory-feasibility verdict (memory needs are
-        context-independent), and the pass-1 policy joins pass 2's
-        candidate set so the known-good point survives any LP drift under
-        the controlled threading.
+        Pass 1's policy joins pass 2's candidate set, so the known-good
+        point survives any LP drift under the controlled threading.  Pass
+        2 re-screens memory from scratch: the screen is one array pass per
+        strategy, so replaying pass 1's verdicts would save nothing.
         """
         with span("engine.plan"):
             base_ctx = self.default_context()
-            mem_cache: dict = {}
             with span("engine.plan.pass1"):
-                policy, _ = self._planner(base_ctx, mem_cache).search(workload)
+                policy, _ = self._planner(base_ctx).search(workload)
             if not self.config.parallelism_control:
                 return policy, base_ctx, None
             plan = self.plan_parallelism(workload, policy)
@@ -183,9 +178,7 @@ class LMOffloadEngine:
             )
             search_ctx.io_staging_threads = {}
             with span("engine.plan.pass2"):
-                policy, _ = self._planner(search_ctx, mem_cache).search(
-                    workload, seed=policy
-                )
+                policy, _ = self._planner(search_ctx).search(workload, seed=policy)
             plan = self.plan_parallelism(workload, policy)
             ctx = CpuExecutionContext.from_plan(self.topology, self.contention, plan)
             return policy, ctx, plan

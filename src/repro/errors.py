@@ -55,6 +55,16 @@ class PolicyError(ReproError):
     """No feasible offloading policy exists for the given constraints."""
 
 
+class PrescreenMismatchError(ReproError):
+    """The planner's memory prescreen passed a placement the cost model
+    rejects.
+
+    Deliberately not a :class:`PolicyError`: a strategy search that
+    catches infeasibility must not swallow a disagreement between the two
+    memory models.
+    """
+
+
 class ServingError(ReproError):
     """The serving simulator was misconfigured or reached a dead end."""
 

@@ -19,6 +19,7 @@ quantization cost/benefit, per the paper's critique); LM-Offload uses
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -26,10 +27,15 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.errors import PolicyError
-from repro.obs.profiling import PROFILER, span
+from repro.errors import PolicyError, PrescreenMismatchError
+from repro.obs.profiling import span
 from repro.offload.policy import OffloadPolicy
-from repro.perfmodel.latency import CostModel, CpuExecutionContext
+from repro.perfmodel.latency import (
+    CostModel,
+    CpuExecutionContext,
+    per_weight_split,
+    price_grid,
+)
 from repro.perfmodel.notation import HardwareParams, Workload
 from repro.quant.config import QuantConfig
 from repro.units import dtype_bytes
@@ -38,29 +44,22 @@ logger = logging.getLogger(__name__)
 
 
 class MemoryPrescreen:
-    """Cheap memory-feasibility model for one search template.
+    """Memory-feasibility screen for one search template.
 
     Mirrors :meth:`CostModel.gpu_bytes_required` / ``cpu_bytes_required``
-    operation-for-operation, but binds every candidate-invariant
-    sub-quantity (footprint, per-layer weight bytes, per-token KV bytes)
-    once per template so the ``(wg, cg, hg)`` grid can be screened without
-    constructing a :class:`CostModel` per candidate.  Memory requirements
-    do not depend on the CPU execution context, so results may be shared
-    across planner passes through ``cache`` (the engine reuses pass 1's
-    verdicts to seed pass 2).
-
-    This is a *pre*-screen: candidates that pass are still validated by
-    the cost model's own ``check_feasible`` — a (hypothetical) optimistic
-    disagreement costs one wasted evaluation, never a wrong plan.  The
-    equivalence tests assert the mirrored formulas match exactly.
+    operation-for-operation over arrays of candidate fractions, so a whole
+    ``(wg, cg, hg)`` grid is screened without constructing a
+    :class:`CostModel` per candidate.  Candidate-invariant quantities
+    (footprint, per-token KV bytes) are bound once; the weight terms,
+    which depend only on ``(wg, wd)``, are computed once per distinct
+    pair and gathered.  The equivalence tests assert the mirrored formulas
+    match the cost model exactly; the planner re-checks its winner with
+    the cost model and raises :class:`~repro.errors.PrescreenMismatchError`
+    should the two ever disagree.
     """
 
     def __init__(
-        self,
-        workload: Workload,
-        template: OffloadPolicy,
-        hw: HardwareParams,
-        cache: dict | None = None,
+        self, workload: Workload, template: OffloadPolicy, hw: HardwareParams
     ) -> None:
         self.w = workload
         self.t = template
@@ -76,96 +75,112 @@ class MemoryPrescreen:
             self.kv_store_bytes = template.kv_quant.total_bytes(self.kv_elements)
         else:
             self.kv_store_bytes = self.kv_elements * self.fp16
-        self.cache = cache if cache is not None else {}
-        self._key = (
-            workload.model.name,
-            workload.prompt_len,
-            workload.gen_len,
-            template.gpu_batch_size,
-            template.num_gpu_batches,
-            template.attention_on_cpu,
-            template.weight_quant,
-            template.kv_quant,
-            template.quantize_resident_weights,
-        )
-        self._weight_bytes: dict[float, tuple[float, float]] = {}
 
-    def weight_bytes_per_layer(self, wg: float) -> tuple[float, float]:
-        """(offloaded, resident) stored bytes of one layer at ``wg``."""
-        cached = self._weight_bytes.get(wg)
-        if cached is not None:
-            return cached
+    def _weight_terms(self, wg: float, wd: float) -> tuple[float, float]:
+        """(GPU, host) bytes of the weights at one ``(wg, wd)`` split: the
+        resident share plus working buffers, and the offloaded share net
+        of what sits on disk."""
+        quant = self.t.weight_quant
         wc = 1.0 - wg
         n_off = self.n_weights * wc
         if n_off == 0:
             offloaded = 0.0
-        elif self.t.weight_quant is not None:
-            offloaded = self.t.weight_quant.total_bytes(n_off)
+        elif quant is not None:
+            offloaded = quant.total_bytes(n_off)
         else:
             offloaded = n_off * self.fp16
         n_res = self.n_weights * wg
-        if self.t.quantize_resident_weights and self.t.weight_quant is not None:
-            resident = self.t.weight_quant.total_bytes(n_res)
+        if self.t.quantize_resident_weights and quant is not None:
+            resident = quant.total_bytes(n_res)
         else:
             resident = n_res * self.fp16
-        self._weight_bytes[wg] = (offloaded, resident)
-        return offloaded, resident
+        working_layers = 2 if wc > 0 else 1
+        gpu = resident * self.l + working_layers * self.n_weights * self.fp16
+        host = offloaded * self.l
+        if wc > 0 and wd > 0:
+            # Disk-resident weights occupy only a 2-layer staging window.
+            disk_share = wd / wc
+            host = host * (1.0 - disk_share) + min(2 * offloaded, host * disk_share)
+        return gpu, host
 
-    def gpu_bytes(self, wg: float, cg: float, hg: float) -> float:
+    def gpu_bytes(self, wg: np.ndarray, cg: np.ndarray, hg: np.ndarray) -> np.ndarray:
         """Peak GPU bytes — mirrors ``CostModel.gpu_bytes_required``."""
-        key = (*self._key, "gpu", wg, cg, hg)
-        cached = self.cache.get(key)
-        if PROFILER.enabled:
-            PROFILER.cache("planner.prescreen", hit=cached is not None)
-        if cached is not None:
-            return cached
-        _, resident = self.weight_bytes_per_layer(wg)
-        weights = resident * self.l
-        working_layers = 2 if (1.0 - wg) > 0 else 1
-        working = working_layers * self.n_weights * self.fp16
+        weights = per_weight_split(self._weight_terms, wg, np.zeros_like(wg))[:, 0]
         kv = 0.0
         if not self.t.attention_on_cpu:
             kv_total = self.total_tokens * self.kv_store_bytes * self.l
             kv = cg * kv_total
-            kv += (
+            kv = kv + (
                 self.total_tokens
                 * self.kv_elements
                 * self.fp16
                 / self.t.num_gpu_batches
             )
         act = self.act_bytes * (2 + 2 * hg)
-        value = weights + working + kv + act
-        self.cache[key] = value
-        return value
+        return weights + kv + act
 
-    def cpu_bytes(self, wg: float, cg: float, hg: float, wd: float = 0.0) -> float:
+    def cpu_bytes(
+        self, wg: np.ndarray, cg: np.ndarray, hg: np.ndarray, wd: np.ndarray
+    ) -> np.ndarray:
         """Peak host bytes — mirrors ``CostModel.cpu_bytes_required``."""
-        key = (*self._key, "cpu", wg, cg, hg, wd)
-        cached = self.cache.get(key)
-        if PROFILER.enabled:
-            PROFILER.cache("planner.prescreen", hit=cached is not None)
-        if cached is not None:
-            return cached
-        offloaded, _ = self.weight_bytes_per_layer(wg)
-        weights = offloaded * self.l
-        wc = 1.0 - wg
-        if wc > 0 and wd > 0:
-            disk_share = wd / wc
-            resident = weights * (1.0 - disk_share)
-            staging = 2 * offloaded
-            weights = resident + min(staging, weights * disk_share)
+        weights = per_weight_split(self._weight_terms, wg, wd)[:, 1]
         kv_total = self.total_tokens * self.kv_store_bytes * self.l
         kv = kv_total if self.t.attention_on_cpu else (1.0 - cg) * kv_total
         act = self.act_bytes * 2 * (1.0 - hg)
-        value = weights + kv + act
-        self.cache[key] = value
-        return value
+        return weights + kv + act
 
-    def gpu_feasible(self, wg: float, cg: float, hg: float) -> bool:
-        return self.gpu_bytes(wg, cg, hg) <= self.hw.gpu_mem_capacity
+    def fits(
+        self, wg: np.ndarray, cg: np.ndarray, hg: np.ndarray, wd: np.ndarray
+    ) -> np.ndarray:
+        """Which candidates fit both memories.  Like every screen here it
+        takes candidate arrays; scalars screen one placement and give a
+        one-element array."""
+        return (self.gpu_bytes(wg, cg, hg) <= self.hw.gpu_mem_capacity) & (
+            self.cpu_bytes(wg, cg, hg, wd) <= self.hw.cpu_mem_capacity
+        )
 
-    def cpu_feasible(self, wg: float, cg: float, hg: float, wd: float = 0.0) -> bool:
-        return self.cpu_bytes(wg, cg, hg, wd) <= self.hw.cpu_mem_capacity
+    def placements(
+        self, wg: np.ndarray, cg: np.ndarray, hg: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(fits, wd)``: which candidates fit, and the disk share each needs.
+
+        A GPU-infeasible candidate is out (the disk tier cannot relieve GPU
+        pressure).  A host-infeasible one retries with half, then all, of
+        its offloaded weights spilled to disk (FlexGen's third tier).
+        """
+        wd = np.zeros_like(wg)
+        on_gpu = self.gpu_bytes(wg, cg, hg) <= self.hw.gpu_mem_capacity
+        fits = on_gpu & (self.cpu_bytes(wg, cg, hg, wd) <= self.hw.cpu_mem_capacity)
+        for spill in (0.5, 1.0):
+            retry = np.flatnonzero(on_gpu & ~fits)
+            if retry.size == 0:
+                break
+            trial = np.array(
+                [round((1.0 - x) * spill, 4) for x in wg[retry].tolist()]
+            )
+            host = self.cpu_bytes(wg[retry], cg[retry], hg[retry], trial)
+            ok = host <= self.hw.cpu_mem_capacity
+            wd[retry[ok]] = trial[ok]
+            fits[retry[ok]] = True
+        return fits, wd
+
+
+@functools.lru_cache(maxsize=None)
+def _placement_grid(
+    wg_step: float, attention_on_cpu: bool
+) -> tuple[np.ndarray, dict[tuple[float, float, float], int]]:
+    """The coarse placement grid in search order (``wg`` outermost, then
+    ``hg``, then ``cg``): a read-only ``(3, points)`` array of distinct
+    ``(wg, cg, hg)`` columns, and each point's column index."""
+    column: dict[tuple[float, float, float], int] = {}
+    cgs = (0.0,) if attention_on_cpu else (0.0, 0.25, 0.5, 1.0)
+    for wg in np.arange(0.0, 1.0 + 1e-9, wg_step):
+        for hg in (0.0, 1.0):
+            for cg in cgs:
+                column.setdefault((round(float(wg), 2), cg, hg), len(column))
+    grid = np.array(list(column), dtype=np.float64).T
+    grid.flags.writeable = False
+    return grid, column
 
 
 class PlannerObjective(enum.Enum):
@@ -198,11 +213,6 @@ class PolicyPlanner:
         The quantizer considered when ``quant_aware``.
     wg_step:
         Grid resolution for the weights-on-GPU fraction.
-    mem_cache:
-        Optional shared dict of memory-feasibility verdicts.  Memory
-        requirements are independent of the CPU execution context, so a
-        multi-pass caller (the engine's two-pass plan) hands the same dict
-        to every pass and pass 2 reuses pass 1's prescreen work.
     """
 
     hw: HardwareParams
@@ -216,7 +226,6 @@ class PolicyPlanner:
     #: "aggressive quantization" rung under memory/wire pressure).
     require_quant: bool = False
     objective: PlannerObjective = PlannerObjective.THROUGHPUT
-    mem_cache: dict | None = None
 
     # -- quantization menu ---------------------------------------------------
 
@@ -309,15 +318,16 @@ class PolicyPlanner:
         workload: Workload,
         template: OffloadPolicy,
         seed: tuple[float, float, float] | None = None,
-    ) -> Iterable[tuple[float, float, float]]:
+    ) -> np.ndarray:
         """LP solution, its grid-snapped neighbours, and a coarse wg grid.
 
-        ``seed`` (e.g. the fractions a previous planning pass settled on)
-        is appended after the standard candidates when the grid does not
-        already contain it, so a known-good point is never lost to LP
-        failure or grid resolution.
+        Returns a ``(3, candidates)`` array of ``(wg, cg, hg)`` columns in
+        search order, without duplicates.  ``seed`` (e.g. the fractions a
+        previous planning pass settled on) is appended after the standard
+        candidates when they do not already contain it, so a known-good
+        point is never lost to LP failure or grid resolution.
         """
-        seen: set[tuple[float, float, float]] = set()
+        lp: list[tuple[float, float, float]] = []
         try:
             wg, cg, hg = self.lp_placement(workload, template)
             for dwg in (-self.wg_step, 0.0, self.wg_step):
@@ -326,21 +336,18 @@ class PolicyPlanner:
                     round(cg, 2),
                     1.0 if hg >= 0.5 else 0.0,
                 )
-                if cand not in seen:
-                    seen.add(cand)
-                    yield cand
+                if cand not in lp:
+                    lp.append(cand)
         except PolicyError:
             pass
-        for wg in np.arange(0.0, 1.0 + 1e-9, self.wg_step):
-            for hg in (0.0, 1.0):
-                cgs = (0.0,) if template.attention_on_cpu else (0.0, 0.25, 0.5, 1.0)
-                for cg in cgs:
-                    cand = (round(float(wg), 2), cg, hg)
-                    if cand not in seen:
-                        seen.add(cand)
-                        yield cand
-        if seed is not None and seed not in seen:
-            yield seed
+        grid, column = _placement_grid(self.wg_step, template.attention_on_cpu)
+        parts = [
+            np.array(lp, dtype=np.float64).reshape(-1, 3).T,
+            np.delete(grid, [column[c] for c in lp if c in column], axis=1),
+        ]
+        if seed is not None and seed not in lp and seed not in column:
+            parts.append(np.array(seed, dtype=np.float64).reshape(3, 1))
+        return np.concatenate(parts, axis=1)
 
     def evaluate(
         self, workload: Workload, policy: OffloadPolicy
@@ -349,18 +356,26 @@ class PolicyPlanner:
 
         THROUGHPUT returns tokens/s; LATENCY returns the negative
         steady-state per-token decode latency (so 'bigger is better' holds
-        for both objectives).  Feasibility is established exactly once: the
-        explicit ``check_feasible()`` memoizes its verdict on the model, and
-        ``breakdown()`` replays it instead of recomputing the memory
-        requirements.
+        for both objectives).  The score is a one-row :meth:`_scores` call,
+        the same pricer :meth:`search_fixed` runs over its whole grid.
         """
         model = CostModel(workload, policy, self.hw, self.cpu_ctx)
         model.check_feasible()
+        scores = self._scores(
+            model, [policy.wg], [policy.cg], [policy.hg], [policy.wd]
+        )
+        return float(scores[0]), model
+
+    def _scores(self, model: CostModel, wg, cg, hg, wd) -> np.ndarray:
+        """Objective score of every placement of ``model``'s strategy, in
+        one :func:`~repro.perfmodel.latency.price_grid` pass.  LATENCY
+        reads the mid decode token's column of the same step matrix."""
+        prices = price_grid(model, wg, cg, hg, wd)
+        w = model.w
         if self.objective is PlannerObjective.LATENCY:
-            mid = model.decode_task_costs(max(0, (workload.gen_len - 1) // 2))
-            iters = workload.model.num_layers * policy.num_gpu_batches
-            return -model.step_seconds(mid) * iters, model
-        return model.breakdown().throughput(workload), model
+            iters = w.model.num_layers * model.p.num_gpu_batches
+            return -prices.step[:, max(0, (w.gen_len - 1) // 2)] * iters
+        return prices.throughput(w)
 
     def search_batch_geometry(
         self,
@@ -408,57 +423,52 @@ class PolicyPlanner:
     ) -> tuple[OffloadPolicy, float]:
         """Best placement fractions for one fixed discrete strategy.
 
-        Candidates are screened with :class:`MemoryPrescreen` before a
-        :class:`CostModel` is built: GPU-infeasible fractions are pruned
-        outright (the disk tier cannot relieve GPU pressure), and
-        host-infeasible ones jump straight to the disk-spill retries.
+        The whole candidate set is screened by :class:`MemoryPrescreen`
+        (disk-spill retries included) and the survivors are scored in one
+        grid pass; the first maximum wins.  Only the winner becomes an
+        :class:`OffloadPolicy`, and the cost model's own
+        ``check_feasible`` confirms it.
         """
-        template = OffloadPolicy(
-            wg=0.0,
-            cg=0.0,
-            hg=0.0,
-            attention_on_cpu=attention_on_cpu,
-            weight_quant=weight_quant,
-            kv_quant=kv_quant,
-            gpu_batch_size=workload.gpu_batch_size,
-            num_gpu_batches=workload.num_gpu_batches,
-        )
-        prescreen = MemoryPrescreen(workload, template, self.hw, self.mem_cache)
-        best: tuple[float, OffloadPolicy] | None = None
-        for wg, cg, hg in self._candidate_fractions(
-            workload, template, seed_fractions
-        ):
-            if not prescreen.gpu_feasible(wg, cg, hg):
-                continue
-            score: float | None = None
-            policy = template.with_(wg=wg, cg=cg, hg=hg)
-            if prescreen.cpu_feasible(wg, cg, hg):
-                try:
-                    score, _ = self.evaluate(workload, policy)
-                except PolicyError:
-                    score = None
-            if score is None:
-                # Host memory is the binding constraint: retry with
-                # part/all of the offloaded weights spilled to disk
-                # (FlexGen's third tier).
-                for spill in (0.5, 1.0):
-                    wd = round((1.0 - wg) * spill, 4)
-                    if not prescreen.cpu_feasible(wg, cg, hg, wd):
-                        continue
-                    try:
-                        policy = template.with_(wg=wg, cg=cg, hg=hg, wd=wd)
-                        score, _ = self.evaluate(workload, policy)
-                        break
-                    except PolicyError:
-                        continue
-            if score is not None and (best is None or score > best[0]):
-                best = (score, policy)
-        if best is None:
-            raise PolicyError(
-                f"no feasible placement for {workload.describe()} under "
-                f"attn={'cpu' if attention_on_cpu else 'gpu'}"
+        with span("planner.search_fixed"):
+            template = OffloadPolicy(
+                wg=0.0,
+                cg=0.0,
+                hg=0.0,
+                attention_on_cpu=attention_on_cpu,
+                weight_quant=weight_quant,
+                kv_quant=kv_quant,
+                gpu_batch_size=workload.gpu_batch_size,
+                num_gpu_batches=workload.num_gpu_batches,
             )
-        return best[1], best[0]
+            wg, cg, hg = self._candidate_fractions(
+                workload, template, seed_fractions
+            )
+            fits, wd = MemoryPrescreen(workload, template, self.hw).placements(
+                wg, cg, hg
+            )
+            keep = np.flatnonzero(fits)
+            if keep.size == 0:
+                raise PolicyError(
+                    f"no feasible placement for {workload.describe()} under "
+                    f"attn={'cpu' if attention_on_cpu else 'gpu'}"
+                )
+            model = CostModel(workload, template, self.hw, self.cpu_ctx)
+            with span("planner.score_grid"):
+                scores = self._scores(model, wg[keep], cg[keep], hg[keep], wd[keep])
+            best = int(np.argmax(scores))
+            win = keep[best]
+            policy = template.with_(
+                wg=float(wg[win]), cg=float(cg[win]), hg=float(hg[win]),
+                wd=float(wd[win]),
+            )
+            try:
+                CostModel(workload, policy, self.hw, self.cpu_ctx).check_feasible()
+            except PolicyError as exc:
+                raise PrescreenMismatchError(
+                    f"memory prescreen passed {policy.describe()} "
+                    f"(wd={policy.wd}) but the cost model rejects it: {exc}"
+                ) from exc
+            return policy, float(scores[best])
 
     def search(
         self, workload: Workload, seed: OffloadPolicy | None = None

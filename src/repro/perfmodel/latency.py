@@ -186,6 +186,14 @@ class LatencyBreakdown:
         return workload.block_size * workload.gen_len / self.total_seconds
 
 
+def _grouped_step(load_weight, load_cache, load_act, store_cache, store_act, compute):
+    """Resource-grouped Eq. 2 on broadcastable task costs: the three H2D
+    loads share a PCIe direction, the two D2H stores the other."""
+    h2d = load_weight + load_cache + load_act
+    d2h = store_cache + store_act
+    return np.maximum(np.maximum(h2d, d2h), compute)
+
+
 class CostModel:
     """The full analytic model for one (workload, policy, hardware) triple."""
 
@@ -211,12 +219,12 @@ class CostModel:
         self.fp = workload.footprint()
         self._eff = cpu_ctx.parallel_efficiency()
         #: Memo for policy-fixed sub-quantities (byte sizes, per-iteration
-        #: task constants) — each is pure in the frozen inputs, and the
-        #: planner asks for them thousands of times per candidate.
+        #: task constants) — each is pure in the frozen inputs and read by
+        #: every per-token and per-step pricing call.
         self._memo: dict[str, float] = {}
         #: Cached feasibility verdict: ``None`` until checked, then ``True``
-        #: or the :class:`PolicyError` to re-raise.  Lets ``evaluate()`` and
-        #: ``breakdown()`` share one memory check instead of recomputing.
+        #: or the :class:`PolicyError` to re-raise.  Lets an explicit
+        #: ``check_feasible()`` and ``breakdown()`` share one memory check.
         self._feasible: bool | PolicyError | None = None
 
     # -- effective rates -----------------------------------------------------
@@ -231,15 +239,19 @@ class CostModel:
     def offloaded_weight_bytes_per_layer(self) -> float:
         """Stored bytes of the CPU-resident weight share of one layer."""
         if "offloaded_weight_bytes" not in self._memo:
-            n = self.w.model.weights_per_layer * self.p.wc
-            if n == 0:
-                value = 0.0
-            elif self.p.weight_quant is not None:
-                value = self.p.weight_quant.total_bytes(n)
-            else:
-                value = n * dtype_bytes("fp16")
-            self._memo["offloaded_weight_bytes"] = value
+            self._memo["offloaded_weight_bytes"] = self._offloaded_weight_bytes(
+                self.p.wc
+            )
         return self._memo["offloaded_weight_bytes"]
+
+    def _offloaded_weight_bytes(self, wc: float) -> float:
+        """Stored bytes of one layer's weights with ``wc`` of them off-GPU."""
+        n = self.w.model.weights_per_layer * wc
+        if n == 0:
+            return 0.0
+        if self.p.weight_quant is not None:
+            return self.p.weight_quant.total_bytes(n)
+        return n * dtype_bytes("fp16")
 
     def resident_weight_bytes_per_layer(self) -> float:
         """GPU-resident weight bytes (compressed when the policy stores the
@@ -257,15 +269,19 @@ class CostModel:
         """Per-iteration dequant of compressed resident weights (on the
         compute stream — the weights are unpacked at point of use)."""
         if "resident_weight_dequant" not in self._memo:
-            if not (self.p.quantize_resident_weights and self.p.weight_quant):
-                value = 0.0
-            elif self.p.wg == 0:
-                value = 0.0
-            else:
-                over = weight_quant_overheads(self.w, self.p.wg, self.cal.codec)
-                value = over.dequantize_seconds / self.p.num_gpu_batches
-            self._memo["resident_weight_dequant"] = value
+            self._memo["resident_weight_dequant"] = self._resident_weight_dequant_at(
+                self.p.wg
+            )
         return self._memo["resident_weight_dequant"]
+
+    def _resident_weight_dequant_at(self, wg: float) -> float:
+        """:meth:`_resident_weight_dequant_iter` with ``wg`` GPU-resident."""
+        if not (self.p.quantize_resident_weights and self.p.weight_quant):
+            return 0.0
+        if wg == 0:
+            return 0.0
+        over = weight_quant_overheads(self.w, wg, self.cal.codec)
+        return over.dequantize_seconds / self.p.num_gpu_batches
 
     def kv_store_bytes_per_token(self) -> float:
         """Stored bytes of one token's KV entries (whole block, one layer)."""
@@ -339,8 +355,8 @@ class CostModel:
         """Raise :class:`PolicyError` when the policy overflows a memory.
 
         The verdict is computed once per model instance and replayed on
-        subsequent calls, so ``evaluate()`` + ``breakdown()`` pay for a
-        single memory-requirement pass.
+        subsequent calls, so ``check_feasible()`` + ``breakdown()`` pay
+        for a single memory-requirement pass.
         """
         if self._feasible is True:
             return
@@ -368,22 +384,26 @@ class CostModel:
         """Per-iteration load_weight incl. Eq. 4 dequant, host staging, and
         the disk leg for any disk-resident share (third tier)."""
         if "load_weight_iter" not in self._memo:
-            self._memo["load_weight_iter"] = self._load_weight_iter_impl()
+            self._memo["load_weight_iter"] = self._load_weight_iter_at(
+                self.p.wg, self.p.wd
+            )
         return self._memo["load_weight_iter"]
 
-    def _load_weight_iter_impl(self) -> float:
-        per_iter = self.offloaded_weight_bytes_per_layer() / self.p.num_gpu_batches
+    def _load_weight_iter_at(self, wg: float, wd: float) -> float:
+        """:meth:`_load_weight_iter` with ``wg`` GPU- and ``wd`` disk-resident."""
+        wc = 1.0 - wg
+        per_iter = self._offloaded_weight_bytes(wc) / self.p.num_gpu_batches
         wire = per_iter / self.pcie_bw
         stage = self.ctx.staging_seconds("load_weight", per_iter)
         t = max(wire, stage)
-        if self.p.wd > 0 and self.p.wc > 0:
+        if wd > 0 and wc > 0:
             # The disk-resident slice of the offloaded share must first
             # reach host memory at disk bandwidth (pipelined with PCIe, so
             # the slower leg dominates).
-            disk_per_iter = per_iter * (self.p.wd / self.p.wc)
+            disk_per_iter = per_iter * (wd / wc)
             t = max(t, disk_per_iter / self.hw.disk_bdw)
-        if self.p.weight_quant is not None and self.p.wc > 0:
-            over = weight_quant_overheads(self.w, self.p.wc, self.cal.codec)
+        if self.p.weight_quant is not None and wc > 0:
+            over = weight_quant_overheads(self.w, wc, self.cal.codec)
             t += over.dequantize_seconds / self.p.num_gpu_batches
         return t
 
@@ -515,21 +535,46 @@ class CostModel:
         already-computed codec overheads for the same token indices so
         :meth:`breakdown` prices the codec exactly once.
         """
-        w, p = self.w, self.p
+        p = self.p
         tokens = np.asarray(token_indices, dtype=np.float64)
-        ctx_len = w.prompt_len + 1 + tokens
-        k = p.num_gpu_batches
-        n = tokens.shape[0]
         if p.kv_quant is not None and kv_over is None:
             kv_over = self._kv_overheads_vec(tokens)
+        columns = self._decode_columns(
+            tokens, kv_over, p.cg, p.hg,
+            self._load_weight_iter(), self._resident_weight_dequant_iter(),
+        )
+        out = np.empty((tokens.shape[0], 6), dtype=np.float64)
+        for i, column in enumerate(columns):
+            out[:, i] = column
+        return out
 
-        out = np.empty((n, 6), dtype=np.float64)
-        out[:, 0] = self._load_weight_iter()
+    def _decode_columns(
+        self,
+        tokens: np.ndarray,
+        kv_over: KVQuantOverheadsVec | None,
+        cg,
+        hg,
+        load_weight,
+        resident_dequant,
+    ) -> tuple:
+        """The six decode task costs, in ``TASK_FIELD_NAMES`` order.
+
+        ``tokens`` runs along the last axis.  The placement-dependent
+        inputs (``cg``, ``hg`` and the per-iteration ``load_weight`` and
+        resident-weight dequant seconds) are either this policy's scalars
+        or ``(candidates, 1)`` columns, so :meth:`decode_task_costs_vec`
+        and :func:`price_grid` share one formula and one operation order.
+        """
+        w, p = self.w, self.p
+        ctx_len = w.prompt_len + 1 + tokens
+        k = p.num_gpu_batches
 
         act_bytes = self.fp.activation_bytes_per_layer
-        act_flow = act_bytes * max(1.0 - p.hg, 1.0 if p.attention_on_cpu else 0.0)
-        out[:, 2] = act_flow / k / self.pcie_bw  # load_activation
-        out[:, 4] = act_flow / k / self.pcie_bw  # store_activation
+        act_flow = act_bytes * np.maximum(
+            1.0 - hg, 1.0 if p.attention_on_cpu else 0.0
+        )
+        load_act = act_flow / k / self.pcie_bw
+        store_act = act_flow / k / self.pcie_bw
 
         b = p.gpu_batch_size
         h1 = w.model.hidden_size
@@ -537,8 +582,8 @@ class CostModel:
         kv_bytes = 2.0 * b * ctx_len * h1 * dtype_bytes("fp16")
 
         if p.attention_on_cpu:
-            out[:, 1] = 0.0  # load_cache
-            out[:, 3] = 0.0  # store_cache
+            load_cache = 0.0
+            store_cache = 0.0
             rates = self.cal.attention
             share = self.ctx.cpu_share
             flop_rate = min(
@@ -555,16 +600,16 @@ class CostModel:
             compute = np.maximum(cpu_attn, self._gpu_dense_seconds(1))
         else:
             stored = self.kv_store_bytes_per_token()
-            streamed_share = 1.0 - p.cg
+            streamed_share = 1.0 - cg
             old_bytes = ctx_len * stored * streamed_share / k
             new_bytes = stored * streamed_share / k
             load_cache = np.maximum(
                 old_bytes / self.pcie_bw,
                 self._staging_seconds_vec("load_cache", old_bytes),
             )
-            store_cache = max(
+            store_cache = np.maximum(
                 new_bytes / self.pcie_bw,
-                self.ctx.staging_seconds("store_cache", new_bytes),
+                self._staging_seconds_vec("store_cache", new_bytes),
             )
             eff = self.cal.gpu_dense_efficiency
             gpu_attn = np.maximum(
@@ -581,12 +626,10 @@ class CostModel:
                 )
                 compute = compute + (
                     kv_over.old_dequant_seconds + kv_over.new_quant_seconds
-                ) * p.cg / k
-            out[:, 1] = load_cache
-            out[:, 3] = store_cache
+                ) * cg / k
 
-        out[:, 5] = compute + self._resident_weight_dequant_iter()
-        return out
+        compute = compute + resident_dequant
+        return load_weight, load_cache, load_act, store_cache, store_act, compute
 
     def _staging_seconds_vec(self, task: str, nbytes: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`CpuExecutionContext.staging_seconds`."""
@@ -597,28 +640,30 @@ class CostModel:
 
     def prefill_task_costs(self) -> TaskCosts:
         """Per-iteration costs of the prefill pass (all prompt tokens)."""
+        return TaskCosts(*self._prefill_columns(
+            self.p.cg, self.p.hg,
+            self._load_weight_iter(), self._resident_weight_dequant_iter(),
+        ))
+
+    def _prefill_columns(self, cg, hg, load_weight, resident_dequant) -> tuple:
+        """The six prefill task costs, in ``TASK_FIELD_NAMES`` order, for
+        scalar or per-candidate placement inputs (see
+        :meth:`_decode_columns`)."""
         w, p = self.w, self.p
         s = w.prompt_len
         k = p.num_gpu_batches
-        load_weight = self._load_weight_iter()
         # Prefill attention/MLP always run on the GPU (paper Fig. 2, 1.2).
         compute = self._gpu_attention_seconds(s, s) + self._gpu_dense_seconds(s)
-        resident = 0.0 if p.attention_on_cpu else p.cg
+        resident = 0.0 if p.attention_on_cpu else cg
         pf_bytes = (s + 1) * self.kv_store_bytes_per_token() * (1.0 - resident)
         store_cache = pf_bytes / k / self.pcie_bw
         if p.kv_quant is not None:
             over = kv_quant_overheads(w, self.cal.codec, device="gpu")
             compute += over.prefill_quant_seconds / k  # Eq. 5
-        compute += self._resident_weight_dequant_iter()
-        act_flow = self.fp.prefill_activation_bytes_per_layer * (1.0 - p.hg)
-        return TaskCosts(
-            load_weight=load_weight,
-            load_cache=0.0,
-            load_activation=act_flow / k / self.pcie_bw,
-            store_cache=store_cache,
-            store_activation=act_flow / k / self.pcie_bw,
-            compute=compute,
-        )
+        compute += resident_dequant
+        act_flow = self.fp.prefill_activation_bytes_per_layer * (1.0 - hg)
+        load_act = act_flow / k / self.pcie_bw
+        return load_weight, 0.0, load_act, store_cache, load_act, compute
 
     # -- aggregation ---------------------------------------------------------
 
@@ -643,17 +688,20 @@ class CostModel:
         (columns in :data:`~repro.runtime.tasks.TASK_FIELD_NAMES` order)."""
         if literal_eq2:
             return costs.max(axis=1)
-        h2d = costs[:, 0] + costs[:, 1] + costs[:, 2]
-        d2h = costs[:, 3] + costs[:, 4]
-        return np.maximum(np.maximum(h2d, d2h), costs[:, 5])
+        return _grouped_step(*(costs[:, i] for i in range(6)))
 
     def t_init_seconds(self) -> float:
         """Eq. 3: disk -> host weight load + one-time weight quantization."""
+        return self._t_init_at(self.p.wg)
+
+    def _t_init_at(self, wg: float) -> float:
+        """:meth:`t_init_seconds` with ``wg`` of the weights GPU-resident."""
         t = 0.0
         if not self.weights_preloaded:
             t += self.fp.total_weight_bytes / self.hw.disk_bdw
-        if self.p.weight_quant is not None and self.p.wc > 0:
-            over = weight_quant_overheads(self.w, self.p.wc, self.cal.codec)
+        wc = 1.0 - wg
+        if self.p.weight_quant is not None and wc > 0:
+            over = weight_quant_overheads(self.w, wc, self.cal.codec)
             t += over.quantize_seconds * self.w.model.num_layers
         return t
 
@@ -818,3 +866,80 @@ class CostModel:
             new_total = stored * (n - 1) + (w.prompt_len + 1) * stored
             traffic[("gpu", "cpu", "kv_cache")] = new_total * share * l
         return traffic
+
+
+@dataclass(frozen=True)
+class GridPrices:
+    """Eq. 1's three terms for every candidate placement of one strategy."""
+
+    t_init: np.ndarray
+    t_prefill: np.ndarray
+    t_decode: np.ndarray
+    #: ``(candidates, tokens)`` resource-grouped decode step seconds; row
+    #: ``i``, column ``t`` prices decode token ``t`` of candidate ``i``.  A
+    #: ``gen_len=1`` workload decodes nothing but still gets column 0.
+    step: np.ndarray
+
+    def throughput(self, workload: Workload) -> np.ndarray:
+        """Generated tokens per second of each candidate."""
+        return workload.block_size * workload.gen_len / (
+            self.t_init + self.t_prefill + self.t_decode
+        )
+
+
+def per_weight_split(fn, wg, wd) -> np.ndarray:
+    """``fn(wg, wd)`` evaluated once per distinct ``(wg, wd)`` pair and
+    gathered to one row per candidate.
+
+    Terms that depend only on how the weights split across GPU, host and
+    disk stay scalar formulas: a grid has ~20 distinct splits among ~170
+    candidates.
+    """
+    index: dict[tuple[float, float], int] = {}
+    rows = [
+        index.setdefault(pair, len(index))
+        for pair in zip(np.ravel(wg).tolist(), np.ravel(wd).tolist())
+    ]
+    return np.array([fn(*pair) for pair in index]).reshape(len(index), -1)[rows]
+
+
+def price_grid(model: CostModel, wg, cg, hg, wd) -> GridPrices:
+    """Price many placements of ``model``'s discrete strategy in one pass.
+
+    ``model`` fixes everything but the placement (attention placement,
+    W/KV quantization, batch geometry, CPU context, calibration); its own
+    fractions are ignored.  ``wg``/``cg``/``hg``/``wd`` are equal-length
+    sequences, one entry per candidate.  Candidate-invariant terms (KV
+    codec overheads, attention and dense compute, CPU efficiency) are
+    computed once; terms that depend only on ``(wg, wd)`` are computed
+    once per distinct pair and gathered.  The decode matrix keeps tokens
+    on its last, contiguous axis and ``breakdown``'s operation order, so
+    ``throughput()`` of every candidate is bitwise equal to
+    ``CostModel(...).breakdown().throughput(workload)`` at that placement.
+    Memory feasibility is the caller's business.
+    """
+    w = model.w
+    load_weight, resident_dequant, t_init = per_weight_split(
+        lambda a, d: (
+            model._load_weight_iter_at(a, d),
+            model._resident_weight_dequant_at(a),
+            model._t_init_at(a),
+        ),
+        wg, wd,
+    ).T
+    cg = np.asarray(cg, dtype=np.float64)
+    hg = np.asarray(hg, dtype=np.float64)
+    iters = w.model.num_layers * model.p.num_gpu_batches
+
+    t_prefill = _grouped_step(
+        *model._prefill_columns(cg, hg, load_weight, resident_dequant)
+    ) * iters
+
+    n = w.gen_len - 1
+    tokens = np.arange(max(n, 1), dtype=np.float64)
+    step = _grouped_step(*model._decode_columns(
+        tokens, model._kv_overheads_vec(tokens), cg[:, None], hg[:, None],
+        load_weight[:, None], resident_dequant[:, None],
+    ))
+    t_decode = step.sum(axis=1) * iters if n > 0 else np.zeros(len(cg))
+    return GridPrices(t_init, t_prefill, t_decode, step)

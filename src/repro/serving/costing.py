@@ -10,9 +10,8 @@ every (batch, context) step the continuous-batching loop forms:
   sequences at context ``ctx``: Eq. 2's overlapped step time times the
   ``l x k`` zig-zag iterations;
 * ``prefill_seconds(n, ctx)`` — a batched prefill over ``n`` prompts;
-* ``feasible(n, ctx)`` — the planner's :class:`MemoryPrescreen`, shared
-  verdict cache and all, so admission control asks the same question the
-  policy search asked.
+* ``feasible(n, ctx)`` — the planner's :class:`MemoryPrescreen`, so
+  admission control asks the same question the policy search asked.
 
 Context lengths are bucketed (default 32 tokens, rounding *up*) so the
 cache stays small and estimates stay conservative; planning happens at the
@@ -74,10 +73,8 @@ class StepCostOracle:
 
     _plans: dict[int, tuple | None] = field(default_factory=dict, repr=False)
     _step_cache: dict[tuple, float] = field(default_factory=dict, repr=False)
-    _mem_cache: dict = field(default_factory=dict, repr=False)
-    #: (n_seqs, bucketed ctx) -> feasibility verdict.  The prescreen's own
-    #: verdict cache is keyed per formula term; this caches the composed
-    #: answer so admission control skips prescreen construction entirely.
+    #: (n_seqs, bucketed ctx) -> feasibility verdict, so admission
+    #: control screens each (level, bucket) once.
     _feasible_cache: dict[tuple[int, int], bool] = field(
         default_factory=dict, repr=False
     )
@@ -152,7 +149,6 @@ class StepCostOracle:
         """
         self._plans.clear()
         self._step_cache.clear()
-        self._mem_cache.clear()
         self._feasible_cache.clear()
         self._plan_errors.clear()
 
@@ -175,7 +171,7 @@ class StepCostOracle:
         """Would a step with ``n_seqs`` sequences at ``ctx_len`` fit memory?
 
         Uses the planner's own :class:`MemoryPrescreen` (same mirrored
-        formulas, shared verdict cache) rather than a parallel model.
+        formulas) rather than a parallel model.
         """
         ctx_b = self._bucket_ctx(ctx_len)
         key = (n_seqs, ctx_b)
@@ -188,12 +184,9 @@ class StepCostOracle:
         else:
             policy, _ = planned
             pre = MemoryPrescreen(
-                self._price_workload(policy, ctx_b), policy, self.engine.hw,
-                self._mem_cache,
+                self._price_workload(policy, ctx_b), policy, self.engine.hw
             )
-            verdict = pre.gpu_feasible(
-                policy.wg, policy.cg, policy.hg
-            ) and pre.cpu_feasible(policy.wg, policy.cg, policy.hg, policy.wd)
+            verdict = bool(pre.fits(policy.wg, policy.cg, policy.hg, policy.wd))
         self._feasible_cache[key] = verdict
         return verdict
 

@@ -155,17 +155,24 @@ def test_memory_prescreen_matches_cost_model(engine, workload, attn, wq, kq):
         gpu_batch_size=64, num_gpu_batches=10,
     )
     prescreen = MemoryPrescreen(workload, template, engine.hw)
-    for wg in (0.0, 0.1, 0.55, 1.0):
-        for cg in ((0.0,) if attn else (0.0, 0.5, 1.0)):
-            for hg in (0.0, 1.0):
-                for wd in (0.0, round((1.0 - wg) * 0.5, 4)):
-                    policy = template.with_(wg=wg, cg=cg, hg=hg, wd=wd)
-                    m = CostModel(
-                        workload, policy, engine.hw,
-                        engine.default_context(), engine.config.calibration,
-                    )
-                    assert prescreen.gpu_bytes(wg, cg, hg) == m.gpu_bytes_required()
-                    assert prescreen.cpu_bytes(wg, cg, hg, wd) == m.cpu_bytes_required()
+    cands = [
+        (wg, cg, hg, wd)
+        for wg in (0.0, 0.1, 0.55, 1.0)
+        for cg in ((0.0,) if attn else (0.0, 0.5, 1.0))
+        for hg in (0.0, 1.0)
+        for wd in (0.0, round((1.0 - wg) * 0.5, 4))
+    ]
+    wg, cg, hg, wd = (np.array(axis) for axis in zip(*cands))
+    gpu = prescreen.gpu_bytes(wg, cg, hg)
+    cpu = prescreen.cpu_bytes(wg, cg, hg, wd)
+    for i, (a, b, c, d) in enumerate(cands):
+        policy = template.with_(wg=a, cg=b, hg=c, wd=d)
+        m = CostModel(
+            workload, policy, engine.hw,
+            engine.default_context(), engine.config.calibration,
+        )
+        assert gpu[i] == m.gpu_bytes_required()
+        assert cpu[i] == m.cpu_bytes_required()
 
 
 def test_search_batch_geometry_records_failures(engine, workload):
@@ -188,7 +195,9 @@ def test_bench_timing_quick_smoke(tmp_path):
     payload = write_bench_timing(path=str(out), quick=True)
     assert out.exists()
     assert payload["quick"] is True
-    assert set(payload["targets"]) == {"plan", "breakdown", "serve_sim", "fleet_sim"}
+    assert set(payload["targets"]) == {
+        "plan", "breakdown", "serve_sim", "fleet_sim", "chaos",
+    }
     for result in payload["targets"].values():
         assert result["median_s"] > 0
         assert result["speedup_vs_baseline"] > 0

@@ -1,0 +1,304 @@
+"""The vectorized candidate search against the per-candidate loop it replaced.
+
+``reference_search_fixed`` is the planner's former search, kept here as
+the oracle: it walks the same candidates one at a time, builds a
+``CostModel`` for each, screens memory with the cost model itself, retries
+a host-bound candidate with half and then all of its offloaded weights on
+disk, and scores every survivor with ``breakdown().throughput`` (or, for
+the LATENCY objective, the scalar mid-token step).  The grid pass must
+keep the same survivors in the same order, give each of them a score
+bitwise equal to the reference's, and return the identical
+``(policy, score)``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.baselines import FlexGenEngine
+from repro.bench import paper_data
+from repro.core import LMOffloadEngine
+from repro.errors import PolicyError, PrescreenMismatchError, ReproError
+from repro.faults import FaultKind, FaultSpec, degraded_platform
+from repro.hardware import single_a100
+from repro.models import get_model
+from repro.offload import OffloadPolicy
+from repro.offload.planner import MemoryPrescreen, PlannerObjective, PolicyPlanner
+from repro.perfmodel import CostModel, CpuExecutionContext, Workload
+
+TAB3_MODELS = ("opt-30b", "opt-66b", "llama-30b", "llama-65b")
+TAB3_GEN_LENS = (8, 16, 32, 64, 128)
+
+
+# -- the reference: one CostModel per candidate -----------------------------
+
+
+def reference_candidates(planner, workload, template, seed=None):
+    """LP solution, its grid-snapped neighbours, the coarse grid, then
+    ``seed``; each point once, in search order."""
+    seen = set()
+    try:
+        wg, cg, hg = planner.lp_placement(workload, template)
+        for dwg in (-planner.wg_step, 0.0, planner.wg_step):
+            cand = (
+                float(np.clip(
+                    round((wg + dwg) / planner.wg_step) * planner.wg_step, 0, 1
+                )),
+                round(cg, 2),
+                1.0 if hg >= 0.5 else 0.0,
+            )
+            if cand not in seen:
+                seen.add(cand)
+                yield cand
+    except PolicyError:
+        pass
+    for wg in np.arange(0.0, 1.0 + 1e-9, planner.wg_step):
+        for hg in (0.0, 1.0):
+            cgs = (0.0,) if template.attention_on_cpu else (0.0, 0.25, 0.5, 1.0)
+            for cg in cgs:
+                cand = (round(float(wg), 2), cg, hg)
+                if cand not in seen:
+                    seen.add(cand)
+                    yield cand
+    if seed is not None and seed not in seen:
+        yield seed
+
+
+def reference_score(planner, workload, policy):
+    model = CostModel(workload, policy, planner.hw, planner.cpu_ctx)
+    model.check_feasible()
+    if planner.objective is PlannerObjective.LATENCY:
+        mid = model.decode_task_costs(max(0, (workload.gen_len - 1) // 2))
+        iters = workload.model.num_layers * policy.num_gpu_batches
+        return -model.step_seconds(mid) * iters
+    return model.breakdown().throughput(workload)
+
+
+def _template(workload, attn, wq, kq):
+    return OffloadPolicy(
+        wg=0.0, cg=0.0, hg=0.0, attention_on_cpu=attn, weight_quant=wq,
+        kv_quant=kq, gpu_batch_size=workload.gpu_batch_size,
+        num_gpu_batches=workload.num_gpu_batches,
+    )
+
+
+def reference_search_fixed(planner, workload, attn, wq, kq, seed=None):
+    """``(policy, score, scored)``; ``scored`` maps each surviving
+    ``(wg, cg, hg, wd)`` to its score, in search order."""
+    hw = planner.hw
+    template = _template(workload, attn, wq, kq)
+    scored = {}
+    best = None
+    for wg, cg, hg in reference_candidates(planner, workload, template, seed):
+        policy = template.with_(wg=wg, cg=cg, hg=hg)
+        model = CostModel(workload, policy, hw, planner.cpu_ctx)
+        if model.gpu_bytes_required() > hw.gpu_mem_capacity:
+            continue
+        score = None
+        if model.cpu_bytes_required() <= hw.cpu_mem_capacity:
+            score = reference_score(planner, workload, policy)
+        else:
+            for spill in (0.5, 1.0):
+                spilled = template.with_(
+                    wg=wg, cg=cg, hg=hg, wd=round((1.0 - wg) * spill, 4)
+                )
+                model = CostModel(workload, spilled, hw, planner.cpu_ctx)
+                if model.cpu_bytes_required() <= hw.cpu_mem_capacity:
+                    policy = spilled
+                    score = reference_score(planner, workload, policy)
+                    break
+        if score is None:
+            continue
+        scored[(policy.wg, policy.cg, policy.hg, policy.wd)] = score
+        if best is None or score > best[0]:
+            best = (score, policy)
+    if best is None:
+        return None, None, scored
+    return best[1], best[0], scored
+
+
+def strategies(planner):
+    for attn in planner._attention_menu():
+        for wq, kq in planner._quant_menu():
+            if not (attn and kq is not None):
+                yield attn, wq, kq
+
+
+def assert_matches_reference(planner, workload, attn, wq, kq, seed=None):
+    """Grid scores, survivors and the search result all equal the
+    reference's; returns the reference's survivors."""
+    ref_policy, ref_score, scored = reference_search_fixed(
+        planner, workload, attn, wq, kq, seed
+    )
+    template = _template(workload, attn, wq, kq)
+    wg, cg, hg = planner._candidate_fractions(workload, template, seed)
+    fits, wd = MemoryPrescreen(workload, template, planner.hw).placements(wg, cg, hg)
+    keep = np.flatnonzero(fits)
+    assert [
+        (float(wg[i]), float(cg[i]), float(hg[i]), float(wd[i])) for i in keep
+    ] == list(scored)
+    if ref_policy is None:
+        with pytest.raises(PolicyError):
+            planner.search_fixed(workload, attn, wq, kq, seed)
+        return scored
+    model = CostModel(workload, template, planner.hw, planner.cpu_ctx)
+    grid = planner._scores(model, wg[keep], cg[keep], hg[keep], wd[keep])
+    assert grid.tolist() == list(scored.values())
+    policy, score = planner.search_fixed(workload, attn, wq, kq, seed)
+    assert (policy, score) == (ref_policy, ref_score)
+    assert type(score) is float
+    return scored
+
+
+def assert_planner_matches(planner, workload, seed=None):
+    for attn, wq, kq in strategies(planner):
+        fractions = None
+        if seed is not None and (
+            seed.attention_on_cpu, seed.weight_quant, seed.kv_quant
+        ) == (attn, wq, kq):
+            fractions = (seed.wg, seed.cg, seed.hg)
+        assert_matches_reference(planner, workload, attn, wq, kq, fractions)
+
+
+def lm_offload_planners(engine, workload):
+    """The pass-1 and pass-2 planners of ``engine.plan`` and pass 2's seed."""
+    first = engine._planner(engine.default_context())
+    seed, _ = first.search(workload)
+    plan = engine.plan_parallelism(workload, seed)
+    ctx = CpuExecutionContext.from_plan(engine.topology, engine.contention, plan)
+    ctx.io_staging_threads = {}
+    return first, engine._planner(ctx), seed
+
+
+# -- Tab. 3 ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("model_name", TAB3_MODELS)
+def test_tab3_cells_match_reference(model_name):
+    """Every Tab. 3 cell of the model, for FlexGen's search and both of
+    LM-Offload's passes (pass 2 seeded with pass 1's policy)."""
+    flexgen = FlexGenEngine(single_a100())
+    lm = LMOffloadEngine(single_a100())
+    for gen_len in TAB3_GEN_LENS:
+        b, k = paper_data.bls_split(paper_data.TAB3[model_name][gen_len]["flexgen"][0])
+        workload = Workload(get_model(model_name), 64, gen_len, b, k)
+        assert_planner_matches(
+            PolicyPlanner(hw=flexgen.hw, cpu_ctx=flexgen.ctx, quant_aware=False),
+            workload,
+        )
+        first, second, seed = lm_offload_planners(lm, workload)
+        assert_planner_matches(first, workload)
+        assert_planner_matches(second, workload, seed)
+
+
+def test_pcie_degraded_platform_matches_reference():
+    platform = degraded_platform(
+        single_a100(), [FaultSpec(FaultKind.PCIE_DEGRADE, 0.0, 1e9, 0.5)], 1.0
+    )
+    engine = LMOffloadEngine(platform)
+    workload = Workload(get_model("opt-30b"), 64, 32, 64, 10)
+    first, second, seed = lm_offload_planners(engine, workload)
+    assert_planner_matches(first, workload)
+    assert_planner_matches(second, workload, seed)
+
+
+@pytest.mark.parametrize("host_bytes", [100e9, 25e9])
+def test_host_bound_disk_spill_matches_reference(hw, default_ctx, host_bytes):
+    """The host-bound setup of ``test_disk_tier`` (100 GB), and a 25 GB
+    host on which candidates fit only through both disk-spill retries and
+    some strategies' winners keep weights on disk."""
+    small_host = dataclasses.replace(hw, cpu_mem_capacity=host_bytes)
+    planner = PolicyPlanner(hw=small_host, cpu_ctx=default_ctx, quant_aware=True)
+    workload = Workload(get_model("opt-30b"), 64, 8, 64, 2)
+    spills = set()
+    for attn, wq, kq in strategies(planner):
+        scored = assert_matches_reference(planner, workload, attn, wq, kq)
+        spills |= {
+            round(wd / (1.0 - wg), 4) for wg, _, _, wd in scored if wd > 0
+        }
+    if host_bytes < 100e9:
+        assert spills == {0.5, 1.0}
+        assert any(
+            planner.search_fixed(workload, *s)[0].wd > 0 for s in strategies(planner)
+        )
+
+
+def test_require_quant_and_cpu_attention_only_match_reference(hw, default_ctx):
+    workload = Workload(get_model("opt-30b"), 64, 32, 64, 10)
+    for planner in (
+        PolicyPlanner(hw=hw, cpu_ctx=default_ctx, require_quant=True),
+        PolicyPlanner(hw=hw, cpu_ctx=default_ctx, allow_gpu_attention=False),
+    ):
+        assert_planner_matches(planner, workload)
+
+
+@pytest.mark.parametrize("gen_len", [1, 2, 16])
+def test_latency_objective_matches_reference(hw, default_ctx, gen_len):
+    """LATENCY reads the mid-token column of the grid's step matrix;
+    ``gen_len=1`` decodes nothing but still prices token 0."""
+    workload = Workload(get_model("opt-30b"), 64, gen_len, 64, 10)
+    assert_planner_matches(
+        PolicyPlanner(
+            hw=hw, cpu_ctx=default_ctx, objective=PlannerObjective.LATENCY
+        ),
+        workload,
+    )
+
+
+def test_gen_len_one_throughput_matches_reference(hw, default_ctx):
+    workload = Workload(get_model("opt-30b"), 64, 1, 64, 10)
+    assert_planner_matches(PolicyPlanner(hw=hw, cpu_ctx=default_ctx), workload)
+
+
+def test_evaluate_is_one_row_of_the_grid(hw, default_ctx, short_workload):
+    planner = PolicyPlanner(hw=hw, cpu_ctx=default_ctx)
+    policy, score = planner.search(short_workload)
+    assert planner.evaluate(short_workload, policy)[0] == score
+    assert score == reference_score(planner, short_workload, policy)
+
+
+# -- selection -------------------------------------------------------------
+
+
+def test_tie_keeps_first_maximum(monkeypatch, hw, default_ctx, short_workload):
+    """Equal scores go to the earliest candidate, as the strict ``>`` of
+    the per-candidate loop did: the LP-snapped point before the grid."""
+    planner = PolicyPlanner(hw=hw, cpu_ctx=default_ctx)
+    template = _template(short_workload, False, None, None)
+    wg, cg, hg = planner._candidate_fractions(short_workload, template)
+    fits, _ = MemoryPrescreen(short_workload, template, hw).placements(wg, cg, hg)
+    first, second = np.flatnonzero(fits)[:2]
+
+    def tied(self, model, wg, cg, hg, wd):
+        scores = np.zeros(len(wg))
+        scores[[0, 1, -1]] = 7.0
+        return scores
+
+    monkeypatch.setattr(PolicyPlanner, "_scores", tied)
+    policy, score = planner.search_fixed(short_workload, False, None, None)
+    assert score == 7.0
+    assert (policy.wg, policy.cg, policy.hg) == (wg[first], cg[first], hg[first])
+    assert (policy.wg, policy.cg, policy.hg) != (wg[second], cg[second], hg[second])
+
+
+# -- prescreen / cost-model disagreement ------------------------------------
+
+
+def test_optimistic_prescreen_raises_typed_error(monkeypatch, hw, default_ctx):
+    """A winner the prescreen passes but the cost model rejects raises
+    PrescreenMismatchError, which the strategy loop does not swallow."""
+    assert issubclass(PrescreenMismatchError, ReproError)
+    assert not issubclass(PrescreenMismatchError, PolicyError)
+    monkeypatch.setattr(
+        MemoryPrescreen, "placements",
+        lambda self, wg, cg, hg: (np.ones(len(wg), dtype=bool), np.zeros_like(wg)),
+    )
+    planner = PolicyPlanner(hw=hw, cpu_ctx=default_ctx)
+    workload = Workload(get_model("opt-30b"), 64, 32, 64, 10)
+    with pytest.raises(PrescreenMismatchError, match="cost model rejects"):
+        planner.search_fixed(workload, False, None, None)
+    with pytest.raises(PrescreenMismatchError):
+        planner.search(workload)

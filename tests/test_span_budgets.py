@@ -106,3 +106,28 @@ def test_plan_memo_gate_flags_searches_that_bypass_the_cache(budgets_mod, tmp_pa
     path = tmp_path / "fleet.json"
     path.write_text(json.dumps(_plan_report(12, 2)))
     assert budgets_mod.main([str(path), "--require", "fleet.run"]) == 1
+
+
+def _grid_report(searches, grids):
+    report = _report(**{"planner.search_fixed": 0.5, "planner.score_grid": 0.1})
+    report["scopes"]["planner.search_fixed"]["calls"] = searches
+    report["scopes"]["planner.score_grid"]["calls"] = grids
+    return report
+
+
+def test_score_grid_gate_allows_one_grid_pass_per_search(budgets_mod):
+    for report in (_grid_report(280, 280), _grid_report(7, 5), _report()):
+        assert budgets_mod.check(report, {}, required=()) == []
+
+
+def test_score_grid_gate_flags_per_candidate_scoring(budgets_mod, tmp_path):
+    problems = budgets_mod.check(_grid_report(7, 168), {}, required=())
+    assert len(problems) == 1 and "168 times for 7" in problems[0]
+    no_search = _grid_report(0, 1)
+    del no_search["scopes"]["planner.search_fixed"]
+    assert budgets_mod.check(no_search, {}, required=())
+    path = tmp_path / "chaos.json"
+    path.write_text(json.dumps(_grid_report(7, 168)))
+    assert budgets_mod.main([str(path), "--require", "planner.score_grid"]) == 1
+    path.write_text(json.dumps(_grid_report(7, 7)))
+    assert budgets_mod.main([str(path), "--require", "planner.score_grid"]) == 0
