@@ -60,8 +60,8 @@ def _sweep_cell(model, base_oracle, ctx: int, alpha: float,
     spec_s = oracle.decode_step_seconds(1, ctx)
     base_s = base_oracle.decode_step_seconds(1, ctx)
 
-    # Introspection: rebuild the priced cost model (same workload the
-    # oracle's scalar reference uses) and ask the engine which depth won.
+    # Introspection: rebuild the priced cost model (the oracle's
+    # single-bucket workload at ctx) and ask the engine which depth won.
     policy, cpu_ctx = oracle.planned(1)
     wl = Workload(model, ctx, 2, policy.gpu_batch_size, policy.num_gpu_batches)
     cm = CostModel(wl, policy, engine.hw, cpu_ctx, engine.calibration)

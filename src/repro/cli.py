@@ -382,9 +382,12 @@ def cmd_spec_sim(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    import numpy as np
+
     from repro.core import LMOffloadEngine
     from repro.hardware import single_a100
     from repro.perfmodel import CostModel
+    from repro.runtime.tasks import TaskCosts
     from repro.trace import trace_decode_schedule
 
     workload = _workload(args)
@@ -392,7 +395,10 @@ def cmd_trace(args) -> int:
     policy, ctx, _ = engine.plan(workload)
     model = CostModel(workload, policy, engine.hw, ctx, engine.config.calibration)
     tokens = min(args.tokens, workload.gen_len - 1)
-    costs = [model.decode_task_costs(t) for t in range(tokens)]
+    costs = [
+        TaskCosts(*row)
+        for row in model.decode_task_costs_vec(np.arange(tokens)).tolist()
+    ]
     layers = min(args.layers, workload.model.num_layers)
     builder = trace_decode_schedule(
         costs, num_layers=layers, num_gpu_batches=policy.num_gpu_batches

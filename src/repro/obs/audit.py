@@ -133,6 +133,8 @@ def audit_case(
     full: bool = True,
 ) -> dict[str, Any]:
     """Run one grid point; returns its JSON-ready audit record."""
+    import numpy as np
+
     from repro.models import get_model
     from repro.offload.policy import OffloadPolicy
     from repro.perfmodel.latency import CostModel
@@ -140,6 +142,7 @@ def audit_case(
     from repro.perfmodel.notation import Workload
     from repro.quant.config import QuantConfig
     from repro.runtime.pipeline import DecodeLoop
+    from repro.runtime.tasks import TaskCosts
 
     model_cfg = get_model(case.model)
     workload = Workload(
@@ -195,11 +198,11 @@ def audit_case(
         loop = DecodeLoop(
             num_layers=model_cfg.num_layers, num_gpu_batches=case.num_gpu_batches
         )
-        trace = loop.run(
-            model.prefill_task_costs(),
-            lambda t: model.decode_task_costs(t),
-            case.gen_len,
-        )
+        tokens = np.arange(case.gen_len - 1, dtype=np.float64)
+        decode = [
+            TaskCosts(*row) for row in model.decode_task_costs_vec(tokens).tolist()
+        ]
+        trace = loop.run(model.prefill_task_costs(), decode, case.gen_len)
         predicted_decode = model.decode_seconds()
         e2e_err = (
             abs(trace.decode_seconds - predicted_decode) / trace.decode_seconds

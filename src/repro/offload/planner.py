@@ -183,6 +183,12 @@ def _placement_grid(
     return grid, column
 
 
+def _lp_variables(template: OffloadPolicy) -> tuple[str, ...]:
+    """The placement LP's fraction variables, in column order; under CPU
+    attention ``cg`` is pinned to 0 by the policy invariant."""
+    return ("wg", "hg") if template.attention_on_cpu else ("wg", "cg", "hg")
+
+
 class PlannerObjective(enum.Enum):
     """What the search maximises.
 
@@ -242,6 +248,46 @@ class PolicyPlanner:
 
     # -- LP relaxation ---------------------------------------------------------
 
+    def lp_coefficients(
+        self, workload: Workload, template: OffloadPolicy
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The placement LP's affine coefficients ``(t0, t_mat, g0, g_mat)``.
+
+        ``t0`` holds the mid decode token's (h2d, d2h, compute) seconds and
+        ``g0`` the (GPU, host) bytes with every LP variable at 0; column
+        ``i`` of ``t_mat``/``g_mat`` is the change when variable ``i`` of
+        :func:`_lp_variables` goes to 1.  All ``nvars + 1`` probe
+        placements are priced in one ``_decode_columns`` call and sized by
+        one :class:`MemoryPrescreen`; the model is affine in each fraction,
+        so the differences are exact.
+        """
+        names = _lp_variables(template)
+        probes = np.vstack([np.zeros(len(names)), np.eye(len(names))])
+        wg, cg, hg = (
+            probes[:, names.index(v)] if v in names else np.zeros(len(probes))
+            for v in ("wg", "cg", "hg")
+        )
+        wd = np.full_like(wg, template.wd)
+        model = CostModel(workload, template, self.hw, self.cpu_ctx)
+        load_weight, resident_dequant = per_weight_split(
+            lambda a, d: (
+                model._load_weight_iter_at(a, d),
+                model._resident_weight_dequant_at(a),
+            ),
+            wg, wd,
+        ).T
+        mid = np.array([max(0, (workload.gen_len - 1) // 2)], dtype=np.float64)
+        lw, lc, la, sc, sa, compute = model._decode_columns(
+            mid, model._kv_overheads_vec(mid), cg[:, None], hg[:, None],
+            load_weight[:, None], resident_dequant[:, None],
+        )
+        tasks = np.hstack([lw + lc + la, sc + sa, compute])
+        prescreen = MemoryPrescreen(workload, template, self.hw)
+        mem = np.column_stack(
+            [prescreen.gpu_bytes(wg, cg, hg), prescreen.cpu_bytes(wg, cg, hg, wd)]
+        )
+        return tasks[0], (tasks[1:] - tasks[0]).T, mem[0], (mem[1:] - mem[0]).T
+
     def lp_placement(
         self,
         workload: Workload,
@@ -251,44 +297,13 @@ class PolicyPlanner:
 
         Variables ``x = (wg, cg, hg, t)``; minimise ``t`` subject to
         ``t >= h2d(x)``, ``t >= d2h(x)``, ``t >= compute`` and the two
-        memory capacities, with coefficients extracted from the cost model
-        by finite differencing (the model is linear in each fraction, so
-        two evaluations per variable recover the exact coefficients).
+        memory capacities, with the coefficients of
+        :meth:`lp_coefficients`.
 
         Returns the relaxed ``(wg, cg, hg)``.
         """
-        base = dict(wg=0.0, cg=0.0, hg=0.0)
-
-        def probe(**kw) -> CostModel:
-            pol = template.with_(**{**base, **kw})
-            return CostModel(workload, pol, self.hw, self.cpu_ctx)
-
-        mid_token = max(0, (workload.gen_len - 1) // 2)
-
-        def task_vec(model: CostModel) -> np.ndarray:
-            c = model.decode_task_costs(mid_token)
-            h2d = c.load_weight + c.load_cache + c.load_activation
-            d2h = c.store_cache + c.store_activation
-            return np.array([h2d, d2h, c.compute])
-
-        def mem_vec(model: CostModel) -> np.ndarray:
-            return np.array([model.gpu_bytes_required(), model.cpu_bytes_required()])
-
-        if template.attention_on_cpu:
-            # cg is pinned to 0 by the policy invariant.
-            names = ["wg", "hg"]
-        else:
-            names = ["wg", "cg", "hg"]
-        m0 = probe()
-        t0, g0 = task_vec(m0), mem_vec(m0)
-        t_cols, g_cols = [], []
-        for name in names:
-            m1 = probe(**{name: 1.0})
-            t_cols.append(task_vec(m1) - t0)
-            g_cols.append(mem_vec(m1) - g0)
-        t_mat = np.column_stack(t_cols)  # (3, nvars)
-        g_mat = np.column_stack(g_cols)  # (2, nvars)
-
+        names = _lp_variables(template)
+        t0, t_mat, g0, g_mat = self.lp_coefficients(workload, template)
         nvars = len(names)
         # Decision vector: [fractions..., t]; minimise t.
         c = np.zeros(nvars + 1)

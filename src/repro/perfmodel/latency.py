@@ -415,19 +415,6 @@ class CostModel:
         kv_bytes = 2.0 * b * ctx_len * h1 * dtype_bytes("fp16")
         return flops, kv_bytes
 
-    def _cpu_attention_seconds(self, ctx_len: int, tokens: int) -> float:
-        """Offloaded attention under the active threading setting."""
-        flops, nbytes = self._attention_flops_bytes(ctx_len, tokens)
-        rates = self.cal.attention
-        share = self.ctx.cpu_share
-        flop_rate = min(
-            rates.cpu_flops_per_thread * self._eff, rates.cpu_flops_ceiling
-        ) * share
-        bw_rate = min(
-            rates.cpu_bw_per_thread * self._eff, rates.cpu_bw_ceiling
-        ) * share
-        return max(flops / flop_rate, nbytes / bw_rate)
-
     def _gpu_attention_seconds(self, ctx_len: int, tokens: int) -> float:
         flops, nbytes = self._attention_flops_bytes(ctx_len, tokens)
         eff = self.cal.gpu_dense_efficiency
@@ -445,66 +432,9 @@ class CostModel:
 
     def decode_task_costs(self, token_idx: int) -> TaskCosts:
         """Per-iteration task costs for decode token ``token_idx`` (0-based,
-        counting tokens produced after prefill)."""
-        w, p = self.w, self.p
-        ctx_len = w.prompt_len + 1 + token_idx
-        k = p.num_gpu_batches
-
-        load_weight = self._load_weight_iter()
-
-        act_bytes = self.fp.activation_bytes_per_layer
-        # Activations cross PCIe for the offloaded share; CPU attention
-        # additionally ships the attention output up every layer.
-        act_flow = act_bytes * max(1.0 - p.hg, 1.0 if p.attention_on_cpu else 0.0)
-        load_act = act_flow / k / self.pcie_bw
-        store_act = act_flow / k / self.pcie_bw
-
-        if p.attention_on_cpu:
-            load_cache = 0.0
-            store_cache = 0.0
-            # _cpu_attention_seconds already costs one gpu_batch iteration.
-            cpu_attn = self._cpu_attention_seconds(ctx_len, 1)
-            if p.kv_quant is not None:
-                over = kv_quant_overheads(
-                    w, self.cal.codec, device="cpu", token_idx=token_idx
-                )
-                cpu_attn += (over.old_dequant_seconds + over.new_quant_seconds) / k
-            compute = max(cpu_attn, self._gpu_dense_seconds(1))
-        else:
-            stored = self.kv_store_bytes_per_token()
-            streamed_share = 1.0 - p.cg
-            old_bytes = ctx_len * stored * streamed_share / k
-            new_bytes = stored * streamed_share / k
-            load_cache = max(
-                old_bytes / self.pcie_bw,
-                self.ctx.staging_seconds("load_cache", old_bytes),
-            )
-            store_cache = max(
-                new_bytes / self.pcie_bw,
-                self.ctx.staging_seconds("store_cache", new_bytes),
-            )
-            compute = self._gpu_attention_seconds(ctx_len, 1) + self._gpu_dense_seconds(1)
-            if p.kv_quant is not None:
-                over = kv_quant_overheads(
-                    w, self.cal.codec, device="gpu", token_idx=token_idx
-                )
-                # Streamed share: codec charged to the cache tasks (Eqs. 6-7).
-                load_cache += over.old_dequant_seconds * streamed_share / k
-                store_cache += over.new_quant_seconds * streamed_share / k
-                # Resident share: codec runs when the cache is used/updated.
-                compute += (
-                    over.old_dequant_seconds + over.new_quant_seconds
-                ) * p.cg / k
-
-        compute += self._resident_weight_dequant_iter()
-        return TaskCosts(
-            load_weight=load_weight,
-            load_cache=load_cache,
-            load_activation=load_act,
-            store_cache=store_cache,
-            store_activation=store_act,
-            compute=compute,
-        )
+        counting tokens produced after prefill): one row of
+        :meth:`decode_task_costs_vec`."""
+        return TaskCosts(*self.decode_task_costs_vec([token_idx])[0].tolist())
 
     def _kv_overheads_vec(
         self, token_indices: np.ndarray
@@ -524,16 +454,14 @@ class CostModel:
         token_indices: np.ndarray,
         kv_over: KVQuantOverheadsVec | None = None,
     ) -> np.ndarray:
-        """Vectorized :meth:`decode_task_costs` over many decode tokens.
+        """Per-iteration task costs of many decode tokens in one pass.
 
         Every per-token cost is affine in the context length, so the whole
         decode trajectory evaluates in one NumPy pass.  Returns an
         ``(len(token_indices), 6)`` float64 matrix whose columns follow
-        :data:`~repro.runtime.tasks.TASK_FIELD_NAMES`; row ``i`` matches
-        ``decode_task_costs(token_indices[i]).as_tuple()`` (same formulas,
-        same operation order).  ``kv_over`` optionally reuses
-        already-computed codec overheads for the same token indices so
-        :meth:`breakdown` prices the codec exactly once.
+        :data:`~repro.runtime.tasks.TASK_FIELD_NAMES`.  ``kv_over``
+        optionally reuses already-computed codec overheads for the same
+        token indices so :meth:`breakdown` prices the codec exactly once.
         """
         p = self.p
         tokens = np.asarray(token_indices, dtype=np.float64)
@@ -563,23 +491,24 @@ class CostModel:
         inputs (``cg``, ``hg`` and the per-iteration ``load_weight`` and
         resident-weight dequant seconds) are either this policy's scalars
         or ``(candidates, 1)`` columns, so :meth:`decode_task_costs_vec`
-        and :func:`price_grid` share one formula and one operation order.
+        (and its one-row view :meth:`decode_task_costs`),
+        :func:`price_grid` and the planner's LP coefficients share one
+        formula and one operation order.
         """
         w, p = self.w, self.p
         ctx_len = w.prompt_len + 1 + tokens
         k = p.num_gpu_batches
 
         act_bytes = self.fp.activation_bytes_per_layer
+        # Activations cross PCIe for the offloaded share; CPU attention
+        # additionally ships the attention output up every layer.
         act_flow = act_bytes * np.maximum(
             1.0 - hg, 1.0 if p.attention_on_cpu else 0.0
         )
         load_act = act_flow / k / self.pcie_bw
         store_act = act_flow / k / self.pcie_bw
 
-        b = p.gpu_batch_size
-        h1 = w.model.hidden_size
-        flops = 4.0 * b * 1 * ctx_len * h1
-        kv_bytes = 2.0 * b * ctx_len * h1 * dtype_bytes("fp16")
+        flops, kv_bytes = self._attention_flops_bytes(ctx_len, 1)
 
         if p.attention_on_cpu:
             load_cache = 0.0
@@ -592,6 +521,7 @@ class CostModel:
             bw_rate = min(
                 rates.cpu_bw_per_thread * self._eff, rates.cpu_bw_ceiling
             ) * share
+            # One gpu_batch iteration of offloaded attention.
             cpu_attn = np.maximum(flops / flop_rate, kv_bytes / bw_rate)
             if kv_over is not None:
                 cpu_attn = cpu_attn + (
@@ -617,6 +547,7 @@ class CostModel:
             )
             compute = gpu_attn + self._gpu_dense_seconds(1)
             if kv_over is not None:
+                # Streamed share: codec charged to the cache tasks (Eqs. 6-7).
                 load_cache = (
                     load_cache
                     + kv_over.old_dequant_seconds * streamed_share / k
@@ -624,6 +555,7 @@ class CostModel:
                 store_cache = (
                     store_cache + kv_over.new_quant_seconds * streamed_share / k
                 )
+                # Resident share: codec runs when the cache is used/updated.
                 compute = compute + (
                     kv_over.old_dequant_seconds + kv_over.new_quant_seconds
                 ) * cg / k
@@ -678,9 +610,7 @@ class CostModel:
         """
         if literal_eq2:
             return costs.step_time()
-        h2d = costs.load_weight + costs.load_cache + costs.load_activation
-        d2h = costs.store_cache + costs.store_activation
-        return max(h2d, d2h, costs.compute)
+        return float(_grouped_step(*costs.as_tuple()))
 
     @staticmethod
     def step_seconds_vec(costs: np.ndarray, literal_eq2: bool = False) -> np.ndarray:
@@ -705,33 +635,19 @@ class CostModel:
             t += over.quantize_seconds * self.w.model.num_layers
         return t
 
-    def decode_seconds(
-        self, literal_eq2: bool = False, vectorized: bool = True
-    ) -> float:
-        """Total decode time across (n-1) tokens (Eq. 1's third term).
-
-        ``vectorized=False`` runs the scalar per-token reference loop; the
-        default evaluates every token in one NumPy pass (same formulas —
-        the equivalence tests pin the two together).
-        """
+    def decode_seconds(self, literal_eq2: bool = False) -> float:
+        """Total decode time across (n-1) tokens (Eq. 1's third term),
+        every token priced in one NumPy pass."""
         iters = self.w.model.num_layers * self.p.num_gpu_batches
-        if not vectorized:
-            return sum(
-                self.step_seconds(self.decode_task_costs(t), literal_eq2) * iters
-                for t in range(self.w.gen_len - 1)
-            )
         tokens = np.arange(self.w.gen_len - 1, dtype=np.float64)
         costs = self.decode_task_costs_vec(tokens)
         return float(self.step_seconds_vec(costs, literal_eq2).sum() * iters)
 
-    def breakdown(
-        self, literal_eq2: bool = False, vectorized: bool = True
-    ) -> LatencyBreakdown:
+    def breakdown(self, literal_eq2: bool = False) -> LatencyBreakdown:
         """Assemble Eq. 1 end to end, with reporting detail.
 
-        The default path prices all decode tokens (task costs *and* KV
-        codec overheads) in one vectorized pass; ``vectorized=False`` keeps
-        the scalar per-token reference for equivalence testing.
+        All decode tokens (task costs *and* KV codec overheads) are priced
+        in one vectorized pass.
         """
         self.check_feasible()
         w, p = self.w, self.p
@@ -740,58 +656,40 @@ class CostModel:
         pf = self.prefill_task_costs()
         t_prefill = self.step_seconds(pf, literal_eq2) * iters
 
-        if not vectorized:
-            task_totals = {key: v * iters for key, v in pf.as_dict().items()}
-            t_decode = 0.0
-            for t in range(w.gen_len - 1):
-                dc = self.decode_task_costs(t)
-                t_decode += self.step_seconds(dc, literal_eq2) * iters
-                for key, v in dc.as_dict().items():
-                    task_totals[key] += v * iters
-            mid = self.decode_task_costs(max(0, (w.gen_len - 1) // 2))
-            quant_overheads = self._quant_overhead_totals(vectorized=False)
+        tokens = np.arange(w.gen_len - 1, dtype=np.float64)
+        kv_over = self._kv_overheads_vec(tokens)
+        costs = self.decode_task_costs_vec(tokens, kv_over=kv_over)
+        t_decode = float(self.step_seconds_vec(costs, literal_eq2).sum() * iters)
+        col_totals = costs.sum(axis=0)
+        task_totals = {
+            name: pf_v * iters + col * iters
+            for name, pf_v, col in zip(TASK_FIELD_NAMES, pf.as_tuple(), col_totals)
+        }
+        mid_idx = max(0, (w.gen_len - 1) // 2)
+        if costs.shape[0] > 0:
+            mid = TaskCosts(*costs[mid_idx])
         else:
-            tokens = np.arange(w.gen_len - 1, dtype=np.float64)
-            kv_over = self._kv_overheads_vec(tokens)
-            costs = self.decode_task_costs_vec(tokens, kv_over=kv_over)
-            t_decode = float(
-                self.step_seconds_vec(costs, literal_eq2).sum() * iters
-            )
-            col_totals = costs.sum(axis=0)
-            task_totals = {
-                name: pf_v * iters + col * iters
-                for name, pf_v, col in zip(
-                    TASK_FIELD_NAMES, pf.as_tuple(), col_totals
-                )
-            }
-            mid_idx = max(0, (w.gen_len - 1) // 2)
-            if costs.shape[0] > 0:
-                mid = TaskCosts(*costs[mid_idx])
-            else:
-                mid = self.decode_task_costs(0)
-            quant_overheads = self._quant_overhead_totals(kv_over=kv_over)
+            mid = self.decode_task_costs(0)
 
         return LatencyBreakdown(
             t_init=self.t_init_seconds(),
             t_prefill=t_prefill,
             t_decode=t_decode,
             task_totals=task_totals,
-            quant_overheads=quant_overheads,
+            quant_overheads=self._quant_overhead_totals(kv_over),
             io_traffic=self._traffic_totals(),
             bottleneck=mid.bottleneck().value,
         )
 
     def _quant_overhead_totals(
-        self,
-        vectorized: bool = True,
-        kv_over: KVQuantOverheadsVec | None = None,
+        self, kv_over: KVQuantOverheadsVec | None = None
     ) -> dict[str, float]:
         """Total quant/dequant seconds over the whole run (Figure 4).
 
         ``kv_over`` reuses the per-token codec overheads already computed
         by :meth:`breakdown`'s vectorized pass (they are the same Eqs.
-        20-24 quantities the decode tasks fold in), so the token loop runs
-        zero times instead of twice.
+        20-24 quantities the decode tasks fold in), so the codec is priced
+        once instead of twice.
         """
         w, p = self.w, self.p
         l = w.model.num_layers
@@ -813,25 +711,12 @@ class CostModel:
         if p.kv_quant is not None:
             pf = kv_quant_overheads(w, self.cal.codec, device="gpu")
             out["kv_prefill_quant"] = pf.prefill_quant_seconds * l
-            if not vectorized and kv_over is None:
-                device = "cpu" if p.attention_on_cpu else "gpu"
-                for t in range(w.gen_len - 1):
-                    tok = kv_quant_overheads(
-                        w, self.cal.codec, device=device, token_idx=t
-                    )
-                    out["kv_new_quant"] += tok.new_quant_seconds * l
-                    out["kv_old_dequant"] += tok.old_dequant_seconds * l
-            else:
-                if kv_over is None:
-                    kv_over = self._kv_overheads_vec(
-                        np.arange(w.gen_len - 1, dtype=np.float64)
-                    )
-                out["kv_new_quant"] = (
-                    kv_over.new_quant_seconds * l * (w.gen_len - 1)
+            if kv_over is None:
+                kv_over = self._kv_overheads_vec(
+                    np.arange(w.gen_len - 1, dtype=np.float64)
                 )
-                out["kv_old_dequant"] = float(
-                    kv_over.old_dequant_seconds.sum() * l
-                )
+            out["kv_new_quant"] = kv_over.new_quant_seconds * l * (w.gen_len - 1)
+            out["kv_old_dequant"] = float(kv_over.old_dequant_seconds.sum() * l)
         return out
 
     def _traffic_totals(self) -> dict[tuple[str, str, str], float]:

@@ -191,9 +191,8 @@ class SpecStepPricer:
 
     Bound to one :class:`~repro.perfmodel.latency.CostModel` (so it sees
     the planned policy, hardware rates and calibration the base price was
-    computed under) plus a :class:`SpecConfig`.  The scalar path is the
-    vectorized path on a single row, so the oracle's ``vec == scalar``
-    discipline holds by construction.
+    computed under) plus a :class:`SpecConfig`.  Pricing takes rows of a
+    ``decode_task_costs_vec`` matrix; a single step is a one-row matrix.
     """
 
     def __init__(self, model: CostModel, spec: SpecConfig) -> None:
@@ -293,17 +292,6 @@ class SpecStepPricer:
         for _, price in self._prefix_prices(token_indices, costs):
             np.minimum(best, price, out=best)
         return best
-
-    def step_seconds(
-        self, token_idx: int, costs: Any, base: float
-    ) -> float:
-        """Scalar twin of :meth:`step_seconds_vec` (one row through the
-        identical code path, so vec and scalar prices agree bitwise)."""
-        row = np.array([costs.as_tuple()], dtype=np.float64)
-        out = self.step_seconds_vec(
-            np.array([float(token_idx)]), row, np.array([base])
-        )
-        return float(out[0])
 
     def summary(self, token_idx: int, costs: Any, base: float) -> dict[str, Any]:
         """Introspection for benches: which tree prefix wins at this step."""

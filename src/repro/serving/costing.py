@@ -8,7 +8,9 @@ every (batch, context) step the continuous-batching loop forms:
 
 * ``decode_step_seconds(n, ctx)`` — one token for all ``n`` running
   sequences at context ``ctx``: Eq. 2's overlapped step time times the
-  ``l x k`` zig-zag iterations;
+  ``l x k`` zig-zag iterations.  The first miss at a concurrency level
+  prices every context bucket of that level in one
+  ``decode_task_costs_vec`` call, the cost model's only decode formula;
 * ``prefill_seconds(n, ctx)`` — a batched prefill over ``n`` prompts;
 * ``feasible(n, ctx)`` — the planner's :class:`MemoryPrescreen`, so
   admission control asks the same question the policy search asked.
@@ -63,13 +65,6 @@ class StepCostOracle:
     #: maxima so the planned placement stays feasible as contexts grow.
     plan_prompt_len: int = 64
     plan_gen_len: int = 32
-    #: Fill the decode price cache for *every* context bucket of a
-    #: concurrency level in one ``decode_task_costs_vec`` call the first
-    #: time that level is priced, instead of one scalar pricing per
-    #: (level, bucket) miss.  Bit-identical to the scalar path (the same
-    #: ``vec == scalar`` discipline the perf-model layer pins); ``False``
-    #: keeps the per-bucket scalar pricing as the reference.
-    vectorized: bool = True
 
     _plans: dict[int, tuple | None] = field(default_factory=dict, repr=False)
     _step_cache: dict[tuple, float] = field(default_factory=dict, repr=False)
@@ -217,8 +212,9 @@ class StepCostOracle:
 
         One workload spanning the whole bucket range prices bucket ``b``
         at token index ``b - base`` (integer-valued float64, exact), which
-        is bit-identical to the scalar per-bucket workload's token 0 — the
-        vec==scalar equivalence tests pin this.
+        is bit-identical to a dedicated single-bucket workload's token 0
+        (``tests/reference_costs.py`` keeps that per-bucket pricing as the
+        reference the tests compare against).
         """
         policy, cpu_ctx = planned
         base = self.ctx_bucket
@@ -256,7 +252,7 @@ class StepCostOracle:
         while probe_n > 1 and self.planned(probe_n) is None:
             probe_n //= 2
         planned = self.planned(probe_n)
-        if planned is not None and self.vectorized:
+        if planned is not None:
             self._fill_decode_prices(probe_n, planned, self.ctx_bucket)
         return probe_n
 
@@ -269,30 +265,8 @@ class StepCostOracle:
             PROFILER.cache("oracle.step_cache", hit=hit is not None)
         if hit is not None:
             return hit
-        planned = self._planned_or_raise(n_seqs)
-        if self.vectorized:
-            self._fill_decode_prices(n_seqs, planned, ctx_b)
-            return self._step_cache[key]
-        value = self.decode_step_seconds_scalar(n_seqs, ctx_len)
-        self._step_cache[key] = value
-        return value
-
-    def decode_step_seconds_scalar(self, n_seqs: int, ctx_len: int) -> float:
-        """Uncached scalar reference for one decode price: a dedicated
-        single-bucket workload through ``decode_task_costs`` at token 0.
-        The vectorized fill must match this bit-for-bit (tested)."""
-        ctx_b = self._bucket_ctx(ctx_len)
-        policy, cpu_ctx = self._planned_or_raise(n_seqs)
-        model = CostModel(
-            self._price_workload(policy, ctx_b), policy, self.engine.hw,
-            cpu_ctx, self.engine.calibration,
-        )
-        costs = model.decode_task_costs(0)
-        value = CostModel.step_seconds(costs)
-        pricer = self._step_pricer(model)
-        if pricer is not None:
-            value = pricer.step_seconds(0, costs, value)
-        return value * self._iters(policy)
+        self._fill_decode_prices(n_seqs, self._planned_or_raise(n_seqs), ctx_b)
+        return self._step_cache[key]
 
     def prefill_seconds(self, n_seqs: int, prompt_len: int) -> float:
         """Wall seconds for a batched prefill of ``n_seqs`` prompts."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,18 @@ def opt30b_workload() -> Workload:
 def short_workload() -> Workload:
     """Same model, gen_len=8 (the parallelism-control experiments)."""
     return Workload(get_model("opt-30b"), 64, 8, 64, 10)
+
+
+@pytest.fixture(scope="session")
+def quick_bench_timing(tmp_path_factory) -> SimpleNamespace:
+    """One quick ``bench-timing`` run shared by every test that checks it:
+    ``path`` of the written document, its ``payload``, and the
+    ``registry`` that recorded every raw sample."""
+    from repro.bench.timing import write_bench_timing
+    from repro.obs.registry import MetricsRegistry
+
+    PLAN_CACHE.clear()
+    path = tmp_path_factory.mktemp("bench-timing") / "BENCH_timing.json"
+    registry = MetricsRegistry(namespace="bench-timing")
+    payload = write_bench_timing(path=str(path), quick=True, registry=registry)
+    return SimpleNamespace(path=path, payload=payload, registry=registry)

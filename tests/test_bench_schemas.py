@@ -152,10 +152,8 @@ def test_all_floats_finite(name):
 # -- the producers still emit the contract ---------------------------------
 
 
-def test_quick_timing_payload_keeps_contract():
-    from repro.bench.timing import run_bench_timing
-
-    payload = run_bench_timing(quick=True)
+def test_quick_timing_payload_keeps_contract(quick_bench_timing):
+    payload = quick_bench_timing.payload
     assert REQUIRED_TOP_LEVEL["timing"] <= payload.keys()
     assert payload["quick"] is True
     # quick skips tab3 by design; the two cheap targets keep full stats.

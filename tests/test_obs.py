@@ -542,11 +542,11 @@ def test_controller_samples_search_landscape(topo, contention):
     assert best_t == float(plan.compute.intra_op)
 
 
-def test_bench_timing_registry_records_distribution_and_trajectory():
-    from repro.bench.timing import run_bench_timing
-
-    reg = MetricsRegistry(namespace="bench-timing")
-    payload = run_bench_timing(quick=True, registry=reg)
+def test_bench_timing_registry_records_distribution_and_trajectory(
+    quick_bench_timing,
+):
+    reg = quick_bench_timing.registry
+    payload = quick_bench_timing.payload
     for label, repeats in (("plan", 2), ("breakdown", 20)):
         hist = reg.histogram(f"timing.{label}.wall_s")
         traj = reg.timeseries(f"timing.{label}.trajectory")

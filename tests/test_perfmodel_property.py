@@ -9,12 +9,13 @@ properties that must hold everywhere, not just at the pinned configs:
   non-decreasing in tensor volume (context length, batch size);
 * the literal Eq. 2 step time is exactly the max of its six task terms,
   and the resource-grouped step time never undercuts it;
-* the vectorized cost paths match the scalar reference row for row;
+* the array cost formula matches the scalar reference oracle
+  (``tests/reference_costs.py``) row for row, exactly;
 * the speculative price transform is structurally safe: expected accepted
   tokens are monotone in ``alpha`` and bounded by the tree depth, the
   per-token price never exceeds the base engine's (at ``alpha=1`` or
-  anywhere else), is nondecreasing in context length, and the vec/scalar
-  pricer paths agree bitwise.
+  anywhere else), is nondecreasing in context length, and pricing one row
+  alone agrees bitwise with pricing it inside the whole matrix.
 
 No hypothesis dependency — draws come from :func:`repro.util.rng.seeded_rng`
 so every run sees the identical grid.
@@ -32,6 +33,7 @@ from repro.perfmodel import CostModel, SpecConfig, SpecStepPricer, Workload
 from repro.quant import QuantConfig
 from repro.runtime.tasks import TASK_FIELD_NAMES, TaskCosts
 from repro.util.rng import seeded_rng
+from tests import reference_costs as ref
 
 Q4 = QuantConfig(bits=4, group_size=64)
 #: One fixed seed for the whole module: the grid is part of the test.
@@ -173,7 +175,8 @@ def test_grouped_step_never_undercuts_literal_eq2(hw, default_ctx):
 
 def test_step_seconds_vec_matches_scalar_on_random_matrices():
     """Both groupings of the vectorized aggregator, row for row against
-    the scalar one, on arbitrary non-negative cost matrices."""
+    the scalar reference and the one-row ``step_seconds``, on arbitrary
+    non-negative cost matrices."""
     rng = seeded_rng(SEED, "perfmodel-property", "vec-agg")
     mat = rng.random((64, 6)) * (10.0 ** rng.integers(-6, 3, size=(64, 1)))
     for literal in (False, True):
@@ -182,31 +185,34 @@ def test_step_seconds_vec_matches_scalar_on_random_matrices():
             costs = TaskCosts(
                 **dict(zip(TASK_FIELD_NAMES, map(float, mat[i])))
             )
+            assert vec[i] == ref.step_seconds(costs, literal_eq2=literal)
             assert vec[i] == CostModel.step_seconds(costs, literal_eq2=literal)
 
 
 def test_decode_task_costs_vec_matches_scalar_on_random_grid(hw, default_ctx):
-    """The one-pass NumPy trajectory equals the per-token scalar loop on
-    every random grid point (same formulas, same operation order)."""
+    """The one-pass NumPy trajectory equals the per-token scalar reference
+    bitwise on every random grid point (same formulas, same operation
+    order)."""
     for workload, policy in random_grid(8, "vec-costs"):
         model = CostModel(workload, policy, hw, default_ctx)
         tokens = np.arange(workload.gen_len - 1, dtype=np.float64)
         mat = model.decode_task_costs_vec(tokens)
         assert mat.shape == (workload.gen_len - 1, 6)
         for t in range(workload.gen_len - 1):
-            ref = np.array(model.decode_task_costs(t).as_tuple())
-            np.testing.assert_allclose(mat[t], ref, rtol=1e-9, atol=0.0)
+            assert tuple(mat[t]) == ref.decode_task_costs(model, t).as_tuple()
 
 
 def test_decode_seconds_vectorized_matches_scalar_on_random_grid(
     hw, default_ctx
 ):
+    """Same per-token values, summed pairwise by NumPy vs the reference's
+    running sum: equal to 1e-9 relative."""
     for workload, policy in random_grid(8, "vec-decode"):
         model = CostModel(workload, policy, hw, default_ctx)
         for literal in (False, True):
-            fast = model.decode_seconds(literal, vectorized=True)
-            ref = model.decode_seconds(literal, vectorized=False)
-            assert abs(fast - ref) <= 1e-9 * max(abs(ref), 1e-12)
+            fast = model.decode_seconds(literal)
+            expected = ref.decode_seconds(model, literal)
+            assert abs(fast - expected) <= 1e-9 * max(abs(expected), 1e-12)
 
 
 # -- speculative price transform -------------------------------------------
@@ -290,8 +296,8 @@ def test_spec_price_nondecreasing_in_context_length(hw, default_ctx):
 
 
 def test_spec_pricer_vec_matches_scalar_bitwise(hw, default_ctx):
-    """The scalar pricer is the vectorized pricer on one row — equality
-    is exact, same discipline as the base cost paths."""
+    """Pricing one decode step alone (a one-row matrix) equals its row of
+    the whole-trajectory pricing exactly."""
     for (workload, policy), spec in zip(
         random_grid(6, "spec-vec"), random_trees(6, "spec-vec-tree")
     ):
@@ -301,4 +307,4 @@ def test_spec_pricer_vec_matches_scalar_bitwise(hw, default_ctx):
         vec = pricer.step_seconds_vec(toks, costs, base)
         for t in range(len(toks)):
             row = TaskCosts(**dict(zip(TASK_FIELD_NAMES, map(float, costs[t]))))
-            assert vec[t] == pricer.step_seconds(t, row, float(base[t]))
+            assert vec[t] == ref.spec_step_seconds(pricer, t, row, float(base[t]))

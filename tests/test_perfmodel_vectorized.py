@@ -1,11 +1,15 @@
-"""Vectorized cost path vs the scalar reference implementation.
+"""The cost model's decode formula against the scalar reference oracle.
 
-The NumPy fast path (``decode_task_costs_vec`` and the ``vectorized=True``
-defaults of ``decode_seconds``/``breakdown``/``_quant_overhead_totals``)
-must agree with the per-token scalar loops to 1e-9 relative tolerance on
+``CostModel`` prices decode tokens with one array formula
+(``decode_task_costs_vec``; ``decode_task_costs``, ``decode_seconds``,
+``breakdown`` and ``_quant_overhead_totals`` all read it).  The per-token
+scalar formulas it replaced live in ``tests/reference_costs.py``.  On
 every discrete configuration — all four quantization menus crossed with
-both attention placements — and the planner built on top of it must pick
-the same policy either way.
+both attention placements — every per-token cost and every unsummed
+result must equal the reference exactly (``==``).  Whole-run totals sum
+the same per-token values in a different order (NumPy's pairwise sum vs
+the reference's running sum), so they agree to 1e-9 relative.  The
+planner must pick the same policy on the reference path.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from repro.offload.planner import MemoryPrescreen, PolicyPlanner
 from repro.perfmodel import CostModel, HardwareParams, Workload
 from repro.perfmodel.quant_model import kv_quant_overheads, kv_quant_overheads_vec
 from repro.quant import QuantConfig
+from tests import reference_costs as ref
 
 Q4 = QuantConfig(bits=4, group_size=64)
 
@@ -73,44 +78,52 @@ def test_decode_task_costs_vec_matches_scalar(engine, workload, attn, wq, kq):
     mat = m.decode_task_costs_vec(tokens)
     assert mat.shape == (workload.gen_len - 1, 6)
     for t in range(workload.gen_len - 1):
-        ref = np.array(m.decode_task_costs(t).as_tuple())
-        np.testing.assert_allclose(mat[t], ref, rtol=1e-9, atol=0.0)
+        expected = ref.decode_task_costs(m, t)
+        assert tuple(mat[t]) == expected.as_tuple()
+        assert m.decode_task_costs(t) == expected
 
 
 @pytest.mark.parametrize("attn,wq,kq", CONFIGS)
 @pytest.mark.parametrize("literal_eq2", [False, True])
 def test_decode_seconds_equivalence(engine, workload, attn, wq, kq, literal_eq2):
     m = _model(engine, workload, attn, wq, kq)
-    fast = m.decode_seconds(literal_eq2, vectorized=True)
-    ref = m.decode_seconds(literal_eq2, vectorized=False)
-    _assert_close(fast, ref, "decode_seconds")
+    _assert_close(
+        m.decode_seconds(literal_eq2), ref.decode_seconds(m, literal_eq2),
+        "decode_seconds",
+    )
 
 
 @pytest.mark.parametrize("attn,wq,kq", CONFIGS)
 def test_breakdown_equivalence(engine, workload, attn, wq, kq):
     m = _model(engine, workload, attn, wq, kq)
-    fast = m.breakdown(vectorized=True)
-    ref = m.breakdown(vectorized=False)
-    _assert_close(fast.total_seconds, ref.total_seconds, "total_seconds")
-    assert fast.bottleneck == ref.bottleneck
-    assert set(fast.task_totals) == set(ref.task_totals)
-    for name in ref.task_totals:
-        _assert_close(fast.task_totals[name], ref.task_totals[name], name)
-    assert set(fast.quant_overheads) == set(ref.quant_overheads)
-    for name in ref.quant_overheads:
+    fast = m.breakdown()
+    expected = ref.breakdown(m)
+    assert fast.t_prefill == expected.t_prefill
+    assert fast.t_init == expected.t_init
+    assert fast.bottleneck == expected.bottleneck
+    _assert_close(fast.total_seconds, expected.total_seconds, "total_seconds")
+    assert set(fast.task_totals) == set(expected.task_totals)
+    for name in expected.task_totals:
+        _assert_close(fast.task_totals[name], expected.task_totals[name], name)
+    assert set(fast.quant_overheads) == set(expected.quant_overheads)
+    for name in expected.quant_overheads:
         _assert_close(
-            fast.quant_overheads[name], ref.quant_overheads[name], name
+            fast.quant_overheads[name], expected.quant_overheads[name], name
         )
 
 
 @pytest.mark.parametrize("attn,wq,kq", CONFIGS)
 def test_quant_overhead_totals_equivalence(engine, workload, attn, wq, kq):
     m = _model(engine, workload, attn, wq, kq)
-    fast = m._quant_overhead_totals(vectorized=True)
-    ref = m._quant_overhead_totals(vectorized=False)
-    assert set(fast) == set(ref)
-    for name in ref:
-        _assert_close(fast[name], ref[name], name)
+    fast = m._quant_overhead_totals()
+    expected = ref.quant_overhead_totals(m)
+    assert set(fast) == set(expected)
+    for name in expected:
+        # Only the two per-token KV codec totals are sums over tokens.
+        if name in ("kv_new_quant", "kv_old_dequant"):
+            _assert_close(fast[name], expected[name], name)
+        else:
+            assert fast[name] == expected[name], name
 
 
 @pytest.mark.parametrize("device", ["gpu", "cpu"])
@@ -118,30 +131,30 @@ def test_kv_quant_overheads_vec_matches_scalar(workload, device):
     tokens = np.arange(workload.gen_len - 1, dtype=np.float64)
     vec = kv_quant_overheads_vec(workload, tokens, device=device)
     for t in range(workload.gen_len - 1):
-        ref = kv_quant_overheads(workload, token_idx=t, device=device)
-        _assert_close(vec.prefill_quant_seconds, ref.prefill_quant_seconds,
-                      "prefill_quant")
-        _assert_close(vec.new_quant_seconds, ref.new_quant_seconds, "new_quant")
-        _assert_close(float(vec.old_dequant_seconds[t]),
-                      ref.old_dequant_seconds, f"old_dequant[{t}]")
+        expected = kv_quant_overheads(workload, token_idx=t, device=device)
+        assert vec.prefill_quant_seconds == expected.prefill_quant_seconds
+        assert vec.new_quant_seconds == expected.new_quant_seconds
+        assert float(vec.old_dequant_seconds[t]) == expected.old_dequant_seconds
 
 
 def test_plan_policy_unchanged_scalar_vs_vectorized(workload, monkeypatch):
-    """The planner must choose the identical policy on either cost path."""
+    """The planner chooses the identical policy when its LP coefficients
+    come from the scalar probes and every candidate is scored by the
+    scalar reference ``breakdown``."""
     fast_policy, _, _ = LMOffloadEngine(single_a100()).plan(workload)
 
-    orig_breakdown = CostModel.breakdown
-    orig_decode = CostModel.decode_seconds
-    monkeypatch.setattr(
-        CostModel, "breakdown",
-        lambda self, literal_eq2=False, vectorized=True:
-            orig_breakdown(self, literal_eq2, vectorized=False),
-    )
-    monkeypatch.setattr(
-        CostModel, "decode_seconds",
-        lambda self, literal_eq2=False, vectorized=True:
-            orig_decode(self, literal_eq2, vectorized=False),
-    )
+    def reference_scores(planner, model, wg, cg, hg, wd):
+        w = model.w
+        return np.array([
+            ref.breakdown(CostModel(
+                w, model.p.with_(wg=a, cg=b, hg=c, wd=d),
+                planner.hw, planner.cpu_ctx,
+            )).throughput(w)
+            for a, b, c, d in zip(*(np.ravel(x).tolist() for x in (wg, cg, hg, wd)))
+        ])
+
+    monkeypatch.setattr(PolicyPlanner, "_scores", reference_scores)
+    monkeypatch.setattr(PolicyPlanner, "lp_coefficients", ref.lp_probe_coefficients)
     slow_policy, _, _ = LMOffloadEngine(single_a100()).plan(workload)
     assert slow_policy == fast_policy
 
@@ -188,12 +201,9 @@ def test_search_batch_geometry_records_failures(engine, workload):
     assert reason
 
 
-def test_bench_timing_quick_smoke(tmp_path):
-    from repro.bench.timing import write_bench_timing
-
-    out = tmp_path / "BENCH_timing.json"
-    payload = write_bench_timing(path=str(out), quick=True)
-    assert out.exists()
+def test_bench_timing_quick_smoke(quick_bench_timing):
+    payload = quick_bench_timing.payload
+    assert quick_bench_timing.path.exists()
     assert payload["quick"] is True
     assert set(payload["targets"]) == {
         "plan", "breakdown", "serve_sim", "fleet_sim", "chaos",

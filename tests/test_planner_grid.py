@@ -5,9 +5,10 @@ the oracle: it walks the same candidates one at a time, builds a
 ``CostModel`` for each, screens memory with the cost model itself, retries
 a host-bound candidate with half and then all of its offloaded weights on
 disk, and scores every survivor with ``breakdown().throughput`` (or, for
-the LATENCY objective, the scalar mid-token step).  The grid pass must
-keep the same survivors in the same order, give each of them a score
-bitwise equal to the reference's, and return the identical
+the LATENCY objective, the mid-token step of the scalar reference oracle
+in ``tests/reference_costs.py``).  The grid pass must keep the same
+survivors in the same order, give each of them a score bitwise equal to
+the reference's, and return the identical
 ``(policy, score)``.
 """
 
@@ -28,6 +29,7 @@ from repro.models import get_model
 from repro.offload import OffloadPolicy
 from repro.offload.planner import MemoryPrescreen, PlannerObjective, PolicyPlanner
 from repro.perfmodel import CostModel, CpuExecutionContext, Workload
+from tests import reference_costs as ref
 
 TAB3_MODELS = ("opt-30b", "opt-66b", "llama-30b", "llama-65b")
 TAB3_GEN_LENS = (8, 16, 32, 64, 128)
@@ -71,9 +73,9 @@ def reference_score(planner, workload, policy):
     model = CostModel(workload, policy, planner.hw, planner.cpu_ctx)
     model.check_feasible()
     if planner.objective is PlannerObjective.LATENCY:
-        mid = model.decode_task_costs(max(0, (workload.gen_len - 1) // 2))
+        mid = ref.decode_task_costs(model, max(0, (workload.gen_len - 1) // 2))
         iters = workload.model.num_layers * policy.num_gpu_batches
-        return -model.step_seconds(mid) * iters
+        return -ref.step_seconds(mid) * iters
     return model.breakdown().throughput(workload)
 
 

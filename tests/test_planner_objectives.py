@@ -3,6 +3,7 @@ import pytest
 from repro.models import get_model
 from repro.offload.planner import PlannerObjective, PolicyPlanner
 from repro.perfmodel import CostModel, Workload
+from tests import reference_costs as ref
 
 
 @pytest.fixture
@@ -23,9 +24,9 @@ def test_latency_objective_score_is_negative_latency(latency_planner, hw, defaul
     policy, score = latency_planner.search(w)
     assert score < 0  # negative seconds
     model = CostModel(w, policy, hw, default_ctx)
-    mid = model.decode_task_costs(7)
+    mid = ref.decode_task_costs(model, 7)
     iters = w.model.num_layers * policy.num_gpu_batches
-    assert -score == pytest.approx(model.step_seconds(mid) * iters)
+    assert -score == ref.step_seconds(mid) * iters
 
 
 def test_latency_policy_no_slower_per_token(latency_planner, tput_planner, hw, default_ctx):

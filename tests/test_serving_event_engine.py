@@ -29,6 +29,7 @@ from repro.serving import (
     replay_trace,
 )
 from repro.serving.request import Request, RequestSpec
+from tests import reference_costs as ref
 
 
 @pytest.fixture(scope="module")
@@ -175,16 +176,19 @@ def test_vectorized_decode_prices_match_scalar_exactly(engine, model):
     )
     for n in (1, 2, 7, 32):
         for ctx in (1, 31, 32, 33, 128, 300, 384):
-            assert oracle.decode_step_seconds(n, ctx) == oracle.decode_step_seconds_scalar(n, ctx)
+            assert oracle.decode_step_seconds(n, ctx) == ref.oracle_decode_step_seconds(
+                oracle, n, ctx
+            )
 
 
 def test_scalar_oracle_mode_unchanged(engine, model):
+    """Default-planned oracle: every cached bucket price equals the
+    reference's single-bucket scalar price exactly."""
     vec = StepCostOracle(engine=engine, model=model)
-    ref = StepCostOracle(engine=engine, model=model, vectorized=False)
     for n in (1, 4):
         for ctx in (16, 64, 96):
-            assert vec.decode_step_seconds(n, ctx) == pytest.approx(
-                ref.decode_step_seconds(n, ctx), abs=0.0, rel=1e-9
+            assert vec.decode_step_seconds(n, ctx) == ref.oracle_decode_step_seconds(
+                StepCostOracle(engine=engine, model=model), n, ctx
             )
 
 

@@ -16,7 +16,8 @@ Contracts pinned here:
   overlay changes nothing at all.
 * **Driver compatibility** — the chaos bench's plan-level and
   executed-step drift gates pass with the fourth engine enabled; the
-  oracle's vectorized and scalar pricing paths agree bitwise; the fleet
+  oracle's vectorized fill agrees bitwise with the scalar reference
+  pricing (``tests/reference_costs.py``); the fleet
   registry accepts the engine; ``retarget``/``set_degradation`` behave
   like the parent engine's.
 """
@@ -44,6 +45,7 @@ from repro.serving import (
     replay_trace,
 )
 from repro.serving.costing import StepCostOracle
+from tests import reference_costs as ref
 
 #: tree_size=1 (no draft nodes) + zero draft cost: speculation disabled.
 DEGENERATE = SpecConfig(tree_size=1, draft_compute_ratio=0.0)
@@ -219,11 +221,11 @@ def test_spec_oracle_vectorized_matches_scalar_bitwise(model):
     base engines (the pricer is one elementwise code path)."""
     kwargs = dict(plan_prompt_len=256, plan_gen_len=16)
     vec = StepCostOracle(SpecOffloadEngine(single_a100()), model, **kwargs)
-    ref = StepCostOracle(
-        SpecOffloadEngine(single_a100()), model, vectorized=False, **kwargs
-    )
+    scalar = StepCostOracle(SpecOffloadEngine(single_a100()), model, **kwargs)
     for n, ctx in ((1, 64), (4, 128), (8, 256)):
-        assert vec.decode_step_seconds(n, ctx) == ref.decode_step_seconds(n, ctx)
+        assert vec.decode_step_seconds(n, ctx) == ref.oracle_decode_step_seconds(
+            scalar, n, ctx
+        )
 
 
 def test_spec_engine_in_fleet_registry():
