@@ -56,12 +56,13 @@ class PolicyError(ReproError):
 
 
 class PrescreenMismatchError(ReproError):
-    """The planner's memory prescreen passed a placement the cost model
-    rejects.
+    """The planner's array memory screen passed a placement that the
+    winner's own one-row ``check_feasible`` rejects.
 
+    Both read the cost model's one peak-byte kernel, so this guards that
+    its candidate-array and single-placement evaluations agree.
     Deliberately not a :class:`PolicyError`: a strategy search that
-    catches infeasibility must not swallow a disagreement between the two
-    memory models.
+    catches infeasibility must not swallow that disagreement.
     """
 
 

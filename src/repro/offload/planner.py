@@ -11,6 +11,11 @@ linear constraints.  :class:`PolicyPlanner` implements:
   quantization menu when ``quant_aware``), solve/grid each, validate with
   the *true* cost model, and return the best feasible policy.
 
+Memory is never modelled here: :func:`memory_bytes` evaluates the cost
+model's own peak-byte kernel (``CostModel._weight_bytes_at`` plus
+``_memory_columns``) over candidate arrays, and both the grid screen
+(:func:`placements`) and the LP's capacity rows read it.
+
 The FlexGen baseline uses ``quant_aware=False`` (it has no model of
 quantization cost/benefit, per the paper's critique); LM-Offload uses
 ``quant_aware=True``.
@@ -38,131 +43,52 @@ from repro.perfmodel.latency import (
 )
 from repro.perfmodel.notation import HardwareParams, Workload
 from repro.quant.config import QuantConfig
-from repro.units import dtype_bytes
 
 logger = logging.getLogger(__name__)
 
 
-class MemoryPrescreen:
-    """Memory-feasibility screen for one search template.
+def memory_bytes(model: CostModel, wg, cg, hg, wd) -> tuple[np.ndarray, np.ndarray]:
+    """Peak (GPU, host) bytes of every placement of ``model``'s strategy.
 
-    Mirrors :meth:`CostModel.gpu_bytes_required` / ``cpu_bytes_required``
-    operation-for-operation over arrays of candidate fractions, so a whole
-    ``(wg, cg, hg)`` grid is screened without constructing a
-    :class:`CostModel` per candidate.  Candidate-invariant quantities
-    (footprint, per-token KV bytes) are bound once; the weight terms,
-    which depend only on ``(wg, wd)``, are computed once per distinct
-    pair and gathered.  The equivalence tests assert the mirrored formulas
-    match the cost model exactly; the planner re-checks its winner with
-    the cost model and raises :class:`~repro.errors.PrescreenMismatchError`
-    should the two ever disagree.
+    The cost model's own byte kernel over candidate arrays: its weight
+    terms are computed once per distinct ``(wg, wd)`` split and gathered,
+    the KV and activation terms in one array pass.  ``model``'s own
+    fractions are ignored.
     """
+    weights = per_weight_split(model._weight_bytes_at, wg, wd)
+    return model._memory_columns(
+        weights[:, 0], weights[:, 1],
+        np.asarray(cg, dtype=np.float64), np.asarray(hg, dtype=np.float64),
+    )
 
-    def __init__(
-        self, workload: Workload, template: OffloadPolicy, hw: HardwareParams
-    ) -> None:
-        self.w = workload
-        self.t = template
-        self.hw = hw
-        fp = workload.footprint()
-        self.l = workload.model.num_layers
-        self.n_weights = workload.model.weights_per_layer
-        self.fp16 = dtype_bytes("fp16")
-        self.act_bytes = fp.activation_bytes_per_layer
-        self.kv_elements = fp.kv_elements_per_token_per_layer
-        self.total_tokens = workload.prompt_len + workload.gen_len
-        if template.kv_quant is not None:
-            self.kv_store_bytes = template.kv_quant.total_bytes(self.kv_elements)
-        else:
-            self.kv_store_bytes = self.kv_elements * self.fp16
 
-    def _weight_terms(self, wg: float, wd: float) -> tuple[float, float]:
-        """(GPU, host) bytes of the weights at one ``(wg, wd)`` split: the
-        resident share plus working buffers, and the offloaded share net
-        of what sits on disk."""
-        quant = self.t.weight_quant
-        wc = 1.0 - wg
-        n_off = self.n_weights * wc
-        if n_off == 0:
-            offloaded = 0.0
-        elif quant is not None:
-            offloaded = quant.total_bytes(n_off)
-        else:
-            offloaded = n_off * self.fp16
-        n_res = self.n_weights * wg
-        if self.t.quantize_resident_weights and quant is not None:
-            resident = quant.total_bytes(n_res)
-        else:
-            resident = n_res * self.fp16
-        working_layers = 2 if wc > 0 else 1
-        gpu = resident * self.l + working_layers * self.n_weights * self.fp16
-        host = offloaded * self.l
-        if wc > 0 and wd > 0:
-            # Disk-resident weights occupy only a 2-layer staging window.
-            disk_share = wd / wc
-            host = host * (1.0 - disk_share) + min(2 * offloaded, host * disk_share)
-        return gpu, host
+def placements(
+    model: CostModel, wg: np.ndarray, cg: np.ndarray, hg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(fits, wd)``: which placements of ``model``'s strategy fit both
+    memories, and the disk share each needs.
 
-    def gpu_bytes(self, wg: np.ndarray, cg: np.ndarray, hg: np.ndarray) -> np.ndarray:
-        """Peak GPU bytes — mirrors ``CostModel.gpu_bytes_required``."""
-        weights = per_weight_split(self._weight_terms, wg, np.zeros_like(wg))[:, 0]
-        kv = 0.0
-        if not self.t.attention_on_cpu:
-            kv_total = self.total_tokens * self.kv_store_bytes * self.l
-            kv = cg * kv_total
-            kv = kv + (
-                self.total_tokens
-                * self.kv_elements
-                * self.fp16
-                / self.t.num_gpu_batches
-            )
-        act = self.act_bytes * (2 + 2 * hg)
-        return weights + kv + act
-
-    def cpu_bytes(
-        self, wg: np.ndarray, cg: np.ndarray, hg: np.ndarray, wd: np.ndarray
-    ) -> np.ndarray:
-        """Peak host bytes — mirrors ``CostModel.cpu_bytes_required``."""
-        weights = per_weight_split(self._weight_terms, wg, wd)[:, 1]
-        kv_total = self.total_tokens * self.kv_store_bytes * self.l
-        kv = kv_total if self.t.attention_on_cpu else (1.0 - cg) * kv_total
-        act = self.act_bytes * 2 * (1.0 - hg)
-        return weights + kv + act
-
-    def fits(
-        self, wg: np.ndarray, cg: np.ndarray, hg: np.ndarray, wd: np.ndarray
-    ) -> np.ndarray:
-        """Which candidates fit both memories.  Like every screen here it
-        takes candidate arrays; scalars screen one placement and give a
-        one-element array."""
-        return (self.gpu_bytes(wg, cg, hg) <= self.hw.gpu_mem_capacity) & (
-            self.cpu_bytes(wg, cg, hg, wd) <= self.hw.cpu_mem_capacity
+    A GPU-infeasible candidate is out (the disk tier cannot relieve GPU
+    pressure).  A host-infeasible one retries with half, then all, of
+    its offloaded weights spilled to disk (FlexGen's third tier).
+    """
+    hw = model.hw
+    wd = np.zeros_like(wg)
+    gpu, host = memory_bytes(model, wg, cg, hg, wd)
+    on_gpu = gpu <= hw.gpu_mem_capacity
+    fits = on_gpu & (host <= hw.cpu_mem_capacity)
+    for spill in (0.5, 1.0):
+        retry = np.flatnonzero(on_gpu & ~fits)
+        if retry.size == 0:
+            break
+        trial = np.array(
+            [round((1.0 - x) * spill, 4) for x in wg[retry].tolist()]
         )
-
-    def placements(
-        self, wg: np.ndarray, cg: np.ndarray, hg: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(fits, wd)``: which candidates fit, and the disk share each needs.
-
-        A GPU-infeasible candidate is out (the disk tier cannot relieve GPU
-        pressure).  A host-infeasible one retries with half, then all, of
-        its offloaded weights spilled to disk (FlexGen's third tier).
-        """
-        wd = np.zeros_like(wg)
-        on_gpu = self.gpu_bytes(wg, cg, hg) <= self.hw.gpu_mem_capacity
-        fits = on_gpu & (self.cpu_bytes(wg, cg, hg, wd) <= self.hw.cpu_mem_capacity)
-        for spill in (0.5, 1.0):
-            retry = np.flatnonzero(on_gpu & ~fits)
-            if retry.size == 0:
-                break
-            trial = np.array(
-                [round((1.0 - x) * spill, 4) for x in wg[retry].tolist()]
-            )
-            host = self.cpu_bytes(wg[retry], cg[retry], hg[retry], trial)
-            ok = host <= self.hw.cpu_mem_capacity
-            wd[retry[ok]] = trial[ok]
-            fits[retry[ok]] = True
-        return fits, wd
+        _, host = memory_bytes(model, wg[retry], cg[retry], hg[retry], trial)
+        ok = host <= hw.cpu_mem_capacity
+        wd[retry[ok]] = trial[ok]
+        fits[retry[ok]] = True
+    return fits, wd
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,8 +184,9 @@ class PolicyPlanner:
         ``i`` of ``t_mat``/``g_mat`` is the change when variable ``i`` of
         :func:`_lp_variables` goes to 1.  All ``nvars + 1`` probe
         placements are priced in one ``_decode_columns`` call and sized by
-        one :class:`MemoryPrescreen`; the model is affine in each fraction,
-        so the differences are exact.
+        one :func:`memory_bytes` call, both kernels of the same
+        :class:`CostModel`; the model is affine in each fraction, so the
+        differences are exact.
         """
         names = _lp_variables(template)
         probes = np.vstack([np.zeros(len(names)), np.eye(len(names))])
@@ -282,10 +209,7 @@ class PolicyPlanner:
             load_weight[:, None], resident_dequant[:, None],
         )
         tasks = np.hstack([lw + lc + la, sc + sa, compute])
-        prescreen = MemoryPrescreen(workload, template, self.hw)
-        mem = np.column_stack(
-            [prescreen.gpu_bytes(wg, cg, hg), prescreen.cpu_bytes(wg, cg, hg, wd)]
-        )
+        mem = np.column_stack(memory_bytes(model, wg, cg, hg, wd))
         return tasks[0], (tasks[1:] - tasks[0]).T, mem[0], (mem[1:] - mem[0]).T
 
     def lp_placement(
@@ -438,11 +362,12 @@ class PolicyPlanner:
     ) -> tuple[OffloadPolicy, float]:
         """Best placement fractions for one fixed discrete strategy.
 
-        The whole candidate set is screened by :class:`MemoryPrescreen`
+        The whole candidate set is screened by :func:`placements`
         (disk-spill retries included) and the survivors are scored in one
-        grid pass; the first maximum wins.  Only the winner becomes an
-        :class:`OffloadPolicy`, and the cost model's own
-        ``check_feasible`` confirms it.
+        grid pass, both on one template :class:`CostModel`; the first
+        maximum wins.  Only the winner becomes an :class:`OffloadPolicy`,
+        and its own one-row ``check_feasible`` must agree with the array
+        screen.
         """
         with span("planner.search_fixed"):
             template = OffloadPolicy(
@@ -458,16 +383,14 @@ class PolicyPlanner:
             wg, cg, hg = self._candidate_fractions(
                 workload, template, seed_fractions
             )
-            fits, wd = MemoryPrescreen(workload, template, self.hw).placements(
-                wg, cg, hg
-            )
+            model = CostModel(workload, template, self.hw, self.cpu_ctx)
+            fits, wd = placements(model, wg, cg, hg)
             keep = np.flatnonzero(fits)
             if keep.size == 0:
                 raise PolicyError(
                     f"no feasible placement for {workload.describe()} under "
                     f"attn={'cpu' if attention_on_cpu else 'gpu'}"
                 )
-            model = CostModel(workload, template, self.hw, self.cpu_ctx)
             with span("planner.score_grid"):
                 scores = self._scores(model, wg[keep], cg[keep], hg[keep], wd[keep])
             best = int(np.argmax(scores))

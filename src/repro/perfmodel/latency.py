@@ -221,7 +221,7 @@ class CostModel:
         #: Memo for policy-fixed sub-quantities (byte sizes, per-iteration
         #: task constants) — each is pure in the frozen inputs and read by
         #: every per-token and per-step pricing call.
-        self._memo: dict[str, float] = {}
+        self._memo: dict[str, float | tuple[float, float]] = {}
         #: Cached feasibility verdict: ``None`` until checked, then ``True``
         #: or the :class:`PolicyError` to re-raise.  Lets an explicit
         #: ``check_feasible()`` and ``breakdown()`` share one memory check.
@@ -252,18 +252,6 @@ class CostModel:
         if self.p.weight_quant is not None:
             return self.p.weight_quant.total_bytes(n)
         return n * dtype_bytes("fp16")
-
-    def resident_weight_bytes_per_layer(self) -> float:
-        """GPU-resident weight bytes (compressed when the policy stores the
-        resident share quantized, as ZeRO-Inference's 4-bit mode does)."""
-        if "resident_weight_bytes" not in self._memo:
-            n = self.w.model.weights_per_layer * self.p.wg
-            if self.p.quantize_resident_weights and self.p.weight_quant is not None:
-                value = self.p.weight_quant.total_bytes(n)
-            else:
-                value = n * dtype_bytes("fp16")
-            self._memo["resident_weight_bytes"] = value
-        return self._memo["resident_weight_bytes"]
 
     def _resident_weight_dequant_iter(self) -> float:
         """Per-iteration dequant of compressed resident weights (on the
@@ -298,58 +286,73 @@ class CostModel:
 
     def gpu_bytes_required(self) -> float:
         """Peak GPU bytes under this policy."""
-        if "gpu_bytes" not in self._memo:
-            self._memo["gpu_bytes"] = self._gpu_bytes_required()
-        return self._memo["gpu_bytes"]
+        return self._memory_bytes()[0]
 
-    def _gpu_bytes_required(self) -> float:
+    def cpu_bytes_required(self) -> float:
+        """Peak host bytes under this policy."""
+        return self._memory_bytes()[1]
+
+    def _memory_bytes(self) -> tuple[float, float]:
+        """Peak (GPU, host) bytes: one row of :meth:`_memory_columns`."""
+        if "memory_bytes" not in self._memo:
+            p = self.p
+            self._memo["memory_bytes"] = self._memory_columns(
+                *self._weight_bytes_at(p.wg, p.wd), p.cg, p.hg
+            )
+        return self._memo["memory_bytes"]
+
+    def _weight_bytes_at(self, wg: float, wd: float) -> tuple[float, float]:
+        """(GPU, host) bytes of the weights with ``wg`` GPU- and ``wd``
+        disk-resident: the resident share (compressed when the policy
+        stores it quantized, as ZeRO-Inference's 4-bit mode does) plus the
+        working layers, and the offloaded share net of what sits on disk."""
         l = self.w.model.num_layers
-        weights = self.resident_weight_bytes_per_layer() * l
+        n = self.w.model.weights_per_layer
+        if self.p.quantize_resident_weights and self.p.weight_quant is not None:
+            resident = self.p.weight_quant.total_bytes(n * wg)
+        else:
+            resident = n * wg * dtype_bytes("fp16")
+        wc = 1.0 - wg
         # Uncompressed working weights: current + prefetch when layers
         # stream from the host; a single dequantization buffer when all
         # weights are resident (ZeRO-Inference's mode).
-        working_layers = 2 if self.p.wc > 0 else 1
-        working = working_layers * self.w.model.weights_per_layer * dtype_bytes("fp16")
-        kv = 0.0
-        if not self.p.attention_on_cpu:
-            kv_total = (
-                (self.w.prompt_len + self.w.gen_len)
-                * self.kv_store_bytes_per_token()
-                * l
-            )
-            kv = self.p.cg * kv_total
-            # Working buffer for one layer's (dequantized) cache slice.
-            kv += (
-                (self.w.prompt_len + self.w.gen_len)
+        working_layers = 2 if wc > 0 else 1
+        gpu = resident * l + working_layers * n * dtype_bytes("fp16")
+        offloaded = self._offloaded_weight_bytes(wc)
+        host = offloaded * l
+        if wc > 0 and wd > 0:
+            # Disk-resident weights only occupy a 2-layer staging window
+            # in host memory, not their full footprint.
+            disk_share = wd / wc
+            host = host * (1.0 - disk_share) + min(2 * offloaded, host * disk_share)
+        return gpu, host
+
+    def _memory_columns(self, weights_gpu, weights_host, cg, hg) -> tuple:
+        """Peak (GPU, host) bytes from :meth:`_weight_bytes_at`'s weight
+        terms plus the KV cache and activations.  Every argument is a
+        scalar or a ``(candidates,)`` array, so one placement and a whole
+        search grid read the same formula."""
+        w = self.w
+        tokens = w.prompt_len + w.gen_len
+        kv_total = tokens * self.kv_store_bytes_per_token() * w.model.num_layers
+        act = self.fp.activation_bytes_per_layer
+        if self.p.attention_on_cpu:
+            gpu = weights_gpu
+            host_kv = kv_total
+        else:
+            # The GPU share of the cache, plus a working buffer for one
+            # layer's (dequantized) cache slice.
+            gpu = weights_gpu + (
+                cg * kv_total
+                + tokens
                 * self.fp.kv_elements_per_token_per_layer
                 * dtype_bytes("fp16")
                 / self.p.num_gpu_batches
             )
-        act = self.fp.activation_bytes_per_layer * (2 + 2 * self.p.hg)
-        return weights + working + kv + act
-
-    def cpu_bytes_required(self) -> float:
-        """Peak host bytes under this policy."""
-        if "cpu_bytes" not in self._memo:
-            self._memo["cpu_bytes"] = self._cpu_bytes_required()
-        return self._memo["cpu_bytes"]
-
-    def _cpu_bytes_required(self) -> float:
-        l = self.w.model.num_layers
-        weights = self.offloaded_weight_bytes_per_layer() * l
-        if self.p.wc > 0 and self.p.wd > 0:
-            # Disk-resident weights only occupy a 2-layer staging window
-            # in host memory, not their full footprint.
-            disk_share = self.p.wd / self.p.wc
-            resident = weights * (1.0 - disk_share)
-            staging = 2 * self.offloaded_weight_bytes_per_layer()
-            weights = resident + min(staging, weights * disk_share)
-        kv_total = (
-            (self.w.prompt_len + self.w.gen_len) * self.kv_store_bytes_per_token() * l
-        )
-        kv = kv_total if self.p.attention_on_cpu else (1.0 - self.p.cg) * kv_total
-        act = self.fp.activation_bytes_per_layer * 2 * (1.0 - self.p.hg)
-        return weights + kv + act
+            host_kv = (1.0 - cg) * kv_total
+        gpu = gpu + act * (2 + 2 * hg)
+        host = weights_host + host_kv + act * 2 * (1.0 - hg)
+        return gpu, host
 
     def check_feasible(self) -> None:
         """Raise :class:`PolicyError` when the policy overflows a memory.

@@ -12,8 +12,9 @@ every (batch, context) step the continuous-batching loop forms:
   prices every context bucket of that level in one
   ``decode_task_costs_vec`` call, the cost model's only decode formula;
 * ``prefill_seconds(n, ctx)`` — a batched prefill over ``n`` prompts;
-* ``feasible(n, ctx)`` — the planner's :class:`MemoryPrescreen`, so
-  admission control asks the same question the policy search asked.
+* ``feasible(n, ctx)`` — the cost model's own peak GPU and host bytes
+  against the platform's capacities, the formula the policy search
+  screens its candidates with.
 
 Context lengths are bucketed (default 32 tokens, rounding *up*) so the
 cache stays small and estimates stay conservative; planning happens at the
@@ -32,7 +33,6 @@ import numpy as np
 from repro.errors import MemoryCapacityError, PolicyError, ServingError
 from repro.models.config import ModelConfig
 from repro.obs.profiling import PROFILER
-from repro.offload.planner import MemoryPrescreen
 from repro.perfmodel.latency import CostModel
 from repro.perfmodel.notation import Workload
 
@@ -165,8 +165,10 @@ class StepCostOracle:
     def feasible(self, n_seqs: int, ctx_len: int) -> bool:
         """Would a step with ``n_seqs`` sequences at ``ctx_len`` fit memory?
 
-        Uses the planner's own :class:`MemoryPrescreen` (same mirrored
-        formulas) rather than a parallel model.
+        Compares the cost model's ``gpu_bytes_required`` and
+        ``cpu_bytes_required`` on the bucketed price workload with the
+        capacities: the byte kernel the planner screens with, not a
+        parallel model.
         """
         ctx_b = self._bucket_ctx(ctx_len)
         key = (n_seqs, ctx_b)
@@ -177,11 +179,16 @@ class StepCostOracle:
         if planned is None:
             verdict = False
         else:
-            policy, _ = planned
-            pre = MemoryPrescreen(
-                self._price_workload(policy, ctx_b), policy, self.engine.hw
+            policy, cpu_ctx = planned
+            hw = self.engine.hw
+            model = CostModel(
+                self._price_workload(policy, ctx_b), policy, hw, cpu_ctx,
+                self.engine.calibration,
             )
-            verdict = bool(pre.fits(policy.wg, policy.cg, policy.hg, policy.wd))
+            verdict = (
+                model.gpu_bytes_required() <= hw.gpu_mem_capacity
+                and model.cpu_bytes_required() <= hw.cpu_mem_capacity
+            )
         self._feasible_cache[key] = verdict
         return verdict
 

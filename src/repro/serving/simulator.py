@@ -8,7 +8,7 @@ loop would:
    queue (overflow and timeouts are dropped with accounting);
 2. **admit** — :func:`admit_batch`: the scheduler policy orders the
    queue; requests are admitted while a GPU slot is free *and* the
-   planner's memory prescreen says the enlarged batch still fits
+   cost model's peak-byte kernel says the enlarged batch still fits
    (admission control is the same feasibility question the policy search
    asks).  Preemptive policies may evict a running victim at this token
    boundary;

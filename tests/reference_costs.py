@@ -6,8 +6,10 @@ formulas it replaced, one Python float at a time, as the oracle the
 equivalence tests compare it against: the per-token decode task costs,
 the resource-grouped step time, the token loops of ``decode_seconds``,
 ``breakdown`` and the quantization totals, the step-cost oracle's
-single-bucket decode price, and the speculative pricer on one row.
-Nothing under ``src/`` imports it.
+single-bucket decode price, and the speculative pricer on one row.  It
+also keeps the scalar peak-byte formulas (``gpu_bytes_required`` /
+``cpu_bytes_required``) that ``CostModel._weight_bytes_at`` and
+``_memory_columns`` replaced.  Nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from repro.perfmodel.latency import CostModel, LatencyBreakdown
 from repro.perfmodel.quant_model import kv_quant_overheads, weight_quant_overheads
 from repro.runtime.tasks import TaskCosts
+from repro.units import dtype_bytes
 
 
 def cpu_attention_seconds(model: CostModel, ctx_len: int, tokens: int) -> float:
@@ -202,6 +205,62 @@ def oracle_decode_step_seconds(oracle, n_seqs: int, ctx_len: int) -> float:
     return value * oracle._iters(policy)
 
 
+def resident_weight_bytes_per_layer(model: CostModel) -> float:
+    """GPU-resident weight bytes (compressed when the policy stores the
+    resident share quantized, as ZeRO-Inference's 4-bit mode does)."""
+    n = model.w.model.weights_per_layer * model.p.wg
+    if model.p.quantize_resident_weights and model.p.weight_quant is not None:
+        return model.p.weight_quant.total_bytes(n)
+    return n * dtype_bytes("fp16")
+
+
+def gpu_bytes_required(model: CostModel) -> float:
+    """Peak GPU bytes under the model's policy."""
+    l = model.w.model.num_layers
+    weights = resident_weight_bytes_per_layer(model) * l
+    # Uncompressed working weights: current + prefetch when layers
+    # stream from the host; a single dequantization buffer when all
+    # weights are resident (ZeRO-Inference's mode).
+    working_layers = 2 if model.p.wc > 0 else 1
+    working = working_layers * model.w.model.weights_per_layer * dtype_bytes("fp16")
+    kv = 0.0
+    if not model.p.attention_on_cpu:
+        kv_total = (
+            (model.w.prompt_len + model.w.gen_len)
+            * model.kv_store_bytes_per_token()
+            * l
+        )
+        kv = model.p.cg * kv_total
+        # Working buffer for one layer's (dequantized) cache slice.
+        kv += (
+            (model.w.prompt_len + model.w.gen_len)
+            * model.fp.kv_elements_per_token_per_layer
+            * dtype_bytes("fp16")
+            / model.p.num_gpu_batches
+        )
+    act = model.fp.activation_bytes_per_layer * (2 + 2 * model.p.hg)
+    return weights + working + kv + act
+
+
+def cpu_bytes_required(model: CostModel) -> float:
+    """Peak host bytes under the model's policy."""
+    l = model.w.model.num_layers
+    weights = model.offloaded_weight_bytes_per_layer() * l
+    if model.p.wc > 0 and model.p.wd > 0:
+        # Disk-resident weights only occupy a 2-layer staging window
+        # in host memory, not their full footprint.
+        disk_share = model.p.wd / model.p.wc
+        resident = weights * (1.0 - disk_share)
+        staging = 2 * model.offloaded_weight_bytes_per_layer()
+        weights = resident + min(staging, weights * disk_share)
+    kv_total = (
+        (model.w.prompt_len + model.w.gen_len) * model.kv_store_bytes_per_token() * l
+    )
+    kv = kv_total if model.p.attention_on_cpu else (1.0 - model.p.cg) * kv_total
+    act = model.fp.activation_bytes_per_layer * 2 * (1.0 - model.p.hg)
+    return weights + kv + act
+
+
 def lp_probe_coefficients(planner, workload, template):
     """The placement LP's ``(t0, t_mat, g0, g_mat)`` from ``1 + nvars``
     probe policies: all fractions at 0, then each LP variable at 1, each
@@ -221,7 +280,7 @@ def lp_probe_coefficients(planner, workload, template):
         return np.array([h2d, d2h, c.compute])
 
     def mem_vec(model: CostModel) -> np.ndarray:
-        return np.array([model.gpu_bytes_required(), model.cpu_bytes_required()])
+        return np.array([gpu_bytes_required(model), cpu_bytes_required(model)])
 
     names = ["wg", "hg"] if template.attention_on_cpu else ["wg", "cg", "hg"]
     m0 = probe()

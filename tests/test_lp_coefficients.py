@@ -1,11 +1,12 @@
 """The placement LP's coefficients against the scalar probes they replaced.
 
 ``PolicyPlanner.lp_coefficients`` reads ``(t0, t_mat, g0, g_mat)`` from
-one ``CostModel._decode_columns`` call and one ``MemoryPrescreen`` pass
-over a ``(nvars + 1)``-placement probe array.
+one ``CostModel._decode_columns`` call and one ``memory_bytes`` call (the
+cost model's ``_weight_bytes_at`` / ``_memory_columns`` byte kernel) over
+a ``(nvars + 1)``-placement probe array.
 ``reference_costs.lp_probe_coefficients`` is the former extraction: one
 probe policy and ``CostModel`` per LP variable plus the origin, each
-priced through the scalar reference decode formula.  The two must be
+priced through the scalar reference decode and peak-byte formulas.  The two must be
 ``np.array_equal`` on every Tab. 3 cell, attention placement and
 quantization menu, under both the default and the Alg. 3-controlled CPU
 context and on a PCIe-degraded platform, and ``lp_placement`` must return

@@ -9,7 +9,10 @@ both attention placements — every per-token cost and every unsummed
 result must equal the reference exactly (``==``).  Whole-run totals sum
 the same per-token values in a different order (NumPy's pairwise sum vs
 the reference's running sum), so they agree to 1e-9 relative.  The
-planner must pick the same policy on the reference path.
+planner must pick the same policy on the reference path.  The peak-byte
+kernel (``_weight_bytes_at`` + ``_memory_columns``) must equal the
+reference's scalar memory formulas exactly, through both its one-row
+views and the planner's array screen.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from repro.errors import PolicyError
 from repro.hardware import single_a100
 from repro.models import get_model
 from repro.offload import OffloadPolicy
-from repro.offload.planner import MemoryPrescreen, PolicyPlanner
+from repro.offload.planner import PolicyPlanner, memory_bytes
 from repro.perfmodel import CostModel, HardwareParams, Workload
 from repro.perfmodel.quant_model import kv_quant_overheads, kv_quant_overheads_vec
 from repro.quant import QuantConfig
@@ -159,33 +162,52 @@ def test_plan_policy_unchanged_scalar_vs_vectorized(workload, monkeypatch):
     assert slow_policy == fast_policy
 
 
-@pytest.mark.parametrize("attn,wq,kq", CONFIGS)
-def test_memory_prescreen_matches_cost_model(engine, workload, attn, wq, kq):
-    """The planner's cheap prescreen mirrors the cost model byte-for-byte."""
-    template = OffloadPolicy(
-        wg=0.0, cg=0.0, hg=0.0,
-        attention_on_cpu=attn, weight_quant=wq, kv_quant=kq,
-        gpu_batch_size=64, num_gpu_batches=10,
-    )
-    prescreen = MemoryPrescreen(workload, template, engine.hw)
-    cands = [
-        (wg, cg, hg, wd)
-        for wg in (0.0, 0.1, 0.55, 1.0)
-        for cg in ((0.0,) if attn else (0.0, 0.5, 1.0))
-        for hg in (0.0, 1.0)
-        for wd in (0.0, round((1.0 - wg) * 0.5, 4))
-    ]
-    wg, cg, hg, wd = (np.array(axis) for axis in zip(*cands))
-    gpu = prescreen.gpu_bytes(wg, cg, hg)
-    cpu = prescreen.cpu_bytes(wg, cg, hg, wd)
-    for i, (a, b, c, d) in enumerate(cands):
-        policy = template.with_(wg=a, cg=b, hg=c, wd=d)
-        m = CostModel(
-            workload, policy, engine.hw,
-            engine.default_context(), engine.config.calibration,
-        )
-        assert gpu[i] == m.gpu_bytes_required()
-        assert cpu[i] == m.cpu_bytes_required()
+#: The memory grid's strategies: every configuration above plus
+#: ZeRO-Inference's compressed GPU-resident weights.
+MEMORY_CONFIGS = [pytest.param(*p.values, False, id=p.id) for p in CONFIGS] + [
+    pytest.param(False, Q4, None, True, id="gpu-w4kv16-resident"),
+]
+MEMORY_MODELS = ("opt-1.3b", "opt-30b", "opt-66b", "llama-13b", "llama-65b")
+#: (prompt_len, gen_len, gpu_batch_size, num_gpu_batches)
+MEMORY_SHAPES = ((64, 32, 64, 10), (512, 1, 8, 1), (128, 128, 16, 4), (32, 8, 1, 3))
+
+
+@pytest.mark.parametrize("attn,wq,kq,resident", MEMORY_CONFIGS)
+def test_memory_prescreen_matches_cost_model(engine, attn, wq, kq, resident):
+    """The cost model's one byte kernel equals the scalar reference
+    formulas exactly: one placement through the ``gpu_bytes_required`` /
+    ``cpu_bytes_required`` views, a whole grid through the planner's
+    ``memory_bytes``.  Placements include every ``wg`` the working-layer
+    count and the disk staging cap branch on, with none, half and all of
+    the offloaded weights spilled to disk."""
+    ctx = engine.default_context()
+    for name in MEMORY_MODELS:
+        for prompt_len, gen_len, bsz, k in MEMORY_SHAPES:
+            workload = Workload(get_model(name), prompt_len, gen_len, bsz, k)
+            template = OffloadPolicy(
+                wg=0.0, cg=0.0, hg=0.0,
+                attention_on_cpu=attn, weight_quant=wq, kv_quant=kq,
+                quantize_resident_weights=resident,
+                gpu_batch_size=bsz, num_gpu_batches=k,
+            )
+            cands = [
+                (wg, cg, hg, round((1.0 - wg) * spill, 4))
+                for wg in (0.0, 0.15000000000000002, 0.55, 1.0)
+                for cg in ((0.0,) if attn else (0.0, 0.5, 1.0))
+                for hg in (0.0, 1.0)
+                for spill in (0.0, 0.5, 1.0)
+            ]
+            wg, cg, hg, wd = (np.array(axis) for axis in zip(*cands))
+            gpu, host = memory_bytes(
+                CostModel(workload, template, engine.hw, ctx), wg, cg, hg, wd
+            )
+            for i, (a, b, c, d) in enumerate(cands):
+                m = CostModel(
+                    workload, template.with_(wg=a, cg=b, hg=c, wd=d), engine.hw, ctx
+                )
+                expected = (ref.gpu_bytes_required(m), ref.cpu_bytes_required(m))
+                assert (m.gpu_bytes_required(), m.cpu_bytes_required()) == expected
+                assert (gpu[i], host[i]) == expected
 
 
 def test_search_batch_geometry_records_failures(engine, workload):

@@ -2,7 +2,8 @@
 
 ``reference_search_fixed`` is the planner's former search, kept here as
 the oracle: it walks the same candidates one at a time, builds a
-``CostModel`` for each, screens memory with the cost model itself, retries
+``CostModel`` for each, screens memory with the scalar peak-byte oracle
+in ``tests/reference_costs.py``, retries
 a host-bound candidate with half and then all of its offloaded weights on
 disk, and scores every survivor with ``breakdown().throughput`` (or, for
 the LATENCY objective, the mid-token step of the scalar reference oracle
@@ -27,7 +28,8 @@ from repro.faults import FaultKind, FaultSpec, degraded_platform
 from repro.hardware import single_a100
 from repro.models import get_model
 from repro.offload import OffloadPolicy
-from repro.offload.planner import MemoryPrescreen, PlannerObjective, PolicyPlanner
+from repro.offload import planner as planner_module
+from repro.offload.planner import PlannerObjective, PolicyPlanner, placements
 from repro.perfmodel import CostModel, CpuExecutionContext, Workload
 from tests import reference_costs as ref
 
@@ -97,10 +99,10 @@ def reference_search_fixed(planner, workload, attn, wq, kq, seed=None):
     for wg, cg, hg in reference_candidates(planner, workload, template, seed):
         policy = template.with_(wg=wg, cg=cg, hg=hg)
         model = CostModel(workload, policy, hw, planner.cpu_ctx)
-        if model.gpu_bytes_required() > hw.gpu_mem_capacity:
+        if ref.gpu_bytes_required(model) > hw.gpu_mem_capacity:
             continue
         score = None
-        if model.cpu_bytes_required() <= hw.cpu_mem_capacity:
+        if ref.cpu_bytes_required(model) <= hw.cpu_mem_capacity:
             score = reference_score(planner, workload, policy)
         else:
             for spill in (0.5, 1.0):
@@ -108,7 +110,7 @@ def reference_search_fixed(planner, workload, attn, wq, kq, seed=None):
                     wg=wg, cg=cg, hg=hg, wd=round((1.0 - wg) * spill, 4)
                 )
                 model = CostModel(workload, spilled, hw, planner.cpu_ctx)
-                if model.cpu_bytes_required() <= hw.cpu_mem_capacity:
+                if ref.cpu_bytes_required(model) <= hw.cpu_mem_capacity:
                     policy = spilled
                     score = reference_score(planner, workload, policy)
                     break
@@ -137,7 +139,8 @@ def assert_matches_reference(planner, workload, attn, wq, kq, seed=None):
     )
     template = _template(workload, attn, wq, kq)
     wg, cg, hg = planner._candidate_fractions(workload, template, seed)
-    fits, wd = MemoryPrescreen(workload, template, planner.hw).placements(wg, cg, hg)
+    model = CostModel(workload, template, planner.hw, planner.cpu_ctx)
+    fits, wd = placements(model, wg, cg, hg)
     keep = np.flatnonzero(fits)
     assert [
         (float(wg[i]), float(cg[i]), float(hg[i]), float(wd[i])) for i in keep
@@ -146,7 +149,6 @@ def assert_matches_reference(planner, workload, attn, wq, kq, seed=None):
         with pytest.raises(PolicyError):
             planner.search_fixed(workload, attn, wq, kq, seed)
         return scored
-    model = CostModel(workload, template, planner.hw, planner.cpu_ctx)
     grid = planner._scores(model, wg[keep], cg[keep], hg[keep], wd[keep])
     assert grid.tolist() == list(scored.values())
     policy, score = planner.search_fixed(workload, attn, wq, kq, seed)
@@ -271,7 +273,9 @@ def test_tie_keeps_first_maximum(monkeypatch, hw, default_ctx, short_workload):
     planner = PolicyPlanner(hw=hw, cpu_ctx=default_ctx)
     template = _template(short_workload, False, None, None)
     wg, cg, hg = planner._candidate_fractions(short_workload, template)
-    fits, _ = MemoryPrescreen(short_workload, template, hw).placements(wg, cg, hg)
+    fits, _ = placements(
+        CostModel(short_workload, template, hw, default_ctx), wg, cg, hg
+    )
     first, second = np.flatnonzero(fits)[:2]
 
     def tied(self, model, wg, cg, hg, wd):
@@ -290,13 +294,14 @@ def test_tie_keeps_first_maximum(monkeypatch, hw, default_ctx, short_workload):
 
 
 def test_optimistic_prescreen_raises_typed_error(monkeypatch, hw, default_ctx):
-    """A winner the prescreen passes but the cost model rejects raises
-    PrescreenMismatchError, which the strategy loop does not swallow."""
+    """A winner the array screen passes but the winner's one-row
+    ``check_feasible`` rejects raises PrescreenMismatchError, which the
+    strategy loop does not swallow."""
     assert issubclass(PrescreenMismatchError, ReproError)
     assert not issubclass(PrescreenMismatchError, PolicyError)
     monkeypatch.setattr(
-        MemoryPrescreen, "placements",
-        lambda self, wg, cg, hg: (np.ones(len(wg), dtype=bool), np.zeros_like(wg)),
+        planner_module, "placements",
+        lambda model, wg, cg, hg: (np.ones(len(wg), dtype=bool), np.zeros_like(wg)),
     )
     planner = PolicyPlanner(hw=hw, cpu_ctx=default_ctx)
     workload = Workload(get_model("opt-30b"), 64, 32, 64, 10)

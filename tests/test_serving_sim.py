@@ -7,6 +7,7 @@ import pytest
 from repro.baselines import ZeroInferenceEngine
 from repro.hardware import single_a100
 from repro.models import get_model
+from repro.perfmodel import CostModel
 from repro.serving import (
     DropReason,
     RequestState,
@@ -19,6 +20,8 @@ from repro.serving import (
     nearest_rank,
     replay_trace,
 )
+from repro.units import GB
+from tests import reference_costs as ref
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +218,34 @@ def test_oracle_feasibility_monotone_in_batch(engine, model):
     assert oracle.feasible(1, 64)
     limit = oracle.max_feasible_batch(64, limit=4)
     assert limit == 4  # opt-1.3b easily fits four sequences
+
+
+def test_oracle_feasibility_matches_memory_formula(model):
+    """Across the host-capacity edge, each admission verdict is the
+    scalar peak-byte formula on the bucketed price workload, and
+    ``max_feasible_batch`` is the largest ``n`` that passes."""
+    engine = ZeroInferenceEngine(single_a100(host_memory=2 * GB))
+    hw = engine.hw
+    oracle = StepCostOracle(engine=engine, model=model)
+    limit = 8
+    formula_verdicts = set()
+    for ctx_len in (32, 100, 500, 1000, 2000, 3000, 5000, 8000, 12000):
+        passing = []
+        for n in range(1, limit + 1):
+            planned = oracle.planned(n)
+            assert planned is not None  # the planning context fits them all
+            policy, cpu_ctx = planned
+            price = CostModel(
+                oracle._price_workload(policy, oracle._bucket_ctx(ctx_len)),
+                policy, hw, cpu_ctx,
+            )
+            expected = (
+                ref.gpu_bytes_required(price) <= hw.gpu_mem_capacity
+                and ref.cpu_bytes_required(price) <= hw.cpu_mem_capacity
+            )
+            assert oracle.feasible(n, ctx_len) is expected, (n, ctx_len)
+            formula_verdicts.add(expected)
+            if expected:
+                passing.append(n)
+        assert oracle.max_feasible_batch(ctx_len, limit) == max(passing, default=0)
+    assert formula_verdicts == {True, False}
