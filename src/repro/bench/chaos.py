@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.faults import make_scenario
-from repro.faults.scenarios import SCENARIO_SWEEP_ORDER
+from repro.baselines import make_engine
+from repro.faults import SCENARIOS, make_scenario
 from repro.models import get_model
 from repro.obs.drift import DEFAULT_TOLERANCE, DriftGate
 from repro.serving.arrivals import RequestTrace, default_trace
@@ -37,15 +37,10 @@ from repro.serving.metrics import compute_metrics
 from repro.serving.policies import make_policy
 from repro.serving.request import RequestState
 from repro.serving.simulator import ServingConfig, ServingResult, ServingSimulator
-from repro.bench.serving import ENGINES, _make_engine
+from repro.bench.serving import ENGINES
 from repro.util import write_json
 
 SCHEMA_VERSION = 1
-
-#: Scenario order is fixed (not dict order) so the JSON layout is stable;
-#: shared with the faulted drift audit so both artifacts sweep the same
-#: scenarios in the same order.
-SCENARIO_ORDER = SCENARIO_SWEEP_ORDER
 
 #: Max relative deviation between a step price the serving loop actually
 #: charged and a fresh engine's price on the exactly-faulted platform at
@@ -90,7 +85,7 @@ def _drift_window(engine_name: str, schedule, workload):
     from repro.obs.drift import steady_state
 
     def price(t: float) -> dict[str, Any]:
-        engine = _make_engine(engine_name)
+        engine = make_engine(engine_name)
         engine.retarget(engine.platform.with_faults(schedule, t))
         try:
             model = engine.planned_cost_model(workload)
@@ -220,7 +215,7 @@ def _serving_drift_run(
             continue
         seg = schedule.segment_key(step.start_s)
         if seg not in oracles:
-            engine = _make_engine(engine_name)
+            engine = make_engine(engine_name)
             engine.retarget(engine.platform.with_faults(schedule, step.start_s))
             oracles[seg] = StepCostOracle.for_requests(
                 engine, model_cfg, result.requests, config
@@ -323,7 +318,7 @@ def run_chaos(
     scheduler: str = "fcfs",
     config: ServingConfig | None = None,
     engines: tuple[str, ...] = ENGINES,
-    scenarios: tuple[str, ...] = SCENARIO_ORDER,
+    scenarios: tuple[str, ...] = tuple(SCENARIOS),
     quick: bool = False,
     seed: int = 0,
     drift_gate: bool = False,
@@ -367,7 +362,7 @@ def run_chaos(
     for engine_name in engines:
         runs: dict[str, Any] = {}
         baseline = ServingSimulator(
-            engine=_make_engine(engine_name),
+            engine=make_engine(engine_name),
             model=get_model(model_name),
             trace=trace,
             policy=make_policy(scheduler),
@@ -391,7 +386,7 @@ def run_chaos(
             schedule = make_scenario(scenario_name, fault_horizon, seed)
             schedules[(engine_name, scenario_name)] = schedule
             result = ServingSimulator(
-                engine=_make_engine(engine_name),
+                engine=make_engine(engine_name),
                 model=get_model(model_name),
                 trace=trace,
                 policy=make_policy(scheduler),

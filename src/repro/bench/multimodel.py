@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.baselines import make_engine
 from repro.models import get_model
 from repro.serving.arrivals import RequestTrace, multimodel_trace
 from repro.serving.multimodel import (
@@ -34,7 +35,6 @@ from repro.serving.multimodel import (
 )
 from repro.serving.policies import make_policy
 from repro.serving.simulator import ServingConfig, ServingSimulator
-from repro.bench.serving import _make_engine
 from repro.util import write_json
 
 SCHEMA_VERSION = 1
@@ -93,7 +93,7 @@ def _dedicated(
     for slot in slots:
         sub = trace.for_model(slot.name)
         result = ServingSimulator(
-            engine=_make_engine(engine_name),
+            engine=make_engine(engine_name),
             model=slot.model,
             trace=sub,
             policy=make_policy("fcfs"),
@@ -122,7 +122,7 @@ def _coresident(
     """One platform, all K models, one between-model scheduler."""
     policy = make_policy(scheduler)
     result = MultiModelSimulator(
-        engine=_make_engine(engine_name),
+        engine=make_engine(engine_name),
         slots=slots,
         trace=trace,
         policy=policy,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import ReproError
+from repro.baselines import make_engine
 from repro.models import get_model
 from repro.serving.arrivals import RequestTrace, default_trace
 from repro.serving.metrics import compute_metrics
@@ -27,38 +27,10 @@ from repro.util import write_json
 
 SCHEMA_VERSION = 1
 
+#: The default comparison: the paper's system and its two §5.1
+#: baselines.  The opt-in speculative engine (``--spec``, or an explicit
+#: ``engines`` tuple) stays out so the committed artifacts stay stable.
 ENGINES = ("lm-offload", "flexgen", "zero-inference")
-
-#: Every engine the harness can construct, including the opt-in
-#: speculative engine (kept out of the default comparison so the
-#: committed artifacts stay stable; ``--spec`` / an explicit ``engines``
-#: tuple adds it).
-ALL_ENGINES = ENGINES + ("spec-offload",)
-
-
-def _make_engine(name: str):
-    from repro.baselines import (
-        FlexGenEngine,
-        SpecOffloadEngine,
-        ZeroInferenceEngine,
-    )
-    from repro.core import LMOffloadEngine
-    from repro.hardware import single_a100
-
-    factories = {
-        "lm-offload": lambda: LMOffloadEngine(single_a100()),
-        "flexgen": lambda: FlexGenEngine(single_a100()),
-        "zero-inference": lambda: ZeroInferenceEngine(single_a100()),
-        # Default SpecConfig so every fresh construction (serving runs,
-        # chaos drift-gate reference oracles) prices the same tree.
-        "spec-offload": lambda: SpecOffloadEngine(single_a100()),
-    }
-    try:
-        return factories[name]()
-    except KeyError:
-        raise ReproError(
-            f"unknown serving engine {name!r}; expected one of {ALL_ENGINES}"
-        ) from None
 
 
 def simulate_engine(
@@ -87,7 +59,7 @@ def simulate_engine(
     from repro.obs.registry import MetricsRegistry
 
     sim = ServingSimulator(
-        engine=_make_engine(engine_name),
+        engine=make_engine(engine_name),
         model=get_model(model_name),
         trace=trace,
         policy=make_policy(scheduler),

@@ -87,7 +87,7 @@ def _serve_sim_case(quick: bool):
     simulator; the same trace/config pair is what the pinned
     ``serve_sim`` / ``serve_sim_quick`` baselines were measured on.
     """
-    from repro.bench.serving import _make_engine
+    from repro.baselines import make_engine
     from repro.models import get_model
     from repro.serving import (
         LengthSampler,
@@ -107,7 +107,7 @@ def _serve_sim_case(quick: bool):
 
     def build() -> ServingSimulator:
         return ServingSimulator(
-            _make_engine("zero-inference"), model, trace,
+            make_engine("zero-inference"), model, trace,
             policy=make_policy("fcfs"), config=config,
             collect_steps=False,
         )

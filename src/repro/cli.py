@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import product
 
 from repro.bench.tables import format_table
 from repro.errors import (
@@ -57,6 +58,28 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gen-len", type=int, default=32)
     parser.add_argument("--batch", type=int, default=64, help="GPU batch size")
     parser.add_argument("--num-batches", type=int, default=10, help="zig-zag batches")
+
+
+def _add_serving_args(parser: argparse.ArgumentParser, output: str) -> None:
+    """The options serve-sim, chaos and fleet-sim share."""
+    from repro.serving.policies import POLICIES
+
+    parser.add_argument("--model", default="opt-30b", help="registered model name")
+    parser.add_argument("--scheduler", default="fcfs", choices=list(POLICIES))
+    parser.add_argument(
+        "--max-batch", type=int, default=64,
+        help="max sequences per step (per replica in fleet-sim)",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--quick", action="store_true", help="short trace (CI smoke)")
+    parser.add_argument(
+        "--chrome-trace", help="export one run's timeline here (Chrome trace JSON)"
+    )
+    parser.add_argument(
+        "--metrics-out",
+        help="write the typed metrics-registry JSON (one document per run) here",
+    )
+    parser.add_argument("--output", default=output)
 
 
 def _workload(args):
@@ -124,28 +147,16 @@ def cmd_plan(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from repro.baselines import (
-        FlexGenEngine,
-        SpecOffloadEngine,
-        ZeroInferenceEngine,
-    )
-    from repro.core import LMOffloadEngine
-    from repro.hardware import single_a100
+    from repro.baselines import ENGINES, make_engine
 
     workload = _workload(args)
     # spec-offload plans (and therefore batch-runs) exactly like
     # lm-offload — speculation is a serving-step price transform, so it
     # shows up in serve-sim/spec-sim, not in the offline table row.
-    engines = {
-        "lm-offload": lambda: LMOffloadEngine(single_a100()),
-        "flexgen": lambda: FlexGenEngine(single_a100()),
-        "zero-inference": lambda: ZeroInferenceEngine(single_a100()),
-        "spec-offload": lambda: SpecOffloadEngine(single_a100()),
-    }
-    names = list(engines) if args.engine == "all" else [args.engine]
+    names = list(ENGINES) if args.engine == "all" else [args.engine]
     rows = []
     for name in names:
-        report = engines[name]().run(workload)
+        report = make_engine(name).run(workload)
         row = report.table_row()
         row["policy"] = report.policy.describe()
         rows.append(row)
@@ -194,10 +205,42 @@ def cmd_whatif(args) -> int:
     return 0
 
 
+def _serve_sim_config(args):
+    """The serving-loop config serve-sim's flags describe."""
+    from repro.serving.simulator import ServingConfig
+
+    return ServingConfig(
+        max_batch=args.max_batch,
+        num_gpu_batches=args.num_batches,
+        queue_capacity=args.queue_capacity,
+        queue_timeout_s=args.queue_timeout,
+        ttft_slo_s=args.ttft_slo,
+        tpot_slo_s=args.tpot_slo,
+    )
+
+
+def _write_metrics(
+    path: str, registries: dict, label: str = "metrics registry"
+) -> None:
+    """Write one metrics-registry document per run to ``path``; a tuple
+    key ``(a, b)`` nests the run's document as ``doc[a][b]``."""
+    import json
+
+    doc: dict = {}
+    for key, registry in registries.items():
+        if isinstance(key, tuple):
+            doc.setdefault(key[0], {})[key[1]] = registry.to_dict()
+        else:
+            doc[key] = registry.to_dict()
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"{label} written to {path}")
+
+
 def _serve_sim_models(args) -> int:
     """Multi-model mode: dedicated-vs-coresident comparison per mix."""
     from repro.bench.multimodel import multimodel_rows, run_multimodel_bench
-    from repro.serving.simulator import ServingConfig
 
     if args.arrival != "poisson" or args.trace_file:
         raise ConfigError(
@@ -209,19 +252,11 @@ def _serve_sim_models(args) -> int:
             "serve-sim: --models does not support --chrome-trace, "
             "--metrics-out or --scenario"
         )
-    config = ServingConfig(
-        max_batch=args.max_batch,
-        num_gpu_batches=args.num_batches,
-        queue_capacity=args.queue_capacity,
-        queue_timeout_s=args.queue_timeout,
-        ttft_slo_s=args.ttft_slo,
-        tpot_slo_s=args.tpot_slo,
-    )
     engine = "lm-offload" if args.engine == "all" else args.engine
     payload = run_multimodel_bench(
         preset=args.models,
         engine=engine,
-        config=config,
+        config=_serve_sim_config(args),
         quick=args.quick,
         seed=args.seed,
     )
@@ -239,19 +274,17 @@ def _serve_sim_models(args) -> int:
 
 
 def cmd_serve_sim(args) -> int:
-    import json
-
     from repro.bench.serving import ENGINES, run_serving_comparison
     from repro.serving import (
         LengthSampler,
         default_trace,
         export_request_timeline,
         load_trace,
+        metrics_registry,
         metrics_row,
         mmpp_trace,
         poisson_trace,
     )
-    from repro.serving.simulator import ServingConfig
 
     if args.models:
         return _serve_sim_models(args)
@@ -276,14 +309,7 @@ def cmd_serve_sim(args) -> int:
             raise ConfigError("serve-sim: --arrival replay requires --trace-file")
         trace = load_trace(args.trace_file)
 
-    config = ServingConfig(
-        max_batch=args.max_batch,
-        num_gpu_batches=args.num_batches,
-        queue_capacity=args.queue_capacity,
-        queue_timeout_s=args.queue_timeout,
-        ttft_slo_s=args.ttft_slo,
-        tpot_slo_s=args.tpot_slo,
-    )
+    config = _serve_sim_config(args)
     engines = tuple(ENGINES) if args.engine == "all" else (args.engine,)
     if args.spec and "spec-offload" not in engines:
         engines = engines + ("spec-offload",)
@@ -330,20 +356,13 @@ def cmd_serve_sim(args) -> int:
     write_json(args.output, payload)
     print(f"written to {args.output}")
     if args.metrics_out:
-        from repro.serving import metrics_registry
-
-        doc = {
-            name: metrics_registry(results[name]).to_dict() for name in engines
-        }
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"metrics registry written to {args.metrics_out}")
+        _write_metrics(
+            args.metrics_out,
+            {name: metrics_registry(results[name]) for name in engines},
+        )
     if args.chrome_trace:
         name = engines[0] if len(engines) == 1 else "lm-offload"
         builder = export_request_timeline(results[name])
-        from repro.serving import metrics_registry
-
         metrics_registry(results[name]).export_chrome(
             builder, ts_s=results[name].makespan_s
         )
@@ -438,23 +457,23 @@ def _gate_verdict(
 
 
 def cmd_chaos(args) -> int:
-    import json
-
     from repro.bench.chaos import (
         DEFAULT_SERVING_DRIFT_TOLERANCE,
-        SCENARIO_ORDER,
         chaos_rows,
         run_chaos,
     )
     from repro.bench.serving import ENGINES
+    from repro.faults import SCENARIOS
     from repro.obs.drift import DEFAULT_TOLERANCE
-    from repro.serving import default_trace, export_request_timeline
+    from repro.serving import (
+        default_trace,
+        export_request_timeline,
+        metrics_registry,
+    )
     from repro.serving.simulator import ServingConfig
 
     engines = tuple(ENGINES) if args.engine == "all" else (args.engine,)
-    scenarios = (
-        tuple(SCENARIO_ORDER) if args.scenario == "all" else (args.scenario,)
-    )
+    scenarios = tuple(SCENARIOS) if args.scenario == "all" else (args.scenario,)
     trace = default_trace(quick=args.quick, seed=args.seed)
     config = ServingConfig(
         max_batch=args.max_batch,
@@ -506,19 +525,13 @@ def cmd_chaos(args) -> int:
     write_json(args.output, payload)
     print(f"written to {args.output}")
     if args.metrics_out:
-        from repro.serving import metrics_registry
-
-        doc = {
-            engine: {
-                scenario: metrics_registry(results[(engine, scenario)]).to_dict()
-                for scenario in scenarios
-            }
-            for engine in engines
-        }
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"metrics registry written to {args.metrics_out}")
+        _write_metrics(
+            args.metrics_out,
+            {
+                key: metrics_registry(results[key])
+                for key in product(engines, scenarios)
+            },
+        )
     if args.chrome_trace:
         engine = engines[0] if len(engines) == 1 else "lm-offload"
         scenario = scenarios[0]
@@ -532,10 +545,13 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_fleet_sim(args) -> int:
-    import json
-
     from repro.bench.fleet import fleet_rows, run_fleet_bench
-    from repro.serving import FLEET_PRESETS, FLEET_SCENARIOS, FleetConfig
+    from repro.serving import (
+        FLEET_PRESETS,
+        FLEET_SCENARIOS,
+        FleetConfig,
+        fleet_metrics_registry,
+    )
     from repro.serving.simulator import ServingConfig
 
     presets = None if args.fleet == "all" else (args.fleet,)
@@ -575,20 +591,11 @@ def cmd_fleet_sim(args) -> int:
     write_json(args.output, payload)
     print(f"written to {args.output}")
     if args.metrics_out:
-        from repro.serving import fleet_metrics_registry
-
-        doc = {
-            preset: {
-                scenario: fleet_metrics_registry(result).to_dict()
-                for (p, scenario), result in results.items()
-                if p == preset
-            }
-            for preset in ran_presets
-        }
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"fleet metrics registry written to {args.metrics_out}")
+        _write_metrics(
+            args.metrics_out,
+            {key: fleet_metrics_registry(r) for key, r in results.items()},
+            "fleet metrics registry",
+        )
     if args.chrome_trace:
         from repro.serving import export_fleet_timeline
 
@@ -694,6 +701,11 @@ def cmd_audit(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.baselines import ENGINES
+    from repro.faults import SCENARIOS
+    from repro.serving.fleet import FLEET_PRESETS, FLEET_SCENARIOS
+
+    engine_choices = ["all", *ENGINES]
     parser = argparse.ArgumentParser(
         prog="repro", description="LM-Offload reproduction CLI"
     )
@@ -723,11 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="evaluate engine(s) on a workload")
     _add_workload_args(p)
-    p.add_argument(
-        "--engine", default="all",
-        choices=["all", "lm-offload", "flexgen", "zero-inference",
-                 "spec-offload"],
-    )
+    p.add_argument("--engine", default="all", choices=engine_choices)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
@@ -747,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-sim",
         help="request-level serving simulation (arrivals, batching, SLOs)",
     )
-    p.add_argument("--model", default="opt-30b", help="registered model name")
+    _add_serving_args(p, "BENCH_serving.json")
     p.add_argument(
         "--models", default=None,
         help="multi-model mode: a preset (opt-duo, opt-trio) or "
@@ -768,42 +776,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=256)
     p.add_argument("--priority-levels", type=int, default=1)
     p.add_argument("--trace-file", help="JSON trace to replay (--arrival replay)")
-    p.add_argument(
-        "--scheduler", default="fcfs",
-        choices=["fcfs", "sjf", "priority", "priority-preempt", "sjf-predict"],
-    )
-    p.add_argument("--max-batch", type=int, default=64)
     p.add_argument("--num-batches", type=int, default=1, help="zig-zag batches")
     p.add_argument("--queue-capacity", type=int, default=128)
     p.add_argument("--queue-timeout", type=float, default=None)
     p.add_argument("--ttft-slo", type=float, default=30.0)
     p.add_argument("--tpot-slo", type=float, default=3.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--engine", default="all",
-        choices=["all", "lm-offload", "flexgen", "zero-inference",
-                 "spec-offload"],
-    )
+    p.add_argument("--engine", default="all", choices=engine_choices)
     p.add_argument(
         "--spec", action="store_true",
         help="also run the speculative spec-offload engine (adds it to "
         "whatever --engine selects)",
     )
     p.add_argument(
-        "--scenario", default=None,
-        choices=["pcie-degrade", "flaky-pcie", "cpu-throttle",
-                 "mem-crunch", "gpu-brownout", "multi-fault"],
+        "--scenario", default=None, choices=list(SCENARIOS),
         help="run every engine under this bundled fault scenario "
         "(windows scaled to each engine's fault-free makespan); the "
         "payload gains a 'scenario' section",
-    )
-    p.add_argument("--chrome-trace", help="also export the request timeline here")
-    p.add_argument(
-        "--metrics-out",
-        help="write the typed metrics-registry JSON (per engine) here",
-    )
-    p.add_argument(
-        "--quick", action="store_true", help="short trace (CI smoke)"
     )
     p.add_argument(
         "--no-steps", action="store_true",
@@ -811,7 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and the aggregate-derived metrics registry are byte-identical, "
         "but --chrome-trace needs steps)",
     )
-    p.add_argument("--output", default="BENCH_serving.json")
     p.set_defaults(func=cmd_serve_sim)
 
     p = sub.add_parser(
@@ -850,36 +837,15 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="serving under injected faults (seeded scenarios, all engines)",
     )
-    p.add_argument("--model", default="opt-30b", help="registered model name")
-    p.add_argument(
-        "--engine", default="all",
-        choices=["all", "lm-offload", "flexgen", "zero-inference"],
-    )
-    p.add_argument(
-        "--scenario", default="all",
-        choices=["all", "pcie-degrade", "flaky-pcie", "cpu-throttle",
-                 "mem-crunch", "gpu-brownout", "multi-fault"],
-    )
-    p.add_argument(
-        "--scheduler", default="fcfs",
-        choices=["fcfs", "sjf", "priority", "priority-preempt"],
-    )
-    p.add_argument("--max-batch", type=int, default=64)
+    _add_serving_args(p, "BENCH_chaos.json")
+    p.add_argument("--engine", default="all", choices=engine_choices)
+    p.add_argument("--scenario", default="all", choices=["all", *SCENARIOS])
     p.add_argument("--retry-limit", type=int, default=3)
     p.add_argument("--backoff-base", type=float, default=0.5)
     p.add_argument("--backoff-cap", type=float, default=8.0)
     p.add_argument(
         "--deadline", type=float, default=None,
         help="per-request deadline (s) checked at fault aborts",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chrome-trace", help="export one run's request timeline here")
-    p.add_argument(
-        "--metrics-out",
-        help="write the typed metrics-registry JSON (per engine x scenario) here",
-    )
-    p.add_argument(
-        "--quick", action="store_true", help="short trace (CI smoke)"
     )
     p.add_argument(
         "--drift-gate", action="store_true",
@@ -903,7 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--serving-drift-gate (default 0.15; looser than --drift-gate "
         "because the watchdog legitimately serves briefly-stale plans)",
     )
-    p.add_argument("--output", default="BENCH_chaos.json")
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
@@ -911,23 +876,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-replica fleet simulation (crash domains, failover, "
         "hedges, breakers)",
     )
-    p.add_argument("--model", default="opt-30b", help="registered model name")
+    _add_serving_args(p, "BENCH_fleet.json")
     p.add_argument(
-        "--fleet", default="all",
-        choices=["all", "uniform-6", "hetero-8", "uniform-16"],
+        "--fleet", default="all", choices=["all", *FLEET_PRESETS],
         help="fleet preset ('all' sweeps every preset; quick mode "
         "restricts 'all' to uniform-6)",
     )
-    p.add_argument(
-        "--scenario", default="all",
-        choices=["all", "none", "replica-crash", "domain-outage",
-                 "flaky-replica", "rolling-restart"],
-    )
-    p.add_argument(
-        "--scheduler", default="fcfs",
-        choices=["fcfs", "sjf", "priority", "priority-preempt"],
-    )
-    p.add_argument("--max-batch", type=int, default=64, help="per-replica")
+    p.add_argument("--scenario", default="all", choices=["all", *FLEET_SCENARIOS])
     p.add_argument(
         "--migration-budget", type=int, default=2,
         help="crash/restart displacements a request survives before "
@@ -944,21 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 disables breakers)",
     )
     p.add_argument("--breaker-cooldown", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--chrome-trace",
-        help="export one run's per-replica fleet timeline here",
-    )
-    p.add_argument(
-        "--metrics-out",
-        help="write the typed metrics-registry JSON (per fleet x scenario) "
-        "here",
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="smallest fleet, short trace (CI smoke)",
-    )
-    p.add_argument("--output", default="BENCH_fleet.json")
     p.set_defaults(func=cmd_fleet_sim)
 
     p = sub.add_parser(

@@ -126,6 +126,9 @@ def multi_fault(horizon_s: float, seed: int = 0) -> FaultSchedule:
     )
 
 
+#: Every bundled scenario by name.  Dict order is the sweep order of
+#: every consumer that runs them all (the chaos bench, the faulted drift
+#: audit), so serialized artifacts depend on it: append, never reorder.
 SCENARIOS: dict[str, Callable[[float, int], FaultSchedule]] = {
     "pcie-degrade": pcie_degrade,
     "flaky-pcie": flaky_pcie,
@@ -134,20 +137,6 @@ SCENARIOS: dict[str, Callable[[float, int], FaultSchedule]] = {
     "gpu-brownout": gpu_brownout,
     "multi-fault": multi_fault,
 }
-
-#: Canonical sweep order for consumers that iterate every bundled
-#: scenario (the chaos bench and the faulted drift audit).  An explicit
-#: tuple — not dict iteration order — so serialized artifacts stay
-#: byte-stable even if the registry above is reorganized.
-SCENARIO_SWEEP_ORDER: tuple[str, ...] = (
-    "pcie-degrade",
-    "flaky-pcie",
-    "cpu-throttle",
-    "mem-crunch",
-    "gpu-brownout",
-    "multi-fault",
-)
-assert set(SCENARIO_SWEEP_ORDER) == set(SCENARIOS)
 
 
 def make_scenario(name: str, horizon_s: float, seed: int = 0) -> FaultSchedule:

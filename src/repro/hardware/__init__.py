@@ -12,6 +12,8 @@ Use the presets for paper-faithful platforms::
     plat = single_a100()
     plat.gpu.peak_flops          # 312 TFLOPS (fp16 tensor core)
     plat.pcie.bandwidth          # 32 GB/s per direction
+
+:data:`PLATFORMS` maps each preset's name to its constructor.
 """
 
 from repro.hardware.device import DeviceKind, DeviceSpec
@@ -19,6 +21,7 @@ from repro.hardware.interconnect import Link
 from repro.hardware.memory import MemoryPool
 from repro.hardware.cache import CacheHierarchy
 from repro.hardware.platform import (
+    PLATFORMS,
     Platform,
     single_a100,
     power9_4xv100,
@@ -31,6 +34,7 @@ __all__ = [
     "Link",
     "MemoryPool",
     "CacheHierarchy",
+    "PLATFORMS",
     "Platform",
     "single_a100",
     "power9_4xv100",

@@ -15,6 +15,7 @@ capacity limits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import ConfigError
 from repro.hardware.cache import CacheHierarchy
@@ -249,3 +250,12 @@ def small_test_platform(
         links=links,
         cache=CacheHierarchy(llc_bytes=8 * MIB),
     )
+
+
+#: Every platform preset by name: what :func:`repro.baselines.make_engine`
+#: and a fleet replica's ``platform`` accept.
+PLATFORMS: dict[str, Callable[[], Platform]] = {
+    "single-a100": single_a100,
+    "power9-4xv100": power9_4xv100,
+    "small-test": small_test_platform,
+}

@@ -18,7 +18,6 @@ from repro.models.footprint import ModelFootprint
 from repro.models.transformer import Transformer, TransformerWeights, KVCache
 from repro.models.sampling import greedy_sample, temperature_sample
 from repro.models.tokenizer import ByteTokenizer
-from repro.models.quality import QualityReport, evaluate_policy_quality
 
 __all__ = [
     "ModelConfig",
@@ -32,6 +31,4 @@ __all__ = [
     "greedy_sample",
     "temperature_sample",
     "ByteTokenizer",
-    "QualityReport",
-    "evaluate_policy_quality",
 ]

@@ -251,7 +251,7 @@ def _faulted_sweep(
     executor*, and steady state is where that shows.
     """
     from repro.faults import make_scenario
-    from repro.faults.scenarios import SCENARIO_SWEEP_ORDER
+    from repro.faults.scenarios import SCENARIOS
     from repro.obs.drift import price_windows
 
     def price(t: float) -> dict[str, Any]:
@@ -269,7 +269,7 @@ def _faulted_sweep(
 
     scenarios: list[dict[str, Any]] = []
     kind_worst: dict[str, float] = {}
-    for scenario_name in SCENARIO_SWEEP_ORDER:
+    for scenario_name in SCENARIOS:
         schedule = make_scenario(
             scenario_name, FAULT_HORIZON_S, seed=FAULT_SCENARIO_SEED
         )

@@ -84,6 +84,7 @@ from repro.serving.multimodel import (
     slot_summary,
 )
 from repro.serving.policies import (
+    POLICIES,
     FCFSPolicy,
     PredictedSJFPolicy,
     PriorityPolicy,
@@ -147,6 +148,7 @@ __all__ = [
     "make_slots",
     "multimodel_registry",
     "slot_summary",
+    "POLICIES",
     "FCFSPolicy",
     "PredictedSJFPolicy",
     "PriorityPolicy",

@@ -43,7 +43,8 @@ class StepCostOracle:
 
     ``engine`` is any object with the planned-step costing hook:
     ``plan_cached(workload) -> (policy, cpu_ctx, _)`` plus ``hw`` and
-    ``calibration`` attributes — :class:`~repro.core.LMOffloadEngine`,
+    ``calibration`` attributes, and a ``name`` the serving loops label
+    their results with — :class:`~repro.core.LMOffloadEngine`,
     :class:`~repro.baselines.FlexGenEngine`,
     :class:`~repro.baselines.ZeroInferenceEngine` and
     :class:`~repro.baselines.SpecOffloadEngine` all qualify.

@@ -114,11 +114,6 @@ BUSY_PU_OFFSET = 100
 #: in integer milliseconds so router costs stay exact integers.
 PRICE_POINTS_PER_SECOND = 1000
 
-#: Engine names a replica may run (same registry as ``repro.bench``).
-REPLICA_ENGINES = ("lm-offload", "flexgen", "zero-inference", "spec-offload")
-#: Platform presets a replica may run on.
-REPLICA_PLATFORMS = ("single-a100", "power9-4xv100", "small-test")
-
 _RUNGS = {rung.name: rung for rung in LADDER}
 
 # Event kinds, in tie-break order at equal times.
@@ -126,30 +121,6 @@ _EV_ARRIVAL = 0
 _EV_DELIVER = 1
 _EV_HEDGE = 2
 _EV_BOUNDARY = 3
-
-
-def _make_replica_engine(spec: "ReplicaSpec") -> Any:
-    """Construct the engine a replica runs (lazy imports, bench idiom)."""
-    from repro.baselines import (
-        FlexGenEngine,
-        SpecOffloadEngine,
-        ZeroInferenceEngine,
-    )
-    from repro.core import LMOffloadEngine
-    from repro.hardware import power9_4xv100, single_a100, small_test_platform
-
-    platforms = {
-        "single-a100": single_a100,
-        "power9-4xv100": power9_4xv100,
-        "small-test": small_test_platform,
-    }
-    engines = {
-        "lm-offload": LMOffloadEngine,
-        "flexgen": FlexGenEngine,
-        "zero-inference": ZeroInferenceEngine,
-        "spec-offload": SpecOffloadEngine,
-    }
-    return engines[spec.engine](platforms[spec.platform]())
 
 
 @dataclass(frozen=True)
@@ -172,16 +143,13 @@ class ReplicaSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("replica spec: name must be non-empty")
-        if self.engine not in REPLICA_ENGINES:
-            raise ConfigError(
-                f"replica {self.name!r}: unknown engine {self.engine!r} "
-                f"(choose from {', '.join(REPLICA_ENGINES)})"
-            )
-        if self.platform not in REPLICA_PLATFORMS:
-            raise ConfigError(
-                f"replica {self.name!r}: unknown platform {self.platform!r} "
-                f"(choose from {', '.join(REPLICA_PLATFORMS)})"
-            )
+        # Imported here so importing repro.serving loads no engine.
+        from repro.baselines import check_engine_names
+
+        try:
+            check_engine_names(self.engine, self.platform)
+        except ConfigError as exc:
+            raise ConfigError(f"replica {self.name!r}: {exc}") from None
         if self.degradation is not None:
             rung = _RUNGS.get(self.degradation)
             if rung is None:
@@ -381,24 +349,6 @@ class FleetStats:
         default_factory=list
     )
 
-    def to_dict(self) -> dict:
-        return {
-            "placements": self.placements,
-            "router_drops": self.router_drops,
-            "migrations": self.migrations,
-            "failover_exhausted": self.failover_exhausted,
-            "replica_lost": self.replica_lost,
-            "hedges": {
-                "launched": self.hedges_launched,
-                "won": self.hedges_won,
-                "cancelled": self.hedges_cancelled,
-                "dropped": self.hedges_dropped,
-                "wasted_tokens": self.hedge_wasted_tokens,
-            },
-            "crash_events": self.crash_events,
-            "restart_events": self.restart_events,
-        }
-
 
 class _Replica(ReplicaKernel):
     """One replica (internal): the shared step kernel plus its engine,
@@ -419,7 +369,9 @@ class _Replica(ReplicaKernel):
     ) -> None:
         self.idx = idx
         self.spec = spec
-        self.engine = _make_replica_engine(spec)
+        from repro.baselines import make_engine
+
+        self.engine = make_engine(spec.engine, spec.platform)
         rung = _RUNGS[spec.degradation] if spec.degradation else None
         if rung is not None:
             self.engine.set_degradation(rung)
@@ -784,7 +736,7 @@ class FleetSimulator:
                 req for req in self.requests if terminal.get(req.rid) == r.idx
             ]
             serving = ServingResult(
-                engine=getattr(r.engine, "name", type(r.engine).__name__),
+                engine=r.engine.name,
                 trace_name=self.trace.name,
                 policy_name=self.policy.name,
                 config=cfg.serving,

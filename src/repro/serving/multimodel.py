@@ -428,7 +428,7 @@ class MultiModelSimulator:
         residency[active.name] += kern.t - resident_since
 
         serving = ServingResult(
-            engine=getattr(self.engine, "name", type(self.engine).__name__),
+            engine=self.engine.name,
             trace_name=self.trace.name,
             policy_name=self.policy.name,
             config=cfg,

@@ -11,7 +11,8 @@ order and replays are byte-identical.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ServingError
 from repro.serving.request import Request
@@ -136,23 +137,29 @@ class PredictedSJFPolicy(SchedulerPolicy):
         )
 
 
-def make_policy(name: str) -> SchedulerPolicy:
-    """Policy factory for CLI/bench use."""
-    policies: dict[str, type[SchedulerPolicy] | None] = {
-        "fcfs": FCFSPolicy,
-        "sjf": SJFPolicy,
-    }
-    if name in policies:
-        return policies[name]()  # type: ignore[misc]
-    if name == "priority":
-        return PriorityPolicy(preempt=False)
-    if name == "priority-preempt":
-        return PriorityPolicy(preempt=True)
-    if name == "sjf-predict":
-        from repro.serving.predictor import BucketedQuantilePredictor
+def _learned_sjf() -> PredictedSJFPolicy:
+    from repro.serving.predictor import BucketedQuantilePredictor
 
-        return PredictedSJFPolicy(BucketedQuantilePredictor())
-    raise ServingError(
-        f"unknown scheduler policy {name!r}; expected one of "
-        "fcfs, sjf, priority, priority-preempt, sjf-predict"
-    )
+    return PredictedSJFPolicy(BucketedQuantilePredictor())
+
+
+#: Every scheduler by its CLI/bench name.
+POLICIES: dict[str, Callable[[], SchedulerPolicy]] = {
+    "fcfs": FCFSPolicy,
+    "sjf": SJFPolicy,
+    "priority": PriorityPolicy,
+    "priority-preempt": partial(PriorityPolicy, preempt=True),
+    "sjf-predict": _learned_sjf,
+}
+
+
+def make_policy(name: str) -> SchedulerPolicy:
+    """A fresh scheduler policy by its :data:`POLICIES` name."""
+    try:
+        factory = POLICIES[name]
+    except KeyError:
+        raise ServingError(
+            f"unknown scheduler policy {name!r}; expected one of "
+            + ", ".join(POLICIES)
+        ) from None
+    return factory()

@@ -558,7 +558,7 @@ class ServingSimulator:
             self.oracle.invalidate()
 
         return ServingResult(
-            engine=getattr(self.engine, "name", type(self.engine).__name__),
+            engine=self.engine.name,
             trace_name=self.trace.name,
             policy_name=policy.name,
             config=cfg,

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -153,3 +154,45 @@ def test_serve_sim_seed_changes_default_trace(capsys, tmp_path):
         outs.append((tmp_path / f"b{len(outs)}.json").read_text())
     assert outs[0] == outs[1]  # same seed: byte-identical document
     assert outs[0] != outs[2]
+
+
+def _name_choices(command: str) -> dict[str, list[str]]:
+    parser = build_parser()
+    sub = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        action.dest: list(action.choices)
+        for action in sub.choices[command]._actions
+        if action.dest in ("engine", "scheduler", "scenario", "fleet")
+    }
+
+
+def test_name_choices_are_the_registries():
+    """Every engine/scheduler/scenario/fleet choice list is its table's
+    keys (plus ``all`` where the command sweeps), so the CLI accepts
+    exactly the names the library runs."""
+    from repro.baselines import ENGINES
+    from repro.faults import SCENARIOS
+    from repro.serving import FLEET_PRESETS, FLEET_SCENARIOS, POLICIES
+
+    engines = ["all", *ENGINES]
+    schedulers = list(POLICIES)
+    assert _name_choices("run") == {"engine": engines}
+    assert _name_choices("serve-sim") == {
+        "engine": engines, "scheduler": schedulers, "scenario": list(SCENARIOS),
+    }
+    assert _name_choices("chaos") == {
+        "engine": engines, "scheduler": schedulers,
+        "scenario": ["all", *SCENARIOS],
+    }
+    assert _name_choices("fleet-sim") == {
+        "scheduler": schedulers, "fleet": ["all", *FLEET_PRESETS],
+        "scenario": ["all", *FLEET_SCENARIOS],
+    }
+    for argv in (
+        ["chaos", "--engine", "spec-offload"],
+        ["chaos", "--scheduler", "sjf-predict"],
+        ["fleet-sim", "--scheduler", "sjf-predict"],
+    ):
+        build_parser().parse_args(argv)

@@ -7,10 +7,10 @@ import json
 
 import pytest
 
-from repro.baselines import ZeroInferenceEngine
+from repro.baselines import ENGINES, ZeroInferenceEngine, make_engine
 from repro.errors import ConfigError
 from repro.faults import FaultKind, FaultSchedule, FaultSpec
-from repro.hardware import single_a100
+from repro.hardware import PLATFORMS, single_a100
 from repro.models import get_model
 from repro.serving import (
     BreakerState,
@@ -440,6 +440,18 @@ def test_replica_spec_validation():
         ReplicaSpec(name="r0", degradation="warp-speed")
     with pytest.raises(ConfigError, match="backpressure"):
         ReplicaSpec(name="r0", degradation="backpressure")
+
+
+@pytest.mark.parametrize(
+    "engine, platform, table",
+    [("vllm", "single-a100", ENGINES), ("lm-offload", "tpu", PLATFORMS)],
+)
+def test_unknown_engine_or_platform_lists_registered_names(engine, platform, table):
+    names = ", ".join(table)
+    with pytest.raises(ConfigError, match=names):
+        make_engine(engine, platform)
+    with pytest.raises(ConfigError, match=f"replica 'r0'.*{names}"):
+        ReplicaSpec(name="r0", engine=engine, platform=platform)
 
 
 def test_fleet_config_validation():

@@ -561,7 +561,7 @@ def test_bench_timing_registry_records_distribution_and_trajectory(
 
 
 def test_faulted_audit_deterministic_and_within_tolerance():
-    from repro.faults.scenarios import SCENARIO_SWEEP_ORDER
+    from repro.faults.scenarios import SCENARIOS
     from repro.obs.audit import run_audit
 
     p1 = run_audit(quick=True, faults=True)
@@ -571,10 +571,8 @@ def test_faulted_audit_deterministic_and_within_tolerance():
     assert faulted["tolerance"] == p1["fault_tolerance"]
     summary = faulted["summary"]
     assert summary["ok"] and not summary["over_tolerance"]
-    assert summary["num_scenarios"] == len(SCENARIO_SWEEP_ORDER)
-    assert tuple(s["scenario"] for s in faulted["scenarios"]) == (
-        SCENARIO_SWEEP_ORDER
-    )
+    assert summary["num_scenarios"] == len(SCENARIOS)
+    assert tuple(s["scenario"] for s in faulted["scenarios"]) == tuple(SCENARIOS)
     assert summary["max_rel_err"] <= p1["fault_tolerance"]
     assert summary["dominant_fault"] in summary["by_fault_kind"]
 

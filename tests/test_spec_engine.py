@@ -229,11 +229,12 @@ def test_spec_oracle_vectorized_matches_scalar_bitwise(model):
 
 
 def test_spec_engine_in_fleet_registry():
-    from repro.serving.fleet import REPLICA_ENGINES, ReplicaSpec, _make_replica_engine
+    from repro.baselines import ENGINES, make_engine
+    from repro.serving.fleet import ReplicaSpec
 
-    assert "spec-offload" in REPLICA_ENGINES
+    assert ENGINES["spec-offload"] is SpecOffloadEngine
     spec = ReplicaSpec(name="r0", engine="spec-offload")
-    assert isinstance(_make_replica_engine(spec), SpecOffloadEngine)
+    assert isinstance(make_engine(spec.engine, spec.platform), SpecOffloadEngine)
 
 
 def test_spec_engine_retarget_and_degradation(model):
