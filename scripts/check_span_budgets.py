@@ -11,7 +11,7 @@ Budgets are deliberately generous — an order of magnitude above the
 container this was calibrated on — so the gate catches accidental
 quadratic blowups and dropped memoization, not CI-runner jitter.
 
-Two checks are structural and machine-independent:
+Three checks are structural and machine-independent:
 
 * the ``engine.plan`` span may run at most once per ``engine.plan_memo``
   miss, so every search must come from a plan-cache miss (none bypasses
@@ -19,7 +19,9 @@ Two checks are structural and machine-independent:
 * the ``planner.score_grid`` span may run at most once per
   ``planner.search_fixed`` call, so each strategy's candidates are
   priced in one grid pass (scoring them one at a time would run it
-  ~24 times as often).
+  ~24 times as often);
+* the ``planner.lp_placement`` span may run at most once per
+  ``planner.search_fixed`` call: one placement LP per strategy.
 
 Usage::
 
@@ -72,6 +74,15 @@ DEFAULT_BUDGETS: dict[str, float] = {
 #: the sweep itself) silently vanished.
 REQUIRED_SPANS = ("obs.audit.sweep", "obs.audit.faulted_sweep")
 
+#: ``(span, per, why)``: ``span`` may run at most once per ``per`` call.
+AT_MOST_ONCE_PER = (
+    ("planner.score_grid", "planner.search_fixed",
+     "candidates were scored one at a time instead of in one grid pass "
+     "per strategy"),
+    ("planner.lp_placement", "planner.search_fixed",
+     "a strategy solved its placement LP more than once"),
+)
+
 
 def check(
     report: dict,
@@ -103,14 +114,13 @@ def check(
             f"span 'engine.plan' ran {plans} times for {misses} "
             f"'engine.plan_memo' misses: a search bypassed the plan cache"
         )
-    searches = scopes.get("planner.search_fixed", {}).get("calls", 0)
-    grids = scopes.get("planner.score_grid", {}).get("calls", 0)
-    if grids > searches:
-        problems.append(
-            f"span 'planner.score_grid' ran {grids} times for {searches} "
-            f"'planner.search_fixed' calls: candidates were scored one at a "
-            f"time instead of in one grid pass per strategy"
-        )
+    for name, per, why in AT_MOST_ONCE_PER:
+        calls = scopes.get(name, {}).get("calls", 0)
+        bound = scopes.get(per, {}).get("calls", 0)
+        if calls > bound:
+            problems.append(
+                f"span {name!r} ran {calls} times for {bound} {per!r} calls: {why}"
+            )
     return problems
 
 

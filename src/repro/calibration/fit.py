@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.errors import ConfigError
 from repro.offload.policy import OffloadPolicy
@@ -119,6 +118,9 @@ def fit_calibration(
     bounds_log10:
         Each multiplier is constrained to ``[10^-b, 10^b]``.
     """
+    # Imported here so that only calibration loads scipy; planning does not.
+    from scipy.optimize import least_squares
+
     if not observations:
         raise ConfigError("need at least one observation")
     for p in parameters:

@@ -5,8 +5,9 @@ FlexGen formulates placement as a linear program: the six task times are
 objective is the overlapped max (Eq. 2), and GPU/CPU memory capacities are
 linear constraints.  :class:`PolicyPlanner` implements:
 
-* :meth:`lp_placement` — the LP relaxation via :func:`scipy.optimize.linprog`
-  for a fixed (attention placement, quantization) choice;
+* :meth:`lp_placement` — the LP relaxation for a fixed (attention
+  placement, quantization) choice, solved exactly by vertex enumeration
+  (:func:`repro.offload.lp.vertex_lp`);
 * :meth:`search` — enumerate the discrete choices (attention placement x
   quantization menu when ``quant_aware``), solve/grid each, validate with
   the *true* cost model, and return the best feasible policy.
@@ -30,10 +31,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.errors import PolicyError, PrescreenMismatchError
 from repro.obs.profiling import span
+from repro.offload.lp import vertex_lp
 from repro.offload.policy import OffloadPolicy
 from repro.perfmodel.latency import (
     CostModel,
@@ -224,31 +225,20 @@ class PolicyPlanner:
         memory capacities, with the coefficients of
         :meth:`lp_coefficients`.
 
-        Returns the relaxed ``(wg, cg, hg)``.
+        Returns the relaxed ``(wg, cg, hg)`` of the canonical optimal
+        vertex that :func:`~repro.offload.lp.vertex_lp` picks; raises
+        :class:`PolicyError` when the LP is infeasible.
         """
-        names = _lp_variables(template)
-        t0, t_mat, g0, g_mat = self.lp_coefficients(workload, template)
-        nvars = len(names)
-        # Decision vector: [fractions..., t]; minimise t.
-        c = np.zeros(nvars + 1)
-        c[-1] = 1.0
-        # t >= t0 + t_mat @ x  ->  t_mat @ x - t <= -t0
-        a_ub = np.hstack([t_mat, -np.ones((3, 1))])
-        b_ub = -t0
-        # memory: g0 + g_mat @ x <= cap
-        caps = np.array([self.hw.gpu_mem_capacity, self.hw.cpu_mem_capacity])
-        a_ub = np.vstack([a_ub, np.hstack([g_mat, np.zeros((2, 1))])])
-        b_ub = np.concatenate([b_ub, caps - g0])
-        bounds = [(0.0, 1.0)] * nvars + [(0.0, None)]
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        if not res.success:
-            raise PolicyError(f"placement LP infeasible: {res.message}")
-        values = dict(zip(names, res.x[:nvars]))
-        return (
-            float(values.get("wg", 0.0)),
-            float(values.get("cg", 0.0)),
-            float(values.get("hg", 0.0)),
-        )
+        with span("planner.lp_placement"):
+            names = _lp_variables(template)
+            t0, t_mat, g0, g_mat = self.lp_coefficients(workload, template)
+            caps = np.array([self.hw.gpu_mem_capacity, self.hw.cpu_mem_capacity])
+            values = dict(zip(names, vertex_lp(t0, t_mat, g0, g_mat, caps).tolist()))
+            return (
+                values.get("wg", 0.0),
+                values.get("cg", 0.0),
+                values.get("hg", 0.0),
+            )
 
     # -- grid + validation ---------------------------------------------------
 

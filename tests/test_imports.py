@@ -1,17 +1,25 @@
-"""Every module under ``src/repro`` imports on its own.
+"""Import-graph gates for ``src/repro``, each run in a subprocess.
 
-``repro/__init__`` imports the engines eagerly, which hides import
-cycles: whichever module a caller imports first, the package has already
-loaded the rest in a working order.  This test replaces the package with
-an empty module (what lazy package exports would leave) and imports each
-module from a clean ``sys.modules``, so a cycle between subpackages
-fails here instead of in the first entry point that reaches it.
+Every module imports on its own: ``repro/__init__`` imports the engines
+eagerly, which hides import cycles (whichever module a caller imports
+first, the package has already loaded the rest in a working order).
+One test replaces the package with an empty module (what lazy package
+exports would leave) and imports each module from a clean
+``sys.modules``, so a cycle between subpackages fails here instead of in
+the first entry point that reaches it.
+
+scipy stays off the planning path: only ``repro.calibration``'s fit
+loads it, and only when called.  The gate reads ``python -X importtime``
+and counts modules, not seconds, so runner speed cannot flake it.
 """
 
+import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -66,3 +74,36 @@ def test_every_module_imports_under_an_empty_package():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _imported_modules(*args: str) -> list[str]:
+    """Every module ``python -X importtime <args>`` imports."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    ]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("-m", "repro", "--help"),
+        ("-c", "import repro.offload.planner, repro.calibration"),
+        ("-c", "import repro.baselines, repro.core"),
+    ],
+    ids=["cli-help", "planner-calibration", "engines"],
+)
+def test_planning_path_imports_no_scipy(args):
+    modules = _imported_modules(*args)
+    assert "repro.offload.planner" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []

@@ -131,3 +131,26 @@ def test_score_grid_gate_flags_per_candidate_scoring(budgets_mod, tmp_path):
     assert budgets_mod.main([str(path), "--require", "planner.score_grid"]) == 1
     path.write_text(json.dumps(_grid_report(7, 7)))
     assert budgets_mod.main([str(path), "--require", "planner.score_grid"]) == 0
+
+
+def _lp_report(searches, lps):
+    report = _report(**{"planner.search_fixed": 0.5, "planner.lp_placement": 0.1})
+    report["scopes"]["planner.search_fixed"]["calls"] = searches
+    report["scopes"]["planner.lp_placement"]["calls"] = lps
+    return report
+
+
+def test_lp_gate_allows_one_lp_per_search(budgets_mod):
+    for report in (_lp_report(280, 280), _lp_report(7, 5)):
+        assert budgets_mod.check(report, {}, required=()) == []
+
+
+def test_lp_gate_flags_repeated_lp_solves(budgets_mod, tmp_path):
+    problems = budgets_mod.check(_lp_report(7, 14), {}, required=())
+    assert len(problems) == 1 and "14 times for 7" in problems[0]
+    assert "planner.lp_placement" in problems[0]
+    path = tmp_path / "chaos.json"
+    path.write_text(json.dumps(_lp_report(7, 14)))
+    assert budgets_mod.main([str(path), "--require", "planner.lp_placement"]) == 1
+    path.write_text(json.dumps(_lp_report(7, 7)))
+    assert budgets_mod.main([str(path), "--require", "planner.lp_placement"]) == 0
