@@ -13,8 +13,12 @@ import pytest
 from repro.bench.experiments import Q4, motivating_workload, _default_ctx
 from repro.hardware import single_a100
 from repro.offload.planner import PolicyPlanner
-from repro.parallel import ContentionModel, CpuTopology, build_default_profiles
-from repro.parallel.controller import ParallelismController
+from repro.parallel import ContentionModel, CpuTopology
+from repro.parallel.controller import (
+    UNIT_WORK_SECONDS,
+    ParallelismController,
+    compute_makespan,
+)
 from repro.perfmodel import CostModel, HardwareParams
 from repro.perfmodel.constants import EngineCalibration
 from repro.quant import QuantConfig
@@ -58,7 +62,6 @@ def test_ablation_kahn_interop_vs_fixed(benchmark):
     contention = ContentionModel(topo, platform.cache)
     controller = ParallelismController(
         topology=topo, contention=contention,
-        profiles=build_default_profiles(contention),
         io_volumes={"load_weight": 30e6},
     )
     graph = build_attention_graph(4)
@@ -70,7 +73,9 @@ def test_ablation_kahn_interop_vs_fixed(benchmark):
         bundled, _ = bundle_operators(graph)
         plan = controller.plan(graph)
         fixed = {
-            (i, c): controller.compute_seconds(bundled, ParallelismSetting(i, c))
+            (i, c): compute_makespan(
+                bundled, ParallelismSetting(i, c), contention, UNIT_WORK_SECONDS
+            )
             for i, c in [(56, 112), (1, 1), (56, 1), (1, 112)]
         }
         return plan.predicted_compute_seconds, fixed
@@ -93,8 +98,7 @@ def test_ablation_io_thread_split(benchmark):
         "load_activation": 0.1e6, "store_activation": 0.1e6,
     }
     controller = ParallelismController(
-        topology=topo, contention=contention,
-        profiles=build_default_profiles(contention), io_volumes=volumes,
+        topology=topo, contention=contention, io_volumes=volumes,
     )
 
     def run():

@@ -6,7 +6,6 @@ examples and EXPERIMENTS.md generator all share one implementation.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any
 
 from repro.baselines.flexgen import FlexGenEngine
@@ -19,15 +18,12 @@ from repro.hardware.platform import Platform, single_a100
 from repro.models.registry import get_model
 from repro.offload.planner import PolicyPlanner
 from repro.offload.policy import OffloadPolicy
-from repro.parallel.controller import ParallelismController
 from repro.parallel.llc import LLCModel
-from repro.parallel.profiles import build_default_profiles
 from repro.parallel.speedup import ContentionModel, ParallelismSetting
 from repro.parallel.topology import CpuTopology
 from repro.perfmodel.latency import CostModel, CpuExecutionContext
 from repro.perfmodel.notation import HardwareParams, Workload
 from repro.quant.config import QuantConfig
-from repro.runtime.graph import build_attention_graph
 from repro.units import dtype_bytes
 
 Q4 = QuantConfig(bits=4, group_size=64)

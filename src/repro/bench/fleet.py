@@ -86,7 +86,7 @@ def fleet_trace(n_replicas: int, quick: bool = False, seed: int = 0) -> RequestT
 def run_fleet_bench(
     model_name: str = "opt-30b",
     presets: tuple[str, ...] | None = None,
-    scenarios: tuple[str, ...] = FLEET_SCENARIOS,
+    scenarios: tuple[str, ...] = tuple(FLEET_SCENARIOS),
     scheduler: str = "fcfs",
     config: FleetConfig | None = None,
     quick: bool = False,
@@ -103,7 +103,7 @@ def run_fleet_bench(
     timeline/registry export); the payload is byte-identical either way.
     """
     if presets is None:
-        presets = QUICK_PRESETS if quick else FLEET_PRESETS
+        presets = QUICK_PRESETS if quick else tuple(FLEET_PRESETS)
     config = config or default_fleet_config()
     model = get_model(model_name)
     results: dict[tuple[str, str], FleetResult] = {}

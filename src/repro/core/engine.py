@@ -23,7 +23,6 @@ from repro.hardware.platform import Platform
 from repro.offload.planner import PolicyPlanner
 from repro.offload.policy import OffloadPolicy
 from repro.parallel.controller import ParallelismController, ParallelismPlan
-from repro.parallel.profiles import build_default_profiles
 from repro.parallel.speedup import ContentionModel
 from repro.parallel.topology import CpuTopology
 from repro.perfmodel.latency import CostModel, CpuExecutionContext
@@ -50,7 +49,6 @@ class LMOffloadEngine:
         self.hw = HardwareParams.from_platform(self.platform)
         self.topology = CpuTopology.from_device(self.platform.cpu)
         self.contention = ContentionModel(self.topology, self.platform.cache)
-        self.profiles = build_default_profiles(self.contention)
         self._platform_sig = platform_signature(self.platform, self.hw)
 
     def retarget(self, platform: Platform) -> None:
@@ -58,10 +56,10 @@ class LMOffloadEngine:
 
         The drift watchdog calls this when the effective hardware deviates
         beyond tolerance: every derived structure (hardware rates, CPU
-        topology, contention model, thread profiles) is rebuilt from the
-        new specs.  The platform signature is part of the plan-cache key,
-        so the next plan request searches against reality — or finds the
-        plan already searched on these specs.
+        topology, contention model) is rebuilt from the new specs.  The
+        platform signature is part of the plan-cache key, so the next plan
+        request searches against reality — or finds the plan already
+        searched on these specs.
         """
         self.platform = platform
         self._rebuild()
@@ -143,7 +141,6 @@ class LMOffloadEngine:
         controller = ParallelismController(
             topology=self.topology,
             contention=self.contention,
-            profiles=self.profiles,
             io_volumes=volumes,
         )
         graph = build_attention_graph(min(4, max(1, policy.num_gpu_batches)))

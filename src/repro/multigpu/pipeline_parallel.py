@@ -91,14 +91,9 @@ class PipelineParallelRunner:
         contexts = [default]
         if self.parallelism_control:
             from repro.parallel.controller import ParallelismController
-            from repro.parallel.profiles import build_default_profiles
             from repro.runtime.graph import build_attention_graph
 
-            controller = ParallelismController(
-                topology=topo,
-                contention=contention,
-                profiles=build_default_profiles(contention),
-            )
+            controller = ParallelismController(topology=topo, contention=contention)
             plan = controller.plan(build_attention_graph(4))
             controlled = CpuExecutionContext.from_plan(topo, contention, plan)
             controlled.cpu_share = 1.0 / num_gpus

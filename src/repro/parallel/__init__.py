@@ -14,7 +14,6 @@ package models the *mechanisms* behind Figure 5's curves —
 
 from repro.parallel.topology import CpuTopology
 from repro.parallel.speedup import ContentionModel, ParallelismSetting
-from repro.parallel.profiles import OpProfile, ProfileTable, build_default_profiles
 from repro.parallel.controller import ParallelismController, ParallelismPlan
 from repro.parallel.bundling import bundle_operators, OperatorBundle
 from repro.parallel.llc import LLCModel, LLCMissReport
@@ -23,9 +22,6 @@ __all__ = [
     "CpuTopology",
     "ContentionModel",
     "ParallelismSetting",
-    "OpProfile",
-    "ProfileTable",
-    "build_default_profiles",
     "ParallelismController",
     "ParallelismPlan",
     "bundle_operators",

@@ -11,9 +11,14 @@ The controller decides, for the decode phase:
 * a thread budget for each of the five load/store tasks, proportional to
   its data-transfer volume.
 
-The throughput estimate uses *offline profiles* (``ProfileTable``) for
-compute ops plus interconnect-derived times for the I/O tasks — no online
-measurement, exactly as §4.2 prescribes.
+Each candidate is scored with the cost model's own formulas, so the
+controller optimises exactly what :class:`~repro.perfmodel.latency.CostModel`
+later prices: :func:`compute_makespan` (the contention-adjusted list
+schedule of the op graph, also behind
+``CpuExecutionContext.parallel_efficiency``) for the compute task, and
+:func:`staging_seconds` floored by the interconnect time for the I/O tasks.
+The contention model plays the paper's offline operator profile — no
+online measurement, exactly as §4.2 prescribes.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from repro.errors import ConfigError, ScheduleError
 from repro.obs.profiling import span
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.bundling import bundle_operators
-from repro.parallel.profiles import ProfileTable
 from repro.parallel.speedup import ContentionModel, ParallelismSetting
 from repro.parallel.topology import CpuTopology
 from repro.runtime.graph import OpGraph, max_concurrency
@@ -39,6 +43,20 @@ IO_TASKS = (
     "store_cache",
     "store_activation",
 )
+
+#: Host-side bytes/s one staging thread can feed into the DMA engine
+#: (memcpy into pinned buffers + (de)quantization work).
+STAGING_BW_PER_THREAD = 6e9
+
+#: Seconds of serial execution per unit of ``OpNode.work``: a work-1.0
+#: projection op of the paper's motivating shape (OPT-30B, gpu_batch 64)
+#: on one Xeon 6330 thread.
+UNIT_WORK_SECONDS = 3.0e-3
+
+
+def staging_seconds(nbytes, threads: int):
+    """Host staging time of ``nbytes`` (scalar or array) on ``threads``."""
+    return nbytes / (STAGING_BW_PER_THREAD * threads)
 
 
 @dataclass(frozen=True)
@@ -109,6 +127,33 @@ def schedule_makespan(
     return max(clock, max(executors))
 
 
+def compute_makespan(
+    graph: OpGraph,
+    setting: ParallelismSetting,
+    contention: ContentionModel,
+    unit: float = 1.0,
+) -> float:
+    """Contention-adjusted makespan of the compute task under ``setting``.
+
+    Each op runs ``node.work * unit`` serial seconds, sped up by the
+    contention model for its co-runners (granted threads, oversubscription
+    thrash, bandwidth share, LLC slowdown).  Algorithm 3 scores candidates
+    with ``unit=UNIT_WORK_SECONDS``; the cost model's parallel efficiency
+    uses ``unit=1.0`` — the same schedule, so the controller optimises
+    exactly the metric the engine later runs under.
+    """
+    co = min(setting.inter_op, max_concurrency(graph))
+
+    def op_time(name: str) -> float:
+        node = graph.node(name)
+        speedup = contention.effective_op_speedup(
+            setting, co, op_bytes=node.bytes_touched or 4e6
+        )
+        return node.work * unit / speedup
+
+    return schedule_makespan(graph, setting.inter_op, op_time)
+
+
 @dataclass
 class ParallelismController:
     """Searches (intra, inter) per Algorithm 3.
@@ -118,22 +163,11 @@ class ParallelismController:
     topology:
         The CPU being divided.
     contention:
-        Mechanism model used for co-runner adjustments.
-    profiles:
-        Offline per-op profile table.
-    io_wire_seconds:
-        Pure interconnect time of each I/O task for one decode step (its
-        lower bound, reached with enough staging threads).
+        Mechanism model used for co-runner adjustments; it plays the
+        paper's offline operator profile.
     io_volumes:
         Bytes each I/O task moves per decode step (drives the proportional
-        thread split).
-    staging_bw_per_thread:
-        Host-side bytes/s one staging thread can feed into the DMA engine
-        (memcpy into pinned buffers + (de)quantization work).
-    reserve_io_threads:
-        Minimum free threads (Alg. 3 uses 5, one per I/O task).
-    bundle_small_ops:
-        Fuse small operators before the concurrency analysis (§1).
+        thread split and the staging time).
     metrics:
         Optional time-series sink for the Algorithm 3 search itself: each
         candidate ``intra`` the sweep evaluates lands one point in
@@ -145,11 +179,7 @@ class ParallelismController:
 
     topology: CpuTopology
     contention: ContentionModel
-    profiles: ProfileTable
     io_volumes: dict[str, float] = field(default_factory=dict)
-    staging_bw_per_thread: float = 6e9
-    reserve_io_threads: int = 5
-    bundle_small_ops: bool = True
     metrics: MetricsRegistry | None = None
 
     def io_task_seconds(self, task: str, threads: int, wire_seconds: float) -> float:
@@ -157,8 +187,7 @@ class ParallelismController:
         volume = self.io_volumes.get(task, 0.0)
         if volume <= 0:
             return wire_seconds
-        staging = volume / (self.staging_bw_per_thread * max(1, threads))
-        return max(wire_seconds, staging)
+        return max(wire_seconds, staging_seconds(volume, max(1, threads)))
 
     def split_io_threads(self, free_threads: int) -> dict[str, int]:
         """Volume-proportional thread assignment (>=1 each) to the 5 tasks."""
@@ -188,40 +217,43 @@ class ParallelismController:
         self,
         graph: OpGraph,
         io_wire_seconds: dict[str, float] | None = None,
-        max_intra: int | None = None,
     ) -> ParallelismPlan:
-        """Run Algorithm 3 and return the best thread assignment found."""
+        """Run Algorithm 3 and return the best thread assignment found.
+
+        ``io_wire_seconds`` is the pure interconnect time of each I/O task
+        for one decode step (its floor, reached with enough staging
+        threads); missing tasks move nothing over the wire.
+        """
         with span("parallel.controller.plan"):
-            return self._plan(graph, io_wire_seconds, max_intra)
+            return self._plan(graph, io_wire_seconds)
 
     def _plan(
         self,
         graph: OpGraph,
         io_wire_seconds: dict[str, float] | None = None,
-        max_intra: int | None = None,
     ) -> ParallelismPlan:
         wire = {t: 0.0 for t in IO_TASKS}
         if io_wire_seconds:
             wire.update(io_wire_seconds)
-        work_graph = graph
-        if self.bundle_small_ops:
-            work_graph, _ = bundle_operators(graph)
+        # Small operators are fused before the concurrency analysis (§1).
+        work_graph, _ = bundle_operators(graph)
         width = max_concurrency(work_graph)
         max_thrs = self.topology.hardware_threads
-        hi = min(max_intra or max_thrs, max_thrs - self.reserve_io_threads)
+        # Alg. 3 keeps one free thread per I/O task.
+        hi = max_thrs - len(IO_TASKS)
 
         best: ParallelismPlan | None = None
         for intra in range(1, hi + 1):
             # Inter-op from the Kahn max-concurrency level, capped so the
             # compute gang leaves the reserved I/O threads free (Line 3-7).
-            inter = min(width, (max_thrs - self.reserve_io_threads) // intra)
+            inter = min(width, hi // intra)
             if inter < 1:
                 continue
             free = max_thrs - inter * intra
-            if free < self.reserve_io_threads:
-                continue
             setting = ParallelismSetting(intra_op=intra, inter_op=inter)
-            compute_s = self.compute_seconds(work_graph, setting)
+            compute_s = compute_makespan(
+                work_graph, setting, self.contention, UNIT_WORK_SECONDS
+            )
             io_threads = self.split_io_threads(free)
             io_s = {
                 t: self.io_task_seconds(t, io_threads[t], wire[t]) for t in IO_TASKS
@@ -252,32 +284,3 @@ class ParallelismController:
         if best is None:
             raise ConfigError("no feasible parallelism setting exists")
         return best
-
-    #: Seconds of serial execution per unit of OpNode.work.  The default is
-    #: calibrated so a work-1.0 projection op matches the q_proj profile.
-    unit_work_seconds: float = 3.0e-3
-
-    def compute_seconds(self, graph: OpGraph, setting: ParallelismSetting) -> float:
-        """Contention-adjusted makespan of the compute task under ``setting``.
-
-        Per-op times combine (a) the *offline profiled* intra-op scaling of
-        the op's kind with (b) the contention model's co-runner adjustments
-        (granted threads, oversubscription thrash, LLC slowdown) — the
-        online step never measures anything, per §4.2.
-        """
-        co = min(setting.inter_op, max_concurrency(graph))
-
-        def op_time(name: str) -> float:
-            node = graph.node(name)
-            # The offline profile supplies the op's serial time; the
-            # contention model adjusts for co-runners (fair-shared threads,
-            # bandwidth split, LLC thrash).  The speedup path is identical
-            # to CpuExecutionContext.parallel_efficiency so the controller
-            # optimises exactly the metric the engine later runs under.
-            serial = node.work * self.unit_work_seconds
-            speedup = self.contention.effective_op_speedup(
-                setting, co, op_bytes=node.bytes_touched or 4e6
-            )
-            return serial / speedup
-
-        return schedule_makespan(graph, setting.inter_op, op_time)

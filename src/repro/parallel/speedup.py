@@ -81,6 +81,10 @@ class CalibrationConstants:
     #: count never hits the memory system at once).
     mem_active_window: int = 8
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.compute_fraction <= 1.0:
+            raise ValueError("compute_fraction must be in [0, 1]")
+
 
 class ContentionModel:
     """Effective speedups/slowdowns for thread gangs on a CPU."""
@@ -96,7 +100,7 @@ class ContentionModel:
         self.c = constants or CalibrationConstants()
         # Algorithm 3 evaluates every op of every candidate setting through
         # effective_op_speedup, but only a handful of distinct
-        # (intra, co_runners, op_bytes, compute_fraction) tuples occur —
+        # (intra, co_runners, op_bytes) tuples occur —
         # memoise them (the model's constants are frozen dataclasses).
         self._speedup_memo: dict[tuple, float] = {}
 
@@ -131,15 +135,6 @@ class ContentionModel:
             scale *= self.c.numa_bw_factor
         return scale
 
-    def intra_speedup(self, threads: int, compute_fraction: float | None = None) -> float:
-        """Overall speedup of one op at ``threads`` (harmonic blend)."""
-        cf = self.c.compute_fraction if compute_fraction is None else compute_fraction
-        if not 0.0 <= cf <= 1.0:
-            raise ValueError("compute_fraction must be in [0, 1]")
-        comp = self.compute_scale(threads)
-        mem = self.bandwidth_scale(threads)
-        return 1.0 / (cf / comp + (1.0 - cf) / mem)
-
     # -- inter-op ---------------------------------------------------------
 
     def granted_threads(self, intra: int, co_runners: int) -> int:
@@ -149,12 +144,6 @@ class ContentionModel:
             raise ValueError("co_runners must be >= 1")
         fair = self.topology.hardware_threads // co_runners
         return max(1, min(intra, fair))
-
-    def thrash_factor(self, requested: int, granted: int) -> float:
-        """<1 when an op requested more threads than it was granted."""
-        if requested <= granted:
-            return 1.0
-        return (granted / requested) ** self.c.oversub_exponent
 
     def bw_share_factor(self, granted: int, co_runners: int) -> float:
         """<= 1: scale-back when co-running gangs oversubscribe the
@@ -194,19 +183,20 @@ class ContentionModel:
         setting: ParallelismSetting,
         co_runners: int,
         op_bytes: float = 4 * 1024 * 1024,
-        compute_fraction: float | None = None,
     ) -> float:
         """Speedup of one op under ``setting`` with ``co_runners`` peers.
 
-        Combines: granted-thread intra speedup, oversubscription thrash,
-        and LLC-contention slowdown.
+        Combines: granted-thread intra speedup (a harmonic blend of the
+        compute and bandwidth scales), oversubscription thrash, and
+        LLC-contention slowdown.  With one co-runner this is the op's
+        isolated intra-op speedup (Figure 5, left).
         """
-        key = (setting.intra_op, co_runners, op_bytes, compute_fraction)
+        key = (setting.intra_op, co_runners, op_bytes)
         memo = self._speedup_memo.get(key)
         if memo is not None:
             return memo
         granted = self.granted_threads(setting.intra_op, co_runners)
-        cf = self.c.compute_fraction if compute_fraction is None else compute_fraction
+        cf = self.c.compute_fraction
         comp = self.compute_scale(granted)
         mem = self.bandwidth_scale(granted) * self.bw_share_factor(granted, co_runners)
         base = 1.0 / (cf / comp + (1.0 - cf) / mem)

@@ -37,7 +37,11 @@ import numpy as np
 from repro.errors import PolicyError
 from repro.offload.policy import OffloadPolicy
 from repro.parallel.bundling import bundle_operators
-from repro.parallel.controller import ParallelismPlan, schedule_makespan
+from repro.parallel.controller import (
+    ParallelismPlan,
+    compute_makespan,
+    staging_seconds,
+)
 from repro.parallel.speedup import ContentionModel, ParallelismSetting
 from repro.parallel.topology import CpuTopology
 from repro.perfmodel.constants import EngineCalibration
@@ -48,7 +52,7 @@ from repro.perfmodel.quant_model import (
     kv_quant_overheads_vec,
     weight_quant_overheads,
 )
-from repro.runtime.graph import build_attention_graph, max_concurrency
+from repro.runtime.graph import build_attention_graph
 from repro.runtime.tasks import TASK_FIELD_NAMES, TaskCosts
 from repro.units import dtype_bytes
 
@@ -68,7 +72,6 @@ class CpuExecutionContext:
     contention: ContentionModel
     setting: ParallelismSetting
     io_staging_threads: dict[str, int] = field(default_factory=dict)
-    staging_bw_per_thread: float = 6e9
     use_fine_grained_graph: bool = False
     #: Fraction of the CPU available to this engine instance (multi-GPU
     #: pipeline stages share one host CPU: each of G stages gets ~1/G).
@@ -110,7 +113,6 @@ class CpuExecutionContext:
         topology: CpuTopology,
         contention: ContentionModel,
         plan: ParallelismPlan,
-        staging_bw_per_thread: float = 6e9,
     ) -> "CpuExecutionContext":
         """Adopt a :class:`ParallelismController` plan (bundled graph)."""
         return cls(
@@ -118,7 +120,6 @@ class CpuExecutionContext:
             contention=contention,
             setting=plan.compute,
             io_staging_threads=dict(plan.io_threads),
-            staging_bw_per_thread=staging_bw_per_thread,
             use_fine_grained_graph=False,
         )
 
@@ -139,25 +140,17 @@ class CpuExecutionContext:
         )
         if not self.use_fine_grained_graph:
             graph, _ = bundle_operators(graph)
-        co = min(self.setting.inter_op, max_concurrency(graph))
-
-        def op_time(name: str) -> float:
-            node = graph.node(name)
-            speedup = self.contention.effective_op_speedup(
-                self.setting, co, op_bytes=node.bytes_touched or 4e6
-            )
-            return node.work / speedup
-
-        makespan = schedule_makespan(graph, self.setting.inter_op, op_time)
+        makespan = compute_makespan(graph, self.setting, self.contention)
         cache[num_batches] = graph.total_work() / makespan
         return cache[num_batches]
 
-    def staging_seconds(self, task: str, nbytes: float) -> float:
-        """Host-side staging time for an I/O task (0 if no thread info)."""
+    def staging_seconds(self, task: str, nbytes):
+        """Host-side staging time of ``nbytes`` (scalar or per-candidate
+        array) for an I/O task (0 if no thread info)."""
         threads = self.io_staging_threads.get(task, 0)
-        if threads <= 0 or nbytes <= 0:
+        if threads <= 0:
             return 0.0
-        return nbytes / (self.staging_bw_per_thread * threads)
+        return staging_seconds(nbytes, threads)
 
 
 @dataclass(frozen=True)
@@ -538,11 +531,11 @@ class CostModel:
             new_bytes = stored * streamed_share / k
             load_cache = np.maximum(
                 old_bytes / self.pcie_bw,
-                self._staging_seconds_vec("load_cache", old_bytes),
+                self.ctx.staging_seconds("load_cache", old_bytes),
             )
             store_cache = np.maximum(
                 new_bytes / self.pcie_bw,
-                self._staging_seconds_vec("store_cache", new_bytes),
+                self.ctx.staging_seconds("store_cache", new_bytes),
             )
             eff = self.cal.gpu_dense_efficiency
             gpu_attn = np.maximum(
@@ -565,13 +558,6 @@ class CostModel:
 
         compute = compute + resident_dequant
         return load_weight, load_cache, load_act, store_cache, store_act, compute
-
-    def _staging_seconds_vec(self, task: str, nbytes: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`CpuExecutionContext.staging_seconds`."""
-        threads = self.ctx.io_staging_threads.get(task, 0)
-        if threads <= 0:
-            return np.zeros_like(nbytes)
-        return nbytes / (self.ctx.staging_bw_per_thread * threads)
 
     def prefill_task_costs(self) -> TaskCosts:
         """Per-iteration costs of the prefill pass (all prompt tokens)."""

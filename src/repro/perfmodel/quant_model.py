@@ -110,6 +110,18 @@ def _dequant_seconds(
     return elements * NORM_FLOPS_PER_ELEMENT / norm_flops + nbytes / copy_bw
 
 
+def _kv_codec_rates(
+    rates: CodecRates | None, device: str
+) -> tuple[float, float, float]:
+    """The KV codec's (scan, norm, copy) rates on ``device``."""
+    r = rates or CodecRates()
+    if device == "gpu":
+        return r.gpu_kv_scan_eps, r.gpu_kv_norm_flops, r.gpu_kv_copy_bw
+    if device == "cpu":
+        return r.cpu_kv_scan_eps, r.cpu_kv_norm_flops, r.cpu_kv_copy_bw
+    raise ValueError(f"device must be 'gpu' or 'cpu', got {device!r}")
+
+
 def kv_quant_overheads(
     workload: Workload,
     rates: CodecRates | None = None,
@@ -124,13 +136,7 @@ def kv_quant_overheads(
     picks the exact old-cache size for decode token ``t`` (0-based); ``None``
     uses Eq. 18's ``s + n/2`` average.
     """
-    r = rates or CodecRates()
-    if device == "gpu":
-        scan, norm, copy = r.gpu_kv_scan_eps, r.gpu_kv_norm_flops, r.gpu_kv_copy_bw
-    elif device == "cpu":
-        scan, norm, copy = r.cpu_kv_scan_eps, r.cpu_kv_norm_flops, r.cpu_kv_copy_bw
-    else:
-        raise ValueError(f"device must be 'gpu' or 'cpu', got {device!r}")
+    scan, norm, copy = _kv_codec_rates(rates, device)
 
     fp = workload.footprint(kv_dtype=kv_dtype)
     width = dtype_bytes(kv_dtype)
@@ -184,13 +190,7 @@ def kv_quant_overheads_vec(
     Element-for-element this matches the scalar reference (same formulas,
     float64 arithmetic).
     """
-    r = rates or CodecRates()
-    if device == "gpu":
-        scan, norm, copy = r.gpu_kv_scan_eps, r.gpu_kv_norm_flops, r.gpu_kv_copy_bw
-    elif device == "cpu":
-        scan, norm, copy = r.cpu_kv_scan_eps, r.cpu_kv_norm_flops, r.cpu_kv_copy_bw
-    else:
-        raise ValueError(f"device must be 'gpu' or 'cpu', got {device!r}")
+    scan, norm, copy = _kv_codec_rates(rates, device)
 
     fp = workload.footprint(kv_dtype=kv_dtype)
     width = dtype_bytes(kv_dtype)

@@ -81,7 +81,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import ConfigError
 from repro.faults import (
@@ -1358,52 +1358,92 @@ def export_fleet_timeline(
 
 # -- presets ---------------------------------------------------------------
 
-#: Bundled fleet shapes for the CLI and the bench.
-FLEET_PRESETS = ("uniform-6", "hetero-8", "uniform-16")
+
+def _uniform_fleet(size: int, domains: int) -> tuple[ReplicaSpec, ...]:
+    """``size`` default LM-Offload replicas striped over ``domains``."""
+    return tuple(
+        ReplicaSpec(name=f"r{i}", fault_domain=f"d{i % domains}")
+        for i in range(size)
+    )
+
+
+def _hetero_fleet() -> tuple[ReplicaSpec, ...]:
+    """Four LM-Offload, two FlexGen and two ZeRO-Inference replicas; r2
+    runs on the POWER9 box and r3 starts on a degradation rung."""
+    return tuple(
+        ReplicaSpec(
+            name=f"r{i}",
+            engine=(
+                "lm-offload" if i < 4 else ("flexgen" if i < 6 else "zero-inference")
+            ),
+            platform="power9-4xv100" if i == 2 else "single-a100",
+            degradation="shrink-batch" if i == 3 else None,
+            fault_domain=f"d{i % 4}",
+        )
+        for i in range(8)
+    )
+
+
+#: Bundled fleet shapes for the CLI and the bench, in sweep order.
+FLEET_PRESETS: dict[str, Callable[[], tuple[ReplicaSpec, ...]]] = {
+    "uniform-6": lambda: _uniform_fleet(6, 3),
+    "hetero-8": _hetero_fleet,
+    "uniform-16": lambda: _uniform_fleet(16, 4),
+}
 
 
 def make_fleet(name: str) -> tuple[ReplicaSpec, ...]:
     """A bundled fleet preset by name."""
-    if name == "uniform-6":
-        return tuple(
-            ReplicaSpec(name=f"r{i}", fault_domain=f"d{i % 3}")
-            for i in range(6)
-        )
-    if name == "hetero-8":
-        specs = []
-        for i in range(8):
-            engine = (
-                "lm-offload" if i < 4 else ("flexgen" if i < 6 else "zero-inference")
-            )
-            specs.append(
-                ReplicaSpec(
-                    name=f"r{i}",
-                    engine=engine,
-                    platform="power9-4xv100" if i == 2 else "single-a100",
-                    degradation="shrink-batch" if i == 3 else None,
-                    fault_domain=f"d{i % 4}",
-                )
-            )
-        return tuple(specs)
-    if name == "uniform-16":
-        return tuple(
-            ReplicaSpec(name=f"r{i}", fault_domain=f"d{i % 4}")
-            for i in range(16)
-        )
-    raise ConfigError(
-        f"unknown fleet preset {name!r} (choose from "
-        f"{', '.join(FLEET_PRESETS)})"
+    try:
+        builder = FLEET_PRESETS[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown fleet preset {name!r} (choose from "
+            f"{', '.join(FLEET_PRESETS)})"
+        ) from None
+    return builder()
+
+
+def _window(
+    kind: FaultKind, start: float, duration: float, domain: str, h: float,
+    severity: float = 1.0,
+) -> FaultSpec:
+    """A fault window over ``domain``, placed in fractions of ``h``."""
+    return FaultSpec(
+        kind=kind, start_s=start * h, duration_s=duration * h,
+        severity=severity, domain=domain,
     )
 
 
-#: Bundled chaos scenarios for fleets, in sweep order.
-FLEET_SCENARIOS = (
-    "none",
-    "replica-crash",
-    "domain-outage",
-    "flaky-replica",
-    "rolling-restart",
-)
+#: Bundled chaos scenarios for fleets, in sweep order: each maps
+#: ``(horizon_s, domains)`` to its fault windows.
+#:
+#: * ``none`` — empty schedule (the identity element);
+#: * ``replica-crash`` — two disjoint crash windows hitting the first
+#:   and last fault domain;
+#: * ``domain-outage`` — one long correlated crash of a whole domain;
+#: * ``flaky-replica`` — a transient-abort window over one domain;
+#: * ``rolling-restart`` — staggered graceful restarts, one domain at a
+#:   time (a deploy sweeping the fleet).
+FLEET_SCENARIOS: dict[
+    str, Callable[[float, tuple[str, ...]], tuple[FaultSpec, ...]]
+] = {
+    "none": lambda h, d: (),
+    "replica-crash": lambda h, d: (
+        _window(FaultKind.REPLICA_CRASH, 0.25, 0.15, d[0], h),
+        _window(FaultKind.REPLICA_CRASH, 0.55, 0.15, d[-1], h),
+    ),
+    "domain-outage": lambda h, d: (
+        _window(FaultKind.REPLICA_CRASH, 0.35, 0.3, d[0], h),
+    ),
+    "flaky-replica": lambda h, d: (
+        _window(FaultKind.TRANSIENT_ERROR, 0.2, 0.6, d[0], h, severity=0.25),
+    ),
+    "rolling-restart": lambda h, d: tuple(
+        _window(FaultKind.REPLICA_RESTART, 0.2 + 0.12 * i, 0.1, dom, h)
+        for i, dom in enumerate(d)
+    ),
+}
 
 
 def make_fleet_scenario(
@@ -1412,16 +1452,8 @@ def make_fleet_scenario(
     domains: tuple[str, ...] = ("d0", "d1", "d2"),
     seed: int = 0,
 ) -> FaultSchedule:
-    """A bundled fleet fault schedule scaled to ``horizon_s``.
-
-    * ``none`` — empty schedule (the identity element);
-    * ``replica-crash`` — two disjoint crash windows hitting the first
-      and last fault domain;
-    * ``domain-outage`` — one long correlated crash of a whole domain;
-    * ``flaky-replica`` — a transient-abort window over one domain;
-    * ``rolling-restart`` — staggered graceful restarts, one domain at a
-      time (a deploy sweeping the fleet).
-    """
+    """A bundled fleet fault schedule (see :data:`FLEET_SCENARIOS`)
+    scaled to ``horizon_s``."""
     if horizon_s <= 0:
         raise ConfigError(
             f"fleet scenario {name!r}: horizon_s must be positive "
@@ -1429,48 +1461,13 @@ def make_fleet_scenario(
         )
     if not domains:
         raise ConfigError(f"fleet scenario {name!r}: domains must be non-empty")
-    h = horizon_s
-    if name == "none":
-        return FaultSchedule(name="fleet-none", faults=(), seed=seed)
-    if name == "replica-crash":
-        faults: tuple[FaultSpec, ...] = (
-            FaultSpec(
-                kind=FaultKind.REPLICA_CRASH, start_s=0.25 * h,
-                duration_s=0.15 * h, severity=1.0, domain=domains[0],
-            ),
-            FaultSpec(
-                kind=FaultKind.REPLICA_CRASH, start_s=0.55 * h,
-                duration_s=0.15 * h, severity=1.0, domain=domains[-1],
-            ),
-        )
-    elif name == "domain-outage":
-        faults = (
-            FaultSpec(
-                kind=FaultKind.REPLICA_CRASH, start_s=0.35 * h,
-                duration_s=0.3 * h, severity=1.0, domain=domains[0],
-            ),
-        )
-    elif name == "flaky-replica":
-        faults = (
-            FaultSpec(
-                kind=FaultKind.TRANSIENT_ERROR, start_s=0.2 * h,
-                duration_s=0.6 * h, severity=0.25, domain=domains[0],
-            ),
-        )
-    elif name == "rolling-restart":
-        faults = tuple(
-            FaultSpec(
-                kind=FaultKind.REPLICA_RESTART,
-                start_s=(0.2 + 0.12 * i) * h,
-                duration_s=0.1 * h,
-                severity=1.0,
-                domain=dom,
-            )
-            for i, dom in enumerate(domains)
-        )
-    else:
+    try:
+        builder = FLEET_SCENARIOS[name]
+    except KeyError:
         raise ConfigError(
             f"unknown fleet scenario {name!r} (choose from "
             f"{', '.join(FLEET_SCENARIOS)})"
-        )
-    return FaultSchedule(name=f"fleet-{name}", faults=faults, seed=seed)
+        ) from None
+    return FaultSchedule(
+        name=f"fleet-{name}", faults=builder(horizon_s, domains), seed=seed
+    )

@@ -1,6 +1,7 @@
 import pytest
 
 from repro.baselines import FlexGenEngine, ZeroInferenceEngine
+from repro.bench import paper_data
 from repro.core import EngineConfig, LMOffloadEngine
 from repro.hardware import single_a100
 from repro.models import get_model
@@ -60,14 +61,23 @@ def test_disabling_parallelism_control(workload):
     assert report.throughput > 0
 
 
-def test_disabling_quant_awareness_matches_flexgen_class(workload, fg_report):
-    engine = LMOffloadEngine(
+def test_disabling_quant_awareness_matches_flexgen_class():
+    """FlexGen is exactly LM-Offload with both contributions ablated: the
+    same policy, throughput and memory on every Tab. 3 workload."""
+    fg = FlexGenEngine(single_a100())
+    ablated = LMOffloadEngine(
         single_a100(),
         config=EngineConfig(quant_aware=False, parallelism_control=False),
     )
-    report = engine.run(workload)
-    # Same planner inputs as FlexGen -> same ballpark.
-    assert report.throughput == pytest.approx(fg_report.throughput, rel=0.15)
+    for mname, rows in paper_data.TAB3.items():
+        model = get_model(mname)
+        for n, ref in rows.items():
+            b, k = paper_data.bls_split(ref["flexgen"][0])
+            workload = Workload(model, 64, n, b, k)
+            want, got = fg.run(workload), ablated.run(workload)
+            assert (got.policy, got.throughput, got.gpu_bytes, got.cpu_bytes) == (
+                want.policy, want.throughput, want.gpu_bytes, want.cpu_bytes
+            ), (mname, n)
 
 
 def test_forced_policy_respected(workload):

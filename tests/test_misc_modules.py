@@ -1,4 +1,4 @@
-"""Coverage for small supporting modules: errors, notation, profiles,
+"""Coverage for small supporting modules: errors, notation,
 tables, paper_data, tensor helpers."""
 
 import numpy as np
@@ -17,8 +17,6 @@ from repro.errors import (
 from repro.hardware import single_a100
 from repro.models import get_model
 from repro.offload.tensor import ManagedTensor
-from repro.parallel import ContentionModel, CpuTopology, build_default_profiles
-from repro.parallel.profiles import DEFAULT_OP_PROFILES, OpProfile, ProfileTable
 from repro.perfmodel import HardwareParams, Workload
 from repro.quant import QuantConfig, compress
 
@@ -56,34 +54,6 @@ def test_hardware_params_from_platform():
             gpu_flops=0, gpu_mem_bdw=1, gpu_freq=1,
             cpu_flops=1, cpu_mem_bdw=1, cpu_freq=1, pcie_bdw=1,
         )
-
-
-def test_profile_table_nearest_lookup():
-    table = ProfileTable()
-    table.record("scores", 1, 0.010)
-    table.record("scores", 8, 0.002)
-    assert table.lookup("scores", 8) == 0.002
-    assert table.lookup("scores", 6) == 0.002   # nearest is 8
-    assert table.lookup("scores", 2) == 0.010   # nearest is 1
-    with pytest.raises(KeyError):
-        table.lookup("ghost", 1)
-    with pytest.raises(ConfigError):
-        table.record("x", 1, 0.0)
-
-
-def test_default_profiles_monotone_in_threads():
-    topo = CpuTopology(sockets=2, cores_per_socket=28, smt=2)
-    cm = ContentionModel(topo, single_a100().cache)
-    table = build_default_profiles(cm, thread_counts=[1, 2, 4, 8])
-    for kind in DEFAULT_OP_PROFILES:
-        times = [table.lookup(kind, t) for t in (1, 2, 4, 8)]
-        assert times == sorted(times, reverse=True)
-    assert set(table.kinds()) == set(DEFAULT_OP_PROFILES)
-
-
-def test_op_profile_validation():
-    with pytest.raises(ConfigError):
-        OpProfile("bad", serial_seconds=0)
 
 
 def test_format_table_alignment():

@@ -518,13 +518,11 @@ def test_decode_loop_sampling_inert_and_curves_match_trace():
 
 
 def test_controller_samples_search_landscape(topo, contention):
-    from repro.parallel import build_default_profiles
     from repro.parallel.controller import ParallelismController
     from repro.runtime.graph import build_attention_graph
 
     kwargs = dict(
         topology=topo, contention=contention,
-        profiles=build_default_profiles(contention),
         io_volumes={"load_weight": 30e6, "load_activation": 1e5},
     )
     graph = build_attention_graph(4)

@@ -1,10 +1,11 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.parallel import build_default_profiles
 from repro.parallel.controller import (
     IO_TASKS,
+    UNIT_WORK_SECONDS,
     ParallelismController,
+    compute_makespan,
     schedule_makespan,
 )
 from repro.parallel.speedup import ParallelismSetting
@@ -16,7 +17,6 @@ def controller(topo, contention):
     return ParallelismController(
         topology=topo,
         contention=contention,
-        profiles=build_default_profiles(contention),
         io_volumes={
             "load_weight": 30e6, "load_cache": 0.0, "load_activation": 1e5,
             "store_cache": 0.0, "store_activation": 1e5,
@@ -59,7 +59,7 @@ def test_plan_inter_op_bounded_by_graph_width(controller):
     assert plan.inter_op_total == plan.compute.inter_op + 5
 
 
-def test_plan_beats_default_threading(controller):
+def test_plan_beats_default_threading(controller, contention):
     """The whole point of Algorithm 3: the chosen setting's compute time
     beats the PyTorch default on the same (bundled) graph."""
     from repro.parallel.bundling import bundle_operators
@@ -68,8 +68,8 @@ def test_plan_beats_default_threading(controller):
     bundled, _ = bundle_operators(graph)
     plan = controller.plan(graph)
     default = ParallelismSetting(intra_op=56, inter_op=112)
-    assert plan.predicted_compute_seconds < controller.compute_seconds(
-        bundled, default
+    assert plan.predicted_compute_seconds < compute_makespan(
+        bundled, default, contention, UNIT_WORK_SECONDS
     )
 
 

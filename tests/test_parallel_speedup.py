@@ -40,7 +40,10 @@ def test_setting_validation():
 def test_intra_speedup_monotone_then_saturating(model):
     """Figure 5 (left): speedup rises with threads then flattens — the
     gain from 8 to 56 threads is small compared to 1 to 8."""
-    s = {t: model.intra_speedup(t) for t in (1, 2, 4, 8, 16, 56)}
+    s = {
+        t: model.effective_op_speedup(ParallelismSetting(t, 1), 1)
+        for t in (1, 2, 4, 8, 16, 56)
+    }
     assert s[1] == pytest.approx(1.0)
     assert s[2] > 1.8
     assert s[8] > s[4] > s[2]
@@ -95,13 +98,13 @@ def test_cache_slowdown_increases_with_co_runners(model):
 
 def test_invalid_inputs(model):
     with pytest.raises(ValueError):
-        model.intra_speedup(0)
+        model.compute_scale(0)
     with pytest.raises(ValueError):
         model.bandwidth_scale(0)
     with pytest.raises(ValueError):
         model.granted_threads(4, 0)
     with pytest.raises(ValueError):
-        model.intra_speedup(4, compute_fraction=1.5)
+        CalibrationConstants(compute_fraction=1.5)
 
 
 def test_constants_are_ablatable(topo, a100):
