@@ -21,8 +21,7 @@ from repro.parallel.controller import (
 )
 from repro.perfmodel import CostModel, HardwareParams
 from repro.perfmodel.constants import EngineCalibration
-from repro.quant import QuantConfig
-from repro.quant.error import empirical_error
+from repro.quant import QuantConfig, compress, decompress
 from repro.runtime.graph import build_attention_graph
 
 
@@ -126,8 +125,8 @@ def test_ablation_group_size(benchmark, rng=np.random.default_rng(5)):
         out = []
         for g in (16, 64, 256, 1024):
             cfg = QuantConfig(bits=4, group_size=g)
-            err = empirical_error(data, cfg)
-            out.append((g, err["mean_abs"], cfg.total_bytes(data.size)))
+            err = np.abs(data - decompress(compress(data, cfg))).mean()
+            out.append((g, err, cfg.total_bytes(data.size)))
         return out
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -7,16 +7,12 @@ bench can report measured-vs-paper shape checks.
 """
 
 from repro.bench.tables import format_table
-from repro.bench.chaos import chaos_rows, run_chaos, write_bench_chaos
-from repro.bench.fleet import fleet_rows, run_fleet_bench, write_bench_fleet
-from repro.bench.serving import (
-    run_serving_comparison,
-    simulate_engine,
-    write_bench_serving,
-)
-from repro.bench.spec import run_spec_sweep, spec_rows, write_bench_spec
+from repro.bench.chaos import chaos_rows, run_chaos
+from repro.bench.fleet import fleet_rows, run_fleet_bench
+from repro.bench.serving import run_serving_comparison, simulate_engine
+from repro.bench.spec import run_spec_sweep, spec_rows
 from repro.bench.timing import run_bench_timing, write_bench_timing
-from repro.bench.viz import hbar_chart, sparkline, sweep_summary
+from repro.bench.viz import sparkline, sweep_summary
 from repro.bench.whatif import run_whatif, sample_variants, whatif_rows
 from repro.bench import paper_data
 from repro.bench.experiments import (
@@ -35,20 +31,15 @@ __all__ = [
     "format_table",
     "chaos_rows",
     "run_chaos",
-    "write_bench_chaos",
     "fleet_rows",
     "run_fleet_bench",
-    "write_bench_fleet",
     "run_serving_comparison",
     "simulate_engine",
-    "write_bench_serving",
     "run_spec_sweep",
     "spec_rows",
-    "write_bench_spec",
     "sample_variants",
     "run_bench_timing",
     "write_bench_timing",
-    "hbar_chart",
     "sparkline",
     "sweep_summary",
     "run_whatif",

@@ -38,7 +38,6 @@ from repro.serving.policies import make_policy
 from repro.serving.request import RequestState
 from repro.serving.simulator import ServingConfig, ServingResult, ServingSimulator
 from repro.bench.serving import ENGINES
-from repro.util import write_json
 
 SCHEMA_VERSION = 1
 
@@ -447,13 +446,6 @@ def run_chaos(
         )
         payload["all_serving_drift_ok"] = step_gate.ok
     return payload, results
-
-
-def write_bench_chaos(path: str = "BENCH_chaos.json", **kwargs: Any) -> dict[str, Any]:
-    """Run the chaos matrix and write the payload to ``path``."""
-    payload, _ = run_chaos(**kwargs)
-    write_json(path, payload)
-    return payload
 
 
 def chaos_rows(payload: dict[str, Any]) -> list[dict[str, Any]]:

@@ -37,7 +37,6 @@ from repro.serving.fleet import (
     make_fleet_scenario,
 )
 from repro.serving.policies import make_policy
-from repro.util import write_json
 
 SCHEMA_VERSION = 1
 
@@ -201,13 +200,6 @@ def run_fleet_bench(
         ),
     }
     return payload, results
-
-
-def write_bench_fleet(path: str = "BENCH_fleet.json", **kwargs: Any) -> dict[str, Any]:
-    """Run the fleet matrix and write the payload to ``path``."""
-    payload, _ = run_fleet_bench(**kwargs)
-    write_json(path, payload)
-    return payload
 
 
 def fleet_rows(payload: dict[str, Any]) -> list[dict[str, Any]]:

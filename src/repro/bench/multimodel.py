@@ -35,7 +35,6 @@ from repro.serving.multimodel import (
 )
 from repro.serving.policies import make_policy
 from repro.serving.simulator import ServingConfig, ServingSimulator
-from repro.util import write_json
 
 SCHEMA_VERSION = 1
 
@@ -199,15 +198,6 @@ def run_multimodel_bench(
         },
         "mixes": doc_mixes,
     }
-
-
-def write_bench_multimodel(
-    path: str = "BENCH_multimodel.json", **kwargs: Any
-) -> dict[str, Any]:
-    """Run the comparison and write the payload to ``path``."""
-    payload = run_multimodel_bench(**kwargs)
-    write_json(path, payload)
-    return payload
 
 
 def multimodel_rows(payload: dict[str, Any]) -> list[dict[str, Any]]:

@@ -23,7 +23,6 @@ from repro.serving.arrivals import RequestTrace, default_trace
 from repro.serving.metrics import compute_metrics
 from repro.serving.policies import make_policy
 from repro.serving.simulator import ServingConfig, ServingResult, ServingSimulator
-from repro.util import write_json
 
 SCHEMA_VERSION = 1
 
@@ -161,12 +160,3 @@ def run_serving_comparison(
     if scenario_doc is not None:
         payload["scenario"] = scenario_doc
     return payload, results
-
-
-def write_bench_serving(
-    path: str = "BENCH_serving.json", **kwargs: Any
-) -> dict[str, Any]:
-    """Run the comparison and write the payload to ``path``."""
-    payload, _ = run_serving_comparison(**kwargs)
-    write_json(path, payload)
-    return payload

@@ -24,7 +24,6 @@ from repro.obs.profiling import span
 from repro.perfmodel.latency import CostModel
 from repro.perfmodel.notation import Workload
 from repro.perfmodel.speculation import SpecConfig
-from repro.util import write_json
 
 SCHEMA_VERSION = 1
 
@@ -143,10 +142,3 @@ def spec_rows(payload: dict[str, Any]) -> list[dict[str, Any]]:
         }
         for c in payload["cells"]
     ]
-
-
-def write_bench_spec(path: str = "BENCH_spec.json", **kwargs: Any) -> dict[str, Any]:
-    """Run the sweep and write the payload to ``path``."""
-    payload = run_spec_sweep(**kwargs)
-    write_json(path, payload)
-    return payload

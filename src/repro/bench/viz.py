@@ -1,4 +1,4 @@
-"""Terminal visualisation: sparklines and horizontal bar charts.
+"""Terminal visualisation: sparklines and one-line sweep summaries.
 
 Keeps the CLI and examples dependency-free while still conveying the
 sweeps' shapes at a glance.
@@ -25,23 +25,6 @@ def sparkline(values: Sequence[float]) -> str:
         idx = int((v - lo) / span * (len(_SPARK) - 1))
         out.append(_SPARK[idx])
     return "".join(out)
-
-
-def hbar_chart(
-    data: Mapping[str, float],
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """Horizontal bar chart with aligned labels and values."""
-    if not data:
-        return "(no data)"
-    label_w = max(len(str(k)) for k in data)
-    peak = max(data.values())
-    lines = []
-    for label, value in data.items():
-        bar = "█" * (int(value / peak * width) if peak > 0 else 0)
-        lines.append(f"{str(label).ljust(label_w)} |{bar.ljust(width)} {value:g}{unit}")
-    return "\n".join(lines)
 
 
 def sweep_summary(

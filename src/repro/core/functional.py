@@ -61,7 +61,7 @@ class FunctionalEngine:
     def __post_init__(self) -> None:
         self.config: ModelConfig = self.weights.config
         self.store = TensorStore(self.platform)
-        self.transfer = TransferEngine(self.platform, self.store)
+        self.transfer = TransferEngine(self.platform)
         self.gpu = self.platform.gpus[0].name
         self.cpu = self.platform.cpu.name
         self._clock = 0.0
@@ -107,10 +107,9 @@ class FunctionalEngine:
         tensor = self.store.get(name)
         if tensor.device != self.gpu:
             # Wire time at the stored (possibly compressed) size.
-            self._clock += self.transfer.transfer_time(
-                tensor.device, self.gpu, tensor.nbytes
+            self._clock += self.transfer.charge(
+                tensor.device, self.gpu, tensor.nbytes, "weights"
             )
-            self.transfer.ledger.record(tensor.device, self.gpu, "weights", tensor.nbytes)
         payload = tensor.payload
         if isinstance(payload, QuantizedTensor):
             return decompress(payload)
@@ -162,8 +161,9 @@ class FunctionalEngine:
             # crosses the link; with GPU attention the old entries stream up.
             if not self.policy.attention_on_cpu:
                 kv_bytes = int(k.nbytes) + int(v.nbytes)
-                self._clock += self.transfer.transfer_time(self.cpu, self.gpu, kv_bytes)
-                self.transfer.ledger.record(self.cpu, self.gpu, "kv_cache", kv_bytes)
+                self._clock += self.transfer.charge(
+                    self.cpu, self.gpu, kv_bytes, "kv_cache"
+                )
             attn = self_attention(q, k, v, causal_mask=True) @ p["wo"]
             x = x + attn
             x = x + mlp(

@@ -33,10 +33,6 @@ class InferenceReport:
         return self.breakdown.throughput(self.workload)
 
     @property
-    def total_seconds(self) -> float:
-        return self.breakdown.total_seconds
-
-    @property
     def total_memory_bytes(self) -> float:
         """Table 3's "mem" column: GPU + host bytes in use."""
         return self.gpu_bytes + self.cpu_bytes

@@ -39,10 +39,6 @@ class MemoryCapacityError(ReproError):
         self.available = available
 
 
-class PlacementError(ReproError):
-    """A tensor operation was attempted on the wrong device."""
-
-
 class ScheduleError(ReproError):
     """The asynchronous task schedule is malformed (cycle, missing dep...)."""
 

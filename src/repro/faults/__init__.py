@@ -33,7 +33,6 @@ from repro.faults.spec import (
     FaultKind,
     FaultSchedule,
     FaultSpec,
-    zero_schedule,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "degraded_platform",
     "make_scenario",
     "relative_drift",
-    "zero_schedule",
 ]

@@ -89,10 +89,6 @@ class FaultStats:
     #: Rung in force when the run ended.
     final_rung: str = "nominal"
 
-    @property
-    def total_retries(self) -> int:
-        return len(self.aborts)
-
     def availability(self, makespan_s: float) -> float:
         """Fraction of the run not lost to aborts/backoff."""
         if makespan_s <= 0:

@@ -36,7 +36,6 @@ them into one window instead).
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
@@ -213,9 +212,6 @@ class FaultSchedule:
                         "one window — their composition is ambiguous"
                     )
 
-    def __len__(self) -> int:
-        return len(self.faults)
-
     # -- time structure ----------------------------------------------------
 
     def change_points(self) -> list[float]:
@@ -243,10 +239,6 @@ class FaultSchedule:
         """Active faults that change hardware capability at ``t``."""
         return [f for f in self.active(t) if f.kind in CAPABILITY_KINDS]
 
-    def replica_faults(self) -> list[FaultSpec]:
-        """Every replica-level (crash/restart) window in the schedule."""
-        return [f for f in self.faults if f.kind in REPLICA_KINDS]
-
     @property
     def has_replica_faults(self) -> bool:
         return any(f.kind in REPLICA_KINDS for f in self.faults)
@@ -270,29 +262,3 @@ class FaultSchedule:
             "seed": self.seed,
             "faults": [f.to_dict() for f in self.faults],
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def describe(self) -> str:
-        if not self.faults:
-            return f"{self.name}: no faults"
-        kinds: dict[str, int] = {}
-        for f in self.faults:
-            kinds[f.kind.value] = kinds.get(f.kind.value, 0) + 1
-        span = (
-            f"[{min(f.start_s for f in self.faults):g}, "
-            f"{max(f.end_s for f in self.faults):g})s"
-        )
-        parts = ", ".join(f"{n}x {k}" for k, n in sorted(kinds.items()))
-        return f"{self.name}: {parts} over {span}"
-
-
-def zero_schedule(name: str = "no-faults") -> FaultSchedule:
-    """An empty schedule — the fault layer's identity element.
-
-    A simulator given this schedule takes the exact fault-free code path
-    and reproduces the fault-free metrics byte for byte (asserted in
-    ``tests/test_chaos_serving.py``).
-    """
-    return FaultSchedule(name=name, faults=())

@@ -10,8 +10,8 @@ Use the presets for paper-faithful platforms::
 
     from repro.hardware import single_a100, power9_4xv100
     plat = single_a100()
-    plat.gpu.peak_flops          # 312 TFLOPS (fp16 tensor core)
-    plat.pcie.bandwidth          # 32 GB/s per direction
+    plat.gpus[0].peak_flops                   # 312 TFLOPS (fp16 tensor core)
+    plat.link_between("cpu", "gpu0").bandwidth  # 32 GB/s per direction
 
 :data:`PLATFORMS` maps each preset's name to its constructor.
 """

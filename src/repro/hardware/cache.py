@@ -57,9 +57,3 @@ class CacheHierarchy:
         # covers the working set, -> 1 when it is many times too small.
         pressure = working_set / (working_set + share)
         return self.compulsory_ratio + (1.0 - self.compulsory_ratio) * pressure
-
-    def misses(self, traffic: float, working_set: float, co_runners: int) -> float:
-        """Estimated LLC miss *count* for ``traffic`` bytes streamed."""
-        if traffic < 0:
-            raise ValueError("traffic must be non-negative")
-        return self.miss_ratio(working_set, co_runners) * traffic / self.line_bytes

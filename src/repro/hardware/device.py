@@ -77,43 +77,9 @@ class DeviceSpec:
             raise ConfigError(f"CPU device {self.name}: cores must be > 0")
 
     @property
-    def hardware_threads(self) -> int:
-        """Total schedulable hardware threads (cores x SMT)."""
-        return self.cores * self.smt
-
-    @property
     def is_gpu(self) -> bool:
         return self.kind is DeviceKind.GPU
 
     @property
     def is_cpu(self) -> bool:
         return self.kind is DeviceKind.CPU
-
-    def matmul_time(self, flops: float, bytes_touched: float) -> float:
-        """Roofline time for a GEMM-like op: max(compute, memory) seconds.
-
-        The decode-phase GEMV workloads in LLM inference are memory-bound on
-        GPUs (arithmetic intensity ~1 FLOP/byte), so the roofline max is the
-        correct first-order model and is what makes batch size matter.
-        """
-        if flops < 0 or bytes_touched < 0:
-            raise ValueError("flops and bytes_touched must be non-negative")
-        return max(flops / self.peak_flops, bytes_touched / self.mem_bandwidth)
-
-    def elementwise_time(self, elements: float, flops_per_element: float = 1.0) -> float:
-        """Time for a streaming element-wise pass (normalisation etc.)."""
-        if elements < 0:
-            raise ValueError("elements must be non-negative")
-        return elements * flops_per_element / self.peak_flops
-
-    def scan_time(self, elements: float) -> float:
-        """Per-element scan cost charged against the clock (Eqs. 13, 21)."""
-        if elements < 0:
-            raise ValueError("elements must be non-negative")
-        return elements / self.freq
-
-    def copy_time(self, nbytes: float) -> float:
-        """Time for an in-memory copy of ``nbytes`` (Eqs. 15, 23)."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        return nbytes / self.mem_bandwidth

@@ -42,11 +42,6 @@ class MemoryPool:
         """Bytes still available."""
         return self.capacity - self.used
 
-    @property
-    def utilization(self) -> float:
-        """Fraction of capacity in use, in [0, 1]."""
-        return self.used / self.capacity
-
     def allocate(self, handle: str, nbytes: float) -> None:
         """Reserve ``nbytes`` (rounded up to whole bytes) under ``handle``.
 
@@ -55,8 +50,7 @@ class MemoryPool:
         MemoryCapacityError
             If the pool would overflow.
         ValueError
-            If ``handle`` is already allocated (allocations are unique; use
-            :meth:`resize` to grow one, as the KV cache does every token).
+            If ``handle`` is already allocated (allocations are unique).
         """
         nbytes = math.ceil(nbytes)
         if nbytes < 0:
@@ -66,36 +60,3 @@ class MemoryPool:
         if nbytes > self.free:
             raise MemoryCapacityError(self.name, nbytes, self.free)
         self._allocations[handle] = nbytes
-
-    def resize(self, handle: str, nbytes: float) -> None:
-        """Grow or shrink an existing allocation to ``nbytes`` total."""
-        nbytes = math.ceil(nbytes)
-        if handle not in self._allocations:
-            raise KeyError(f"pool {self.name}: unknown handle {handle!r}")
-        delta = nbytes - self._allocations[handle]
-        if delta > self.free:
-            raise MemoryCapacityError(self.name, delta, self.free)
-        self._allocations[handle] = nbytes
-
-    def release(self, handle: str) -> int:
-        """Free an allocation; returns the bytes released."""
-        try:
-            return self._allocations.pop(handle)
-        except KeyError:
-            raise KeyError(f"pool {self.name}: unknown handle {handle!r}") from None
-
-    def size_of(self, handle: str) -> int:
-        """Bytes held by ``handle``."""
-        return self._allocations[handle]
-
-    def holds(self, handle: str) -> bool:
-        """True if ``handle`` is allocated in this pool."""
-        return handle in self._allocations
-
-    def handles(self) -> list[str]:
-        """Sorted list of live allocation handles."""
-        return sorted(self._allocations)
-
-    def clear(self) -> None:
-        """Drop every allocation (used between benchmark runs)."""
-        self._allocations.clear()

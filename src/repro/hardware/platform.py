@@ -65,16 +65,6 @@ class Platform:
         )
 
     @property
-    def gpu(self) -> DeviceSpec:
-        """The unique GPU (convenience for single-GPU platforms)."""
-        gpus = self.gpus
-        if len(gpus) != 1:
-            raise ConfigError(
-                f"platform {self.name}: .gpu requires exactly one GPU, found {len(gpus)}"
-            )
-        return gpus[0]
-
-    @property
     def cpu(self) -> DeviceSpec:
         cpus = [d for d in self.devices.values() if d.is_cpu]
         if len(cpus) != 1:
@@ -89,16 +79,6 @@ class Platform:
             if link.connects(a, b):
                 return link
         raise ConfigError(f"platform {self.name}: no link between {a!r} and {b!r}")
-
-    @property
-    def pcie(self) -> Link:
-        """The CPU<->(first) GPU link."""
-        return self.link_between(self.cpu.name, self.gpus[0].name)
-
-    def reset_pools(self) -> None:
-        """Drop all allocations (between experiment runs)."""
-        for pool in self.pools.values():
-            pool.clear()
 
     def with_faults(self, faults, t: float) -> "Platform":
         """This platform as a fault schedule leaves it at time ``t``.

@@ -76,20 +76,3 @@ class ModelConfig:
         """Transformer-stack parameter count (embeddings excluded, as the
         paper's model does — they are a rounding error at 30B+ scale)."""
         return self.weights_per_layer * self.num_layers
-
-    def scaled(self, name: str, layers: int, hidden: int, heads: int) -> "ModelConfig":
-        """Derive a smaller config preserving the MLP expansion ratio.
-
-        Used to make tiny, executable versions of paper-scale models for
-        functional tests.
-        """
-        ratio = self.intermediate_size / self.hidden_size
-        return ModelConfig(
-            name=name,
-            num_layers=layers,
-            hidden_size=hidden,
-            intermediate_size=int(round(hidden * ratio)),
-            num_heads=heads,
-            vocab_size=min(self.vocab_size, 512),
-            dtype=self.dtype,
-        )

@@ -129,31 +129,3 @@ class ModelFootprint:
         return self.activation_bytes_per_layer * self.prompt_len
 
     # -- totals ------------------------------------------------------------------
-
-    @property
-    def total_bytes(self) -> float:
-        """Weights + peak KV + one layer of activations (paper: ~214 GB for
-        the motivating OPT-30B configuration)."""
-        return (
-            self.total_weight_bytes
-            + self.peak_kv_bytes
-            + self.activation_bytes_per_layer
-        )
-
-    def with_dtypes(
-        self,
-        *,
-        weight_dtype: str | None = None,
-        kv_dtype: str | None = None,
-        act_dtype: str | None = None,
-    ) -> "ModelFootprint":
-        """Footprint under different storage dtypes (e.g. int4 weights)."""
-        return ModelFootprint(
-            config=self.config,
-            prompt_len=self.prompt_len,
-            gen_len=self.gen_len,
-            block_size=self.block_size,
-            weight_dtype=weight_dtype or self.weight_dtype,
-            kv_dtype=kv_dtype or self.kv_dtype,
-            act_dtype=act_dtype or self.act_dtype,
-        )

@@ -28,10 +28,6 @@ class QualityReport:
     topk_overlap: float
     kl_divergence: float
 
-    def acceptable(self, top1_threshold: float = 0.9) -> bool:
-        """A crude pass/fail for regression testing."""
-        return self.top1_agreement >= top1_threshold
-
 
 def _reference_logits(
     weights: TransformerWeights, prompt_ids: np.ndarray

@@ -27,18 +27,3 @@ def temperature_sample(
     cdf = probs.cumsum(axis=-1)
     u = rng.random((logits.shape[0], 1))
     return (cdf < u).sum(axis=-1).clip(0, logits.shape[1] - 1)
-
-
-def top_k_sample(
-    logits: np.ndarray, k: int, rng: np.random.Generator, temperature: float = 1.0
-) -> np.ndarray:
-    """Restrict to the k highest-probability tokens, then sample."""
-    if k <= 0:
-        raise ValueError("k must be > 0")
-    if logits.ndim != 2:
-        raise ValueError("logits must be (batch, vocab)")
-    k = min(k, logits.shape[1])
-    # Mask everything below each row's k-th largest logit.
-    kth = np.partition(logits, -k, axis=-1)[:, -k][:, None]
-    masked = np.where(logits < kth, -np.inf, logits)
-    return temperature_sample(masked, temperature, rng)

@@ -106,11 +106,6 @@ class KVCache:
     def __len__(self) -> int:
         return self._len
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes of *live* cache entries (not the preallocated capacity)."""
-        return int(self._k[:, :, :, : self._len].nbytes) * 2
-
     def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
         """Concatenate new K/V (batch, heads, new_len, d) for ``layer``.
 
@@ -131,12 +126,6 @@ class KVCache:
         """Views of the live K/V entries for ``layer``."""
         end = self._len if upto is None else upto
         return self._k[layer, :, :, :end], self._v[layer, :, :, :end]
-
-    def set_slice(self, layer: int, start: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Overwrite a cache slice (used when dequantized KV is restored)."""
-        end = start + k.shape[2]
-        self._k[layer, :, :, start:end] = k
-        self._v[layer, :, :, start:end] = v
 
 
 class Transformer:

@@ -122,12 +122,6 @@ class Profiler:
 
     # -- control -----------------------------------------------------------
 
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
     def reset(self) -> None:
         self._scopes.clear()
         self._caches.clear()
@@ -163,12 +157,6 @@ class Profiler:
             stats.misses += 1
 
     # -- reporting ---------------------------------------------------------
-
-    def scope(self, name: str) -> ScopeStats | None:
-        return self._scopes.get(name)
-
-    def cache_stats(self, name: str) -> CacheStats | None:
-        return self._caches.get(name)
 
     def report(self) -> dict:
         """JSON-ready snapshot: sorted scopes, caches and counters."""

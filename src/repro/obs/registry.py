@@ -185,17 +185,9 @@ class TimeSeries:
         """Points currently held (<= capacity)."""
         return len(self._points)
 
-    @property
-    def total_samples(self) -> int:
-        """Every sample ever recorded, including evicted ones."""
-        return len(self._points) + self.dropped
-
     def points(self) -> list[tuple[float, float]]:
         """Retained points in chronological (recording) order."""
         return self._points[self._head :] + self._points[: self._head]
-
-    def values(self) -> list[float]:
-        return [v for _, v in self.points()]
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -281,15 +273,6 @@ class MetricsRegistry:
                     "merge overlapping series"
                 )
             self._series[name] = series
-
-    def __len__(self) -> int:
-        return len(self._series)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._series
-
-    def names(self) -> list[str]:
-        return sorted(self._series)
 
     def to_dict(self) -> dict:
         """Deterministic document: series sorted by name, typed payloads."""

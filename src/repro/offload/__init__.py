@@ -6,8 +6,8 @@ LM-Offload) are built on:
 * :class:`ManagedTensor` / :class:`TensorStore` — tensors with an explicit
   device placement, backed by byte-accurate :class:`~repro.hardware.MemoryPool`
   accounting (and optionally by real NumPy arrays for functional runs).
-* :class:`TransferEngine` — charges simulated time for moves across links
-  and tracks cumulative per-direction traffic (reproduces Table 1).
+* :class:`TransferEngine` — charges link time for byte flows between
+  devices and tracks cumulative per-direction traffic.
 * :class:`OffloadPolicy` — the percentage split (wg/cg/hg), quantization
   choices and attention placement; i.e. one point in the search space.
 * :mod:`repro.offload.planner` — FlexGen-style policy search under memory
@@ -19,22 +19,10 @@ from repro.offload.store import TensorStore
 from repro.offload.transfer import TransferEngine, TrafficLedger
 from repro.offload.policy import OffloadPolicy
 
-
-def __getattr__(name: str):
-    # The planner depends on repro.perfmodel, which itself imports
-    # repro.offload.policy; resolve it lazily to avoid the import cycle.
-    if name in ("PolicyPlanner", "PlannerObjective"):
-        from repro.offload import planner
-
-        return getattr(planner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "ManagedTensor",
     "TensorStore",
     "TransferEngine",
     "TrafficLedger",
     "OffloadPolicy",
-    "PolicyPlanner",
-    "PlannerObjective",
 ]

@@ -28,7 +28,7 @@ import enum
 import functools
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -278,23 +278,6 @@ class PolicyPlanner:
             parts.append(np.array(seed, dtype=np.float64).reshape(3, 1))
         return np.concatenate(parts, axis=1)
 
-    def evaluate(
-        self, workload: Workload, policy: OffloadPolicy
-    ) -> tuple[float, CostModel]:
-        """Objective score of a policy (raises PolicyError when infeasible).
-
-        THROUGHPUT returns tokens/s; LATENCY returns the negative
-        steady-state per-token decode latency (so 'bigger is better' holds
-        for both objectives).  The score is a one-row :meth:`_scores` call,
-        the same pricer :meth:`search_fixed` runs over its whole grid.
-        """
-        model = CostModel(workload, policy, self.hw, self.cpu_ctx)
-        model.check_feasible()
-        scores = self._scores(
-            model, [policy.wg], [policy.cg], [policy.hg], [policy.wd]
-        )
-        return float(scores[0]), model
-
     def _scores(self, model: CostModel, wg, cg, hg, wd) -> np.ndarray:
         """Objective score of every placement of ``model``'s strategy, in
         one :func:`~repro.perfmodel.latency.price_grid` pass.  LATENCY
@@ -441,23 +424,3 @@ class PolicyPlanner:
                 f"no feasible policy for {workload.describe()} on this hardware"
             )
         return best[1], best[0]
-
-    def max_feasible_batch(
-        self,
-        workload: Workload,
-        policy_for: Callable[[Workload], OffloadPolicy],
-        candidates: Iterable[int],
-    ) -> int:
-        """Largest batch size from ``candidates`` whose policy fits memory."""
-        best = 0
-        for bsz in sorted(candidates):
-            trial = workload.with_batches(bsz, workload.num_gpu_batches)
-            try:
-                model = CostModel(trial, policy_for(trial), self.hw, self.cpu_ctx)
-                model.check_feasible()
-                best = bsz
-            except PolicyError:
-                continue
-        if best == 0:
-            raise PolicyError("no candidate batch size fits in memory")
-        return best

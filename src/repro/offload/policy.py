@@ -73,16 +73,6 @@ class OffloadPolicy:
         return 1.0 - self.wg
 
     @property
-    def w_cpu(self) -> float:
-        """Fraction of weights resident in host memory."""
-        return max(0.0, 1.0 - self.wg - self.wd)
-
-    @property
-    def block_size(self) -> int:
-        """``bls`` — sequences per zig-zag block."""
-        return self.gpu_batch_size * self.num_gpu_batches
-
-    @property
     def quantizes_weights(self) -> bool:
         return self.weight_quant is not None
 

@@ -1,15 +1,10 @@
-"""JSON (de)serialization of policies and reports.
-
-Policies found by an expensive planner run can be persisted and replayed;
-reports can be archived for regression comparison across versions.
-"""
+"""JSON serialization of policies (what ``repro plan --save`` writes)."""
 
 from __future__ import annotations
 
 import json
 from typing import Any
 
-from repro.errors import ConfigError
 from repro.offload.policy import OffloadPolicy
 from repro.quant.config import QuantConfig
 
@@ -24,19 +19,6 @@ def quant_to_dict(quant: QuantConfig | None) -> dict[str, Any] | None:
         "group_size": quant.group_size,
         "group_dim": quant.group_dim,
     }
-
-
-def quant_from_dict(data: dict[str, Any] | None) -> QuantConfig | None:
-    if data is None:
-        return None
-    try:
-        return QuantConfig(
-            bits=int(data["bits"]),
-            group_size=int(data["group_size"]),
-            group_dim=int(data.get("group_dim", -1)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"quant config missing key: {exc}") from None
 
 
 def policy_to_dict(policy: OffloadPolicy) -> dict[str, Any]:
@@ -54,61 +36,5 @@ def policy_to_dict(policy: OffloadPolicy) -> dict[str, Any]:
     }
 
 
-def policy_from_dict(data: dict[str, Any]) -> OffloadPolicy:
-    schema = data.get("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported policy schema {schema}")
-    try:
-        return OffloadPolicy(
-            wg=float(data["wg"]),
-            cg=float(data["cg"]),
-            hg=float(data["hg"]),
-            attention_on_cpu=bool(data["attention_on_cpu"]),
-            weight_quant=quant_from_dict(data.get("weight_quant")),
-            kv_quant=quant_from_dict(data.get("kv_quant")),
-            gpu_batch_size=int(data["gpu_batch_size"]),
-            num_gpu_batches=int(data["num_gpu_batches"]),
-            quantize_resident_weights=bool(
-                data.get("quantize_resident_weights", False)
-            ),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"policy dict missing key: {exc}") from None
-
-
 def policy_to_json(policy: OffloadPolicy, indent: int | None = 2) -> str:
     return json.dumps(policy_to_dict(policy), indent=indent)
-
-
-def policy_from_json(payload: str) -> OffloadPolicy:
-    try:
-        data = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid policy JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError("policy JSON must be an object")
-    return policy_from_dict(data)
-
-
-def report_to_dict(report) -> dict[str, Any]:
-    """Serialise an :class:`~repro.core.report.InferenceReport` summary."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "engine": report.engine,
-        "model": report.workload.model.name,
-        "prompt_len": report.workload.prompt_len,
-        "gen_len": report.workload.gen_len,
-        "block_size": report.workload.block_size,
-        "policy": policy_to_dict(report.policy),
-        "throughput": report.throughput,
-        "total_seconds": report.total_seconds,
-        "gpu_bytes": report.gpu_bytes,
-        "cpu_bytes": report.cpu_bytes,
-        "bottleneck": report.breakdown.bottleneck,
-        "task_totals": dict(report.breakdown.task_totals),
-        "quant_overheads": dict(report.breakdown.quant_overheads),
-    }
-
-
-def report_to_json(report, indent: int | None = 2) -> str:
-    return json.dumps(report_to_dict(report), indent=indent)

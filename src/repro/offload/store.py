@@ -1,18 +1,12 @@
 """TensorStore: the placement ledger over a platform's memory pools.
 
 Every tensor registered with the store is charged against the pool of the
-device it lives on; moving a tensor releases it from the source pool and
-charges the destination.  This is what makes infeasible policies fail the
-same way they would on real hardware (CUDA OOM -> MemoryCapacityError).
+device it lives on.  This is what makes infeasible policies fail the same
+way they would on real hardware (CUDA OOM -> MemoryCapacityError).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-import numpy as np
-
-from repro.errors import PlacementError
 from repro.hardware.platform import Platform
 from repro.offload.tensor import ManagedTensor
 
@@ -23,15 +17,6 @@ class TensorStore:
     def __init__(self, platform: Platform) -> None:
         self.platform = platform
         self._tensors: dict[str, ManagedTensor] = {}
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __iter__(self) -> Iterator[ManagedTensor]:
-        return iter(self._tensors.values())
-
-    def __len__(self) -> int:
-        return len(self._tensors)
 
     def register(self, tensor: ManagedTensor) -> ManagedTensor:
         """Add a tensor and charge its bytes to its device pool."""
@@ -47,74 +32,3 @@ class TensorStore:
             return self._tensors[name]
         except KeyError:
             raise KeyError(f"unknown tensor {name!r}") from None
-
-    def release(self, name: str) -> None:
-        """Drop a tensor and free its pool bytes."""
-        tensor = self.get(name)
-        self.platform.pools[tensor.device].release(name)
-        del self._tensors[name]
-
-    def relocate(self, name: str, device: str) -> ManagedTensor:
-        """Move a tensor's accounting (and payload ownership) to ``device``.
-
-        The byte size is unchanged — transfers that change representation
-        (quantize on store, dequantize on load) must swap the payload first
-        via :meth:`replace_payload`.
-        """
-        tensor = self.get(name)
-        if tensor.device == device:
-            return tensor
-        if device not in self.platform.pools:
-            raise PlacementError(f"unknown device {device!r}")
-        src_pool = self.platform.pools[tensor.device]
-        dst_pool = self.platform.pools[device]
-        dst_pool.allocate(name, tensor.nbytes)
-        src_pool.release(name)
-        tensor.device = device
-        return tensor
-
-    def replace_payload(self, name: str, tensor: ManagedTensor) -> ManagedTensor:
-        """Swap a tensor in place (e.g. fp16 -> quantized), re-accounting bytes.
-
-        ``tensor`` must carry the same name; its device is preserved from
-        the existing entry unless it differs explicitly.
-        """
-        if tensor.name != name:
-            raise ValueError("replacement tensor must keep the same name")
-        old = self.get(name)
-        pool = self.platform.pools[old.device]
-        pool.resize(name, tensor.nbytes)
-        tensor.device = old.device
-        self._tensors[name] = tensor
-        return tensor
-
-    def resize(self, name: str, nbytes: float) -> None:
-        """Grow/shrink a tensor (KV cache append)."""
-        import math
-
-        tensor = self.get(name)
-        rounded = math.ceil(nbytes)
-        self.platform.pools[tensor.device].resize(name, rounded)
-        tensor.nbytes = rounded
-
-    # -- queries -------------------------------------------------------------
-
-    def bytes_on(self, device: str) -> int:
-        """Total tensor bytes resident on ``device``."""
-        return sum(t.nbytes for t in self._tensors.values() if t.device == device)
-
-    def on_device(self, device: str) -> list[ManagedTensor]:
-        """Tensors resident on ``device``, sorted by name."""
-        return sorted(
-            (t for t in self._tensors.values() if t.device == device),
-            key=lambda t: t.name,
-        )
-
-    def array(self, name: str) -> np.ndarray:
-        """The materialized payload of ``name`` (functional mode only)."""
-        tensor = self.get(name)
-        if not isinstance(tensor.payload, np.ndarray):
-            raise PlacementError(
-                f"tensor {name!r} has no materialized ndarray payload"
-            )
-        return tensor.payload

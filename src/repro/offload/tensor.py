@@ -2,20 +2,17 @@
 
 A :class:`ManagedTensor` always knows *where it lives* and *how many bytes
 it occupies*; it may additionally hold a real NumPy array (functional runs)
-or a :class:`~repro.quant.QuantizedTensor` (compressed form).  Analytic runs
-at 30B+ scale create byte-only tensors — the placement and capacity
-machinery behaves identically either way.
+or a :class:`~repro.quant.QuantizedTensor` (compressed form).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from repro.errors import PlacementError
 from repro.quant.groupwise import QuantizedTensor
 
 Payload = Union[np.ndarray, QuantizedTensor, None]
@@ -45,28 +42,11 @@ class ManagedTensor:
     device: str
     payload: Payload = None
     pinned: bool = False
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.nbytes = math.ceil(self.nbytes)
         if self.nbytes < 0:
             raise ValueError(f"tensor {self.name}: nbytes must be >= 0")
-
-    @property
-    def is_quantized(self) -> bool:
-        return isinstance(self.payload, QuantizedTensor)
-
-    @property
-    def materialized(self) -> bool:
-        """True when the tensor carries real data (functional mode)."""
-        return self.payload is not None
-
-    def require_on(self, device: str) -> None:
-        """Assert placement before a device-local operation."""
-        if self.device != device:
-            raise PlacementError(
-                f"tensor {self.name} is on {self.device!r}, required on {device!r}"
-            )
 
     @classmethod
     def from_array(
@@ -85,14 +65,4 @@ class ManagedTensor:
         """Wrap a quantized payload; ``nbytes`` is the compressed size."""
         return cls(
             name=name, nbytes=qt.nbytes, device=device, payload=qt, pinned=pinned
-        )
-
-    @classmethod
-    def abstract(
-        cls, name: str, nbytes: float, device: str, pinned: bool = False, **meta
-    ) -> "ManagedTensor":
-        """A byte-only tensor for analytic (paper-scale) runs."""
-        return cls(
-            name=name, nbytes=math.ceil(nbytes), device=device,
-            payload=None, pinned=pinned, meta=dict(meta),
         )

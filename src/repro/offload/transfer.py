@@ -1,9 +1,8 @@
-"""Transfer engine: simulated-time tensor movement with traffic accounting.
+"""Transfer engine: simulated link time with traffic accounting.
 
-The per-direction :class:`TrafficLedger` is what regenerates the paper's
-Table 1 (I/O traffic for one token generation with/without attention
-offloading).  Directions are keyed ``(src, dst)`` so CPU->GPU and GPU->CPU
-are independent, matching full-duplex PCIe.
+The functional engine charges every weight and KV fetch here.  The
+per-direction :class:`TrafficLedger` keys flows by ``(src, dst)`` so
+CPU->GPU and GPU->CPU are independent, matching full-duplex PCIe.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.hardware.platform import Platform
-from repro.offload.store import TensorStore
 
 
 @dataclass
@@ -29,57 +27,20 @@ class TrafficLedger:
     def record(self, src: str, dst: str, category: str, nbytes: float) -> None:
         self.bytes_moved[(src, dst, category)] += nbytes
 
-    def total(self, src: str | None = None, dst: str | None = None,
-              category: str | None = None) -> float:
-        """Sum over any subset of the key dimensions."""
-        return sum(
-            v
-            for (s, d, c), v in self.bytes_moved.items()
-            if (src is None or s == src)
-            and (dst is None or d == dst)
-            and (category is None or c == category)
-        )
-
-    def reset(self) -> None:
-        self.bytes_moved.clear()
-
-    def as_table(self) -> list[tuple[str, str, str, float]]:
-        """Sorted (src, dst, category, bytes) rows for reporting."""
-        return sorted(
-            (s, d, c, v) for (s, d, c), v in self.bytes_moved.items()
-        )
-
 
 class TransferEngine:
-    """Moves tensors between devices, charging link time and traffic."""
+    """Charges link time and traffic for byte flows between devices."""
 
-    def __init__(self, platform: Platform, store: TensorStore) -> None:
+    def __init__(self, platform: Platform) -> None:
         self.platform = platform
-        self.store = store
         self.ledger = TrafficLedger()
 
-    def transfer_time(self, src: str, dst: str, nbytes: float) -> float:
-        """Seconds to move ``nbytes`` from ``src`` to ``dst``."""
-        if src == dst or nbytes == 0:
-            return 0.0
-        return self.platform.link_between(src, dst).transfer_time(nbytes)
-
-    def move(self, name: str, dst: str, category: str = "other") -> float:
-        """Relocate tensor ``name`` to ``dst``; returns simulated seconds."""
-        tensor = self.store.get(name)
-        src = tensor.device
-        if src == dst:
-            return 0.0
-        seconds = self.transfer_time(src, dst, tensor.nbytes)
-        self.ledger.record(src, dst, category, tensor.nbytes)
-        self.store.relocate(name, dst)
-        return seconds
-
     def charge(self, src: str, dst: str, nbytes: float, category: str) -> float:
-        """Account a byte flow without a named tensor (analytic runs)."""
+        """Record ``nbytes`` moved from ``src`` to ``dst`` on the ledger and
+        return the seconds the link takes to carry them."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         if src == dst or nbytes == 0:
             return 0.0
         self.ledger.record(src, dst, category, nbytes)
-        return self.transfer_time(src, dst, nbytes)
+        return self.platform.link_between(src, dst).transfer_time(nbytes)

@@ -69,10 +69,6 @@ class ParallelismPlan:
     predicted_compute_seconds: float
     predicted_step_seconds: float
 
-    @property
-    def total_compute_threads(self) -> int:
-        return self.compute.total_threads
-
     def describe(self) -> str:
         io = " ".join(f"{k.split('_')[0]}_{k.split('_')[1][:3]}={v}" for k, v in sorted(self.io_threads.items()))
         return (

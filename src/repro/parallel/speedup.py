@@ -37,11 +37,6 @@ class ParallelismSetting:
         if self.intra_op < 1 or self.inter_op < 1:
             raise ConfigError("intra_op and inter_op must be >= 1")
 
-    @property
-    def total_threads(self) -> int:
-        """Worst-case thread demand if every inter-op slot is busy."""
-        return self.intra_op * self.inter_op
-
 
 @dataclass(frozen=True)
 class CalibrationConstants:

@@ -169,11 +169,6 @@ class LatencyBreakdown:
     def total_seconds(self) -> float:
         return self.t_init + self.t_prefill + self.t_decode
 
-    @property
-    def total_quant_seconds(self) -> float:
-        """All (de)quantization time (Figure 4's quant+dequant bars)."""
-        return sum(self.quant_overheads.values())
-
     def throughput(self, workload: Workload) -> float:
         """Generated tokens per second (the paper's tput metric)."""
         return workload.block_size * workload.gen_len / self.total_seconds

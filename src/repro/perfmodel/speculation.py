@@ -157,10 +157,6 @@ class SpecConfig:
             expected += survive
         return expected
 
-    def tokens_per_step(self, alpha: float | None = None) -> float:
-        """Expected tokens emitted per verify step (root + accepted)."""
-        return 1.0 + self.expected_accepted(alpha)
-
     def describe(self) -> str:
         return (
             f"tree={self.tree_size}(w<={self.max_width},d={self.tree_depth}) "

@@ -10,14 +10,10 @@ to stages of :func:`compress`.
 
 from repro.quant.config import QuantConfig
 from repro.quant.groupwise import QuantizedTensor, compress, decompress
-from repro.quant.error import max_abs_error, mean_abs_error, quantization_snr
 
 __all__ = [
     "QuantConfig",
     "QuantizedTensor",
     "compress",
     "decompress",
-    "max_abs_error",
-    "mean_abs_error",
-    "quantization_snr",
 ]

@@ -65,10 +65,3 @@ class QuantConfig:
     def total_bytes(self, num_elements: int) -> float:
         """Payload + metadata: what actually crosses the interconnect."""
         return self.payload_bytes(num_elements) + self.metadata_bytes(num_elements)
-
-    def compression_ratio(self, src_dtype_bytes: float = 2.0) -> float:
-        """Approximate size reduction vs an uncompressed ``src_dtype``.
-
-        Ignores metadata (asymptotically negligible for group_size >= 32).
-        """
-        return src_dtype_bytes * 8 / self.bits

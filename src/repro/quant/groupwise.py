@@ -48,11 +48,6 @@ class QuantizedTensor:
         """Bytes that must cross an interconnect to move this tensor."""
         return int(self.payload.nbytes + self.mins.nbytes + self.scales.nbytes)
 
-    @property
-    def original_nbytes(self) -> int:
-        """fp32 bytes of the source tensor (for ratio reporting)."""
-        return int(np.prod(self.shape)) * 4
-
 
 def _move_group_dim(shape: tuple[int, ...], group_dim: int) -> int:
     """Normalise ``group_dim`` to a positive axis index for ``shape``."""
@@ -136,9 +131,3 @@ def decompress(qt: QuantizedTensor) -> np.ndarray:
     padded_len = length + ((-length) % g)
     values = values.reshape(*moved_shape[:-1], padded_len)[..., :length]
     return np.moveaxis(values, -1, axis)
-
-
-def roundtrip(tensor: np.ndarray, config: QuantConfig) -> np.ndarray:
-    """Compress-then-decompress convenience (what the engine applies to a
-    tensor crossing the interconnect in compressed form)."""
-    return decompress(compress(tensor, config))

@@ -57,16 +57,3 @@ class EventSim:
     def makespan(self) -> float:
         """Latest completion across all resources."""
         return max((r.free_at for r in self.resources.values()), default=0.0)
-
-    def utilization(self, name: str) -> float:
-        """Busy fraction of a resource over the makespan."""
-        span = self.makespan
-        if span == 0:
-            return 0.0
-        return self.resources[name].busy_time / span
-
-    def reset(self) -> None:
-        for r in self.resources.values():
-            r.free_at = 0.0
-            r.busy_time = 0.0
-            r.tasks_run = 0

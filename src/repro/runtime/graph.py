@@ -103,9 +103,6 @@ class OpGraph:
     def ops(self) -> list[OpNode]:
         return list(self._nodes.values())
 
-    def predecessors(self, name: str) -> list[str]:
-        return list(self._pred[name])
-
     def successors(self, name: str) -> list[str]:
         return list(self._succ[name])
 
@@ -132,14 +129,6 @@ class OpGraph:
 
     def total_work(self) -> float:
         return sum(op.work for op in self._nodes.values())
-
-    def critical_path_work(self) -> float:
-        """Longest work-weighted path — the lower bound on any schedule."""
-        best: dict[str, float] = {}
-        for name in self.topological_order():
-            incoming = [best[p] for p in self._pred[name]]
-            best[name] = (max(incoming) if incoming else 0.0) + self._nodes[name].work
-        return max(best.values(), default=0.0)
 
 
 def kahn_levels(graph: OpGraph) -> list[list[str]]:

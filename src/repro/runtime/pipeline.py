@@ -29,16 +29,6 @@ class GenerationTrace:
     per_token_seconds: tuple[float, ...]
     per_task_busy: dict[str, float]
 
-    @property
-    def total_seconds(self) -> float:
-        return self.prefill_seconds + self.decode_seconds
-
-    def throughput(self, block_size: int, gen_len: int) -> float:
-        """Generated tokens per second for the whole block (paper metric)."""
-        if self.total_seconds <= 0:
-            raise ScheduleError("empty trace")
-        return block_size * gen_len / self.total_seconds
-
 
 @dataclass
 class DecodeLoop:

@@ -9,36 +9,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.runtime.events import EventSim, Resource
+from repro.runtime.events import EventSim
 
 STREAM_NAMES = ("h2d", "d2h", "compute", "cpu")
 
 
 @dataclass
 class StreamSet:
-    """Named handles over an :class:`EventSim`'s resources."""
+    """An :class:`EventSim` with the four streams' resources created."""
 
     sim: EventSim
 
     def __post_init__(self) -> None:
         for name in STREAM_NAMES:
             self.sim.resource(name)
-
-    @property
-    def h2d(self) -> Resource:
-        return self.sim.resource("h2d")
-
-    @property
-    def d2h(self) -> Resource:
-        return self.sim.resource("d2h")
-
-    @property
-    def compute(self) -> Resource:
-        return self.sim.resource("compute")
-
-    @property
-    def cpu(self) -> Resource:
-        return self.sim.resource("cpu")
 
     @classmethod
     def fresh(cls) -> "StreamSet":

@@ -100,9 +100,6 @@ class TaskCosts:
             "compute": self.compute,
         }
 
-    def get(self, kind: TaskKind) -> float:
-        return getattr(self, kind.value)
-
     def step_time(self) -> float:
         """Eq. 2: overlapped per-iteration latency = max of the six tasks."""
         return max(self.as_tuple())
@@ -111,19 +108,3 @@ class TaskCosts:
         """Which task dominates the overlapped iteration."""
         values = self.as_tuple()
         return TaskKind(TASK_FIELD_NAMES[values.index(max(values))])
-
-    def serial_time(self) -> float:
-        """Sum of the six (what a non-overlapped runtime would pay)."""
-        return sum(self.as_tuple())
-
-    def scaled(self, factor: float) -> "TaskCosts":
-        """Uniformly scale every task (used for what-if analysis)."""
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
-        return TaskCosts(*(v * factor for v in self.as_tuple()))
-
-    @staticmethod
-    def elementwise_max(a: "TaskCosts", b: "TaskCosts") -> "TaskCosts":
-        return TaskCosts(
-            *(max(x, y) for x, y in zip(a.as_tuple(), b.as_tuple()))
-        )

@@ -45,7 +45,6 @@ from repro.serving.arrivals import (
     load_trace,
     mmpp_trace,
     poisson_trace,
-    replay_trace,
     trace_from_json,
 )
 from repro.serving.costing import StepCostOracle
@@ -70,7 +69,6 @@ from repro.serving.metrics import (
     compute_metrics,
     metrics_registry,
     metrics_row,
-    nearest_rank,
 )
 from repro.serving.multimodel import (
     MODEL_PRESETS,
@@ -80,7 +78,6 @@ from repro.serving.multimodel import (
     MultiModelSimulator,
     SwapRecord,
     make_slots,
-    multimodel_registry,
     slot_summary,
 )
 from repro.serving.policies import (
@@ -96,7 +93,6 @@ from repro.serving.predictor import (
     BucketedQuantilePredictor,
     LengthPredictor,
     OracleLengthPredictor,
-    make_predictor,
 )
 from repro.serving.queue import AdmissionQueue
 from repro.serving.request import DropReason, Request, RequestSpec, RequestState
@@ -117,7 +113,6 @@ __all__ = [
     "load_trace",
     "mmpp_trace",
     "poisson_trace",
-    "replay_trace",
     "trace_from_json",
     "StepCostOracle",
     "FLEET_PRESETS",
@@ -138,7 +133,6 @@ __all__ = [
     "compute_metrics",
     "metrics_registry",
     "metrics_row",
-    "nearest_rank",
     "MODEL_PRESETS",
     "SLO_CLASSES",
     "ModelSlot",
@@ -146,7 +140,6 @@ __all__ = [
     "MultiModelSimulator",
     "SwapRecord",
     "make_slots",
-    "multimodel_registry",
     "slot_summary",
     "POLICIES",
     "FCFSPolicy",
@@ -158,7 +151,6 @@ __all__ = [
     "BucketedQuantilePredictor",
     "LengthPredictor",
     "OracleLengthPredictor",
-    "make_predictor",
     "AdmissionQueue",
     "DropReason",
     "Request",

@@ -13,7 +13,7 @@ Generators
 * :func:`mmpp_trace` — a two-state Markov-modulated Poisson process:
   exponential dwell times alternate between a quiet and a bursty rate,
   the standard model for diurnal/bursty LLM traffic;
-* :func:`replay_trace` / :func:`trace_from_json` — replay recorded
+* :func:`load_trace` / :func:`trace_from_json` — replay recorded
   arrivals (e.g. a production trace exported as JSON).
 """
 
@@ -87,12 +87,6 @@ class RequestTrace:
             f"{self.horizon_s:.1f}s ({self.total_tokens} prompt+gen tokens)"
         )
 
-    @property
-    def models(self) -> tuple[str, ...]:
-        """Distinct model tags appearing in the trace (sorted; empty tags
-        excluded — an untagged trace reports ``()``)."""
-        return tuple(sorted({r.model for r in self.requests if r.model}))
-
     def for_model(self, model: str) -> "RequestTrace":
         """The sub-trace of requests tagged ``model`` (arrival order kept)."""
         return RequestTrace(
@@ -100,29 +94,6 @@ class RequestTrace:
             requests=tuple(r for r in self.requests if r.model == model),
             horizon_s=self.horizon_s,
         )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        doc = {
-            "name": self.name,
-            "horizon_s": self.horizon_s,
-            "requests": [
-                {
-                    "arrival_s": r.arrival_s,
-                    "prompt_len": r.prompt_len,
-                    "gen_len": r.gen_len,
-                    "priority": r.priority,
-                    # The model tag is serialized only when set, so every
-                    # pre-multi-model trace file stays byte-identical.
-                    **({"model": r.model} if r.model else {}),
-                }
-                for r in self.requests
-            ],
-        }
-        return json.dumps(doc, indent=indent)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
 
 
 def _specs_from_times(
@@ -281,28 +252,10 @@ def multimodel_trace(
     )
 
 
-def replay_trace(
-    entries: list[tuple[float, int, int] | tuple[float, int, int, int]],
-    horizon_s: float | None = None,
-    name: str = "replay",
-) -> RequestTrace:
-    """Build a trace from explicit ``(arrival_s, prompt, gen[, prio])`` rows."""
-    specs = tuple(
-        RequestSpec(
-            arrival_s=float(e[0]),
-            prompt_len=int(e[1]),
-            gen_len=int(e[2]),
-            priority=int(e[3]) if len(e) > 3 else 0,
-        )
-        for e in sorted(entries, key=lambda e: e[0])
-    )
-    if horizon_s is None:
-        horizon_s = (specs[-1].arrival_s + 1.0) if specs else 1.0
-    return RequestTrace(name=name, requests=specs, horizon_s=horizon_s)
-
-
 def trace_from_json(text: str) -> RequestTrace:
-    """Inverse of :meth:`RequestTrace.to_json`."""
+    """Parse a trace document: ``name``, ``horizon_s`` and ``requests``,
+    each with ``arrival_s``, ``prompt_len``, ``gen_len`` and optional
+    ``priority`` and ``model``."""
     doc = json.loads(text)
     try:
         specs = tuple(

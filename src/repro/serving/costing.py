@@ -193,13 +193,6 @@ class StepCostOracle:
         self._feasible_cache[key] = verdict
         return verdict
 
-    def max_feasible_batch(self, ctx_len: int, limit: int) -> int:
-        """Largest ``n <= limit`` that plans and fits at ``ctx_len`` (0 if none)."""
-        for n in range(limit, 0, -1):
-            if self.feasible(n, ctx_len):
-                return n
-        return 0
-
     # -- step pricing ------------------------------------------------------
 
     def _iters(self, policy) -> int:

@@ -555,30 +555,6 @@ class FleetResult:
             "ok": ok,
         }
 
-    def single_replica_result(self) -> ServingResult:
-        """The run re-expressed as a single-engine :class:`ServingResult`
-        — only defined for 1-replica fleets, where it is byte-identical
-        (requests, expanded steps, aggregates, makespan, metrics) to
-        :class:`~repro.serving.ServingSimulator` on the same inputs."""
-        if len(self.replicas) != 1:
-            raise ConfigError(
-                "single_replica_result is only defined for a 1-replica "
-                f"fleet (this one has {len(self.replicas)})"
-            )
-        rr = self.replicas[0]
-        return ServingResult(
-            engine=rr.serving.engine,
-            trace_name=self.trace_name,
-            policy_name=self.policy_name,
-            config=self.config.serving,
-            requests=list(self.requests),
-            step_runs=rr.serving.step_runs,
-            aggregates=rr.serving.aggregates,
-            makespan_s=self.makespan_s,
-            fault_stats=rr.serving.fault_stats,
-            fault_schedule=rr.serving.fault_schedule,
-        )
-
 
 class FleetSimulator:
     """N replicas + router + fault domains on one shared virtual clock."""

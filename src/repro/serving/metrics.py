@@ -25,24 +25,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.obs.registry import Histogram, MetricsRegistry, exact_nearest_rank
+from repro.obs.registry import Histogram, MetricsRegistry
 from repro.serving.simulator import ServingResult
 
 PERCENTILES = (50, 95, 99, 99.9)
-
-
-def nearest_rank(values: list[float], pct: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation).
-
-    Delegates to :func:`repro.obs.registry.exact_nearest_rank`: the rank
-    ``ceil(n * pct / 100)`` is computed over rationals, so float
-    percentiles like 99.9 are exact.  (The old inline
-    ``-(-n * pct // 100)`` trick ran the ceiling in float arithmetic;
-    when ``n * pct / 100`` is mathematically an integer but the float
-    product lands epsilon above it, the rank comes out one too high —
-    e.g. p64.4 of 250 samples picked rank 162 instead of 161.)
-    """
-    return exact_nearest_rank(values, pct)
 
 
 def _summary(values: list[float]) -> dict[str, float]:

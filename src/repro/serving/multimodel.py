@@ -52,7 +52,7 @@ from repro.faults import FaultSchedule
 from repro.models.config import ModelConfig
 from repro.models.registry import get_model
 from repro.obs.profiling import PROFILER, span
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import Histogram
 from repro.perfmodel.notation import HardwareParams
 from repro.serving.arrivals import RequestTrace
 from repro.serving.costing import StepCostOracle
@@ -229,20 +229,6 @@ def slot_summary(
             "e2e": _summary([r.e2e_s for r in finished if r.e2e_s is not None]),
         },
     }
-
-
-def multimodel_registry(result: MultiModelResult) -> MetricsRegistry:
-    """The single-model registry plus the swap/residency series."""
-    from repro.serving.metrics import metrics_registry
-
-    reg = metrics_registry(result.serving)
-    reg.counter("swaps.total").inc(len(result.swaps))
-    for swap in result.swaps:
-        reg.counter(f"swaps.{swap.reason}").inc()
-        reg.histogram("swap_duration_s").observe(swap.duration_s)
-    for name in sorted(result.residency_s):
-        reg.gauge(f"residency_s.{name}").set(result.residency_s[name])
-    return reg
 
 
 class MultiModelSimulator:

@@ -19,11 +19,10 @@ mispredictions.  This module makes that gap measurable:
 
 Mispredict accounting: the first prediction made for a request is frozen
 (that is the number the scheduler acted on) and compared against the true
-length when the request completes.  The deltas feed the metrics registry
-via :meth:`LengthPredictor.fill_registry` — ``predictor.observations``,
-``predictor.mispredict_abs`` (histogram of ``|predicted - actual|``),
-``predictor.mispredict_rate`` (fraction mispredicted by more than
-``mispredict_margin`` relative), and per-model bucket counts.
+length when the request completes.  :meth:`LengthPredictor.stats`
+summarises the deltas — observations, mean ``|predicted - actual|`` and
+the mispredict rate (fraction mispredicted by more than
+``mispredict_margin`` relative) — and the multi-model bench reports it.
 
 Everything is deterministic: quantiles use the same exact nearest-rank
 arithmetic as the SLO metrics, and there is no RNG anywhere.
@@ -34,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ServingError
-from repro.obs.registry import MetricsRegistry, exact_nearest_rank
+from repro.obs.registry import exact_nearest_rank
 from repro.serving.request import Request
 
 
@@ -63,13 +62,6 @@ class LengthPredictor:
             "mean_abs_error": 0.0,
             "mispredict_rate": 0.0,
         }
-
-    def fill_registry(self, reg: MetricsRegistry) -> None:
-        """Export the predictor's tallies as typed registry series."""
-        s = self.stats()
-        reg.counter("predictor.observations").inc(s["observations"])
-        reg.gauge("predictor.mean_abs_error").set(s["mean_abs_error"])
-        reg.gauge("predictor.mispredict_rate").set(s["mispredict_rate"])
 
 
 class OracleLengthPredictor(LengthPredictor):
@@ -131,10 +123,6 @@ class BucketedQuantilePredictor(LengthPredictor):
     def bucket_of(self, req: Request) -> tuple[str, int]:
         return (req.model, (req.prompt_len // self.prompt_bucket))
 
-    def bucket_counts(self) -> dict[tuple[str, int], int]:
-        """Completed-length sample count per bucket (for tests/metrics)."""
-        return {k: len(v) for k, v in self._samples.items()}
-
     # -- predict / observe ----------------------------------------------
 
     def predict_total(self, req: Request) -> float:
@@ -173,22 +161,3 @@ class BucketedQuantilePredictor(LengthPredictor):
             "mean_abs_error": (sum(self._abs_errors) / n) if n else 0.0,
             "mispredict_rate": (self._mispredicts / n) if n else 0.0,
         }
-
-    def fill_registry(self, reg: MetricsRegistry) -> None:
-        super().fill_registry(reg)
-        for error in self._abs_errors:
-            reg.histogram("predictor.mispredict_abs").observe(error)
-        for (model, bucket), samples in sorted(self._samples.items()):
-            label = model or "_"
-            reg.counter(f"predictor.bucket.{label}.{bucket}").inc(len(samples))
-
-
-def make_predictor(name: str, **kwargs) -> LengthPredictor:
-    """Predictor factory for CLI/bench use."""
-    if name == "oracle":
-        return OracleLengthPredictor()
-    if name == "bucketed":
-        return BucketedQuantilePredictor(**kwargs)
-    raise ServingError(
-        f"unknown length predictor {name!r}; expected one of oracle, bucketed"
-    )

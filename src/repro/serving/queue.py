@@ -214,10 +214,3 @@ class AdmissionQueue:
         self.waiting.remove(req)
         self._index_remove(req)
         return req
-
-    def drop_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for req in self.dropped:
-            assert req.drop_reason is not None
-            counts[req.drop_reason.value] = counts.get(req.drop_reason.value, 0) + 1
-        return counts

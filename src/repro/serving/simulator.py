@@ -330,7 +330,7 @@ class ServingSimulator:
         #: a predictor skip the hook entirely — byte-identical either way.
         self._predictor = getattr(self.policy, "predictor", None)
         #: Chaos mode is engaged only by a non-empty schedule; an empty
-        #: one (``zero_schedule()``) runs the exact fault-free code path.
+        #: one runs the exact fault-free code path.
         self._chaos = faults is not None and len(faults.faults) > 0
         #: The pristine platform every degraded overlay derives from.
         self.base_platform = engine.platform

@@ -56,16 +56,3 @@ def dtype_bytes(name: str) -> float:
         raise KeyError(
             f"unknown dtype {name!r}; expected one of {sorted(DTYPE_BYTES)}"
         ) from None
-
-
-def fmt_bytes(n: float) -> str:
-    """Human-readable decimal formatting of a byte count (``'55.0 GB'``)."""
-    for unit, width in (("TB", TB), ("GB", GB), ("MB", MB), ("KB", KB)):
-        if abs(n) >= width:
-            return f"{n / width:.2f} {unit}"
-    return f"{n:.0f} B"
-
-
-def fmt_rate(tokens_per_s: float) -> str:
-    """Format a throughput value the way the paper's tables do."""
-    return f"{tokens_per_s:.1f} tokens/s"

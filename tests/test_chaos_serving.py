@@ -13,7 +13,6 @@ from repro.faults import (
     FaultSchedule,
     FaultSpec,
     make_scenario,
-    zero_schedule,
 )
 from repro.hardware import single_a100
 from repro.models import get_model
@@ -24,8 +23,8 @@ from repro.serving import (
     ServingSimulator,
     compute_metrics,
     default_trace,
-    replay_trace,
 )
+from tests.traces import replay_trace
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +61,7 @@ def test_empty_schedule_reproduces_fault_free_run(model, trace):
     """The fault layer's identity element: an empty schedule must take the
     exact fault-free code path, byte for byte (PR 2's numbers)."""
     plain = simulate(model, trace)
-    zeroed = simulate(model, trace, faults=zero_schedule())
+    zeroed = simulate(model, trace, faults=FaultSchedule("no-faults"))
     assert plain.fault_stats is None and zeroed.fault_stats is None
     assert metrics_json(plain) == metrics_json(zeroed)
 

@@ -37,10 +37,10 @@ def test_plan_command_saves_policy(capsys, tmp_path):
         capsys, "plan", "--gen-len", "8", "--save", str(path)
     )
     assert "policy:" in out
-    from repro.offload.serialization import policy_from_json
+    from tests.test_serialization import policy_from_doc
 
-    policy = policy_from_json(path.read_text())
-    assert policy.block_size == 640
+    policy = policy_from_doc(json.loads(path.read_text()))
+    assert policy.gpu_batch_size * policy.num_gpu_batches == 640
 
 
 def test_experiment_command_tab1(capsys):
@@ -131,10 +131,10 @@ def test_serve_sim_replay_requires_trace_file(capsys):
 
 
 def test_serve_sim_replay_round_trip(capsys, tmp_path):
-    from repro.serving import replay_trace
+    from tests.traces import replay_trace, save_trace
 
     path = tmp_path / "trace.json"
-    replay_trace([(0.0, 16, 4), (0.2, 16, 8)], name="mini").save(str(path))
+    save_trace(replay_trace([(0.0, 16, 4), (0.2, 16, 8)], name="mini"), path)
     out = run_cli(
         capsys, "serve-sim", "--model", "opt-1.3b", "--engine", "zero-inference",
         "--arrival", "replay", "--trace-file", str(path),

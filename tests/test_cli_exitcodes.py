@@ -130,6 +130,27 @@ def test_nan_drift_tolerance_is_config_error(argv, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag", [("--metrics-out", "m.json"), ("--chrome-trace", "t.json"),
+             ("--scenario", "pcie-degrade")],
+    ids=["metrics-out", "chrome-trace", "scenario"],
+)
+def test_models_mode_rejects_single_model_exports(flag, tmp_path):
+    """``serve-sim --models`` has no registry, timeline or fault overlay
+    to export, so these flags are refused before anything runs."""
+    name, value = flag
+    if name != "--scenario":
+        value = str(tmp_path / value)
+    out = tmp_path / "out.json"
+    proc = run_repro(
+        "serve-sim", "--models", "opt-duo", "--quick", name, value,
+        "--output", str(out),
+    )
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert "config error" in proc.stderr
+    assert not out.exists()
+
+
 def test_profile_flag_reports_to_stderr(tmp_path):
     proc = run_repro(
         "--profile", "audit", "--quick", "--output", str(tmp_path / "a.json")

@@ -42,7 +42,7 @@ def test_flexgen_never_quantizes(fg_report):
 
 
 def test_reports_fit_gpu_memory(lm_report, fg_report):
-    cap = single_a100().gpu.memory_capacity
+    cap = single_a100().gpus[0].memory_capacity
     assert lm_report.gpu_bytes <= cap
     assert fg_report.gpu_bytes <= cap
 
@@ -123,4 +123,4 @@ def test_zero_inference_batch_shrinks_for_66b():
     report = ZeroInferenceEngine(single_a100()).run(w)
     # 4-bit 66B weights leave little room: batch must shrink below 64.
     assert report.workload.block_size <= 64
-    assert report.gpu_bytes <= single_a100().gpu.memory_capacity
+    assert report.gpu_bytes <= single_a100().gpus[0].memory_capacity

@@ -21,7 +21,6 @@ def test_wd_validation():
     with pytest.raises(ConfigError):
         OffloadPolicy(wd=1.5)
     p = OffloadPolicy(wg=0.2, wd=0.5)
-    assert p.w_cpu == pytest.approx(0.3)
     assert p.wc == pytest.approx(0.8)
 
 

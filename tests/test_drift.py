@@ -11,7 +11,6 @@ from repro.faults import (
     FaultSchedule,
     FaultSpec,
     make_scenario,
-    zero_schedule,
 )
 from repro.faults.overlay import capability_windows, fault_signature
 from repro.obs.drift import DEFAULT_TOLERANCE, DriftGate, price_windows, steady_state
@@ -55,7 +54,7 @@ def test_price_windows_skips_transient_only_schedules():
     storm = FaultSchedule(
         "storm", (FaultSpec(FaultKind.TRANSIENT_ERROR, 10.0, 20.0, 0.5),)
     )
-    for sched in (storm, zero_schedule()):
+    for sched in (storm, FaultSchedule("no-faults")):
         assert price_windows(sched, lambda t: pytest.fail("priced")) == []
 
 

@@ -13,7 +13,6 @@ from repro.faults import (
     degraded_platform,
     make_scenario,
     relative_drift,
-    zero_schedule,
 )
 from repro.hardware import single_a100
 from repro.perfmodel import HardwareParams
@@ -103,7 +102,7 @@ def a100_platform():
 def test_overlay_identity_when_inactive(a100_platform):
     sched = make_scenario("pcie-degrade", horizon_s=100.0, seed=0)
     assert a100_platform.with_faults(sched, 0.0) is a100_platform
-    assert a100_platform.with_faults(zero_schedule(), 50.0) is a100_platform
+    assert a100_platform.with_faults(FaultSchedule("no-faults"), 50.0) is a100_platform
 
 
 def test_overlay_scales_link_bandwidth_nondestructively(a100_platform):
@@ -225,13 +224,13 @@ def test_ladder_orders_mitigations():
 def test_scenarios_are_seed_deterministic(name):
     s1 = make_scenario(name, horizon_s=30.0, seed=3)
     s2 = make_scenario(name, horizon_s=30.0, seed=3)
-    assert s1.to_json() == s2.to_json()
+    assert s1.to_dict() == s2.to_dict()
 
 
 def test_flaky_scenario_varies_with_seed():
     s1 = make_scenario("flaky-pcie", horizon_s=30.0, seed=0)
     s2 = make_scenario("flaky-pcie", horizon_s=30.0, seed=1)
-    assert s1.to_json() != s2.to_json()
+    assert s1.to_dict() != s2.to_dict()
 
 
 def test_unknown_scenario_is_config_error():

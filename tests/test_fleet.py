@@ -21,6 +21,7 @@ from repro.serving import (
     Request,
     RequestState,
     ServingConfig,
+    ServingResult,
     ServingSimulator,
     compute_fleet_metrics,
     compute_metrics,
@@ -29,8 +30,8 @@ from repro.serving import (
     make_fleet_scenario,
     make_policy,
     poisson_trace,
-    replay_trace,
 )
+from tests.traces import replay_trace
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,24 @@ def run_fleet(model, specs, trace, faults=None, seed=0, config=None,
 # -- 1-replica zero-fault equivalence --------------------------------------
 
 
+def single_replica_result(fleet) -> ServingResult:
+    """A 1-replica fleet run re-expressed as a single-engine
+    :class:`ServingResult` (requests, steps, aggregates, makespan)."""
+    (rr,) = fleet.replicas
+    return ServingResult(
+        engine=rr.serving.engine,
+        trace_name=fleet.trace_name,
+        policy_name=fleet.policy_name,
+        config=fleet.config.serving,
+        requests=list(fleet.requests),
+        step_runs=rr.serving.step_runs,
+        aggregates=rr.serving.aggregates,
+        makespan_s=fleet.makespan_s,
+        fault_stats=rr.serving.fault_stats,
+        fault_schedule=rr.serving.fault_schedule,
+    )
+
+
 @pytest.mark.parametrize("policy", ["fcfs", "sjf-predict"])
 def test_single_replica_zero_fault_byte_identical_to_serving_sim(model, policy):
     """The acceptance pin: a 1-replica fleet with no faults IS the
@@ -91,7 +110,7 @@ def test_single_replica_zero_fault_byte_identical_to_serving_sim(model, policy):
         config=FleetConfig(serving=config), policy=policy,
     )
     assert fleet.accounting()["ok"]
-    view = fleet.single_replica_result()
+    view = single_replica_result(fleet)
     assert view.makespan_s == ss.makespan_s
     assert view.requests == ss.requests
     assert view.steps == ss.steps
@@ -99,13 +118,6 @@ def test_single_replica_zero_fault_byte_identical_to_serving_sim(model, policy):
     assert json.dumps(compute_metrics(view), sort_keys=True) == json.dumps(
         compute_metrics(ss), sort_keys=True
     )
-
-
-def test_single_replica_result_rejects_multi_replica_fleet(model):
-    trace = poisson_trace(rate=4.0, horizon_s=2.0, seed=0)
-    fleet = run_fleet(model, zi_specs(2), trace)
-    with pytest.raises(ConfigError, match="1-replica"):
-        fleet.single_replica_result()
 
 
 # -- conservation under chaos ----------------------------------------------

@@ -35,18 +35,3 @@ def test_invalid_inputs(cache):
         cache.miss_ratio(-1, 1)
     with pytest.raises(ValueError):
         cache.miss_ratio(1, 0)
-    with pytest.raises(ValueError):
-        cache.misses(-1, 0, 1)
-
-
-def test_misses_proportional_to_traffic(cache):
-    one = cache.misses(64 * MIB, 8 * MIB, 2)
-    two = cache.misses(128 * MIB, 8 * MIB, 2)
-    assert two == pytest.approx(2 * one)
-
-
-def test_misses_counted_in_lines(cache):
-    # With ratio r, misses = traffic/line * r.
-    traffic = 64 * 1000
-    r = cache.miss_ratio(8 * MIB, 1)
-    assert cache.misses(traffic, 8 * MIB, 1) == pytest.approx(1000 * r)

@@ -39,42 +39,3 @@ def test_invalid_flops_rejected():
 def test_invalid_capacity_rejected():
     with pytest.raises(ConfigError):
         make_gpu(memory_capacity=0)
-
-
-def test_hardware_threads():
-    cpu = DeviceSpec(
-        name="cpu", kind=DeviceKind.CPU, peak_flops=1e12,
-        mem_bandwidth=1e11, freq=2e9, memory_capacity=1e11,
-        cores=56, smt=2, sockets=2,
-    )
-    assert cpu.hardware_threads == 112
-
-
-def test_matmul_time_is_roofline_max():
-    gpu = make_gpu()
-    compute_bound = gpu.matmul_time(flops=1e15, bytes_touched=1)
-    assert compute_bound == pytest.approx(1e15 / gpu.peak_flops)
-    memory_bound = gpu.matmul_time(flops=1, bytes_touched=1e12)
-    assert memory_bound == pytest.approx(1e12 / gpu.mem_bandwidth)
-
-
-def test_matmul_time_rejects_negative():
-    with pytest.raises(ValueError):
-        make_gpu().matmul_time(-1, 0)
-
-
-def test_scan_time_uses_clock():
-    gpu = make_gpu()
-    assert gpu.scan_time(gpu.freq) == pytest.approx(1.0)
-
-
-def test_copy_time_uses_bandwidth():
-    gpu = make_gpu()
-    assert gpu.copy_time(gpu.mem_bandwidth) == pytest.approx(1.0)
-
-
-def test_elementwise_time():
-    gpu = make_gpu()
-    assert gpu.elementwise_time(gpu.peak_flops, 1.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        gpu.elementwise_time(-5)

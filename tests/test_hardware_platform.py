@@ -9,11 +9,11 @@ from repro.units import GB
 
 def test_single_a100_shape():
     plat = single_a100()
-    assert plat.gpu.memory_capacity == 40 * GB
+    assert plat.gpus[0].memory_capacity == 40 * GB
     assert plat.cpu.cores == 56
-    assert plat.cpu.hardware_threads == 112
+    assert plat.cpu.cores * plat.cpu.smt == 112
     # PCIe 4.0 x16: 32 GB/s per direction (64 bidirectional in the paper).
-    assert plat.pcie.bandwidth == 32 * GB
+    assert plat.link_between("cpu", "gpu0").bandwidth == 32 * GB
 
 
 def test_single_a100_pools_match_devices():
@@ -34,12 +34,6 @@ def test_power9_links_every_gpu_to_cpu():
     plat = power9_4xv100(4)
     for gpu in plat.gpus:
         assert plat.link_between("cpu", gpu.name).bandwidth == 150 * GB
-
-
-def test_gpu_property_requires_single_gpu():
-    plat = power9_4xv100(2)
-    with pytest.raises(ConfigError, match="exactly one GPU"):
-        _ = plat.gpu
 
 
 def test_unknown_device_lookup():
@@ -67,16 +61,9 @@ def test_link_references_must_exist():
         )
 
 
-def test_reset_pools():
-    plat = small_test_platform()
-    plat.pools["gpu0"].allocate("x", 100)
-    plat.reset_pools()
-    assert plat.pools["gpu0"].used == 0
-
-
 def test_small_platform_is_small():
     plat = small_test_platform()
-    assert plat.gpu.memory_capacity < 1 * GB
+    assert plat.gpus[0].memory_capacity < 1 * GB
 
 
 def test_link_transfer_time_includes_latency():

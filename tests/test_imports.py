@@ -8,12 +8,15 @@ exports would leave) and imports each module from a clean
 ``sys.modules``, so a cycle between subpackages fails here instead of in
 the first entry point that reaches it.
 
-scipy stays off the planning path: only ``repro.calibration``'s fit
-loads it, and only when called.  The gate reads ``python -X importtime``
-and counts modules, not seconds, so runner speed cannot flake it.
+scipy is a test dependency only: no module under ``src/repro`` imports
+it at any scope, and the package's runtime dependencies name numpy
+alone.  The import-time gate reads ``python -X importtime`` and counts
+modules, not seconds, so runner speed cannot flake it.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -98,12 +101,39 @@ def _imported_modules(*args: str) -> list[str]:
     "args",
     [
         ("-m", "repro", "--help"),
-        ("-c", "import repro.offload.planner, repro.calibration"),
         ("-c", "import repro.baselines, repro.core"),
     ],
-    ids=["cli-help", "planner-calibration", "engines"],
+    ids=["cli-help", "engines"],
 )
 def test_planning_path_imports_no_scipy(args):
     modules = _imported_modules(*args)
     assert "repro.offload.planner" in modules
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+def test_no_module_imports_scipy():
+    """Stricter than the import-time gate: an ``import scipy`` inside a
+    function body that no command happens to call fails here too."""
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(SRC)}:{node.lineno}: {name}"
+                for name in names if name.split(".")[0] == "scipy"
+            ]
+    assert offenders == []
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    names = [re.split(r"[\s\[<>=!~;]", dep)[0] for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["dev"])

@@ -86,11 +86,11 @@ def test_paper_data_complete():
 def test_managed_tensor_constructors(rng):
     arr = rng.standard_normal((8, 8)).astype(np.float32)
     t = ManagedTensor.from_array("w", arr, "cpu")
-    assert t.nbytes == arr.nbytes and t.materialized and not t.is_quantized
+    assert t.nbytes == arr.nbytes and t.payload is arr
     qt = compress(arr, QuantConfig(bits=4, group_size=8))
     q = ManagedTensor.from_quantized("wq", qt, "cpu")
-    assert q.is_quantized and q.nbytes == qt.nbytes
-    a = ManagedTensor.abstract("big", 1e9, "cpu", role="weights")
-    assert not a.materialized and a.meta["role"] == "weights"
+    assert q.payload is qt and q.nbytes == qt.nbytes
+    a = ManagedTensor("big", 1e9 + 0.5, "cpu")
+    assert a.payload is None and a.nbytes == 10**9 + 1
     with pytest.raises(ValueError):
-        ManagedTensor.abstract("neg", -1, "cpu")
+        ManagedTensor("neg", -1, "cpu")

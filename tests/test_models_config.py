@@ -61,11 +61,3 @@ def test_registry_duplicate_rejected():
     cfg = get_model("tiny-2l")
     with pytest.raises(ConfigError, match="already registered"):
         register_model(cfg)
-
-
-def test_scaled_preserves_mlp_ratio():
-    base = get_model("llama-30b")
-    small = base.scaled("llama-tiny", layers=2, hidden=64, heads=4)
-    assert small.num_layers == 2
-    ratio = base.intermediate_size / base.hidden_size
-    assert small.intermediate_size == pytest.approx(64 * ratio, abs=1)

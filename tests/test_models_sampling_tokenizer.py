@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.models.sampling import greedy_sample, temperature_sample, top_k_sample
+from repro.models.sampling import greedy_sample, temperature_sample
 from repro.models.tokenizer import ByteTokenizer
 
 
@@ -26,17 +26,6 @@ def test_temperature_sampling_respects_distribution(rng):
 def test_temperature_zero_rejected(rng):
     with pytest.raises(ValueError):
         temperature_sample(np.zeros((1, 3)), 0.0, rng)
-
-
-def test_top_k_restricts_support(rng):
-    logits = np.array([[0.0, 1.0, 2.0, 3.0]] * 500)
-    samples = top_k_sample(logits, k=2, rng=rng)
-    assert set(np.unique(samples)) <= {2, 3}
-
-
-def test_top_k_invalid_k(rng):
-    with pytest.raises(ValueError):
-        top_k_sample(np.zeros((1, 3)), k=0, rng=rng)
 
 
 def test_tokenizer_roundtrip():

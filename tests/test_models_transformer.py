@@ -81,30 +81,8 @@ def test_cache_batch_mismatch(tiny, rng):
         model.forward(rng.integers(0, 256, size=(3, 2)), cache)
 
 
-def test_kv_cache_nbytes_grows(tiny, rng):
-    model = Transformer(tiny)
-    cache = KVCache(tiny.config, 1, capacity=8)
-    assert cache.nbytes == 0
-    model.forward(rng.integers(0, 256, size=(1, 2)), cache)
-    first = cache.nbytes
-    model.forward(rng.integers(0, 256, size=(1, 2)), cache)
-    assert cache.nbytes == 2 * first
-
-
 def test_kv_cache_invalid_params(tiny):
     with pytest.raises(ConfigError):
         KVCache(tiny.config, batch=0, capacity=4)
     with pytest.raises(ConfigError):
         KVCache(tiny.config, batch=1, capacity=0)
-
-
-def test_kv_cache_set_slice_roundtrip(tiny, rng):
-    cache = KVCache(tiny.config, 1, capacity=4)
-    cfg = tiny.config
-    k = rng.standard_normal((1, cfg.num_heads, 2, cfg.head_dim)).astype(np.float32)
-    v = rng.standard_normal(k.shape).astype(np.float32)
-    for layer in range(cfg.num_layers):
-        cache.append(layer, k, v)
-    cache.set_slice(0, 0, k * 2, v)
-    got_k, _ = cache.get(0)
-    assert np.allclose(got_k, k * 2)

@@ -104,15 +104,6 @@ def test_nearest_rank_matches_reference(values, pct):
     assert exact_nearest_rank(values, pct) == reference_nearest_rank(values, pct)
 
 
-def test_serving_nearest_rank_delegates():
-    from repro.serving import nearest_rank
-    from repro.serving.metrics import PERCENTILES
-
-    assert 99.9 in PERCENTILES
-    values = [float(i) for i in range(1, 1002)]
-    assert nearest_rank(values, 99.9) == exact_nearest_rank(values, 99.9)
-
-
 # -- registry series --------------------------------------------------------
 
 
@@ -218,7 +209,7 @@ def test_profiling_enabled_restores_prior_state():
         assert PROFILER.enabled
         with span("x"):
             pass
-        assert PROFILER.scope("x").calls == 1
+        assert PROFILER.report()["scopes"]["x"]["calls"] == 1
     assert not PROFILER.enabled
 
 
@@ -252,7 +243,8 @@ def _serving_doc():
     from repro.baselines import ZeroInferenceEngine
     from repro.hardware import single_a100
     from repro.models import get_model
-    from repro.serving import ServingSimulator, compute_metrics, replay_trace
+    from repro.serving import ServingSimulator, compute_metrics
+    from tests.traces import replay_trace
 
     trace = replay_trace(
         [(0.0, 16, 4), (0.3, 16, 8), (0.8, 16, 4)], name="obs-identity"
@@ -282,12 +274,8 @@ def test_metrics_registry_view_matches_document():
     from repro.baselines import ZeroInferenceEngine
     from repro.hardware import single_a100
     from repro.models import get_model
-    from repro.serving import (
-        ServingSimulator,
-        compute_metrics,
-        metrics_registry,
-        replay_trace,
-    )
+    from repro.serving import ServingSimulator, compute_metrics, metrics_registry
+    from tests.traces import replay_trace
 
     trace = replay_trace([(0.0, 16, 4), (0.5, 16, 4)], name="reg")
     result = ServingSimulator(
@@ -364,7 +352,7 @@ def test_timeseries_points_chronological_and_summary():
     for i in range(5):
         ts.sample(float(i), float(i) * 2.0)
     assert reg.timeseries("curve.x") is ts  # get-or-create
-    assert ts.count == ts.total_samples == 5
+    assert ts.count == 5 and ts.dropped == 0
     assert ts.points() == [(float(i), float(i) * 2.0) for i in range(5)]
     doc = ts.to_dict()
     assert doc["type"] == "timeseries"
@@ -378,7 +366,7 @@ def test_timeseries_ring_evicts_oldest_and_counts_drops():
     ts = reg.timeseries("curve.ring", capacity=4)
     for i in range(7):
         ts.sample(float(i), float(i))
-    assert ts.count == 4 and ts.dropped == 3 and ts.total_samples == 7
+    assert ts.count == 4 and ts.dropped == 3
     # Chronological order survives the wraparound.
     assert ts.points() == [(float(i), float(i)) for i in (3, 4, 5, 6)]
     doc = ts.to_dict()
@@ -485,8 +473,8 @@ def test_serving_simulator_samples_per_step_curves():
     for ts in curves.values():
         times = [t for t, _ in ts.points()]
         assert times == sorted(times)
-    assert all(v == 0.0 for v in curves["curve.rung"].values())  # no chaos
-    assert max(curves["curve.batch"].values()) >= 1.0
+    assert all(v == 0.0 for _, v in curves["curve.rung"].points())  # no chaos
+    assert max(v for _, v in curves["curve.batch"].points()) >= 1.0
     # The aggregate view folds the curves in alongside the scalar series.
     merged = metrics_registry(result).to_dict()["series"]
     assert "curve.step_s" in merged and "queue.waiting" in merged
@@ -513,8 +501,9 @@ def test_decode_loop_sampling_inert_and_curves_match_trace():
         sampled.prefill_seconds, sampled.prefill_seconds
     )
     assert tokens.count == gen_len - 1
-    assert tokens.values() == list(sampled.per_token_seconds)
-    assert sum(tokens.values()) == pytest.approx(sampled.decode_seconds)
+    token_s = [v for _, v in tokens.points()]
+    assert token_s == list(sampled.per_token_seconds)
+    assert sum(token_s) == pytest.approx(sampled.decode_seconds)
 
 
 def test_controller_samples_search_landscape(topo, contention):
@@ -550,7 +539,7 @@ def test_bench_timing_registry_records_distribution_and_trajectory(
         traj = reg.timeseries(f"timing.{label}.trajectory")
         assert hist.count == traj.count == repeats
         assert [t for t, _ in traj.points()] == [float(i) for i in range(repeats)]
-        assert traj.values() == hist.values  # same samples, both views
+        assert [v for _, v in traj.points()] == hist.values  # same samples, both views
         assert payload["targets"][label]["best_s"] == min(hist.values)
     assert "timing.tab3.wall_s" not in json.loads(reg.to_json())["series"]
 

@@ -72,24 +72,3 @@ def test_infeasible_workload_raises(planner):
     huge = Workload(get_model("opt-66b"), 64, 128, 64, 200)  # 12800-seq block
     with pytest.raises(PolicyError):
         planner.search(huge)
-
-
-def test_evaluate_rejects_infeasible(planner, opt30b_workload):
-    bad = OffloadPolicy(
-        wg=1.0, hg=0.0, gpu_batch_size=64, num_gpu_batches=10
-    )
-    with pytest.raises(PolicyError):
-        planner.evaluate(opt30b_workload, bad)
-
-
-def test_max_feasible_batch(planner, hw, default_ctx):
-    w = Workload(get_model("opt-30b"), 64, 8, 16, 1)
-
-    def policy_for(trial):
-        return OffloadPolicy(
-            wg=0.0, hg=1.0, attention_on_cpu=True,
-            gpu_batch_size=trial.gpu_batch_size, num_gpu_batches=1,
-        )
-
-    best = planner.max_feasible_batch(w, policy_for, [1, 2, 4, 8, 16])
-    assert best == 16

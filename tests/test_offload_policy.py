@@ -8,16 +8,11 @@ from repro.quant import QuantConfig
 def test_defaults_are_valid():
     p = OffloadPolicy()
     assert p.wc == pytest.approx(0.0)
-    assert p.block_size == 64
+    assert p.gpu_batch_size * p.num_gpu_batches == 64
 
 
 def test_wc_complements_wg():
     assert OffloadPolicy(wg=0.3).wc == pytest.approx(0.7)
-
-
-def test_block_size():
-    p = OffloadPolicy(gpu_batch_size=64, num_gpu_batches=10)
-    assert p.block_size == 640
 
 
 def test_fraction_bounds():

@@ -1,10 +1,8 @@
-import numpy as np
 import pytest
 
-from repro.errors import MemoryCapacityError, PlacementError
+from repro.errors import MemoryCapacityError
 from repro.hardware import small_test_platform
 from repro.offload import ManagedTensor, TensorStore, TransferEngine
-from repro.quant import QuantConfig, compress
 from repro.units import MIB
 
 
@@ -14,120 +12,25 @@ def store():
 
 
 def test_register_charges_pool(store):
-    store.register(ManagedTensor.abstract("w", 10 * MIB, "gpu0"))
+    store.register(ManagedTensor("w", 10 * MIB, "gpu0"))
     assert store.platform.pools["gpu0"].used == 10 * MIB
-    assert store.bytes_on("gpu0") == 10 * MIB
 
 
 def test_register_duplicate_rejected(store):
-    store.register(ManagedTensor.abstract("w", 1, "gpu0"))
+    store.register(ManagedTensor("w", 1, "gpu0"))
     with pytest.raises(ValueError, match="already registered"):
-        store.register(ManagedTensor.abstract("w", 1, "cpu"))
+        store.register(ManagedTensor("w", 1, "cpu"))
 
 
 def test_capacity_enforced(store):
     cap = store.platform.pools["gpu0"].capacity
     with pytest.raises(MemoryCapacityError):
-        store.register(ManagedTensor.abstract("big", cap + 1, "gpu0"))
-
-
-def test_relocate_moves_accounting(store):
-    store.register(ManagedTensor.abstract("w", 5 * MIB, "cpu"))
-    store.relocate("w", "gpu0")
-    assert store.platform.pools["cpu"].used == 0
-    assert store.platform.pools["gpu0"].used == 5 * MIB
-    assert store.get("w").device == "gpu0"
-
-
-def test_relocate_same_device_noop(store):
-    t = store.register(ManagedTensor.abstract("w", 1 * MIB, "cpu"))
-    assert store.relocate("w", "cpu") is t
-
-
-def test_relocate_unknown_device(store):
-    store.register(ManagedTensor.abstract("w", 1, "cpu"))
-    with pytest.raises(PlacementError):
-        store.relocate("w", "tpu9")
-
-
-def test_release_frees_bytes(store):
-    store.register(ManagedTensor.abstract("w", 2 * MIB, "cpu"))
-    store.release("w")
-    assert "w" not in store
-    assert store.platform.pools["cpu"].used == 0
-
-
-def test_resize_tracks_kv_growth(store):
-    store.register(ManagedTensor.abstract("kv", 1 * MIB, "cpu"))
-    store.resize("kv", 3 * MIB)
-    assert store.get("kv").nbytes == 3 * MIB
-    assert store.platform.pools["cpu"].used == 3 * MIB
-
-
-def test_replace_payload_reaccounts(rng, store):
-    arr = rng.standard_normal((256, 256)).astype(np.float32)
-    store.register(ManagedTensor.from_array("w", arr, "cpu"))
-    before = store.platform.pools["cpu"].used
-    qt = compress(arr, QuantConfig(bits=4, group_size=64))
-    store.replace_payload("w", ManagedTensor.from_quantized("w", qt, "cpu"))
-    after = store.platform.pools["cpu"].used
-    assert after < before / 4
-    assert store.get("w").is_quantized
-
-
-def test_replace_payload_name_mismatch(store):
-    store.register(ManagedTensor.abstract("w", 1, "cpu"))
-    with pytest.raises(ValueError):
-        store.replace_payload("w", ManagedTensor.abstract("v", 1, "cpu"))
-
-
-def test_array_accessor(rng, store):
-    arr = rng.standard_normal((4, 4)).astype(np.float32)
-    store.register(ManagedTensor.from_array("w", arr, "cpu"))
-    assert np.array_equal(store.array("w"), arr)
-    store.register(ManagedTensor.abstract("ghost", 1, "cpu"))
-    with pytest.raises(PlacementError):
-        store.array("ghost")
-
-
-def test_on_device_listing(store):
-    store.register(ManagedTensor.abstract("b", 1, "cpu"))
-    store.register(ManagedTensor.abstract("a", 1, "cpu"))
-    store.register(ManagedTensor.abstract("g", 1, "gpu0"))
-    assert [t.name for t in store.on_device("cpu")] == ["a", "b"]
-
-
-def test_require_on(store):
-    t = store.register(ManagedTensor.abstract("w", 1, "cpu"))
-    t.require_on("cpu")
-    with pytest.raises(PlacementError):
-        t.require_on("gpu0")
-
-
-def test_transfer_engine_moves_and_records(store):
-    engine = TransferEngine(store.platform, store)
-    store.register(ManagedTensor.abstract("w", 8 * MIB, "cpu"))
-    seconds = engine.move("w", "gpu0", category="weights")
-    assert seconds > 0
-    assert store.get("w").device == "gpu0"
-    assert engine.ledger.total(src="cpu", dst="gpu0", category="weights") == 8 * MIB
+        store.register(ManagedTensor("big", cap + 1, "gpu0"))
 
 
 def test_transfer_engine_charge_without_tensor(store):
-    engine = TransferEngine(store.platform, store)
+    engine = TransferEngine(store.platform)
     t = engine.charge("cpu", "gpu0", 16 * MIB, "kv_cache")
     assert t > 0
-    assert engine.ledger.total(category="kv_cache") == 16 * MIB
+    assert engine.ledger.bytes_moved == {("cpu", "gpu0", "kv_cache"): 16 * MIB}
     assert engine.charge("cpu", "cpu", 5, "x") == 0.0
-
-
-def test_ledger_totals_and_reset(store):
-    engine = TransferEngine(store.platform, store)
-    engine.charge("cpu", "gpu0", 10, "weights")
-    engine.charge("gpu0", "cpu", 30, "kv_cache")
-    assert engine.ledger.total() == 40
-    assert engine.ledger.total(src="gpu0") == 30
-    rows = engine.ledger.as_table()
-    assert len(rows) == 2
-    engine.ledger.reset()
-    assert engine.ledger.total() == 0

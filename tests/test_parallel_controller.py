@@ -47,10 +47,11 @@ def test_schedule_makespan_invalid_slots():
 
 def test_plan_reserves_io_threads(controller):
     plan = controller.plan(build_attention_graph(4))
-    assert plan.compute.total_threads <= 112 - 5
+    compute_threads = plan.compute.intra_op * plan.compute.inter_op
+    assert compute_threads <= 112 - 5
     assert set(plan.io_threads) == set(IO_TASKS)
     assert all(v >= 1 for v in plan.io_threads.values())
-    assert sum(plan.io_threads.values()) == 112 - plan.compute.total_threads
+    assert sum(plan.io_threads.values()) == 112 - compute_threads
 
 
 def test_plan_inter_op_bounded_by_graph_width(controller):

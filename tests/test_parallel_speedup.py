@@ -34,7 +34,6 @@ def test_topology_validation():
 def test_setting_validation():
     with pytest.raises(ConfigError):
         ParallelismSetting(intra_op=0, inter_op=1)
-    assert ParallelismSetting(4, 3).total_threads == 12
 
 
 def test_intra_speedup_monotone_then_saturating(model):

@@ -257,13 +257,6 @@ def test_gen_len_one_throughput_matches_reference(hw, default_ctx):
     assert_planner_matches(PolicyPlanner(hw=hw, cpu_ctx=default_ctx), workload)
 
 
-def test_evaluate_is_one_row_of_the_grid(hw, default_ctx, short_workload):
-    planner = PolicyPlanner(hw=hw, cpu_ctx=default_ctx)
-    policy, score = planner.search(short_workload)
-    assert planner.evaluate(short_workload, policy)[0] == score
-    assert score == reference_score(planner, short_workload, policy)
-
-
 # -- selection -------------------------------------------------------------
 
 

@@ -50,7 +50,7 @@ def test_batch_geometry_search_finds_feasible(tput_planner):
         w, batch_candidates=(16, 64), num_batch_candidates=(1, 4)
     )
     assert score > 0
-    assert shaped.block_size == policy.block_size
+    assert shaped.block_size == policy.gpu_batch_size * policy.num_gpu_batches
     assert shaped.block_size in {16, 64, 64 * 4, 16 * 4}
 
 

@@ -11,14 +11,15 @@ from repro.models import get_model
 from repro.parallel.controller import schedule_makespan
 from repro.runtime.graph import OpGraph, OpNode
 from repro.runtime.tasks import TaskCosts
+from tests.test_runtime_graph import critical_path_work
 from repro.runtime.executor import OverlappedExecutor
 from repro.serving import (
     ServingConfig,
     ServingSimulator,
     make_policy,
     poisson_trace,
-    replay_trace,
 )
+from tests.traces import replay_trace
 
 
 @st.composite
@@ -51,7 +52,7 @@ def test_makespan_bounds(data, slots):
     graph, durations = data
     makespan = schedule_makespan(graph, slots, lambda n: graph.node(n).work)
     total = sum(durations)
-    critical = graph.critical_path_work()
+    critical = critical_path_work(graph)
     assert makespan <= total + 1e-9
     assert makespan >= critical - 1e-9
     assert makespan >= total / slots - 1e-9
@@ -89,7 +90,7 @@ def test_executor_bounded_by_serial_and_bottleneck(
         load_weight=lw, load_cache=lc, load_activation=la,
         store_cache=sc, store_activation=sa, compute=comp,
     )
-    if costs.serial_time() == 0:
+    if sum(costs.as_tuple()) == 0:
         return
     ex = OverlappedExecutor(num_layers=layers, num_gpu_batches=batches)
     marginal = ex.steady_state_token_time(costs, warmup=3)
@@ -97,7 +98,7 @@ def test_executor_bounded_by_serial_and_bottleneck(
     h2d = lw + lc + la
     d2h = sc + sa
     lower = max(h2d, d2h, comp) * iters
-    upper = costs.serial_time() * iters
+    upper = sum(costs.as_tuple()) * iters
     assert marginal >= lower * (1 - 1e-6)
     assert marginal <= upper * (1 + 1e-6) + 1e-9
 
@@ -109,7 +110,6 @@ def test_executor_bounded_by_serial_and_bottleneck(
 def test_step_time_max_property(values):
     costs = TaskCosts(*values)
     assert costs.step_time() == max(values)
-    assert costs.serial_time() == pytest.approx(sum(values))
 
 
 # -- scheduler metamorphic properties (seeded traces, no hypothesis) -------

@@ -32,14 +32,14 @@ def test_bottleneck_resource_saturates(bottleneck):
     ex.steady_state_token_time(costs, warmup=4)
     sim = ex.streams.sim
     resource = {"h2d": "h2d", "d2h": "d2h", "compute": "compute"}[bottleneck]
-    assert sim.utilization(resource) > 0.85
+    assert sim.resources[resource].busy_time / sim.makespan > 0.85
 
 
 def test_overlap_beats_serial():
     costs = TaskCosts(load_weight=0.01, store_cache=0.01, compute=0.01)
     ex = OverlappedExecutor(num_layers=4, num_gpu_batches=2)
     overlapped = ex.steady_state_token_time(costs)
-    assert overlapped < costs.serial_time() * 4 * 2 * 0.6
+    assert overlapped < sum(costs.as_tuple()) * 4 * 2 * 0.6
 
 
 def test_invalid_geometry():
@@ -55,16 +55,6 @@ def test_decode_loop_trace():
     assert trace.prefill_seconds > 0
     assert trace.decode_seconds > 0
     assert len(trace.per_token_seconds) == 3  # (n - 1) decode steps
-    assert trace.total_seconds == pytest.approx(
-        trace.prefill_seconds + trace.decode_seconds
-    )
-
-
-def test_decode_loop_throughput():
-    loop = DecodeLoop(num_layers=2, num_gpu_batches=1)
-    trace = loop.run(TaskCosts(compute=0.1), lambda t: TaskCosts(compute=0.01), 4)
-    tput = trace.throughput(block_size=8, gen_len=4)
-    assert tput == pytest.approx(32 / trace.total_seconds)
 
 
 def test_decode_loop_growing_costs():

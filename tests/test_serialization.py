@@ -1,16 +1,18 @@
-import pytest
+import json
 
-from repro.errors import ConfigError
 from repro.offload import OffloadPolicy
-from repro.offload.serialization import (
-    policy_from_dict,
-    policy_from_json,
-    policy_to_dict,
-    policy_to_json,
-    report_to_dict,
-    report_to_json,
-)
+from repro.offload.serialization import SCHEMA_VERSION, policy_to_dict, policy_to_json
 from repro.quant import QuantConfig
+
+
+def policy_from_doc(doc: dict) -> OffloadPolicy:
+    """Rebuild a policy from the document :func:`policy_to_dict` writes;
+    a field the writer dropped or renamed fails the rebuild."""
+    doc = dict(doc)
+    assert doc.pop("schema") == SCHEMA_VERSION
+    for key in ("weight_quant", "kv_quant"):
+        doc[key] = None if doc[key] is None else QuantConfig(**doc[key])
+    return OffloadPolicy(**doc)
 
 
 def sample_policy() -> OffloadPolicy:
@@ -24,12 +26,12 @@ def sample_policy() -> OffloadPolicy:
 
 def test_policy_roundtrip_json():
     policy = sample_policy()
-    assert policy_from_json(policy_to_json(policy)) == policy
+    assert policy_from_doc(json.loads(policy_to_json(policy))) == policy
 
 
 def test_policy_roundtrip_none_quant():
     policy = OffloadPolicy(gpu_batch_size=8, num_gpu_batches=2)
-    restored = policy_from_dict(policy_to_dict(policy))
+    restored = policy_from_doc(policy_to_dict(policy))
     assert restored == policy
     assert restored.weight_quant is None
 
@@ -39,45 +41,4 @@ def test_policy_resident_quant_roundtrip():
         wg=1.0, hg=1.0, weight_quant=QuantConfig(bits=4),
         quantize_resident_weights=True, attention_on_cpu=False,
     )
-    assert policy_from_dict(policy_to_dict(policy)) == policy
-
-
-def test_policy_invalid_json():
-    with pytest.raises(ConfigError, match="invalid policy JSON"):
-        policy_from_json("{not json")
-    with pytest.raises(ConfigError, match="must be an object"):
-        policy_from_json("[1, 2]")
-
-
-def test_policy_missing_key():
-    data = policy_to_dict(sample_policy())
-    del data["wg"]
-    with pytest.raises(ConfigError, match="missing key"):
-        policy_from_dict(data)
-
-
-def test_policy_unknown_schema():
-    data = policy_to_dict(sample_policy())
-    data["schema"] = 99
-    with pytest.raises(ConfigError, match="schema"):
-        policy_from_dict(data)
-
-
-def test_report_serialization():
-    import json
-
-    from repro.baselines import FlexGenEngine
-    from repro.hardware import single_a100
-    from repro.models import get_model
-    from repro.perfmodel import Workload
-
-    report = FlexGenEngine(single_a100()).run(
-        Workload(get_model("opt-30b"), 64, 8, 64, 10)
-    )
-    data = report_to_dict(report)
-    assert data["engine"] == "flexgen"
-    assert data["model"] == "opt-30b"
-    assert data["throughput"] == pytest.approx(report.throughput)
-    # Round-trips through JSON cleanly.
-    parsed = json.loads(report_to_json(report))
-    assert policy_from_dict(parsed["policy"]) == report.policy
+    assert policy_from_doc(policy_to_dict(policy)) == policy

@@ -8,6 +8,7 @@ seeded trace x policy x fault configuration.  These tests are the gate.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -26,10 +27,10 @@ from repro.serving import (
     make_policy,
     mmpp_trace,
     poisson_trace,
-    replay_trace,
 )
 from repro.serving.request import Request, RequestSpec
 from tests import reference_costs as ref
+from tests.traces import replay_trace
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +244,9 @@ def test_heap_expire_matches_linear_scan():
         assert sorted(r.rid for r in heap_q.waiting) == sorted(
             r.rid for r in lin_q.waiting
         )
-    assert heap_q.drop_counts() == lin_q.drop_counts()
+    assert Counter(r.drop_reason for r in heap_q.dropped) == Counter(
+        r.drop_reason for r in lin_q.dropped
+    )
 
 
 def test_heap_expire_exempts_preempted_requests():

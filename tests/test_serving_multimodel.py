@@ -43,16 +43,14 @@ from repro.serving import (
     SJFPolicy,
     compute_metrics,
     make_policy,
-    make_predictor,
     make_slots,
     metrics_registry,
-    multimodel_registry,
     poisson_trace,
-    replay_trace,
 )
 from repro.serving.arrivals import multimodel_trace
 from repro.serving.request import Request, RequestSpec
 from repro.util.rng import seeded_rng
+from tests.traces import replay_trace
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +157,7 @@ def test_duo_swaps_tile_the_makespan(engine):
     # Swaps surface as steps and registry series.
     swap_steps = [s for s in result.serving.steps if s.kind == "swap"]
     assert len(swap_steps) == len(result.swaps)
-    series = multimodel_registry(result).to_dict()["series"]
-    assert series["swaps.total"]["value"] == len(result.swaps)
+    series = metrics_registry(result.serving).to_dict()["series"]
     assert series["steps.swap"]["value"] == len(result.swaps)
 
 
@@ -255,6 +252,11 @@ def _req(rid: int, prompt: int, gen: int, model: str = "m") -> Request:
     )
 
 
+def bucket_counts(pred: BucketedQuantilePredictor) -> dict[tuple[str, int], int]:
+    """Completed-length sample count per ``(model, prompt bucket)``."""
+    return {key: len(samples) for key, samples in pred._samples.items()}
+
+
 def test_predictor_conservation_each_completion_updates_one_bucket():
     pred = BucketedQuantilePredictor(prompt_bucket=64)
     rng = seeded_rng(0, "test", "predictor-conservation")
@@ -264,16 +266,16 @@ def test_predictor_conservation_each_completion_updates_one_bucket():
         gen = int(rng.integers(1, 96))
         req = _req(rid, prompt, gen, model=("a" if rid % 2 else "b"))
         pred.predict(req)  # the scheduler acted on a prediction
-        before = sum(pred.bucket_counts().values())
+        before = sum(bucket_counts(pred).values())
         pred.observe(req)
-        after = sum(pred.bucket_counts().values())
+        after = sum(bucket_counts(pred).values())
         assert after == before + 1  # exactly one bucket gained one sample
         finished += 1
-    assert sum(pred.bucket_counts().values()) == finished
+    assert sum(bucket_counts(pred).values()) == finished
     assert pred.stats()["observations"] == finished
     # Every bucket key is (model, prompt // bucket_width).
     assert all(
-        m in ("a", "b") and b >= 0 for (m, b) in pred.bucket_counts()
+        m in ("a", "b") and b >= 0 for (m, b) in bucket_counts(pred)
     )
 
 
@@ -315,10 +317,6 @@ def test_predictor_validation_and_factory():
         BucketedQuantilePredictor(prompt_bucket=0)
     with pytest.raises(ServingError):
         BucketedQuantilePredictor(quantile=101)
-    with pytest.raises(ServingError):
-        make_predictor("nope")
-    assert make_predictor("oracle").learned is False
-    assert make_predictor("bucketed", quantile=90.0).quantile == 90.0
 
 
 def test_learned_predictor_observes_completions_in_simulator(engine, model):
@@ -331,7 +329,7 @@ def test_learned_predictor_observes_completions_in_simulator(engine, model):
     assert finished > 0
     stats = policy.predictor.stats()
     assert stats["observations"] == finished
-    assert sum(policy.predictor.bucket_counts().values()) == finished
+    assert sum(bucket_counts(policy.predictor).values()) == finished
 
 
 # -- satellite regressions -------------------------------------------------

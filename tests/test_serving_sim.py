@@ -17,11 +17,11 @@ from repro.serving import (
     compute_metrics,
     default_trace,
     make_policy,
-    nearest_rank,
-    replay_trace,
 )
+from repro.obs.registry import exact_nearest_rank
 from repro.units import GB
 from tests import reference_costs as ref
+from tests.traces import replay_trace
 
 
 @pytest.fixture(scope="module")
@@ -175,10 +175,10 @@ def test_infeasible_lone_request_dropped_not_wedged(engine, model):
 
 def test_nearest_rank_percentiles():
     vals = [4.0, 1.0, 3.0, 2.0]
-    assert nearest_rank(vals, 50) == 2.0
-    assert nearest_rank(vals, 99) == 4.0
-    assert nearest_rank(vals, 100) == 4.0
-    assert nearest_rank([], 50) == 0.0
+    assert exact_nearest_rank(vals, 50) == 2.0
+    assert exact_nearest_rank(vals, 99) == 4.0
+    assert exact_nearest_rank(vals, 100) == 4.0
+    assert exact_nearest_rank([], 50) == 0.0
 
 
 def test_goodput_consistency(engine, model):
@@ -215,22 +215,19 @@ def test_oracle_buckets_and_memoizes(engine, model):
 
 def test_oracle_feasibility_monotone_in_batch(engine, model):
     oracle = StepCostOracle(engine=engine, model=model)
-    assert oracle.feasible(1, 64)
-    limit = oracle.max_feasible_batch(64, limit=4)
-    assert limit == 4  # opt-1.3b easily fits four sequences
+    # opt-1.3b easily fits one to four sequences.
+    assert all(oracle.feasible(n, 64) for n in range(1, 5))
 
 
 def test_oracle_feasibility_matches_memory_formula(model):
     """Across the host-capacity edge, each admission verdict is the
-    scalar peak-byte formula on the bucketed price workload, and
-    ``max_feasible_batch`` is the largest ``n`` that passes."""
+    scalar peak-byte formula on the bucketed price workload."""
     engine = ZeroInferenceEngine(single_a100(host_memory=2 * GB))
     hw = engine.hw
     oracle = StepCostOracle(engine=engine, model=model)
     limit = 8
     formula_verdicts = set()
     for ctx_len in (32, 100, 500, 1000, 2000, 3000, 5000, 8000, 12000):
-        passing = []
         for n in range(1, limit + 1):
             planned = oracle.planned(n)
             assert planned is not None  # the planning context fits them all
@@ -245,7 +242,4 @@ def test_oracle_feasibility_matches_memory_formula(model):
             )
             assert oracle.feasible(n, ctx_len) is expected, (n, ctx_len)
             formula_verdicts.add(expected)
-            if expected:
-                passing.append(n)
-        assert oracle.max_feasible_batch(ctx_len, limit) == max(passing, default=0)
     assert formula_verdicts == {True, False}

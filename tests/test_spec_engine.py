@@ -42,10 +42,10 @@ from repro.serving import (
     default_trace,
     make_policy,
     poisson_trace,
-    replay_trace,
 )
 from repro.serving.costing import StepCostOracle
 from tests import reference_costs as ref
+from tests.traces import replay_trace
 
 #: tree_size=1 (no draft nodes) + zero draft cost: speculation disabled.
 DEGENERATE = SpecConfig(tree_size=1, draft_compute_ratio=0.0)

@@ -77,7 +77,8 @@ def _serving_result():
     from repro.baselines import ZeroInferenceEngine
     from repro.hardware import single_a100
     from repro.models import get_model
-    from repro.serving import ServingSimulator, replay_trace
+    from repro.serving import ServingSimulator
+    from tests.traces import replay_trace
 
     trace = replay_trace(
         [(0.0, 16, 4), (0.5, 16, 8), (1.0, 16, 4)], name="timeline"

@@ -5,8 +5,6 @@ from repro.units import (
     GB,
     GIB,
     dtype_bytes,
-    fmt_bytes,
-    fmt_rate,
 )
 
 
@@ -32,13 +30,3 @@ def test_dtype_bytes_unknown_raises():
 
 def test_all_dtypes_positive():
     assert all(v > 0 for v in DTYPE_BYTES.values())
-
-
-def test_fmt_bytes_scales():
-    assert fmt_bytes(55 * GB) == "55.00 GB"
-    assert fmt_bytes(512) == "512 B"
-    assert fmt_bytes(2_500_000) == "2.50 MB"
-
-
-def test_fmt_rate():
-    assert fmt_rate(41.23) == "41.2 tokens/s"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.bench.viz import hbar_chart, sparkline, sweep_summary
+from repro.bench.viz import sparkline, sweep_summary
 from repro.core.block_runner import BlockRunner
 from repro.core.functional import FunctionalEngine
 from repro.errors import ConfigError
@@ -22,17 +22,6 @@ def test_sparkline_monotone_series():
 def test_sparkline_constant_and_empty():
     assert sparkline([]) == ""
     assert sparkline([5, 5, 5]) == "▄▄▄"
-
-
-def test_hbar_chart_scales_to_peak():
-    chart = hbar_chart({"a": 10, "b": 5}, width=10)
-    lines = chart.splitlines()
-    assert lines[0].count("█") == 10
-    assert lines[1].count("█") == 5
-
-
-def test_hbar_chart_empty():
-    assert hbar_chart({}) == "(no data)"
 
 
 def test_sweep_summary_best_point():
