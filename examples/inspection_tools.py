@@ -8,7 +8,7 @@ import numpy as np
 
 from repro import QuantConfig, TransformerWeights, get_model
 from repro.bench import run_fig5_parallelism_sweep, sweep_summary
-from repro.core import BlockRunner, LMOffloadEngine
+from repro.core import FunctionalEngine, LMOffloadEngine
 from repro.hardware import single_a100
 from repro.models.quality import bits_sweep
 from repro.offload import OffloadPolicy
@@ -33,8 +33,7 @@ def main() -> None:
     policy = OffloadPolicy(
         wg=0.0, hg=1.0, attention_on_cpu=True, gpu_batch_size=2, num_gpu_batches=2
     )
-    runner = BlockRunner(weights=weights, policy=policy)
-    result = runner.generate_block(prompt, 6)
+    result = FunctionalEngine(weights=weights, policy=policy).generate(prompt, 6)
     print(
         f"  block of 4 sequences generated 6 tokens each; weights moved "
         f"{result.traffic_by_category['weights']/1e6:.1f} MB "

@@ -72,7 +72,9 @@ DEFAULT_BUDGETS: dict[str, float] = {
 #: Spans that must appear in the report at all — the profiled command is
 #: expected to exercise them, so absence means the instrumentation (or
 #: the sweep itself) silently vanished.
-REQUIRED_SPANS = ("obs.audit.sweep", "obs.audit.faulted_sweep")
+REQUIRED_SPANS = (
+    "obs.audit.sweep", "obs.audit.faulted_sweep", "executor.run_token",
+)
 
 #: ``(span, per, why)``: ``span`` may run at most once per ``per`` call.
 AT_MOST_ONCE_PER = (

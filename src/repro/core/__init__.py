@@ -12,15 +12,15 @@
 3. The FlexGen-style overlapped zig-zag runtime underneath.
 
 :class:`FunctionalEngine` (in :mod:`repro.core.functional`) runs *real*
-NumPy inference through the same policies at tiny scale, verifying that
-offloading + quantization preserve model outputs.
+NumPy inference through the same policies at tiny scale — Algorithm 1's
+zig-zag block, each layer fetched once per sweep for all ``k`` batches —
+verifying that offloading + quantization preserve model outputs.
 """
 
 from repro.core.config import EngineConfig
 from repro.core.engine import LMOffloadEngine
 from repro.core.report import InferenceReport
 from repro.core.functional import FunctionalEngine, FunctionalRunResult
-from repro.core.block_runner import BlockRunner
 
 __all__ = [
     "EngineConfig",
@@ -28,5 +28,4 @@ __all__ = [
     "InferenceReport",
     "FunctionalEngine",
     "FunctionalRunResult",
-    "BlockRunner",
 ]

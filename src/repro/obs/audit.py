@@ -12,8 +12,8 @@ quantization, geometry) configurations, prices each with the analytic
 * per-config relative error of the Eq. 2 steady-state step prediction
   against the event-driven schedule (the simulator is ground truth);
 * the whole-generation error of summed Eq. 1 decode time vs a full
-  :class:`~repro.runtime.pipeline.DecodeLoop` run with a growing KV cache
-  (full mode only — it is the slow half);
+  :meth:`~repro.runtime.executor.OverlappedExecutor.run_generation` with a
+  growing KV cache (full mode only — it is the slow half);
 * which term of Eq. 2's ``max(...)`` dominated — both the resource-grouped
   view (h2d / d2h / compute) the executor enforces and the literal
   six-task view — plus how optimistic the paper's literal Eq. 2 is;
@@ -38,8 +38,8 @@ from repro.obs.registry import MetricsRegistry
 
 SCHEMA_VERSION = 1
 
-#: Whole-generation Eq. 1 vs DecodeLoop: one extra pipeline fill/drain is
-#: amortized over the run, so the bound is looser.
+#: Whole-generation Eq. 1 vs the executor's full run: one extra pipeline
+#: fill/drain is amortized over the run, so the bound is looser.
 DEFAULT_E2E_TOLERANCE = 0.15
 #: Virtual horizon the audit builds each ``make_scenario`` bundle over.
 #: Windows sit at fixed fractions of the horizon, so the value is
@@ -141,7 +141,7 @@ def audit_case(
     from repro.obs.drift import steady_state
     from repro.perfmodel.notation import Workload
     from repro.quant.config import QuantConfig
-    from repro.runtime.pipeline import DecodeLoop
+    from repro.runtime.executor import OverlappedExecutor
     from repro.runtime.tasks import TaskCosts
 
     model_cfg = get_model(case.model)
@@ -195,14 +195,14 @@ def audit_case(
     }
 
     if full:
-        loop = DecodeLoop(
-            num_layers=model_cfg.num_layers, num_gpu_batches=case.num_gpu_batches
-        )
+        executor = OverlappedExecutor(model_cfg.num_layers, case.num_gpu_batches)
         tokens = np.arange(case.gen_len - 1, dtype=np.float64)
         decode = [
             TaskCosts(*row) for row in model.decode_task_costs_vec(tokens).tolist()
         ]
-        trace = loop.run(model.prefill_task_costs(), decode, case.gen_len)
+        trace = executor.run_generation(
+            model.prefill_task_costs(), decode, case.gen_len
+        )
         predicted_decode = model.decode_seconds()
         e2e_err = (
             abs(trace.decode_seconds - predicted_decode) / trace.decode_seconds
@@ -326,7 +326,7 @@ def run_audit(
     """Sweep the grid; returns the ``BENCH_audit.json`` payload.
 
     ``quick`` restricts the sweep to the smoke subset and skips the (slow)
-    whole-generation DecodeLoop replays; the steady-state check — the one
+    whole-generation executor replays; the steady-state check — the one
     the tolerance gate applies to — still runs for every included case.
     ``faults`` adds the faulted sweep: the same grid re-priced under each
     bundled chaos scenario's degraded platforms, gated by its own

@@ -16,13 +16,12 @@ LM-Offload) are built on:
 
 from repro.offload.tensor import ManagedTensor
 from repro.offload.store import TensorStore
-from repro.offload.transfer import TransferEngine, TrafficLedger
+from repro.offload.transfer import TransferEngine
 from repro.offload.policy import OffloadPolicy
 
 __all__ = [
     "ManagedTensor",
     "TensorStore",
     "TransferEngine",
-    "TrafficLedger",
     "OffloadPolicy",
 ]

@@ -5,7 +5,9 @@ This reproduces FlexGen's execution substrate that LM-Offload inherits
 (token, layer, batch) — ``load_weight``, ``store_activation``,
 ``store_cache``, ``load_cache``, ``load_activation``, ``compute`` — are
 launched asynchronously and overlap, so per-layer decode latency is the max
-of the six (Eq. 2).
+of the six (Eq. 2).  :class:`OverlappedExecutor` is the one schedule of
+that loop: the drift audit checks it against Eq. 1/2, and the Chrome-trace
+export draws it.
 
 :mod:`repro.runtime.graph` also provides the operator dependency graph of
 the attention computation (paper Figure 6) and the Kahn-levels concurrency
@@ -16,9 +18,7 @@ from repro.runtime.graph import OpGraph, OpNode, kahn_levels, max_concurrency
 from repro.runtime.graph import build_attention_graph
 from repro.runtime.tasks import TaskKind, TaskCosts
 from repro.runtime.events import EventSim, Resource
-from repro.runtime.streams import StreamSet
-from repro.runtime.executor import OverlappedExecutor, LayerTiming
-from repro.runtime.pipeline import DecodeLoop, GenerationTrace
+from repro.runtime.executor import GenerationTrace, LayerTiming, OverlappedExecutor
 
 __all__ = [
     "OpGraph",
@@ -30,9 +30,7 @@ __all__ = [
     "TaskCosts",
     "EventSim",
     "Resource",
-    "StreamSet",
     "OverlappedExecutor",
     "LayerTiming",
-    "DecodeLoop",
     "GenerationTrace",
 ]

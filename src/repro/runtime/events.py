@@ -48,11 +48,6 @@ class EventSim:
             self.resources[name] = Resource(name=name)
         return self.resources[name]
 
-    def run_task(self, resource: str, duration: float, ready_at: float = 0.0) -> float:
-        """Schedule and return the completion time."""
-        _, end = self.resource(resource).run(duration, ready_at)
-        return end
-
     @property
     def makespan(self) -> float:
         """Latest completion across all resources."""

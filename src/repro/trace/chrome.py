@@ -12,9 +12,8 @@ import json
 from dataclasses import dataclass, field
 
 from repro.errors import ScheduleError
-from repro.runtime.events import EventSim
-from repro.runtime.streams import StreamSet
-from repro.runtime.tasks import TASK_RESOURCE, TaskCosts, TaskKind
+from repro.runtime.executor import OverlappedExecutor
+from repro.runtime.tasks import TaskCosts
 
 #: Resource rows the repo's exporters use, in their canonical display
 #: order.  Row numbering starts from this order, then falls back to
@@ -155,57 +154,20 @@ class ChromeTraceBuilder:
             fh.write(self.to_json())
 
 
-class _TracingStreams(StreamSet):
-    """StreamSet whose resources report into a ChromeTraceBuilder."""
-
-
 def trace_decode_schedule(
     costs_per_token: list[TaskCosts],
     num_layers: int,
     num_gpu_batches: int,
     builder: ChromeTraceBuilder | None = None,
 ) -> ChromeTraceBuilder:
-    """Replay Algorithm 1 for the given per-token costs, capturing slices.
+    """Run Algorithm 1 for the given per-token costs, capturing slices.
 
-    A faithful re-run of :class:`~repro.runtime.executor.OverlappedExecutor`'s
-    schedule with per-slice capture (the executor itself stays lean).
+    Each token is one :meth:`~repro.runtime.executor.OverlappedExecutor.run_token`
+    with the builder attached, so the trace is the executor's schedule:
+    its last slice ends at the executor's makespan.
     """
-    if num_layers <= 0 or num_gpu_batches <= 0:
-        raise ScheduleError("num_layers and num_gpu_batches must be positive")
     builder = builder or ChromeTraceBuilder()
-    sim = EventSim()
-
-    def run(kind: TaskKind, duration: float, ready: float, label: str) -> float:
-        if duration == 0:
-            return ready
-        resource = TASK_RESOURCE[kind]
-        start, end = sim.resource(resource).run(duration, ready)
-        builder.add_slice(label, resource, start, duration)
-        return end
-
-    prev_compute_done = 0.0
-    for token, costs in enumerate(costs_per_token):
-        for layer in range(num_layers):
-            for k in range(num_gpu_batches):
-                tag = f"t{token}.l{layer}.b{k}"
-                run(TaskKind.LOAD_WEIGHT, costs.load_weight, 0.0, f"load_weight {tag}")
-                cache_ready = run(
-                    TaskKind.LOAD_CACHE, costs.load_cache, 0.0, f"load_cache {tag}"
-                )
-                act_ready = run(
-                    TaskKind.LOAD_ACTIVATION, costs.load_activation, 0.0,
-                    f"load_activation {tag}",
-                )
-                ready = max(cache_ready, act_ready)
-                start, end = sim.resource("compute").run(costs.compute, ready)
-                builder.add_slice(f"compute {tag}", "compute", start, costs.compute)
-                run(
-                    TaskKind.STORE_CACHE, costs.store_cache, prev_compute_done,
-                    f"store_cache {tag}",
-                )
-                run(
-                    TaskKind.STORE_ACTIVATION, costs.store_activation,
-                    prev_compute_done, f"store_activation {tag}",
-                )
-                prev_compute_done = end
+    executor = OverlappedExecutor(num_layers, num_gpu_batches)
+    for costs in costs_per_token:
+        executor.run_token(costs, start_at=executor.sim.makespan, builder=builder)
     return builder

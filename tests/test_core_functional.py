@@ -7,6 +7,7 @@ from repro.hardware import small_test_platform
 from repro.models import Transformer, TransformerWeights, get_model
 from repro.offload import OffloadPolicy
 from repro.quant import QuantConfig
+from repro.quant.groupwise import compress
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +128,25 @@ def test_deterministic_across_runs(weights):
     b = FunctionalEngine(weights=weights, policy=policy()).generate(ids.copy(), 4)
     assert np.array_equal(a.token_ids, b.token_ids)
     assert a.simulated_seconds == pytest.approx(b.simulated_seconds)
+
+
+def test_quantized_kv_charged_at_stored_size(weights):
+    """With GPU attention the cache streams up at its stored size, like
+    the weights: a 4-bit KV cache moves the compressed bytes (codes plus
+    per-group min/scale), not the fp32 arrays it decompresses to."""
+    ids = prompt()
+    kv4 = QuantConfig(bits=4, group_size=16)
+    plain = FunctionalEngine(
+        weights=weights, policy=policy(attention_on_cpu=False)
+    ).generate(ids.copy(), 4)
+    quant = FunctionalEngine(
+        weights=weights, policy=policy(attention_on_cpu=False, kv_quant=kv4)
+    ).generate(ids.copy(), 4)
+    row = np.zeros((1, weights.config.head_dim), dtype=np.float32)
+    ratio = compress(row, kv4).nbytes / row.nbytes
+    assert quant.traffic_by_category["kv_cache"] < plain.traffic_by_category["kv_cache"]
+    assert quant.traffic_by_category["kv_cache"] == pytest.approx(
+        plain.traffic_by_category["kv_cache"] * ratio
+    )
+    assert quant.traffic_by_category["weights"] == plain.traffic_by_category["weights"]
+    assert quant.simulated_seconds < plain.simulated_seconds

@@ -10,7 +10,7 @@ import pytest
 from repro.models import get_model
 from repro.offload import OffloadPolicy
 from repro.perfmodel import CostModel, Workload
-from repro.runtime import DecodeLoop, OverlappedExecutor
+from repro.runtime import OverlappedExecutor
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +43,10 @@ def test_steady_state_token_time_matches_model(hw, default_ctx, attn_cpu):
 def test_full_decode_loop_matches_model(hw, default_ctx, attn_cpu):
     """Whole-generation simulation (growing KV) vs the summed closed form."""
     workload, model = make_model(hw, default_ctx, attn_cpu, gen_len=8)
-    loop = DecodeLoop(num_layers=workload.model.num_layers, num_gpu_batches=4)
-    trace = loop.run(
+    ex = OverlappedExecutor(num_layers=workload.model.num_layers, num_gpu_batches=4)
+    trace = ex.run_generation(
         model.prefill_task_costs(),
-        lambda t: model.decode_task_costs(t),
+        [model.decode_task_costs(t) for t in range(workload.gen_len - 1)],
         workload.gen_len,
     )
     predicted_decode = model.decode_seconds()

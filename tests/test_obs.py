@@ -480,32 +480,6 @@ def test_serving_simulator_samples_per_step_curves():
     assert "curve.step_s" in merged and "queue.waiting" in merged
 
 
-def test_decode_loop_sampling_inert_and_curves_match_trace():
-    from repro.runtime.pipeline import DecodeLoop
-    from repro.runtime.tasks import TaskCosts
-
-    costs = TaskCosts(0.01, 0.002, 0.001, 0.002, 0.001, 0.02)
-    gen_len = 6
-    bare = DecodeLoop(num_layers=3, num_gpu_batches=2).run(
-        costs, lambda t: costs, gen_len
-    )
-    reg = MetricsRegistry()
-    sampled = DecodeLoop(num_layers=3, num_gpu_batches=2, metrics=reg).run(
-        costs, lambda t: costs, gen_len
-    )
-    assert sampled == bare  # structurally inert
-    prefill = reg.timeseries("curve.prefill_s")
-    tokens = reg.timeseries("curve.token_s")
-    assert prefill.count == 1
-    assert prefill.points()[0] == (
-        sampled.prefill_seconds, sampled.prefill_seconds
-    )
-    assert tokens.count == gen_len - 1
-    token_s = [v for _, v in tokens.points()]
-    assert token_s == list(sampled.per_token_seconds)
-    assert sum(token_s) == pytest.approx(sampled.decode_seconds)
-
-
 def test_controller_samples_search_landscape(topo, contention):
     from repro.parallel.controller import ParallelismController
     from repro.runtime.graph import build_attention_graph

@@ -32,5 +32,5 @@ def test_transfer_engine_charge_without_tensor(store):
     engine = TransferEngine(store.platform)
     t = engine.charge("cpu", "gpu0", 16 * MIB, "kv_cache")
     assert t > 0
-    assert engine.ledger.bytes_moved == {("cpu", "gpu0", "kv_cache"): 16 * MIB}
+    assert engine.bytes_moved == {("cpu", "gpu0", "kv_cache"): 16 * MIB}
     assert engine.charge("cpu", "cpu", 5, "x") == 0.0

@@ -1,7 +1,7 @@
 import pytest
 
 from repro.errors import ScheduleError
-from repro.runtime import DecodeLoop, OverlappedExecutor, TaskCosts
+from repro.runtime import OverlappedExecutor, TaskCosts
 
 
 def test_steady_state_matches_resource_grouped_eq2():
@@ -30,7 +30,7 @@ def test_bottleneck_resource_saturates(bottleneck):
     )
     ex = OverlappedExecutor(num_layers=3, num_gpu_batches=2)
     ex.steady_state_token_time(costs, warmup=4)
-    sim = ex.streams.sim
+    sim = ex.sim
     resource = {"h2d": "h2d", "d2h": "d2h", "compute": "compute"}[bottleneck]
     assert sim.resources[resource].busy_time / sim.makespan > 0.85
 
@@ -48,27 +48,28 @@ def test_invalid_geometry():
 
 
 def test_decode_loop_trace():
-    loop = DecodeLoop(num_layers=2, num_gpu_batches=2)
+    ex = OverlappedExecutor(num_layers=2, num_gpu_batches=2)
     prefill = TaskCosts(compute=0.05, load_weight=0.01)
     decode = TaskCosts(compute=0.01, load_weight=0.005)
-    trace = loop.run(prefill, lambda t: decode, gen_len=4)
+    trace = ex.run_generation(prefill, [decode] * 3, gen_len=4)
     assert trace.prefill_seconds > 0
     assert trace.decode_seconds > 0
     assert len(trace.per_token_seconds) == 3  # (n - 1) decode steps
+    assert sum(trace.per_token_seconds) == pytest.approx(trace.decode_seconds)
 
 
 def test_decode_loop_growing_costs():
     """Per-token costs that grow (KV cache growth) show up in the trace."""
-    loop = DecodeLoop(num_layers=2, num_gpu_batches=1)
-    trace = loop.run(
+    ex = OverlappedExecutor(num_layers=2, num_gpu_batches=1)
+    trace = ex.run_generation(
         TaskCosts(compute=0.01),
-        lambda t: TaskCosts(compute=0.01 * (1 + t)),
+        [TaskCosts(compute=0.01 * (1 + t)) for t in range(3)],
         gen_len=4,
     )
     assert trace.per_token_seconds[0] < trace.per_token_seconds[-1]
 
 
 def test_decode_loop_invalid_gen_len():
-    loop = DecodeLoop(num_layers=1, num_gpu_batches=1)
+    ex = OverlappedExecutor(num_layers=1, num_gpu_batches=1)
     with pytest.raises(ScheduleError):
-        loop.run(TaskCosts(), lambda t: TaskCosts(), 0)
+        ex.run_generation(TaskCosts(), [], 0)

@@ -1,7 +1,6 @@
 import pytest
 
 from repro.runtime.events import EventSim, Resource
-from repro.runtime.streams import StreamSet
 from repro.runtime.tasks import TASK_RESOURCE, TaskCosts, TaskKind
 
 
@@ -46,8 +45,8 @@ def test_resource_rejects_negative_duration():
 
 def test_eventsim_makespan_and_utilization():
     sim = EventSim()
-    sim.run_task("a", 4.0)
-    sim.run_task("b", 1.0)
+    sim.resource("a").run(4.0)
+    sim.resource("b").run(1.0)
     assert sim.makespan == 4.0
     assert sim.resources["a"].busy_time == sim.makespan
     assert sim.resources["b"].busy_time == pytest.approx(0.25 * sim.makespan)

@@ -26,10 +26,15 @@ def _report(**totals):
     }
 
 
+#: The spans the faulted audit smoke reports, all within budget.
+AUDIT_SPANS = {
+    "obs.audit.sweep": 0.01, "obs.audit.faulted_sweep": 0.05,
+    "executor.run_token": 0.05,
+}
+
+
 def test_passes_within_budget(budgets_mod):
-    report = _report(**{
-        "obs.audit.sweep": 0.01, "obs.audit.faulted_sweep": 0.05,
-    })
+    report = _report(**AUDIT_SPANS)
     assert budgets_mod.check(report, dict(budgets_mod.DEFAULT_BUDGETS)) == []
 
 
@@ -40,11 +45,17 @@ def test_flags_overrun_and_missing_required_span(budgets_mod):
     assert any("obs.audit.faulted_sweep" in p and "missing" in p for p in problems)
 
 
+def test_executor_budget_cannot_lapse(budgets_mod):
+    """A renamed executor span fails the audit gate instead of leaving its
+    budget checking nothing."""
+    spans = {**AUDIT_SPANS}
+    del spans["executor.run_token"]
+    problems = budgets_mod.check(_report(**spans), dict(budgets_mod.DEFAULT_BUDGETS))
+    assert problems == ["required span 'executor.run_token' missing from report"]
+
+
 def test_unbudgeted_spans_are_ignored(budgets_mod):
-    report = _report(**{
-        "obs.audit.sweep": 0.01, "obs.audit.faulted_sweep": 0.01,
-        "some.other.span": 1e9,
-    })
+    report = _report(**AUDIT_SPANS, **{"some.other.span": 1e9})
     assert budgets_mod.check(report, dict(budgets_mod.DEFAULT_BUDGETS)) == []
 
 
@@ -71,9 +82,7 @@ def test_serving_run_budget_is_enforced(budgets_mod):
 
 def test_main_end_to_end(budgets_mod, tmp_path, capsys):
     path = tmp_path / "report.json"
-    path.write_text(json.dumps(_report(**{
-        "obs.audit.sweep": 0.01, "obs.audit.faulted_sweep": 0.05,
-    })))
+    path.write_text(json.dumps(_report(**AUDIT_SPANS)))
     assert budgets_mod.main([str(path)]) == 0
     assert budgets_mod.main([str(path), "--budget", "obs.audit.sweep=0.001"]) == 1
     assert budgets_mod.main([str(path), "--budget", "nonsense"]) == 2

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from repro.errors import ScheduleError
+from repro.runtime import OverlappedExecutor
 from repro.runtime.tasks import TaskCosts
 from repro.trace import ChromeTraceBuilder, trace_decode_schedule
 
@@ -53,6 +54,34 @@ def test_trace_slices_never_overlap_per_resource():
         intervals.sort()
         for (s1, e1), (s2, _) in zip(intervals, intervals[1:]):
             assert s2 >= e1 - 1e-6  # FIFO resources: no overlap
+
+
+def test_trace_is_the_executor_schedule():
+    """Weight-bound costs (no cache/activation loads): each compute waits
+    for its own iteration's weight slice, so with 10 ms weight slices
+    and 2 ms computes, iteration ``i`` loads over [10i, 10i+10] ms and
+    computes over [10i+10, 10i+12] ms, and the trace ends where the
+    executor's makespan does."""
+    costs = TaskCosts(load_weight=0.010, compute=0.002)
+    builder = trace_decode_schedule([costs, costs], num_layers=3, num_gpu_batches=2)
+    slices = [e for e in json.loads(builder.to_json())["traceEvents"] if e["ph"] == "X"]
+    assert len(slices) == 2 * 2 * 3 * 2
+    expected = {}
+    for i in range(2 * 3 * 2):
+        tag = f"t{i // 6}.l{i // 2 % 3}.b{i % 2}"
+        expected[f"load_weight {tag}"] = (10.0 * i, 10.0 * i + 10.0)
+        expected[f"compute {tag}"] = (10.0 * i + 10.0, 10.0 * i + 12.0)
+    for e in slices:
+        start, end = expected.pop(e["name"])
+        assert e["ts"] / 1e3 == pytest.approx(start)
+        assert (e["ts"] + e["dur"]) / 1e3 == pytest.approx(end)
+    assert not expected
+
+    ex = OverlappedExecutor(num_layers=3, num_gpu_batches=2)
+    for _ in range(2):
+        ex.run_token(costs, start_at=ex.sim.makespan)
+    last_end = max(e["ts"] + e["dur"] for e in slices) / 1e6
+    assert last_end == pytest.approx(ex.sim.makespan) == pytest.approx(0.122)
 
 
 def test_trace_save(tmp_path):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from repro.bench.viz import sparkline, sweep_summary
-from repro.core.block_runner import BlockRunner
 from repro.core.functional import FunctionalEngine
 from repro.errors import ConfigError
 from repro.hardware import small_test_platform
@@ -31,7 +30,7 @@ def test_sweep_summary_best_point():
     assert summary.startswith("intra: ")
 
 
-# --- block runner --------------------------------------------------------
+# --- zig-zag block (FunctionalEngine with k > 1) ----------------------------
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +50,8 @@ def test_block_matches_reference(weights, rng):
     transformer for every sequence in the block."""
     ids = rng.integers(0, 256, size=(4, 5))
     expected = Transformer(weights).generate(ids.copy(), 4)
-    runner = BlockRunner(weights=weights, policy=block_policy(bsz=2, k=2))
-    result = runner.generate_block(ids.copy(), 4)
+    engine = FunctionalEngine(weights=weights, policy=block_policy(bsz=2, k=2))
+    result = engine.generate(ids.copy(), 4)
     assert np.array_equal(result.token_ids, expected)
 
 
@@ -60,8 +59,8 @@ def test_block_amortizes_weight_traffic(weights, rng):
     """One block sweep fetches each layer once for all batches; running
     the batches separately fetches per batch — ~k x more traffic."""
     ids = rng.integers(0, 256, size=(4, 5))
-    block = BlockRunner(weights=weights, policy=block_policy(bsz=2, k=2))
-    block_traffic = block.generate_block(ids.copy(), 3).traffic_by_category["weights"]
+    block = FunctionalEngine(weights=weights, policy=block_policy(bsz=2, k=2))
+    block_traffic = block.generate(ids.copy(), 3).traffic_by_category["weights"]
 
     sequential = 0.0
     for i in range(2):
@@ -76,20 +75,27 @@ def test_block_amortizes_weight_traffic(weights, rng):
 
 
 def test_block_shape_validation(weights, rng):
-    runner = BlockRunner(weights=weights, policy=block_policy(bsz=2, k=2))
+    engine = FunctionalEngine(weights=weights, policy=block_policy(bsz=2, k=2))
     with pytest.raises(ConfigError, match="expects 4 sequences"):
-        runner.generate_block(rng.integers(0, 256, size=(3, 5)), 2)
+        engine.generate(rng.integers(0, 256, size=(3, 5)), 2)
     with pytest.raises(ConfigError):
-        runner.generate_block(rng.integers(0, 256, size=(4, 5)), 0)
+        engine.generate(rng.integers(0, 256, size=(4, 5)), 0)
 
 
-def test_block_single_batch_equals_functional(weights, rng):
-    ids = rng.integers(0, 256, size=(2, 6))
-    runner = BlockRunner(weights=weights, policy=block_policy(bsz=2, k=1))
-    engine = FunctionalEngine(
-        weights=weights, policy=block_policy(bsz=2, k=1),
-        platform=small_test_platform(),
-    )
-    a = runner.generate_block(ids.copy(), 4).token_ids
-    b = engine.generate(ids.copy(), 4).token_ids
-    assert np.array_equal(a, b)
+def test_block_gpu_attention_halves_weights_keeps_kv(weights, rng):
+    """With GPU attention, a k=2 block fetches each layer once for both
+    batches (half the weight bytes of two k=1 runs) while every batch
+    still streams its own KV cache (the same kv_cache bytes)."""
+    ids = rng.integers(0, 256, size=(4, 5))
+    gpu_attn = dict(hg=0.0, attention_on_cpu=False)
+    block = FunctionalEngine(
+        weights=weights, policy=block_policy(bsz=2, k=2, **gpu_attn)
+    ).generate(ids.copy(), 4).traffic_by_category
+    single = [
+        FunctionalEngine(
+            weights=weights, policy=block_policy(bsz=2, k=1, **gpu_attn)
+        ).generate(ids[2 * i : 2 * i + 2].copy(), 4).traffic_by_category
+        for i in range(2)
+    ]
+    assert block["weights"] == sum(r["weights"] for r in single) / 2
+    assert block["kv_cache"] == sum(r["kv_cache"] for r in single) > 0
