@@ -21,12 +21,19 @@ Three checks are structural and machine-independent:
   priced in one grid pass (scoring them one at a time would run it
   ~24 times as often);
 * the ``planner.lp_placement`` span may run at most once per
-  ``planner.search_fixed`` call: one placement LP per strategy.
+  ``planner.search_fixed`` call: one placement LP per strategy;
+* a report in which the ``parallel.controller.plan`` span ran must show
+  ``parallel.curve`` cache lookups (Algorithm 3 reads its compute curve
+  from that cache, so a rename or a bypass cannot hide).
+
+``--require-cache NAME>=FLOOR`` adds a hit-rate floor: the named cache
+must appear in the report with ``hits / (hits + misses) >= FLOOR``.
 
 Usage::
 
     python -m repro --profile audit --faults --quick 2> report.json
     python scripts/check_span_budgets.py report.json [--budget NAME=SECONDS]
+        [--require NAME] [--require-cache NAME>=FLOOR]
 
 ``--budget`` entries extend or override the defaults; exit codes follow
 the repo CLI convention (0 ok, 1 gate failed, 2 usage).
@@ -85,13 +92,27 @@ AT_MOST_ONCE_PER = (
      "a strategy solved its placement LP more than once"),
 )
 
+#: ``(span, cache)``: when ``span`` ran, ``cache`` must report lookups.
+#: The CI chaos smoke (``chaos --quick --drift-gate
+#: --serving-drift-gate``) also floors ``parallel.curve`` at a 0.9 hit
+#: rate; it measured 0.997 (3,386 hits, 10 misses).
+CACHE_USED_BY = (("parallel.controller.plan", "parallel.curve"),)
+
+
+def hit_rate(stats: dict) -> float:
+    """Hits over lookups of one cache entry of the report (0 if none)."""
+    lookups = stats.get("hits", 0) + stats.get("misses", 0)
+    return stats.get("hits", 0) / lookups if lookups else 0.0
+
 
 def check(
     report: dict,
     budgets: dict[str, float],
     required: tuple[str, ...] = REQUIRED_SPANS,
+    cache_floors: dict[str, float] | None = None,
 ) -> list[str]:
-    """Return a list of human-readable violations (empty = pass)."""
+    """Return a list of human-readable violations (empty = pass).
+    ``cache_floors`` maps a cache name to its minimum hit rate."""
     scopes = report.get("scopes")
     if not isinstance(scopes, dict):
         return ["report has no 'scopes' section — was --profile passed?"]
@@ -123,6 +144,23 @@ def check(
             problems.append(
                 f"span {name!r} ran {calls} times for {bound} {per!r} calls: {why}"
             )
+    caches = report.get("caches", {})
+    for name, cache in CACHE_USED_BY:
+        if scopes.get(name, {}).get("calls", 0) and cache not in caches:
+            problems.append(
+                f"span {name!r} ran but cache {cache!r} reported no lookups: "
+                f"the cache was bypassed or renamed"
+            )
+    for name, floor in sorted((cache_floors or {}).items()):
+        stats = caches.get(name)
+        if stats is None:
+            problems.append(f"required cache {name!r} missing from report")
+        elif hit_rate(stats) < floor:
+            problems.append(
+                f"cache {name!r} hit rate {hit_rate(stats):.3f} is below "
+                f"{floor:.3f} ({stats.get('hits', 0)} hits, "
+                f"{stats.get('misses', 0)} misses)"
+            )
     return problems
 
 
@@ -139,6 +177,11 @@ def main(argv: list[str] | None = None) -> int:
         "when gating a report from a command that doesn't run the audit "
         "sweeps, e.g. --require serving.run for the serve-sim smoke",
     )
+    parser.add_argument(
+        "--require-cache", action="append", default=[], metavar="NAME>=FLOOR",
+        help="require cache NAME in the report with a hit rate >= FLOOR "
+        "(repeatable), e.g. --require-cache parallel.curve>=0.9",
+    )
     args = parser.parse_args(argv)
 
     budgets = dict(DEFAULT_BUDGETS)
@@ -150,6 +193,17 @@ def main(argv: list[str] | None = None) -> int:
             budgets[name] = float(value)
         except ValueError:
             print(f"budgets: bad --budget {entry!r} (want NAME=SECONDS)",
+                  file=sys.stderr)
+            return 2
+    cache_floors = {}
+    for entry in args.require_cache:
+        name, sep, value = entry.partition(">=")
+        try:
+            if not sep or not name:
+                raise ValueError
+            cache_floors[name] = float(value)
+        except ValueError:
+            print(f"budgets: bad --require-cache {entry!r} (want NAME>=FLOOR)",
                   file=sys.stderr)
             return 2
 
@@ -164,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     required = tuple(args.require) if args.require else REQUIRED_SPANS
-    problems = check(report, budgets, required)
+    problems = check(report, budgets, required, cache_floors)
     if problems:
         for problem in problems:
             print(f"budgets: FAIL: {problem}", file=sys.stderr)
@@ -174,6 +228,9 @@ def main(argv: list[str] | None = None) -> int:
         if name in scopes:
             print(f"budgets: ok: {name} {float(scopes[name]['total_s']):.3f}s "
                   f"<= {budgets[name]:.1f}s")
+    for name in sorted(cache_floors):
+        print(f"budgets: ok: cache {name} hit rate "
+              f"{hit_rate(report['caches'][name]):.3f} >= {cache_floors[name]:.3f}")
     return 0
 
 

@@ -24,8 +24,9 @@ regression shows up as a number, not a feeling:
   scenario): ``run_chaos(quick=True)`` in ``--quick``, and the document
   ``chaos --quick --drift-gate --serving-drift-gate`` writes otherwise.
 
-Every repeat starts from an empty process-wide plan cache
-(:data:`~repro.core.plan_cache.PLAN_CACHE`), so each target times a cold
+Every repeat starts from empty process-wide plan and curve caches
+(:data:`~repro.core.plan_cache.PLAN_CACHE`,
+:data:`~repro.core.plan_cache.CURVE_CACHE`), so each target times a cold
 run, as its pinned baseline did.
 
 ``BASELINES`` pins the pre-optimization medians (measured on the same
@@ -116,12 +117,13 @@ def _serve_sim_case(quick: bool):
 
 
 def _cold(fn: Callable[[], Any]) -> Callable[[], Any]:
-    """``fn`` behind an emptied process-wide plan cache, so no plan
-    searched by an earlier repeat is reused."""
-    from repro.core.plan_cache import PLAN_CACHE
+    """``fn`` behind emptied process-wide plan and curve caches, so no
+    plan or schedule computed by an earlier repeat is reused."""
+    from repro.core.plan_cache import CURVE_CACHE, PLAN_CACHE
 
     def run() -> Any:
         PLAN_CACHE.clear()
+        CURVE_CACHE.clear()
         return fn()
 
     return run

@@ -156,7 +156,8 @@ class LMOffloadEngine:
         Pass 2's policy search runs under the controlled *compute*
         threading but without per-task staging-thread limits (those are a
         refinement tied to a specific policy's volumes); the final thread
-        plan is then rebuilt for the policy actually chosen.
+        plan is then rebuilt for the policy actually chosen, when pass 2
+        chose a different one.
 
         Pass 1's policy joins pass 2's candidate set, so the known-good
         point survives any LP drift under the controlled threading.  Pass
@@ -175,10 +176,13 @@ class LMOffloadEngine:
             )
             search_ctx.io_staging_threads = {}
             with span("engine.plan.pass2"):
-                policy, _ = self._planner(search_ctx).search(workload, seed=policy)
-            plan = self.plan_parallelism(workload, policy)
+                final, _ = self._planner(search_ctx).search(workload, seed=policy)
+            if final != policy:
+                # Algorithm 3 is pure in (workload, policy): a pass-1
+                # policy that survives pass 2 keeps its thread plan.
+                plan = self.plan_parallelism(workload, final)
             ctx = CpuExecutionContext.from_plan(self.topology, self.contention, plan)
-            return policy, ctx, plan
+            return final, ctx, plan
 
     def plan_cached(
         self, workload: Workload

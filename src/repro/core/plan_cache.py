@@ -21,6 +21,12 @@ profiler as ``engine.plan_memo`` and evictions counted as
 ``engine.plan_memo.evictions``.  ``maxsize = 0`` stores nothing (every
 lookup plans), which is how the tests prove cache-on and cache-off runs
 identical.
+
+:data:`CURVE_CACHE` is the same LRU one level down: Algorithm 3's
+compute-makespan curves and the list-schedule makespans behind
+``CpuExecutionContext.parallel_efficiency``, keyed on the content of the
+op graph and the contention model (see :mod:`repro.parallel.controller`).
+It reports as ``parallel.curve``.
 """
 
 from __future__ import annotations
@@ -43,10 +49,14 @@ def platform_signature(platform, hw) -> tuple:
 
 
 class PlanCache:
-    """Bounded LRU from a content key to an engine's plan."""
+    """Bounded LRU from a content key to an engine's plan.  ``name`` is
+    the label its hits, misses and evictions carry in the profiler."""
 
-    def __init__(self, maxsize: int = DEFAULT_MAXSIZE) -> None:
+    def __init__(
+        self, maxsize: int = DEFAULT_MAXSIZE, name: str = "engine.plan_memo"
+    ) -> None:
         self.maxsize = maxsize
+        self.name = name
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
 
     def __len__(self) -> int:
@@ -57,7 +67,7 @@ class PlanCache:
         that raises stores nothing, so the next lookup searches again."""
         entry = self._entries.get(key)
         if PROFILER.enabled:
-            PROFILER.cache("engine.plan_memo", hit=entry is not None)
+            PROFILER.cache(self.name, hit=entry is not None)
         if entry is not None:
             self._entries.move_to_end(key)
             return entry
@@ -66,7 +76,7 @@ class PlanCache:
             self._entries[key] = entry
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-                PROFILER.count("engine.plan_memo.evictions")
+                PROFILER.count(f"{self.name}.evictions")
         return entry
 
     def clear(self) -> None:
@@ -75,3 +85,6 @@ class PlanCache:
 
 #: The cache every engine plans through.
 PLAN_CACHE = PlanCache()
+
+#: The cache every compute-makespan schedule goes through.
+CURVE_CACHE = PlanCache(name="parallel.curve")

@@ -19,12 +19,26 @@ schedule of the op graph, also behind
 :func:`staging_seconds` floored by the interconnect time for the I/O tasks.
 The contention model plays the paper's offline operator profile — no
 online measurement, exactly as §4.2 prescribes.
+
+Because that profile is offline, the compute half of the search is a pure
+function of the platform and the op graph: it never reads the workload's
+I/O volumes.  Each graph's compute curve — ``(intra, inter, compute_s)``
+for every candidate intra-op width — is therefore list-scheduled once and
+kept in :data:`~repro.core.plan_cache.CURVE_CACHE` under the graph's
+content signature, the controller's topology and the contention model's
+parts (topology, cache hierarchy, calibration constants).  A plan then
+scores every candidate in one array pass: the volume-proportional I/O
+split, the staging times and the overlapped step are all vectors over the
+intra-op axis.  Single makespans (:func:`compute_makespan`) share the same
+cache.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import ConfigError, ScheduleError
 from repro.obs.profiling import span
@@ -95,32 +109,46 @@ def schedule_makespan(
     base_indegree, successors = graph.adjacency()
     indegree = dict(base_indegree)
     ready = sorted(n for n, d in indegree.items() if d == 0)
-    # Min-heaps: executors by free time, running ops by completion time.
+    # Min-heaps: executors by free time (all free at 0), running ops by
+    # completion time.
     executors = [0.0] * slots
-    heapq.heapify(executors)
     running: list[tuple[float, str]] = []
     finished = 0
     clock = 0.0
     while ready or running:
-        while ready:
-            name = ready.pop(0)
-            start = max(heapq.heappop(executors), clock)
-            end = start + op_seconds(name)
-            heapq.heappush(executors, end)
+        for name in ready:
+            # The earliest-free executor takes the op.
+            end = max(executors[0], clock) + op_seconds(name)
+            heapq.heapreplace(executors, end)
             heapq.heappush(running, (end, name))
         if not running:
             break
         clock, done = heapq.heappop(running)
         finished += 1
-        newly = []
+        ready = []
         for succ in successors[done]:
             indegree[succ] -= 1
             if indegree[succ] == 0:
-                newly.append(succ)
-        ready.extend(sorted(newly))
+                ready.append(succ)
+        ready.sort()
     if finished != graph.num_ops:
         raise ScheduleError("schedule did not complete every op")
     return max(clock, max(executors))
+
+
+def curve_cache():
+    """The process-wide :data:`~repro.core.plan_cache.CURVE_CACHE`
+    (bound on use: ``repro.core`` imports this module)."""
+    from repro.core.plan_cache import CURVE_CACHE
+
+    return CURVE_CACHE
+
+
+def contention_signature(contention: ContentionModel) -> tuple:
+    """Everything a schedule reads from ``contention``: its topology, cache
+    hierarchy and calibration constants (all frozen dataclasses).  The
+    model itself is rebuilt on every retarget, so it is never the key."""
+    return (contention.topology, contention.cache, contention.c)
 
 
 def compute_makespan(
@@ -136,8 +164,25 @@ def compute_makespan(
     thrash, bandwidth share, LLC slowdown).  Algorithm 3 scores candidates
     with ``unit=UNIT_WORK_SECONDS``; the cost model's parallel efficiency
     uses ``unit=1.0`` — the same schedule, so the controller optimises
-    exactly the metric the engine later runs under.
+    exactly the metric the engine later runs under.  Looked up in
+    :data:`~repro.core.plan_cache.CURVE_CACHE` under the content of
+    everything the schedule reads.
     """
+    key = (
+        "makespan", graph.signature(), setting, contention_signature(contention), unit
+    )
+    return curve_cache().get(
+        key, lambda: _list_schedule(graph, setting, contention, unit)
+    )
+
+
+def _list_schedule(
+    graph: OpGraph,
+    setting: ParallelismSetting,
+    contention: ContentionModel,
+    unit: float,
+) -> float:
+    """:func:`compute_makespan` without the cache."""
     co = min(setting.inter_op, max_concurrency(graph))
 
     def op_time(name: str) -> float:
@@ -178,36 +223,84 @@ class ParallelismController:
     io_volumes: dict[str, float] = field(default_factory=dict)
     metrics: MetricsRegistry | None = None
 
-    def io_task_seconds(self, task: str, threads: int, wire_seconds: float) -> float:
-        """Effective I/O task time: max of wire time and host staging time."""
+    def io_task_seconds(
+        self, task: str, threads: int | np.ndarray, wire_seconds: float
+    ):
+        """Effective I/O task time: max of wire time and host staging time
+        (elementwise over an array of ``threads``)."""
         volume = self.io_volumes.get(task, 0.0)
         if volume <= 0:
             return wire_seconds
-        return max(wire_seconds, staging_seconds(volume, max(1, threads)))
+        return np.maximum(wire_seconds, staging_seconds(volume, np.maximum(1, threads)))
 
-    def split_io_threads(self, free_threads: int) -> dict[str, int]:
-        """Volume-proportional thread assignment (>=1 each) to the 5 tasks."""
-        if free_threads < len(IO_TASKS):
+    def split_io_threads(
+        self, free_threads: int | np.ndarray
+    ) -> dict[str, np.ndarray]:
+        """Volume-proportional thread assignment (>=1 each) to the 5 tasks,
+        elementwise over ``free_threads`` (an int or an int array): each
+        task's count has ``free_threads``' shape."""
+        free = np.asarray(free_threads)
+        if (free < len(IO_TASKS)).any():
             raise ConfigError(
-                f"need >= {len(IO_TASKS)} free threads, got {free_threads}"
+                f"need >= {len(IO_TASKS)} free threads, got {int(free.min())}"
             )
-        volumes = {t: max(self.io_volumes.get(t, 0.0), 0.0) for t in IO_TASKS}
-        total = sum(volumes.values())
-        out = {t: 1 for t in IO_TASKS}
-        remaining = free_threads - len(IO_TASKS)
-        if total > 0 and remaining > 0:
-            # Largest-remainder apportionment of the leftover threads.
-            quotas = {t: remaining * v / total for t, v in volumes.items()}
-            floors = {t: int(q) for t, q in quotas.items()}
-            for t, f in floors.items():
-                out[t] += f
-            leftover = remaining - sum(floors.values())
-            by_frac = sorted(
-                IO_TASKS, key=lambda t: quotas[t] - floors[t], reverse=True
-            )
-            for t in by_frac[:leftover]:
-                out[t] += 1
-        return out
+        volumes = [max(self.io_volumes.get(t, 0.0), 0.0) for t in IO_TASKS]
+        total = sum(volumes)
+        out = np.ones(free.shape + (len(IO_TASKS),), dtype=np.int64)
+        if total > 0:
+            # Largest-remainder apportionment of the leftover threads: the
+            # stable sort hands ties to the earlier task, as a stable
+            # descending sort of IO_TASKS does.
+            remaining = free - len(IO_TASKS)
+            quotas = remaining[..., None] * np.array(volumes) / total
+            floors = np.floor(quotas)
+            order = np.argsort(floors - quotas, axis=-1, kind="stable")
+            leftover = remaining - floors.sum(axis=-1)
+            out += floors.astype(np.int64)
+            out += order.argsort(axis=-1) < leftover[..., None]
+        return dict(zip(IO_TASKS, np.moveaxis(out, -1, 0)))
+
+    def compute_curve(self, graph: OpGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only ``(intra, inter, compute_s)`` arrays of every
+        feasible candidate, in intra order, for ``graph``'s bundled form.
+        Cached in :data:`~repro.core.plan_cache.CURVE_CACHE`: the curve
+        reads only the graph, the topology and the contention model."""
+        key = (
+            "alg3",
+            graph.signature(),
+            self.topology,
+            contention_signature(self.contention),
+            UNIT_WORK_SECONDS,
+        )
+        return curve_cache().get(key, lambda: self._schedule_curve(graph))
+
+    def _schedule_curve(self, graph: OpGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Small operators are fused before the concurrency analysis (§1).
+        work_graph, _ = bundle_operators(graph)
+        width = max_concurrency(work_graph)
+        # Alg. 3 keeps one free thread per I/O task.
+        hi = self.topology.hardware_threads - len(IO_TASKS)
+        intra = np.arange(1, max(hi, 0) + 1)
+        # Inter-op from the Kahn max-concurrency level, capped so the
+        # compute gang leaves the reserved I/O threads free (Line 3-7).
+        inter = np.minimum(width, hi // intra)
+        feasible = inter >= 1
+        intra, inter = intra[feasible], inter[feasible]
+        compute_s = np.array(
+            [
+                _list_schedule(
+                    work_graph,
+                    ParallelismSetting(intra_op=i, inter_op=j),
+                    self.contention,
+                    UNIT_WORK_SECONDS,
+                )
+                for i, j in zip(intra.tolist(), inter.tolist())
+            ],
+            dtype=float,
+        )
+        for arr in (intra, inter, compute_s):
+            arr.flags.writeable = False
+        return intra, inter, compute_s
 
     def plan(
         self,
@@ -231,52 +324,36 @@ class ParallelismController:
         wire = {t: 0.0 for t in IO_TASKS}
         if io_wire_seconds:
             wire.update(io_wire_seconds)
-        # Small operators are fused before the concurrency analysis (§1).
-        work_graph, _ = bundle_operators(graph)
-        width = max_concurrency(work_graph)
-        max_thrs = self.topology.hardware_threads
-        # Alg. 3 keeps one free thread per I/O task.
-        hi = max_thrs - len(IO_TASKS)
-
-        best: ParallelismPlan | None = None
-        for intra in range(1, hi + 1):
-            # Inter-op from the Kahn max-concurrency level, capped so the
-            # compute gang leaves the reserved I/O threads free (Line 3-7).
-            inter = min(width, hi // intra)
-            if inter < 1:
-                continue
-            free = max_thrs - inter * intra
-            setting = ParallelismSetting(intra_op=intra, inter_op=inter)
-            compute_s = compute_makespan(
-                work_graph, setting, self.contention, UNIT_WORK_SECONDS
-            )
-            io_threads = self.split_io_threads(free)
-            io_s = {
-                t: self.io_task_seconds(t, io_threads[t], wire[t]) for t in IO_TASKS
-            }
-            # The six tasks overlap (Eq. 2): the decode step costs the max.
-            step = max(compute_s, *io_s.values())
-            if self.metrics is not None:
-                self.metrics.timeseries("curve.search.step_s").sample(
-                    float(intra), step
-                )
-                self.metrics.timeseries("curve.search.compute_s").sample(
-                    float(intra), compute_s
-                )
-            # Lexicographic preference: minimise the overlapped step time,
-            # then the compute task itself (ties are common when an I/O
-            # task is the bottleneck regardless of threading).
-            if best is None or (step, compute_s) < (
-                best.predicted_step_seconds,
-                best.predicted_compute_seconds,
-            ):
-                best = ParallelismPlan(
-                    compute=setting,
-                    io_threads=io_threads,
-                    inter_op_total=inter + len(IO_TASKS),
-                    predicted_compute_seconds=compute_s,
-                    predicted_step_seconds=step,
-                )
-        if best is None:
+        intra, inter, compute_s = self.compute_curve(graph)
+        if intra.size == 0:
             raise ConfigError("no feasible parallelism setting exists")
-        return best
+        io_threads = self.split_io_threads(
+            self.topology.hardware_threads - inter * intra
+        )
+        # The six tasks overlap (Eq. 2): the decode step costs the max.
+        step = compute_s
+        for t in IO_TASKS:
+            step = np.maximum(step, self.io_task_seconds(t, io_threads[t], wire[t]))
+        if self.metrics is not None:
+            steps = self.metrics.timeseries("curve.search.step_s")
+            computes = self.metrics.timeseries("curve.search.compute_s")
+            for x, step_s, comp_s in zip(
+                intra.tolist(), step.tolist(), compute_s.tolist()
+            ):
+                steps.sample(float(x), step_s)
+                computes.sample(float(x), comp_s)
+        # Lexicographic preference: minimise the overlapped step time,
+        # then the compute task itself (ties are common when an I/O task
+        # is the bottleneck regardless of threading); the first such
+        # candidate wins.
+        fastest = np.flatnonzero(step == step.min())
+        best = int(fastest[np.argmin(compute_s[fastest])])
+        return ParallelismPlan(
+            compute=ParallelismSetting(
+                intra_op=int(intra[best]), inter_op=int(inter[best])
+            ),
+            io_threads={t: int(io_threads[t][best]) for t in IO_TASKS},
+            inter_op_total=int(inter[best]) + len(IO_TASKS),
+            predicted_compute_seconds=float(compute_s[best]),
+            predicted_step_seconds=float(step[best]),
+        )

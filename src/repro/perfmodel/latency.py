@@ -40,6 +40,8 @@ from repro.parallel.bundling import bundle_operators
 from repro.parallel.controller import (
     ParallelismPlan,
     compute_makespan,
+    contention_signature,
+    curve_cache,
     staging_seconds,
 )
 from repro.parallel.speedup import ContentionModel, ParallelismSetting
@@ -126,23 +128,29 @@ class CpuExecutionContext:
     def parallel_efficiency(self, num_batches: int = 4) -> float:
         """Aggregate compute-task speedup vs 1 thread under this setting.
 
-        Cached per ``num_batches`` — the schedule simulation is pure in the
-        (frozen) setting and contention constants.
+        Looked up in :data:`~repro.core.plan_cache.CURVE_CACHE` under
+        everything it reads — the graph's shape (``num_batches``, fine or
+        bundled), the setting and the contention model's parts — so every
+        cost model on the same setting shares one list schedule.
         """
-        cache = getattr(self, "_eff_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_eff_cache", cache)
-        if num_batches in cache:
-            return cache[num_batches]
+        key = (
+            "efficiency",
+            num_batches,
+            self.use_fine_grained_graph,
+            self.setting,
+            contention_signature(self.contention),
+        )
+        return curve_cache().get(key, lambda: self._efficiency(num_batches))
+
+    def _efficiency(self, num_batches: int) -> float:
         graph = build_attention_graph(
             num_batches, fine_grained=self.use_fine_grained_graph
         )
         if not self.use_fine_grained_graph:
             graph, _ = bundle_operators(graph)
-        makespan = compute_makespan(graph, self.setting, self.contention)
-        cache[num_batches] = graph.total_work() / makespan
-        return cache[num_batches]
+        return graph.total_work() / compute_makespan(
+            graph, self.setting, self.contention
+        )
 
     def staging_seconds(self, task: str, nbytes):
         """Host-side staging time of ``nbytes`` (scalar or per-candidate

@@ -73,9 +73,9 @@ class OpGraph:
         self._succ: dict[str, list[str]] = {}
         self._pred: dict[str, list[str]] = {}
         #: Memo for structure-derived analyses (topological order,
-        #: adjacency, Kahn levels).  Algorithm 3 re-analyses the same graph
-        #: for every candidate thread setting; the structure only changes
-        #: on ``add_op``, which clears this.
+        #: adjacency, Kahn levels, the content signature).  Algorithm 3
+        #: re-analyses the same graph for every candidate thread setting;
+        #: the structure only changes on ``add_op``, which clears this.
         self._analysis_cache: dict = {}
 
     def add_op(self, node: OpNode, deps: list[str] | None = None) -> OpNode:
@@ -111,6 +111,19 @@ class OpGraph:
         cached = self._analysis_cache.get("order")
         if cached is None:
             cached = self._analysis_cache["order"] = topological_order(self._succ)
+        return cached
+
+    def signature(self) -> tuple:
+        """Content key of the graph: every node's name, work,
+        bytes_touched, kind and successors, in insertion order (a
+        topological order: ``add_op`` only accepts known deps).  Two
+        graphs with equal signatures schedule identically."""
+        cached = self._analysis_cache.get("signature")
+        if cached is None:
+            cached = self._analysis_cache["signature"] = tuple(
+                (n.name, n.work, n.bytes_touched, n.kind, tuple(self._succ[n.name]))
+                for n in self._nodes.values()
+            )
         return cached
 
     def validate(self) -> None:

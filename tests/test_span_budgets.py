@@ -163,3 +163,46 @@ def test_lp_gate_flags_repeated_lp_solves(budgets_mod, tmp_path):
     assert budgets_mod.main([str(path), "--require", "planner.lp_placement"]) == 1
     path.write_text(json.dumps(_lp_report(7, 7)))
     assert budgets_mod.main([str(path), "--require", "planner.lp_placement"]) == 0
+
+
+def _curve_report(hits, misses, plans=4):
+    report = _report(**{"parallel.controller.plan": 0.01})
+    report["scopes"]["parallel.controller.plan"]["calls"] = plans
+    report["caches"] = {"parallel.curve": {"hits": hits, "misses": misses}}
+    return report
+
+
+def test_curve_cache_floor_passes_at_and_above_floor(budgets_mod):
+    floors = {"parallel.curve": 0.9}
+    for report in (_curve_report(3436, 10), _curve_report(9, 1)):
+        assert budgets_mod.check(report, {}, required=(), cache_floors=floors) == []
+
+
+def test_curve_cache_floor_flags_low_hit_rate(budgets_mod, tmp_path):
+    problems = budgets_mod.check(
+        _curve_report(5, 5), {}, required=(), cache_floors={"parallel.curve": 0.9}
+    )
+    assert len(problems) == 1
+    assert "parallel.curve" in problems[0] and "0.500" in problems[0]
+    path = tmp_path / "chaos.json"
+    path.write_text(json.dumps(_curve_report(5, 5)))
+    args = [str(path), "--require", "parallel.controller.plan"]
+    assert budgets_mod.main(args + ["--require-cache", "parallel.curve>=0.9"]) == 1
+    assert budgets_mod.main(args + ["--require-cache", "parallel.curve>=0.5"]) == 0
+    assert budgets_mod.main(args + ["--require-cache", "parallel.curve"]) == 2
+    assert budgets_mod.main(args + ["--require-cache", "parallel.curve>=x"]) == 2
+
+
+def test_curve_cache_cannot_vanish_while_alg3_runs(budgets_mod):
+    """A renamed or bypassed curve cache fails even without a floor, and a
+    required floor fails on a report that lacks the cache."""
+    report = _curve_report(0, 0)
+    del report["caches"]["parallel.curve"]
+    problems = budgets_mod.check(report, {}, required=())
+    assert len(problems) == 1 and "'parallel.curve'" in problems[0]
+    # No Alg. 3 plan ran: nothing to look up, nothing to flag.
+    assert budgets_mod.check(_report(), {}, required=()) == []
+    problems = budgets_mod.check(
+        _report(), {}, required=(), cache_floors={"parallel.curve": 0.9}
+    )
+    assert problems == ["required cache 'parallel.curve' missing from report"]
