@@ -24,7 +24,12 @@ Three checks are structural and machine-independent:
   ``planner.search_fixed`` call: one placement LP per strategy;
 * a report in which the ``parallel.controller.plan`` span ran must show
   ``parallel.curve`` cache lookups (Algorithm 3 reads its compute curve
-  from that cache, so a rename or a bypass cannot hide).
+  from that cache, so a rename or a bypass cannot hide);
+* a report in which the ``serving.run`` span ran must carry the running
+  batch's ``serving.batch.joins`` counter, and the batch may visit its
+  members at most a fixed number of times per join
+  (``serving.batch.member_visits``), so a decode step that walks the
+  whole batch fails on counts, not seconds.
 
 ``--require-cache NAME>=FLOOR`` adds a hit-rate floor: the named cache
 must appear in the report with ``hits / (hits + misses) >= FLOOR``.
@@ -99,6 +104,20 @@ AT_MOST_ONCE_PER = (
 CACHE_USED_BY = (("parallel.controller.plan", "parallel.curve"),)
 
 
+#: ``(counter, per, ratio, span, why)``: when ``span`` ran, counter
+#: ``per`` must be in the report and ``counter <= ratio * per``.  A join
+#: costs the running batch at most seven member visits: two heap pushes,
+#: at most two heap pops, the release when the member leaves, and the
+#: amortised share of heap rebuilds (a heap is rebuilt only once its stale
+#: entries outnumber its live ones).  The quick serve-sim smoke measured
+#: 126 visits for 27 joins (4.7), the full one 820 for 171 (4.8).
+COUNTER_RATIOS = (
+    ("serving.batch.member_visits", "serving.batch.joins", 8.0, "serving.run",
+     "the running batch visits its members per decode step, not per join "
+     "and leave"),
+)
+
+
 def hit_rate(stats: dict) -> float:
     """Hits over lookups of one cache entry of the report (0 if none)."""
     lookups = stats.get("hits", 0) + stats.get("misses", 0)
@@ -150,6 +169,20 @@ def check(
             problems.append(
                 f"span {name!r} ran but cache {cache!r} reported no lookups: "
                 f"the cache was bypassed or renamed"
+            )
+    counts = report.get("counts", {})
+    for name, per, ratio, span, why in COUNTER_RATIOS:
+        if not scopes.get(span, {}).get("calls", 0):
+            continue
+        if per not in counts:
+            problems.append(
+                f"span {span!r} ran but counter {per!r} is missing from the "
+                f"report: the counter was renamed or is no longer reported"
+            )
+        elif counts.get(name, 0) > ratio * counts[per]:
+            problems.append(
+                f"counter {name!r} is {counts.get(name, 0)} for "
+                f"{counts[per]} {per!r} (more than {ratio:g} per): {why}"
             )
     for name, floor in sorted((cache_floors or {}).items()):
         stats = caches.get(name)
@@ -228,6 +261,11 @@ def main(argv: list[str] | None = None) -> int:
         if name in scopes:
             print(f"budgets: ok: {name} {float(scopes[name]['total_s']):.3f}s "
                   f"<= {budgets[name]:.1f}s")
+    counts = report.get("counts", {})
+    for name, per, ratio, _, _ in COUNTER_RATIOS:
+        if per in counts:
+            print(f"budgets: ok: {name} {counts.get(name, 0)} <= {ratio:g} x "
+                  f"{counts[per]} {per}")
     for name in sorted(cache_floors):
         print(f"budgets: ok: cache {name} hit rate "
               f"{hit_rate(report['caches'][name]):.3f} >= {cache_floors[name]:.3f}")

@@ -45,14 +45,37 @@ class LengthSampler:
     min_len: int = 4
     max_len: int = 512
 
+    @staticmethod
+    def _lognormal_params(mean: float, cv: float) -> tuple[float, float]:
+        """``(mu, sigma)`` of the log-normal with this mean and cv."""
+        sigma2 = np.log1p(cv * cv)
+        return np.log(mean) - 0.5 * sigma2, np.sqrt(sigma2)
+
     def _sample(self, rng: np.random.Generator, mean: float, cv: float) -> int:
         if cv <= 0:
             value = mean
         else:
-            sigma2 = np.log1p(cv * cv)
-            mu = np.log(mean) - 0.5 * sigma2
-            value = float(rng.lognormal(mu, np.sqrt(sigma2)))
+            mu, sigma = self._lognormal_params(mean, cv)
+            value = float(rng.lognormal(mu, sigma))
         return int(np.clip(round(value), self.min_len, self.max_len))
+
+    def sample_pairs(
+        self, rng: np.random.Generator, n: int
+    ) -> tuple[list[int], list[int]]:
+        """``n`` (prompt, gen) pairs from one vectorized draw, bitwise
+        equal to alternating :meth:`sample_prompt` / :meth:`sample_gen`
+        ``n`` times: the generator fills an array of log-normals in the
+        same order, one normal each, and ``np.rint`` rounds half to even
+        like ``round``.  Both cvs must be positive (a zero cv draws
+        nothing)."""
+        mu = np.empty(2 * n)
+        sigma = np.empty(2 * n)
+        params = self._lognormal_params
+        mu[0::2], sigma[0::2] = params(self.prompt_mean, self.prompt_cv)
+        mu[1::2], sigma[1::2] = params(self.gen_mean, self.gen_cv)
+        draws = np.rint(rng.lognormal(mu, sigma))
+        lens = np.clip(draws, self.min_len, self.max_len).astype(np.int64).tolist()
+        return lens[0::2], lens[1::2]
 
     def sample_prompt(self, rng: np.random.Generator) -> int:
         return self._sample(rng, self.prompt_mean, self.prompt_cv)
@@ -102,6 +125,14 @@ def _specs_from_times(
     rng: np.random.Generator,
     priority_levels: int,
 ) -> tuple[RequestSpec, ...]:
+    if priority_levels <= 1 and lengths.prompt_cv > 0 and lengths.gen_cv > 0:
+        prompts, gens = lengths.sample_pairs(rng, len(times))
+        return tuple(
+            RequestSpec(arrival_s=t, prompt_len=p, gen_len=g)
+            for t, p, g in zip(times.tolist(), prompts, gens)
+        )
+    # Priorities interleave an integer draw between requests, and a zero
+    # cv skips its draw: both keep the per-request sequence.
     specs = []
     for t in times:
         prio = int(rng.integers(0, priority_levels)) if priority_levels > 1 else 0

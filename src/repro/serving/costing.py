@@ -103,7 +103,8 @@ class StepCostOracle:
     # -- planning per concurrency level ------------------------------------
 
     def _bucket_ctx(self, ctx_len: int) -> int:
-        return max(self.ctx_bucket, math.ceil(ctx_len / self.ctx_bucket) * self.ctx_bucket)
+        b = self.ctx_bucket
+        return max(b, -(-ctx_len // b) * b)
 
     def _plan_workload(self, n_seqs: int) -> Workload:
         k = self.num_gpu_batches

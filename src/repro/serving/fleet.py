@@ -785,7 +785,7 @@ class FleetSimulator:
         """Which replica currently holds this exact object (identity, not
         equality — a hedge clone compares equal to its canonical)."""
         for r in self.replicas:
-            if any(x is obj for x in r.running):
+            if obj in r.running:
                 return r
             if any(x is obj for x in r.queue.waiting):
                 return r
@@ -953,7 +953,7 @@ class FleetSimulator:
             if any(x is obj for x in r.queue.waiting):
                 r.queue.take(obj)
             else:
-                r.running = [x for x in r.running if x is not obj]
+                r.running.leave(obj)
             r.breaker.forget(obj.rid)
         # Kill the lifecycle so nothing (expiry, admission) can touch a
         # cancelled racer again.
@@ -1053,10 +1053,9 @@ class FleetSimulator:
         """The replica dies at ``now``: in-flight batch and KV state are
         destroyed; every casualty migrates (running first, then any
         mid-admission batch, then the queue in insertion order)."""
-        casualties = list(r.running)
+        casualties = r.running.drain()
         if extra:
             casualties.extend(extra)
-        r.running = []
         for req in list(r.queue.waiting):
             r.queue.take(req)
             casualties.append(req)
@@ -1129,7 +1128,7 @@ class FleetSimulator:
         # 4-5. The kernel's prefill and decode steps.
         if admitted and not self._step(r, "prefill", admitted):
             return
-        if r.running and not self._step(r, "decode", r.running):
+        if r.running and not self._step(r, "decode", list(r.running)):
             return
         if r.t > self._makespan:
             self._makespan = r.t

@@ -15,6 +15,12 @@ that does not depend on the driver lives here, once:
   the six tasks of the zig-zag block schedule, at the batch's maximum
   context).  On request, a whole *run* of provably identical steps is
   committed at once, up to the next scheduling event;
+* **the running batch** — :class:`RunningBatch` holds one token clock for
+  every running request (they all advance together), so a decode step
+  costs O(1) plus O(log n) per request that finishes: the maximum
+  context and the minimum remaining tokens come from two lazily
+  invalidated heaps, and only a join or a leave (admit, finish, preempt,
+  shed, abort, crash) touches an individual request;
 * **transient faults** — with a fault schedule, each attempted step draws
   once from the replica's RNG; an aborted step loses its work, waits a
   capped, jittered exponential backoff, and culls requests past their
@@ -29,20 +35,21 @@ windows, routing, breakers and hedges).  Each driver expires and admits
 (through :func:`~repro.serving.simulator.admit_batch`), then calls
 :meth:`ReplicaKernel.prefill` and :meth:`ReplicaKernel.decode`.
 
-Clocks are pure float arithmetic: a coalesced run advances with
-``np.cumsum``, whose sequential accumulation is bit-identical to ``k``
-repeated ``t += dur`` additions, so a run expands back into exactly the
-per-step records.
+Clocks are pure float arithmetic: a coalesced run advances with ``k``
+repeated ``t += dur`` additions, and :meth:`StepRun.expand` re-derives
+them with ``np.cumsum``, whose sequential accumulation is bit-identical,
+so a run expands back into exactly the per-step records.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
-from repro.errors import RetryExhaustedError
+from repro.errors import RetryExhaustedError, ServingError
 from repro.obs.profiling import PROFILER
 from repro.serving.request import DropReason, Request, RequestState
 
@@ -72,16 +79,6 @@ class StepRecord:
     @property
     def duration_s(self) -> float:
         return self.end_s - self.start_s
-
-
-def _run_clock(start_s: float, dur_s: float, count: int) -> np.ndarray:
-    """Clock values ``[start, t_1, ..., t_count]`` of ``count`` equal
-    steps.  ``np.cumsum`` accumulates sequentially, so every intermediate
-    value is bit-identical to the legacy loop's repeated ``t += dur``."""
-    steps = np.empty(count + 1, dtype=np.float64)
-    steps[0] = start_s
-    steps[1:] = dur_s
-    return np.cumsum(steps)
 
 
 @dataclass(frozen=True)
@@ -124,25 +121,189 @@ class StepRun:
                     batch=self.batch, max_ctx=self.max_ctx, rids=self.rids,
                 )
             ]
-        times = _run_clock(self.start_s, self.dur_s, self.count)
+        # Clock values [start, t_1, ..., t_count].  ``np.cumsum`` adds
+        # sequentially, so each one is bit-identical to the kernel's
+        # repeated ``t += dur``.
+        steps = np.full(self.count + 1, self.dur_s)
+        steps[0] = self.start_s
+        times = np.cumsum(steps).tolist()
         return [
             StepRecord(
-                kind=self.kind, start_s=float(times[j]), end_s=float(times[j + 1]),
+                kind=self.kind, start_s=times[j], end_s=times[j + 1],
                 batch=self.batch, max_ctx=self.max_ctx + j, rids=self.rids,
             )
             for j in range(self.count)
         ]
 
     def expand_depth(self) -> list[tuple[float, int, int]]:
-        if self.count == 1:
-            return [(self.sample_t, self.queue_len, self.running_after)]
-        times = _run_clock(self.start_s, self.dur_s, self.count)
+        """``(clock, waiting, running)`` after each step: the inner steps
+        end at the run's boundaries, the last at ``sample_t``."""
         out = [
-            (float(times[j]), self.queue_len, self.batch)
-            for j in range(1, self.count)
+            (rec.end_s, self.queue_len, self.batch)
+            for rec in self.expand()[:-1]
         ]
         out.append((self.sample_t, self.queue_len, self.running_after))
         return out
+
+
+class RunningBatch:
+    """The running requests of one replica, advanced by one token clock.
+
+    Continuous batching moves every running sequence forward together,
+    so the batch keeps one integer ``clock`` (tokens generated per
+    member since the batch began) and each member's clock at join; a
+    member's :attr:`~repro.serving.request.Request.tokens_done` is its
+    count at join plus the clock's advance since.  Members stay in
+    admission order.
+
+    Two min-heaps hold per-member keys that stay constant while the
+    member runs: ``join clock - prompt - tokens at join`` (the maximum
+    context is ``clock`` minus the smallest) and ``gen + join clock -
+    tokens at join`` (the minimum remaining tokens is the smallest minus
+    ``clock``).  A leave does not touch the heaps: an entry whose request
+    has left (or rejoined under a new ticket) is stale and is skipped
+    when it surfaces, and a heap whose stale entries outnumber the live
+    members is rebuilt, so heap size stays O(batch) over any run.
+
+    ``joins`` and ``visits`` count admissions and the member entries the
+    batch touched (heap pushes, pops and rebuilds, members released);
+    the kernel reports them to the profiler once per step.
+    """
+
+    __slots__ = (
+        "clock", "joins", "visits", "_members", "_next_ticket",
+        "_ctx_heap", "_rem_heap", "_rids",
+    )
+
+    def __init__(self) -> None:
+        self.clock = 0
+        self.joins = 0
+        self.visits = 0
+        #: ticket -> request; tickets grow, so this is admission order.
+        self._members: dict[int, Request] = {}
+        self._next_ticket = 1
+        self._ctx_heap: list[tuple[int, int, Request]] = []
+        self._rem_heap: list[tuple[int, int, Request]] = []
+        self._rids: tuple[int, ...] | None = ()
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __iter__(self) -> Iterator[Request]:
+        return iter(self._members.values())
+
+    def __contains__(self, req: Request) -> bool:
+        return req._batch is self
+
+    def join(self, req: Request) -> None:
+        """Add ``req`` at the end of the batch with its current tokens."""
+        ticket = self._next_ticket
+        self._next_ticket = ticket + 1
+        clock = self.clock
+        tokens = req._tokens
+        req._batch = self
+        req._join = clock
+        req._ticket = ticket
+        self._members[ticket] = req
+        heapq.heappush(
+            self._ctx_heap, (clock - req.prompt_len - tokens, ticket, req)
+        )
+        heapq.heappush(
+            self._rem_heap, (req.gen_len - tokens + clock, ticket, req)
+        )
+        self._rids = None
+        self.joins += 1
+        self.visits += 2
+
+    def _release(self, req: Request) -> None:
+        """Detach ``req``, fixing its token count at the current clock."""
+        del self._members[req._ticket]
+        req._tokens += self.clock - req._join
+        req._batch = None
+        req._join = 0
+        req._ticket = 0
+        self.visits += 1
+
+    def _compact(self) -> None:
+        """Rebuild each heap whose stale entries outnumber the live ones."""
+        bound = 2 * len(self._members)
+        if len(self._ctx_heap) > bound:
+            self._rebuild(self._ctx_heap)
+        if len(self._rem_heap) > bound:
+            self._rebuild(self._rem_heap)
+
+    def _rebuild(self, heap: list[tuple[int, int, Request]]) -> None:
+        heap[:] = [e for e in heap if e[2]._batch is self and e[2]._ticket == e[1]]
+        heapq.heapify(heap)
+        self.visits += len(heap)
+
+    def leave(self, req: Request) -> None:
+        """Remove ``req`` (by identity) wherever it sits in the batch."""
+        if req._batch is not self:
+            raise ServingError(f"request rid={req.rid} is not in this batch")
+        self._release(req)
+        self._rids = None
+        self._compact()
+
+    def drain(self) -> list[Request]:
+        """Remove every request; returns them in admission order."""
+        members = list(self._members.values())
+        for req in members:
+            self._release(req)
+        self._ctx_heap.clear()
+        self._rem_heap.clear()
+        self._rids = ()
+        return members
+
+    def _top(self, heap: list[tuple[int, int, Request]]) -> int:
+        """Smallest live key of ``heap``, dropping stale entries above it."""
+        while True:
+            key, ticket, req = heap[0]
+            if req._batch is self and req._ticket == ticket:
+                return key
+            heapq.heappop(heap)
+            self.visits += 1
+
+    def max_context(self) -> int:
+        """Largest context length in the (non-empty) batch."""
+        return self.clock - self._top(self._ctx_heap)
+
+    def min_remaining(self) -> int:
+        """Fewest tokens any member of the (non-empty) batch has left."""
+        return self._top(self._rem_heap) - self.clock
+
+    def advance(self, k: int) -> list[Request]:
+        """Credit ``k`` tokens to every member; remove and return the
+        members that reached their generation length, in batch order."""
+        clock = self.clock = self.clock + k
+        heap = self._rem_heap
+        done: list[tuple[int, Request]] = []
+        while heap:
+            key, ticket, req = heap[0]
+            if req._batch is not self or req._ticket != ticket:
+                heapq.heappop(heap)
+                self.visits += 1
+                continue
+            if key > clock:
+                break
+            heapq.heappop(heap)
+            done.append((ticket, req))
+        if not done:
+            return []
+        self.visits += len(done)
+        done.sort()
+        for _, req in done:
+            self._release(req)
+        self._rids = None
+        self._compact()
+        return [req for _, req in done]
+
+    def rids(self) -> tuple[int, ...]:
+        """Member rids in batch order (rebuilt only after a change)."""
+        rids = self._rids
+        if rids is None:
+            rids = self._rids = tuple(r.rid for r in self._members.values())
+        return rids
 
 
 @dataclass
@@ -218,7 +379,7 @@ class ReplicaKernel:
     ) -> None:
         self.oracle = oracle
         self.queue = queue
-        self.running: list[Request] = []
+        self.running = RunningBatch()
         self.t = 0.0
         self.runs: list[StepRun] = []
         self.agg = ServingAggregates()
@@ -255,24 +416,23 @@ class ReplicaKernel:
         if self.sample is not None:
             self.sample(start, end, batch)
 
-    def finish_tokens(
-        self, batch: list[Request], now: float, k: int = 1
-    ) -> list[Request]:
-        """Credit ``k`` generated tokens to every request in ``batch`` at
-        ``now``; returns the ones still running, in batch order."""
+    def _finish(self, done: list[Request], now: float) -> None:
+        """Stamp requests that produced their last token at ``now``."""
         predictor = self.predictor
-        running: list[Request] = []
-        for req in batch:
-            req.tokens_done += k
-            if req.tokens_done < req.gen_len:
-                running.append(req)
-                continue
+        for req in done:
             req.state = RequestState.FINISHED
             req.finish_s = now
             if predictor is not None:
                 predictor.observe(req)
-            self.finished.append(req)
-        return running
+        self.finished.extend(done)
+
+    def _report_batch(self) -> None:
+        """Hand the batch's join and visit counts to the profiler (once
+        per step, never per member)."""
+        batch = self.running
+        PROFILER.count("serving.batch.joins", batch.joins)
+        PROFILER.count("serving.batch.member_visits", batch.visits)
+        batch.joins = batch.visits = 0
 
     def _cut(self, start: float, end: float) -> bool:
         """Driver veto on a priced step before it runs (fleet crashes)."""
@@ -340,16 +500,26 @@ class ReplicaKernel:
             return False
         self.consec_aborts = 0
         t = self.t = start + dur
+        running = self.running
+        done: list[Request] = []
         for req in admitted:
             req.state = RequestState.RUNNING
             if req.admit_s is None:
                 req.admit_s = start
             if req.first_token_s is None:
                 req.first_token_s = t
-        self.running.extend(self.finish_tokens(admitted, t))
-        self.emit("prefill", start, t, dur, 1, n, max_ctx, rids, len(self.running))
+            # The prefill produces the first token.
+            req.tokens_done += 1
+            if req.tokens_done < req.gen_len:
+                running.join(req)
+            else:
+                done.append(req)
+        if done:
+            self._finish(done, t)
+        self.emit("prefill", start, t, dur, 1, n, max_ctx, rids, len(running))
         if PROFILER.enabled:
             PROFILER.count("serving.steps.prefill")
+            self._report_batch()
         return True
 
     def decode(
@@ -364,18 +534,22 @@ class ReplicaKernel:
         """
         running = self.running
         n = len(running)
-        max_ctx = max(r.context_len for r in running)
+        max_ctx = running.max_context()
         dur = self.oracle.decode_step_seconds(n, max_ctx)
         start = self.t
         if self._cut(start, start + dur):
             return None
-        rids = tuple(r.rid for r in running) if self.keep else ()
+        rids = running.rids() if self.keep else ()
         faults = self.faults
         if faults is not None and self.rng.random() < faults.transient_abort_probability(start):
-            self.running = self._abort(start, dur, "decode", running)
+            members = list(running)
+            if len(self._abort(start, dur, "decode", members)) < n:
+                for req in members:
+                    if req.state is RequestState.DROPPED:
+                        running.leave(req)
             self.emit(
                 "abort-decode", start, start + dur, dur, 1,
-                n, max_ctx, rids, len(self.running),
+                n, max_ctx, rids, len(running),
             )
             return False
         self.consec_aborts = 0
@@ -384,10 +558,13 @@ class ReplicaKernel:
         if coalesce:
             k, t = self._run_length(start, dur, max_ctx, next_arrival)
         self.t = t
-        self.running = self.finish_tokens(running, t, k)
-        self.emit("decode", start, t, dur, k, n, max_ctx, rids, len(self.running))
+        done = running.advance(k)
+        if done:
+            self._finish(done, t)
+        self.emit("decode", start, t, dur, k, n, max_ctx, rids, len(running))
         if PROFILER.enabled:
             PROFILER.count("serving.steps.decode", k)
+            self._report_batch()
         return True
 
     def _run_length(
@@ -395,24 +572,22 @@ class ReplicaKernel:
     ) -> tuple[int, float]:
         """Steps until the next scheduling event, and the clock after them.
         The earliest completion and the price-bucket boundary bound the run
-        up front; the next arrival and queue-deadline expiries cut it on
-        the clock."""
+        up front; the next arrival and queue-deadline expiries cut it at
+        the first step boundary that reaches them.  Runs average about two
+        steps, so a plain ``t += dur`` loop beats building an array."""
         k = min(
-            min(r.remaining_tokens for r in self.running),
+            self.running.min_remaining(),
             self.oracle.decode_bucket_headroom(max_ctx),
         )
+        t = start + dur
         if k == 1:
-            return 1, start + dur
-        times = _run_clock(start, dur, k)
-        if next_arrival is not None:
-            # First intermediate boundary that would ingest the arrival.
-            cut = int(np.searchsorted(times[1:k], next_arrival, side="left")) + 1
-            if cut < k:
-                k = cut
+            return 1, t
         a_min = self.queue.next_expirable_arrival()
-        if a_min is not None:
-            # Exactly the per-step expiry comparison, over the run's boundaries.
-            hits = np.nonzero((times[1:k] - a_min) > self.queue.timeout_s)[0]
-            if hits.size:
-                k = int(hits[0]) + 1
-        return k, float(times[k])
+        timeout = self.queue.timeout_s
+        for j in range(1, k):
+            if next_arrival is not None and t >= next_arrival:
+                return j, t
+            if a_min is not None and t - a_min > timeout:
+                return j, t
+            t += dur
+        return k, t

@@ -394,10 +394,9 @@ class MultiModelSimulator:
                     # then pay the swap.  Re-prefill on return is the
                     # standard preemption cost; the victims re-enter the
                     # queue with their tokens intact.
-                    for victim in kern.running:
+                    for victim in kern.running.drain():
                         victim.preemptions += 1
                         queue.requeue(victim, kern.t)
-                    kern.running = []
                     swap_to(head_slot, "preempt")
                     ordered = policy.order(list(queue.waiting), kern.t)
                 candidates = [r for r in ordered if self._slot_of(r) is active]

@@ -12,7 +12,7 @@ order and replays are byte-identical.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Collection
 
 from repro.errors import ServingError
 from repro.serving.request import Request
@@ -43,7 +43,9 @@ class SchedulerPolicy:
         order; the default is first-come-first-served."""
         return sorted(waiting, key=lambda r: (r.arrival_s, r.rid))
 
-    def victim(self, running: list[Request], candidate: Request) -> Request | None:
+    def victim(
+        self, running: Collection[Request], candidate: Request
+    ) -> Request | None:
         """Which running request (if any) to preempt for ``candidate``.
         ``None`` means don't preempt.  Only consulted when ``preemptive``."""
         return None
@@ -97,7 +99,9 @@ class PriorityPolicy(SchedulerPolicy):
             waiting, key=lambda r: (-r.priority, r.arrival_s, r.rid)
         )
 
-    def victim(self, running: list[Request], candidate: Request) -> Request | None:
+    def victim(
+        self, running: Collection[Request], candidate: Request
+    ) -> Request | None:
         if not running:
             return None
         lowest = min(running, key=lambda r: (r.priority, -r.arrival_s, -r.rid))

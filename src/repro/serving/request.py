@@ -6,12 +6,24 @@ carries (when it arrives, how long its prompt and generation are); a
 through ``QUEUED -> RUNNING -> FINISHED`` (or ``DROPPED``), stamping the
 timestamps every serving metric (TTFT, TPOT, e2e latency, goodput) is
 computed from.
+
+While a request runs, its generated-token count is not stored on it:
+the replica's :class:`~repro.serving.kernel.RunningBatch` advances one
+token clock for the whole batch, and :attr:`Request.tokens_done` reads
+the request's value at join plus the clock's advance since.  Leaving the
+batch fixes the value again.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+from repro.errors import ServingError
+
+if TYPE_CHECKING:
+    from repro.serving.kernel import RunningBatch
 
 
 class RequestState(enum.Enum):
@@ -54,15 +66,13 @@ class RequestSpec:
     model: str = ""
 
     def __post_init__(self) -> None:
-        from repro.errors import ServingError
-
         if self.arrival_s < 0:
             raise ServingError("request arrival time must be non-negative")
         if self.prompt_len <= 0 or self.gen_len <= 0:
             raise ServingError("prompt_len and gen_len must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """A live request with its lifecycle timestamps.
 
@@ -86,7 +96,6 @@ class Request:
     finish_s: float | None = None
     drop_s: float | None = None
     drop_reason: DropReason | None = None
-    tokens_done: int = 0
     preemptions: int = 0
     #: Aborted steps this request has been caught in (fault layer);
     #: counted against ``ServingConfig.retry_limit``.
@@ -100,6 +109,16 @@ class Request:
     #: Queue re-entries after preemption do not reset ``arrival_s``; the
     #: scheduler keys on this field so FCFS stays stable under preemption.
     queued_since_s: float = field(default=0.0)
+    #: Generated tokens: the whole count off the batch, the count at
+    #: join while running (read :attr:`tokens_done`).
+    _tokens: int = field(default=0, init=False)
+    #: The batch this request runs in (``None`` off the batch), its token
+    #: clock at join, and the join's ticket (it validates heap entries).
+    _batch: RunningBatch | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _join: int = field(default=0, init=False, repr=False, compare=False)
+    _ticket: int = field(default=0, init=False, repr=False, compare=False)
 
     @classmethod
     def from_spec(cls, rid: int, spec: RequestSpec) -> "Request":
@@ -114,6 +133,22 @@ class Request:
         )
 
     # -- derived quantities ------------------------------------------------
+
+    @property
+    def tokens_done(self) -> int:
+        batch = self._batch
+        if batch is None:
+            return self._tokens
+        return self._tokens + batch.clock - self._join
+
+    @tokens_done.setter
+    def tokens_done(self, value: int) -> None:
+        if self._batch is not None:
+            raise ServingError(
+                f"request rid={self.rid} is running: its token count follows "
+                "the batch clock and cannot be set until it leaves the batch"
+            )
+        self._tokens = value
 
     @property
     def context_len(self) -> int:

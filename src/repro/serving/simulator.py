@@ -62,7 +62,13 @@ from repro.obs.registry import MetricsRegistry
 from repro.perfmodel.notation import HardwareParams
 from repro.serving.arrivals import RequestTrace
 from repro.serving.costing import StepCostOracle
-from repro.serving.kernel import ReplicaKernel, ServingAggregates, StepRecord, StepRun
+from repro.serving.kernel import (
+    ReplicaKernel,
+    RunningBatch,
+    ServingAggregates,
+    StepRecord,
+    StepRun,
+)
 from repro.serving.policies import SchedulerPolicy
 from repro.serving.queue import AdmissionQueue
 from repro.serving.request import DropReason, Request, RequestState
@@ -217,7 +223,7 @@ def admit_batch(
     policy: SchedulerPolicy,
     oracle: StepCostOracle,
     queue: AdmissionQueue,
-    running: list[Request],
+    running: RunningBatch,
     now: float,
     limit: int,
     candidates: list[Request] | None = None,
@@ -242,10 +248,10 @@ def admit_batch(
         )
     admitted: list[Request] = []
     # The candidate loop needs max(context_len + 1) over running and
-    # admitted at every step; track it incrementally (recomputing the
-    # running part only when preemption removes a victim) instead of
-    # rescanning both lists per candidate.
-    run_ctx = max((r.context_len + 1 for r in running), default=0)
+    # admitted at every step: the batch answers the running part from
+    # its heap (again only when preemption removes a victim), and the
+    # admitted part is tracked incrementally.
+    run_ctx = running.max_context() + 1 if running else 0
     adm_ctx = 0
     for req in candidates:
         occupied = len(running) + len(admitted)
@@ -255,10 +261,10 @@ def admit_batch(
             victim = policy.victim(running, req)
             if victim is None:
                 break
-            running.remove(victim)
+            running.leave(victim)
             victim.preemptions += 1
             queue.requeue(victim, now)
-            run_ctx = max((r.context_len + 1 for r in running), default=0)
+            run_ctx = running.max_context() + 1 if running else 0
         ctx = max(run_ctx, adm_ctx, req.context_len + 1)
         if not oracle.feasible(len(running) + len(admitted) + 1, ctx):
             if not running and not admitted:
@@ -473,10 +479,12 @@ class ServingSimulator:
                     # Shed the most recently admitted requests until the
                     # running batch fits the degraded platform again.
                     running = kern.running
-                    while running and not self.oracle.feasible(
-                        len(running), max(r.context_len + 1 for r in running)
+                    newest_last = list(running)
+                    while newest_last and not self.oracle.feasible(
+                        len(running), running.max_context() + 1
                     ):
-                        victim = running.pop()
+                        victim = newest_last.pop()
+                        running.leave(victim)
                         victim.preemptions += 1
                         queue.requeue(victim, now)
                         stats.sheds.append((now, victim.rid))

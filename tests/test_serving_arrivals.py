@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import ServingError
 from repro.serving.arrivals import (
     LengthSampler,
     RequestTrace,
+    _specs_from_times,
     default_trace,
     load_trace,
     mmpp_trace,
@@ -90,6 +92,49 @@ def test_length_sampler_bounds_and_cv_zero():
     assert set(prompts) == {64}  # cv=0 degenerates to the mean
     assert all(8 <= g <= 100 for g in gens)
     assert len(set(gens)) > 1
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        LengthSampler(),
+        LengthSampler(prompt_mean=64, gen_mean=32, max_len=256),
+        LengthSampler(prompt_mean=300, prompt_cv=2.0, gen_mean=10, gen_cv=3.0,
+                      min_len=1, max_len=100_000),
+    ],
+)
+def test_vectorized_lengths_equal_per_request_draws(sampler):
+    """One array draw is bitwise the alternating per-request draws, and
+    leaves the generator in the same state."""
+    fast_rng, slow_rng = seeded_rng(3, "test"), seeded_rng(3, "test")
+    prompts, gens = sampler.sample_pairs(fast_rng, 4000)
+    slow = [
+        (sampler.sample_prompt(slow_rng), sampler.sample_gen(slow_rng))
+        for _ in range(4000)
+    ]
+    assert list(zip(prompts, gens)) == slow
+    assert all(type(v) is int for v in prompts + gens)
+    assert fast_rng.random() == slow_rng.random()
+
+
+@pytest.mark.parametrize("levels,prompt_cv", [(1, 0.5), (3, 0.5), (1, 0.0)])
+def test_trace_specs_equal_the_per_request_loop(levels, prompt_cv):
+    """Every generator path builds the specs the per-request loop would:
+    vectorized when it can, per request when priorities interleave draws
+    or a zero cv skips one."""
+    sampler = LengthSampler(prompt_cv=prompt_cv)
+    times = np.cumsum(seeded_rng(1, "test").exponential(0.5, 300))
+    specs = _specs_from_times(times, sampler, seeded_rng(2, "test"), levels)
+    rng = seeded_rng(2, "test")
+    loop = []
+    for t in times:
+        prio = int(rng.integers(0, levels)) if levels > 1 else 0
+        loop.append(RequestSpec(
+            arrival_s=float(t), prompt_len=sampler.sample_prompt(rng),
+            gen_len=sampler.sample_gen(rng), priority=prio,
+        ))
+    assert specs == tuple(loop)
+    assert all(type(s.arrival_s) is float for s in specs)
 
 
 def test_priority_levels_sampled():

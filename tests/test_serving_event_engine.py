@@ -8,8 +8,12 @@ seeded trace x policy x fault configuration.  These tests are the gate.
 """
 
 import json
+import math
+import random
 from collections import Counter
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.baselines import ZeroInferenceEngine
@@ -28,6 +32,7 @@ from repro.serving import (
     mmpp_trace,
     poisson_trace,
 )
+from repro.serving.kernel import ReplicaKernel
 from repro.serving.request import Request, RequestSpec
 from tests import reference_costs as ref
 from tests.traces import replay_trace
@@ -216,6 +221,72 @@ def test_decode_bucket_headroom(engine, model):
         k = oracle.decode_bucket_headroom(ctx)
         assert oracle.decode_step_seconds(2, ctx) == oracle.decode_step_seconds(
             2, ctx + k - 1
+        )
+
+
+def test_bucket_ctx_integer_ceil_matches_float_ceil(engine, model):
+    oracle = StepCostOracle(engine=engine, model=model)
+    for bucket in (1, 7, 32, 64):
+        oracle.ctx_bucket = bucket
+        for ctx in range(1, 600):
+            assert oracle._bucket_ctx(ctx) == max(
+                bucket, math.ceil(ctx / bucket) * bucket
+            )
+
+
+def _run_clock(start, dur, count):
+    """``[start, t_1, ..., t_count]`` of ``count`` equal steps."""
+    steps = np.full(count + 1, dur)
+    steps[0] = start
+    return np.cumsum(steps)
+
+
+def _cumsum_run_length(start, dur, k, next_arrival, a_min, timeout):
+    """The array form of the run-length cut: ``np.cumsum`` boundaries, a
+    ``searchsorted`` arrival cut and a vectorized expiry scan."""
+    if k == 1:
+        return 1, start + dur
+    times = _run_clock(start, dur, k)
+    if next_arrival is not None:
+        cut = int(np.searchsorted(times[1:k], next_arrival, side="left")) + 1
+        if cut < k:
+            k = cut
+    if a_min is not None:
+        hits = np.nonzero((times[1:k] - a_min) > timeout)[0]
+        if hits.size:
+            k = int(hits[0]) + 1
+    return k, float(times[k])
+
+
+def test_run_length_loop_is_bitwise_the_cumsum_cut():
+    """The kernel's ``t += dur`` run length equals the array cut exactly,
+    boundaries that land on an arrival or a deadline included."""
+    rng = random.Random(4)
+    kern = ReplicaKernel.__new__(ReplicaKernel)
+    for _ in range(3000):
+        start = rng.uniform(0.0, 500.0)
+        dur = rng.choice([0.1, 0.3, rng.uniform(1e-3, 3.0)])
+        k = rng.randint(1, 40)
+        headroom = rng.randint(1, 40)
+        n = min(k, headroom)
+        bounds = _run_clock(start, dur, n)
+        next_arrival = rng.choice(
+            [None, float(rng.choice(bounds)), start + rng.uniform(0, n * dur)]
+        )
+        timeout = rng.choice([None, 5.0, rng.uniform(0.1, 20.0)])
+        a_min = None
+        if timeout is not None:
+            a_min = rng.choice(
+                [None, float(rng.choice(bounds)) - timeout,
+                 start - rng.uniform(0.0, timeout)]
+            )
+        kern.running = SimpleNamespace(min_remaining=lambda k=k: k)
+        kern.oracle = SimpleNamespace(decode_bucket_headroom=lambda c, h=headroom: h)
+        kern.queue = SimpleNamespace(
+            next_expirable_arrival=lambda a=a_min: a, timeout_s=timeout
+        )
+        assert kern._run_length(start, dur, 0, next_arrival) == _cumsum_run_length(
+            start, dur, n, next_arrival, a_min, timeout
         )
 
 

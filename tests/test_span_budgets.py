@@ -18,12 +18,20 @@ def budgets_mod():
 
 
 def _report(**totals):
-    return {
+    """A profiler report with these span totals.  A ``serving.run`` report
+    carries the running-batch counters, as every profiled serving run does
+    (the quick serve-sim smoke's counts)."""
+    report = {
         "scopes": {
             name: {"calls": 3, "total_s": t, "max_s": t, "mean_s": t / 3}
             for name, t in totals.items()
         }
     }
+    if "serving.run" in totals:
+        report["counts"] = {
+            "serving.batch.joins": 27, "serving.batch.member_visits": 126,
+        }
+    return report
 
 
 #: The spans the faulted audit smoke reports, all within budget.
@@ -206,3 +214,73 @@ def test_curve_cache_cannot_vanish_while_alg3_runs(budgets_mod):
         _report(), {}, required=(), cache_floors={"parallel.curve": 0.9}
     )
     assert problems == ["required cache 'parallel.curve' missing from report"]
+
+
+def _batch_report(joins, visits):
+    report = _report(**{"serving.run": 0.2})
+    report["counts"] = {
+        "serving.batch.joins": joins, "serving.batch.member_visits": visits,
+    }
+    return report
+
+
+def test_batch_visit_gate_allows_bounded_visits_per_join(budgets_mod):
+    for report in (_batch_report(27, 126), _batch_report(171, 820),
+                   _batch_report(10, 80)):
+        assert budgets_mod.check(report, {}, required=("serving.run",)) == []
+
+
+def test_batch_visit_gate_flags_per_step_member_walks(budgets_mod, tmp_path):
+    """A batch that walks its members every decode step reports visits
+    in proportion to steps x batch: 131 steps of a 4-wide batch here."""
+    problems = budgets_mod.check(
+        _batch_report(27, 27 + 131 * 4), {}, required=("serving.run",)
+    )
+    assert len(problems) == 1
+    assert "serving.batch.member_visits" in problems[0] and "551 for 27" in problems[0]
+    path = tmp_path / "serving.json"
+    path.write_text(json.dumps(_batch_report(27, 551)))
+    assert budgets_mod.main([str(path), "--require", "serving.run"]) == 1
+    path.write_text(json.dumps(_batch_report(27, 126)))
+    assert budgets_mod.main([str(path), "--require", "serving.run"]) == 0
+
+
+def test_batch_counters_cannot_vanish_while_serving_runs(budgets_mod):
+    report = _batch_report(27, 126)
+    del report["counts"]
+    problems = budgets_mod.check(report, {}, required=("serving.run",))
+    assert len(problems) == 1 and "'serving.batch.joins'" in problems[0]
+    # No serving run: the counters are not expected.
+    assert budgets_mod.check(_report(), {}, required=()) == []
+
+
+def test_eager_reference_batch_trips_the_visit_gate(budgets_mod, monkeypatch):
+    """The per-request reference batch of tests/test_batch_clock.py,
+    counted the same way, fails the gate on a real serving run; the
+    token clock passes it."""
+    from repro.baselines import ZeroInferenceEngine
+    from repro.hardware import single_a100
+    from repro.models import get_model
+    from repro.obs.profiling import profiling_enabled
+    from repro.serving import (
+        ServingConfig,
+        ServingSimulator,
+        default_trace,
+        kernel,
+        make_policy,
+    )
+    from tests.test_batch_clock import EagerBatch
+
+    def report():
+        with profiling_enabled() as prof:
+            ServingSimulator(
+                ZeroInferenceEngine(single_a100()), get_model("opt-1.3b"),
+                default_trace(quick=True, seed=0), policy=make_policy("fcfs"),
+                config=ServingConfig(max_batch=8),
+            ).run()
+            return prof.report()
+
+    assert budgets_mod.check(report(), {}, required=("serving.run",)) == []
+    monkeypatch.setattr(kernel, "RunningBatch", EagerBatch)
+    problems = budgets_mod.check(report(), {}, required=("serving.run",))
+    assert len(problems) == 1 and "member_visits" in problems[0]
