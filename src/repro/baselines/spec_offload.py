@@ -52,7 +52,7 @@ class SpecOffloadEngine(LMOffloadEngine):
         base price untouched (bitwise), which is what makes the
         ``tree_size=1`` engine indistinguishable from LM-Offload.
         """
-        if not self.spec.enabled:
+        if not self.spec.enabled:  # reach: tests/test_spec_engine.py::test_degenerate_spec_engine_is_lm_offload (a one-node tree)
             return None
         return SpecStepPricer(model, self.spec)
 
@@ -63,7 +63,7 @@ class SpecOffloadEngine(LMOffloadEngine):
         costs = model.decode_task_costs(token_idx)
         base = CostModel.step_seconds(costs)
         pricer = self.step_pricer(model)
-        if pricer is None:
+        if pricer is None:  # reach: tests/test_spec_engine.py::test_degenerate_hook_returns_none
             return {
                 "base_s": base, "spec_s": base, "speedup": 1.0,
                 "chosen_depth": 0, "tokens_per_step": 1.0,

@@ -31,7 +31,11 @@ from typing import Any
 from repro.baselines import make_engine
 from repro.faults import SCENARIOS, make_scenario
 from repro.models import get_model
-from repro.obs.drift import DEFAULT_TOLERANCE, DriftGate
+from repro.obs.drift import (
+    DEFAULT_SERVING_DRIFT_TOLERANCE,
+    DEFAULT_TOLERANCE,
+    DriftGate,
+)
 from repro.serving.arrivals import RequestTrace, default_trace
 from repro.serving.metrics import compute_metrics
 from repro.serving.policies import make_policy
@@ -41,14 +45,6 @@ from repro.bench.serving import ENGINES
 
 SCHEMA_VERSION = 1
 
-#: Max relative deviation between a step price the serving loop actually
-#: charged and a fresh engine's price on the exactly-faulted platform at
-#: that instant (the *serving* drift gate).  Looser than the model-level
-#: gate by design: the watchdog deliberately tolerates hardware drift up
-#: to ``ServingConfig.drift_tolerance`` before retargeting, so executed
-#: prices may legitimately be stale by about that much.
-DEFAULT_SERVING_DRIFT_TOLERANCE = 0.15
-
 
 def _accounting(result: ServingResult) -> dict[str, Any]:
     """Conservation check: every arrived request ends in exactly one of
@@ -56,7 +52,7 @@ def _accounting(result: ServingResult) -> dict[str, Any]:
     finished = len(result.finished)
     dropped = len(result.dropped)
     unresolved = [
-        r.rid
+        r.rid  # reach: safety code, names the requests a failed accounting check left unresolved
         for r in result.requests
         if r.state not in (RequestState.FINISHED, RequestState.DROPPED)
     ]
@@ -162,13 +158,13 @@ def _rung_intervals(result: ServingResult) -> list[tuple[float, float]]:
     nominal = LADDER[0].name
     intervals: list[tuple[float, float]] = []
     open_since: float | None = None
-    for now, _from_rung, to_rung, _cause in result.fault_stats.transitions:
+    for now, _from_rung, to_rung, _cause in result.fault_stats.transitions:  # reach: tests/test_chaos_serving.py::test_host_memory_shrink_walks_the_ladder_and_recovers
         if to_rung != nominal and open_since is None:
             open_since = now
         elif to_rung == nominal and open_since is not None:
             intervals.append((open_since, now))
             open_since = None
-    if open_since is not None:
+    if open_since is not None:  # reach: input: a run that ends on a degraded rung
         intervals.append((open_since, result.makespan_s))
     return intervals
 
@@ -209,7 +205,7 @@ def _serving_drift_run(
     for step in result.steps:
         if step.kind not in ("prefill", "decode"):
             continue
-        if any(a <= step.start_s < b for a, b in intervals):
+        if any(a <= step.start_s < b for a, b in intervals):  # reach: input: a serving drift gate over a run that left the nominal rung (no bundled scenario does)
             skipped_degraded += 1
             continue
         seg = schedule.segment_key(step.start_s)

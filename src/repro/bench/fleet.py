@@ -159,7 +159,7 @@ def run_fleet_bench(
                 "metrics": doc,
                 "goodput_retention": (goodput / base_goodput)
                 if base_goodput > 0
-                else None,
+                else None,  # reach: input: a fault-free baseline with zero goodput
             }
         doc_fleets[preset] = {
             "replicas": len(specs),
@@ -222,7 +222,7 @@ def fleet_rows(payload: dict[str, Any]) -> list[dict[str, Any]]:
                     "retention": (
                         round(run["goodput_retention"], 3)
                         if run.get("goodput_retention") is not None
-                        else "-"
+                        else "-"  # reach: input: a fault-free baseline with zero goodput
                     ),
                     "slo_att": round(m["fleet"]["slo"]["attainment"], 3),
                     "ok": acc["ok"],

@@ -189,10 +189,10 @@ def run_multimodel_bench(
             s.name: {
                 "ttft_slo_s": s.ttft_slo_s
                 if s.ttft_slo_s is not None
-                else config.ttft_slo_s,
+                else config.ttft_slo_s,  # reach: tests/test_bench_schemas.py::test_quick_multimodel_payload_keeps_contract_and_is_deterministic (a model with no SLO class)
                 "tpot_slo_s": s.tpot_slo_s
                 if s.tpot_slo_s is not None
-                else config.tpot_slo_s,
+                else config.tpot_slo_s,  # reach: tests/test_bench_schemas.py::test_quick_multimodel_payload_keeps_contract_and_is_deterministic (a model with no SLO class)
             }
             for s in slots
         },

@@ -110,4 +110,3 @@ def bls_split(bls: int) -> tuple[int, int]:
     for k in (8, 10, 6, 4, 12, 5, 7, 3, 2, 1):
         if bls % k == 0:
             return bls // k, k
-    return bls, 1

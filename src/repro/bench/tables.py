@@ -8,7 +8,7 @@ from typing import Iterable, Mapping
 def format_table(rows: Iterable[Mapping[str, object]], title: str | None = None) -> str:
     """Render dict-rows as an aligned ASCII table (keys = columns)."""
     rows = list(rows)
-    if not rows:
+    if not rows:  # reach: tests/test_misc_modules.py::test_format_table_empty
         return f"{title or ''}\n(no rows)"
     columns = list(rows[0].keys())
     cells = [[_fmt(r.get(c, "")) for c in columns] for r in rows]

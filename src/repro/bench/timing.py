@@ -229,7 +229,7 @@ def run_bench_timing(
         ),
     )
 
-    if not quick:
+    if not quick:  # reach: input: bench-timing without --quick, which regenerates BENCH_timing.json
         from repro.bench.experiments import run_tab3_overall
 
         results["tab3"] = _with_baseline(

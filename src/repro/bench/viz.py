@@ -14,10 +14,10 @@ _SPARK = "▁▂▃▄▅▆▇█"
 def sparkline(values: Sequence[float]) -> str:
     """Unicode sparkline of a numeric series (constant series -> midline)."""
     vals = [float(v) for v in values]
-    if not vals:
+    if not vals:  # reach: tests/test_viz_and_block_runner.py::test_sparkline_constant_and_empty
         return ""
     lo, hi = min(vals), max(vals)
-    if hi == lo:
+    if hi == lo:  # reach: tests/test_viz_and_block_runner.py::test_sparkline_constant_and_empty
         return _SPARK[3] * len(vals)
     span = hi - lo
     out = []

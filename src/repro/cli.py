@@ -445,26 +445,21 @@ def _gate_verdict(
         f"(rel_err={summary['max_rel_err']:.4g})   {extra}"
         f"tolerance: {tolerance:g}"
     )
-    if summary["ok"]:
-        return 0
-    over = summary["over_tolerance"]
-    print(
-        f"{title.upper()}: {len(over)} {unit} over tolerance: "
-        f"{', '.join(over)}",
-        file=sys.stderr,
-    )
-    return 1
+    if not summary["ok"]:  # reach: safety code, reports a failed drift gate
+        over = summary["over_tolerance"]
+        print(
+            f"{title.upper()}: {len(over)} {unit} over tolerance: "
+            f"{', '.join(over)}",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
 
 
 def cmd_chaos(args) -> int:
-    from repro.bench.chaos import (
-        DEFAULT_SERVING_DRIFT_TOLERANCE,
-        chaos_rows,
-        run_chaos,
-    )
+    from repro.bench.chaos import chaos_rows, run_chaos
     from repro.bench.serving import ENGINES
     from repro.faults import SCENARIOS
-    from repro.obs.drift import DEFAULT_TOLERANCE
     from repro.serving import (
         default_trace,
         export_request_timeline,
@@ -491,22 +486,14 @@ def cmd_chaos(args) -> int:
         scenarios=scenarios,
         seed=args.seed,
         drift_gate=args.drift_gate,
-        drift_tolerance=(
-            args.drift_tolerance
-            if args.drift_tolerance is not None
-            else DEFAULT_TOLERANCE
-        ),
+        drift_tolerance=args.drift_tolerance,
         serving_drift_gate=args.serving_drift_gate,
-        serving_drift_tolerance=(
-            args.serving_drift_tolerance
-            if args.serving_drift_tolerance is not None
-            else DEFAULT_SERVING_DRIFT_TOLERANCE
-        ),
+        serving_drift_tolerance=args.serving_drift_tolerance,
     )
     print(f"trace: {trace.describe()}   seed: {args.seed}")
     print(format_table(chaos_rows(payload), f"chaos: {args.model}"))
     code = 0
-    if not payload["all_accounting_ok"]:
+    if not payload["all_accounting_ok"]:  # reach: safety code, reports a failed accounting check
         print("WARNING: request accounting failed for at least one run")
         code = 1
     if args.drift_gate:
@@ -586,7 +573,7 @@ def cmd_fleet_sim(args) -> int:
         f"{', '.join(scenarios)}   seed: {args.seed}"
     )
     print(format_table(fleet_rows(payload), f"fleet-sim: {args.model}"))
-    if not payload["all_accounting_ok"]:
+    if not payload["all_accounting_ok"]:  # reach: safety code, reports a failed accounting check
         print("WARNING: fleet request accounting failed for at least one run")
     write_json(args.output, payload)
     print(f"written to {args.output}")
@@ -645,31 +632,15 @@ def cmd_bench_timing(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    from repro.obs.audit import (
-        DEFAULT_E2E_TOLERANCE,
-        audit_rows,
-        faulted_rows,
-        write_bench_audit,
-    )
-    from repro.obs.drift import DEFAULT_TOLERANCE
+    from repro.obs.audit import audit_rows, faulted_rows, write_bench_audit
 
     payload = write_bench_audit(
         path=args.output,
-        tolerance=(
-            args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-        ),
-        e2e_tolerance=(
-            args.e2e_tolerance
-            if args.e2e_tolerance is not None
-            else DEFAULT_E2E_TOLERANCE
-        ),
+        tolerance=args.tolerance,
+        e2e_tolerance=args.e2e_tolerance,
         quick=args.quick,
         faults=args.faults,
-        fault_tolerance=(
-            args.fault_tolerance
-            if args.fault_tolerance is not None
-            else DEFAULT_TOLERANCE
-        ),
+        fault_tolerance=args.fault_tolerance,
     )
     mode = "quick" if payload["quick"] else "full"
     print(format_table(audit_rows(payload), f"drift audit ({mode})"))
@@ -703,6 +674,11 @@ def cmd_audit(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     from repro.baselines import ENGINES
     from repro.faults import SCENARIOS
+    from repro.obs.drift import (
+        DEFAULT_E2E_TOLERANCE,
+        DEFAULT_SERVING_DRIFT_TOLERANCE,
+        DEFAULT_TOLERANCE,
+    )
     from repro.serving.fleet import FLEET_PRESETS, FLEET_SCENARIOS
 
     engine_choices = ["all", *ENGINES]
@@ -853,9 +829,9 @@ def build_parser() -> argparse.ArgumentParser:
         "the overlapped executor) and fail on drift over tolerance",
     )
     p.add_argument(
-        "--drift-tolerance", type=float, default=None,
+        "--drift-tolerance", type=float, default=DEFAULT_TOLERANCE,
         help="max allowed faulted steady-state relative error for "
-        "--drift-gate (default 0.10)",
+        "--drift-gate (default %(default)s)",
     )
     p.add_argument(
         "--serving-drift-gate", action="store_true",
@@ -864,10 +840,12 @@ def build_parser() -> argparse.ArgumentParser:
         "tolerance (degraded-rung intervals are skipped)",
     )
     p.add_argument(
-        "--serving-drift-tolerance", type=float, default=None,
+        "--serving-drift-tolerance", type=float,
+        default=DEFAULT_SERVING_DRIFT_TOLERANCE,
         help="max allowed relative step-cost error for "
-        "--serving-drift-gate (default 0.15; looser than --drift-gate "
-        "because the watchdog legitimately serves briefly-stale plans)",
+        "--serving-drift-gate (default %(default)s; looser than "
+        "--drift-gate because the watchdog legitimately serves "
+        "briefly-stale plans)",
     )
     p.set_defaults(func=cmd_chaos)
 
@@ -920,12 +898,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="model-vs-runtime drift audit (Eq. 1/2 vs the event simulator)",
     )
     p.add_argument(
-        "--tolerance", type=float, default=None,
-        help="max allowed steady-state relative error (default 0.10)",
+        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
+        help="max allowed steady-state relative error (default %(default)s)",
     )
     p.add_argument(
-        "--e2e-tolerance", type=float, default=None,
-        help="max allowed whole-generation relative error (default 0.15)",
+        "--e2e-tolerance", type=float, default=DEFAULT_E2E_TOLERANCE,
+        help="max allowed whole-generation relative error "
+        "(default %(default)s)",
     )
     p.add_argument(
         "--quick", action="store_true",
@@ -937,8 +916,9 @@ def build_parser() -> argparse.ArgumentParser:
         "degraded platforms (adds the 'faulted' payload section)",
     )
     p.add_argument(
-        "--fault-tolerance", type=float, default=None,
-        help="max allowed faulted steady-state relative error (default 0.10)",
+        "--fault-tolerance", type=float, default=DEFAULT_TOLERANCE,
+        help="max allowed faulted steady-state relative error "
+        "(default %(default)s)",
     )
     p.add_argument("--output", default="BENCH_audit.json")
     p.set_defaults(func=cmd_audit)

@@ -90,7 +90,7 @@ class LMOffloadEngine:
         require_quant = False
         if rung is not None:
             require_quant = rung.force_quant and self.config.quant_aware
-            if rung.force_cpu_attention:
+            if rung.force_cpu_attention:  # reach: tests/test_chaos_serving.py::test_host_memory_shrink_walks_the_ladder_and_recovers
                 allow_gpu_attention = False
         return PolicyPlanner(
             hw=self.hw,
@@ -214,7 +214,7 @@ class LMOffloadEngine:
         """Plan (unless a policy is forced) and evaluate end to end."""
         if policy is None:
             policy, ctx, plan = self.plan(workload)
-        else:
+        else:  # reach: tests/test_core_engine.py::test_forced_policy_respected (a caller-supplied policy)
             ctx, plan = self.default_context(), None
             if self.config.parallelism_control:
                 plan = self.plan_parallelism(workload, policy)

@@ -31,7 +31,7 @@ from repro.errors import ConfigError
 from repro.hardware.platform import Platform, small_test_platform
 from repro.models.config import ModelConfig
 from repro.models.layers import layer_norm, mlp, self_attention, split_heads
-from repro.models.sampling import greedy_sample, temperature_sample
+from repro.models.sampling import greedy_sample
 from repro.models.transformer import KVCache, TransformerWeights
 from repro.offload.policy import OffloadPolicy
 from repro.offload.store import TensorStore
@@ -136,7 +136,7 @@ class FunctionalEngine:
         q = self.policy.kv_quant
         if q is None:
             return k, v
-        return (
+        return (  # reach: tests/test_core_functional.py::test_kv_quant_error_bounded (a quantized KV cache)
             decompress(compress(k, q)),
             decompress(compress(v, q)),
         )
@@ -171,7 +171,7 @@ class FunctionalEngine:
                 # KV traffic accounting: with CPU attention the cache never
                 # crosses the link; with GPU attention the old entries
                 # stream up at their stored size.
-                if not self.policy.attention_on_cpu:
+                if not self.policy.attention_on_cpu:  # reach: tests/test_core_functional.py::test_gpu_attention_streams_kv
                     kv_bytes = int(k.nbytes) + int(v.nbytes)
                     kvq = self.policy.kv_quant
                     if kvq is not None:
@@ -205,10 +205,8 @@ class FunctionalEngine:
         self,
         prompt_ids: np.ndarray,
         gen_len: int,
-        rng: np.random.Generator | None = None,
-        temperature: float = 0.0,
     ) -> FunctionalRunResult:
-        """Prefill + autoregressive decode under the policy.
+        """Prefill + greedy autoregressive decode under the policy.
 
         The prompt rows split into ``policy.num_gpu_batches`` batches that
         sweep the layers together; with more than one batch the block
@@ -229,12 +227,7 @@ class FunctionalEngine:
         out = np.empty((rows, gen_len), dtype=np.int64)
         logits = self._sweep(np.split(prompt_ids, k), caches)
         for t in range(gen_len):
-            if temperature > 0:
-                if rng is None:
-                    raise ConfigError("temperature sampling requires an rng")
-                nxt = temperature_sample(logits, temperature, rng)
-            else:
-                nxt = greedy_sample(logits)
+            nxt = greedy_sample(logits)
             out[:, t] = nxt
             if t + 1 < gen_len:
                 logits = self._sweep(np.split(nxt[:, None], k), caches)

@@ -59,7 +59,7 @@ class PlanCache:
         self.name = name
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # reach: tests/test_plan_cache.py::test_lru_bound_evicts_least_recent_and_counts reads the entry count
         return len(self._entries)
 
     def get(self, key: Hashable, plan: Callable[[], Any]) -> Any:

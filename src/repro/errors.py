@@ -29,7 +29,7 @@ class MemoryCapacityError(ReproError):
         Bytes that were still free in the pool.
     """
 
-    def __init__(self, pool: str, requested: int, available: int) -> None:
+    def __init__(self, pool: str, requested: int, available: int) -> None:  # reach: safety code, raised when an allocation overflows its pool (tests/test_hardware_memory.py::test_overflow_raises_with_details)
         super().__init__(
             f"memory pool {pool!r}: requested {requested} B "
             f"but only {available} B available"
@@ -77,7 +77,7 @@ class FaultError(ReproError):
         Human-readable reason (unknown device, missing link...).
     """
 
-    def __init__(self, kind: str, detail: str) -> None:
+    def __init__(self, kind: str, detail: str) -> None:  # reach: safety code, raised when a fault names a link or device the platform lacks (tests/test_faults.py::test_overlay_unknown_link_is_fault_error)
         super().__init__(f"fault {kind}: {detail}")
         self.kind = kind
         self.detail = detail

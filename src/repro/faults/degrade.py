@@ -42,6 +42,8 @@ class DegradationRung:
     admit: bool = True
 
 
+#: Mildest first.  The last rung never admits, so the serving loop's
+#: ladder probe always ends on some rung.
 LADDER: tuple[DegradationRung, ...] = (
     DegradationRung("nominal"),
     DegradationRung("shrink-batch", batch_divisor=2),
@@ -91,12 +93,12 @@ class FaultStats:
 
     def availability(self, makespan_s: float) -> float:
         """Fraction of the run not lost to aborts/backoff."""
-        if makespan_s <= 0:
+        if makespan_s <= 0:  # reach: input: a zero-makespan run (tests/test_fleet.py::test_fleet_bench_quick_payload_deterministic)
             return 1.0
         return max(0.0, 1.0 - self.lost_s / makespan_s)
 
     def degraded_fraction(self, makespan_s: float) -> float:
-        if makespan_s <= 0:
+        if makespan_s <= 0:  # reach: input: a zero-makespan run (tests/test_fleet.py::test_fleet_bench_quick_payload_deterministic)
             return 0.0
         return min(1.0, self.degraded_s / makespan_s)
 
@@ -134,7 +136,7 @@ class FaultStats:
                 for t, cause, d in self.replans
             ],
             "rung_transitions": [
-                {"t_s": round(t, 6), "from": a, "to": b, "reason": r}
+                {"t_s": round(t, 6), "from": a, "to": b, "reason": r}  # reach: tests/test_chaos_serving.py::test_host_memory_shrink_walks_the_ladder_and_recovers
                 for t, a, b, r in self.transitions
             ],
             "shed_requests": len(self.sheds),

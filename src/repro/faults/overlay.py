@@ -44,7 +44,7 @@ def _surviving(severity: float) -> float:
 
 def _resolve_links(base: Platform, fault: FaultSpec) -> list[int]:
     """Indices into ``base.links`` that ``fault`` targets."""
-    if fault.link is not None:
+    if fault.link is not None:  # reach: input: a fault that names a link (tests/test_faults.py::test_overlay_unknown_link_is_fault_error)
         a, b = fault.link
         idx = [i for i, l in enumerate(base.links) if l.connects(a, b)]
         if not idx:
@@ -70,7 +70,7 @@ def _resolve_links(base: Platform, fault: FaultSpec) -> list[int]:
 
 def _resolve_devices(base: Platform, fault: FaultSpec) -> list[str]:
     """Device names that ``fault`` targets."""
-    if fault.device is not None:
+    if fault.device is not None:  # reach: input: a fault that names a device (no bundled scenario does)
         if fault.device not in base.devices:
             raise FaultError(
                 fault.kind.value,
@@ -94,7 +94,7 @@ def degraded_platform(
     """
     if isinstance(faults, FaultSchedule):
         active = faults.capability_faults(t)
-    else:
+    else:  # reach: tests/test_lp_coefficients.py::test_pcie_degraded_lp_coefficients_match_scalar_probes (a list of faults, not a schedule)
         active = [
             f for f in faults if f.active(t) and f.kind in CAPABILITY_KINDS
         ]

@@ -173,9 +173,9 @@ class FaultSpec:
             "duration_s": self.duration_s,
             "severity": self.severity,
         }
-        if self.device is not None:
+        if self.device is not None:  # reach: input: a fault that names a device (no bundled scenario does)
             doc["device"] = self.device
-        if self.link is not None:
+        if self.link is not None:  # reach: input: a fault that names a link (no bundled scenario does)
             doc["link"] = list(self.link)
         if self.domain is not None:
             doc["domain"] = self.domain
@@ -219,7 +219,7 @@ class FaultSchedule:
         points = {f.start_s for f in self.faults} | {f.end_s for f in self.faults}
         return sorted(points)
 
-    def next_change_after(self, t: float) -> float | None:
+    def next_change_after(self, t: float) -> float | None:  # reach: tests/test_chaos_serving.py::test_host_memory_shrink_walks_the_ladder_and_recovers (a backpressure stall)
         """The first change point strictly after ``t`` (None when none)."""
         for p in self.change_points():
             if p > t:

@@ -50,7 +50,7 @@ class CacheHierarchy:
             raise ValueError("co_runners must be >= 1")
         if working_set < 0:
             raise ValueError("working_set must be non-negative")
-        if working_set == 0:
+        if working_set == 0:  # reach: tests/test_hardware_cache.py::test_zero_working_set_hits_compulsory_floor
             return self.compulsory_ratio
         share = self.llc_bytes / co_runners
         # Smooth saturating curve: ratio -> compulsory floor when the share

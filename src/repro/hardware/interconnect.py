@@ -48,6 +48,6 @@ class Link:
         """Seconds to move ``nbytes`` one way across the link."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        if nbytes == 0:
+        if nbytes == 0:  # reach: tests/test_hardware_platform.py::test_link_transfer_time_includes_latency
             return 0.0
         return self.latency + nbytes / self.bandwidth

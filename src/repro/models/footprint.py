@@ -100,7 +100,7 @@ class ModelFootprint:
                 raise ValueError(
                     f"token indices outside [0, {self.gen_len})"
                 )
-        elif not 0 <= token_idx < self.gen_len:
+        elif not 0 <= token_idx < self.gen_len:  # reach: tests/test_lp_coefficients.py::test_tab3_lp_coefficients_match_scalar_probes (a scalar token index)
             raise ValueError(f"token_idx {token_idx} outside [0, {self.gen_len})")
         return (self.prompt_len + 1 + token_idx) * self.kv_bytes_per_token_per_layer
 

@@ -14,7 +14,7 @@ def greedy_sample(logits: np.ndarray) -> np.ndarray:
     return logits.argmax(axis=-1)
 
 
-def temperature_sample(
+def temperature_sample(  # reach: tests/test_models_sampling_tokenizer.py::test_temperature_sampling_respects_distribution
     logits: np.ndarray, temperature: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Sample from ``softmax(logits / temperature)`` per batch row."""

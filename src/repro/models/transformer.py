@@ -203,7 +203,7 @@ class Transformer:
         out = np.empty((batch, gen_len), dtype=np.int64)
         logits = self.forward(prompt_ids, cache)
         for t in range(gen_len):
-            if temperature > 0:
+            if temperature > 0:  # reach: tests/test_models_transformer.py::test_generation_temperature_reproducible
                 if rng is None:
                     raise ValueError("temperature sampling requires an rng")
                 nxt = temperature_sample(logits, temperature, rng)

@@ -32,15 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.obs.drift import DEFAULT_TOLERANCE, DriftGate
+from repro.obs.drift import DEFAULT_E2E_TOLERANCE, DEFAULT_TOLERANCE, DriftGate
 from repro.obs.profiling import span
 from repro.obs.registry import MetricsRegistry
 
 SCHEMA_VERSION = 1
 
-#: Whole-generation Eq. 1 vs the executor's full run: one extra pipeline
-#: fill/drain is amortized over the run, so the bound is looser.
-DEFAULT_E2E_TOLERANCE = 0.15
 #: Virtual horizon the audit builds each ``make_scenario`` bundle over.
 #: Windows sit at fixed fractions of the horizon, so the value is
 #: arbitrary — it only has to be positive and fixed for determinism.
@@ -207,7 +204,7 @@ def audit_case(
         e2e_err = (
             abs(trace.decode_seconds - predicted_decode) / trace.decode_seconds
             if trace.decode_seconds > 0
-            else 0.0
+            else 0.0  # reach: input: a one-token generation, which decodes nothing
         )
         record["full_generation"] = {
             "predicted_decode_s": predicted_decode,

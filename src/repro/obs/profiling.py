@@ -146,7 +146,7 @@ class Profiler:
 
     def cache(self, name: str, hit: bool) -> None:
         """Record one cache lookup outcome."""
-        if not self.enabled:
+        if not self.enabled:  # reach: tests/test_obs.py::test_disabled_profiler_records_nothing
             return
         stats = self._caches.get(name)
         if stats is None:

@@ -175,7 +175,7 @@ class TimeSeries:
         """Record ``value`` at virtual time ``t_s`` (evicting when full)."""
         if len(self._points) < self.capacity:
             self._points.append((t_s, value))
-        else:
+        else:  # reach: input: more samples than the series holds (tests/test_obs.py::test_timeseries_ring_evicts_oldest_and_counts_drops)
             self._points[self._head] = (t_s, value)
             self._head = (self._head + 1) % self.capacity
             self.dropped += 1

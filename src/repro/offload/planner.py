@@ -24,7 +24,6 @@ quantization cost/benefit, per the paper's critique); LM-Offload uses
 
 from __future__ import annotations
 
-import enum
 import functools
 import logging
 from dataclasses import dataclass, field
@@ -116,19 +115,6 @@ def _lp_variables(template: OffloadPolicy) -> tuple[str, ...]:
     return ("wg", "hg") if template.attention_on_cpu else ("wg", "cg", "hg")
 
 
-class PlannerObjective(enum.Enum):
-    """What the search maximises.
-
-    THROUGHPUT — tokens/s for the whole block (the paper's offline
-    setting).  LATENCY — minimise per-token decode latency for one batch
-    (interactive serving: prefer small blocks and GPU residency even when
-    that wastes aggregate throughput).
-    """
-
-    THROUGHPUT = "throughput"
-    LATENCY = "latency"
-
-
 @dataclass
 class PolicyPlanner:
     """Searches placement/quantization for a workload on given hardware.
@@ -158,7 +144,6 @@ class PolicyPlanner:
     #: the search must pick a quantized W/KV configuration (the ladder's
     #: "aggressive quantization" rung under memory/wire pressure).
     require_quant: bool = False
-    objective: PlannerObjective = PlannerObjective.THROUGHPUT
 
     # -- quantization menu ---------------------------------------------------
 
@@ -166,7 +151,7 @@ class PolicyPlanner:
         if not self.quant_aware:
             return [(None, None)]
         q = self.quant
-        if self.require_quant:
+        if self.require_quant:  # reach: tests/test_chaos_serving.py::test_host_memory_shrink_walks_the_ladder_and_recovers (LM-Offload probes the forced-quantization rungs)
             return [(q, None), (None, q), (q, q)]
         return [(None, None), (q, None), (None, q), (q, q)]
 
@@ -279,15 +264,9 @@ class PolicyPlanner:
         return np.concatenate(parts, axis=1)
 
     def _scores(self, model: CostModel, wg, cg, hg, wd) -> np.ndarray:
-        """Objective score of every placement of ``model``'s strategy, in
-        one :func:`~repro.perfmodel.latency.price_grid` pass.  LATENCY
-        reads the mid decode token's column of the same step matrix."""
-        prices = price_grid(model, wg, cg, hg, wd)
-        w = model.w
-        if self.objective is PlannerObjective.LATENCY:
-            iters = w.model.num_layers * model.p.num_gpu_batches
-            return -prices.step[:, max(0, (w.gen_len - 1) // 2)] * iters
-        return prices.throughput(w)
+        """Throughput of every placement of ``model``'s strategy, in one
+        :func:`~repro.perfmodel.latency.price_grid` pass."""
+        return price_grid(model, wg, cg, hg, wd).throughput(model.w)
 
     def search_batch_geometry(
         self,
@@ -316,7 +295,7 @@ class PolicyPlanner:
                     continue
                 if best is None or score > best[0]:
                     best = (score, policy, trial)
-        if best is None:
+        if best is None:  # reach: safety code, no batch geometry fits (tests/test_perfmodel_vectorized.py::test_search_batch_geometry_records_failures)
             failures = self.last_geometry_failures
             detail = f"; e.g. bsz={failures[0][0]} k={failures[0][1]}: {failures[0][2]}" if failures else ""
             raise PolicyError(

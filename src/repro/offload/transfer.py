@@ -26,7 +26,7 @@ class TransferEngine:
         seconds the link takes to carry them."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        if src == dst or nbytes == 0:
+        if src == dst or nbytes == 0:  # reach: tests/test_offload_store.py::test_transfer_engine_charge_without_tensor
             return 0.0
         self.bytes_moved[(src, dst, category)] += nbytes
         return self.platform.link_between(src, dst).transfer_time(nbytes)

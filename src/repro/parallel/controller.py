@@ -121,8 +121,6 @@ def schedule_makespan(
             end = max(executors[0], clock) + op_seconds(name)
             heapq.heapreplace(executors, end)
             heapq.heappush(running, (end, name))
-        if not running:
-            break
         clock, done = heapq.heappop(running)
         finished += 1
         ready = []
@@ -334,7 +332,7 @@ class ParallelismController:
         step = compute_s
         for t in IO_TASKS:
             step = np.maximum(step, self.io_task_seconds(t, io_threads[t], wire[t]))
-        if self.metrics is not None:
+        if self.metrics is not None:  # reach: tests/test_curve_cache.py::test_array_pass_equals_scalar_search (a controller with a metrics registry)
             steps = self.metrics.timeseries("curve.search.step_s")
             computes = self.metrics.timeseries("curve.search.compute_s")
             for x, step_s, comp_s in zip(

@@ -109,7 +109,7 @@ class ContentionModel:
         phys = min(threads, topo.physical_cores)
         smt_extra = max(0, min(threads, topo.hardware_threads) - topo.physical_cores)
         scale = phys + self.c.smt_efficiency * smt_extra
-        if topo.oversubscribed(threads):
+        if topo.oversubscribed(threads):  # reach: input: more threads than hardware threads (no shipped plan oversubscribes)
             scale *= (topo.hardware_threads / threads) ** self.c.oversub_exponent
         return scale
 

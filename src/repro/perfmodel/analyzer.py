@@ -31,7 +31,7 @@ class QuantDecision:
 
     @property
     def speedup(self) -> float:
-        if self.seconds_with <= 0:
+        if self.seconds_with <= 0:  # reach: input: a zero-second measurement
             return float("inf")
         return self.seconds_without / self.seconds_with
 

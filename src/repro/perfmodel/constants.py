@@ -119,7 +119,7 @@ class EngineCalibration:
         )
 
     @classmethod
-    def ideal_kernels(cls) -> "EngineCalibration":
+    def ideal_kernels(cls) -> "EngineCalibration":  # reach: benchmarks/test_ablations.py prices the free-codec ablation with it
         """Near-peak kernel rates (ablation: how conclusions shift if the
         codec were free)."""
         return cls(

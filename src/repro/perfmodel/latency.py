@@ -262,8 +262,6 @@ class CostModel:
         """:meth:`_resident_weight_dequant_iter` with ``wg`` GPU-resident."""
         if not (self.p.quantize_resident_weights and self.p.weight_quant):
             return 0.0
-        if wg == 0:
-            return 0.0
         over = weight_quant_overheads(self.w, wg, self.cal.codec)
         return over.dequantize_seconds / self.p.num_gpu_batches
 
@@ -357,7 +355,7 @@ class CostModel:
         subsequent calls, so ``check_feasible()`` + ``breakdown()`` pay
         for a single memory-requirement pass.
         """
-        if self._feasible is True:
+        if self._feasible is True:  # reach: tests/test_perfmodel_vectorized.py::test_breakdown_equivalence (a second feasibility check on one model)
             return
         if self._feasible is not None:
             raise self._feasible
@@ -369,7 +367,7 @@ class CostModel:
             )
             raise self._feasible
         cpu_need = self.cpu_bytes_required()
-        if cpu_need > self.hw.cpu_mem_capacity:
+        if cpu_need > self.hw.cpu_mem_capacity:  # reach: safety code, host-capacity rejection (tests/test_chaos_serving.py::test_host_memory_shrink_walks_the_ladder_and_recovers)
             self._feasible = PolicyError(
                 f"policy needs {cpu_need/1e9:.1f} GB host memory "
                 f"(capacity {self.hw.cpu_mem_capacity/1e9:.1f} GB): {self.p.describe()}"
@@ -592,24 +590,20 @@ class CostModel:
     # -- aggregation ---------------------------------------------------------
 
     @staticmethod
-    def step_seconds(costs: TaskCosts, literal_eq2: bool = False) -> float:
+    def step_seconds(costs: TaskCosts) -> float:
         """Per-iteration overlapped time.
 
-        ``literal_eq2=True`` reproduces Eq. 2 exactly (max over six tasks).
-        The default groups tasks by physical resource — the three H2D loads
-        share a PCIe direction and serialize — matching the discrete-event
-        executor.
+        Tasks are grouped by physical resource — the three H2D loads share
+        a PCIe direction and serialize — matching the discrete-event
+        executor.  The paper's literal Eq. 2 (the max over six tasks) is
+        :meth:`~repro.runtime.tasks.TaskCosts.step_time`.
         """
-        if literal_eq2:
-            return costs.step_time()
         return float(_grouped_step(*costs.as_tuple()))
 
     @staticmethod
-    def step_seconds_vec(costs: np.ndarray, literal_eq2: bool = False) -> np.ndarray:
+    def step_seconds_vec(costs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`step_seconds` over an ``(n, 6)`` cost matrix
         (columns in :data:`~repro.runtime.tasks.TASK_FIELD_NAMES` order)."""
-        if literal_eq2:
-            return costs.max(axis=1)
         return _grouped_step(*(costs[:, i] for i in range(6)))
 
     def t_init_seconds(self) -> float:
@@ -619,7 +613,7 @@ class CostModel:
     def _t_init_at(self, wg: float) -> float:
         """:meth:`t_init_seconds` with ``wg`` of the weights GPU-resident."""
         t = 0.0
-        if not self.weights_preloaded:
+        if not self.weights_preloaded:  # reach: tests/test_perfmodel_latency.py::test_t_init_disk_load
             t += self.fp.total_weight_bytes / self.hw.disk_bdw
         wc = 1.0 - wg
         if self.p.weight_quant is not None and wc > 0:
@@ -627,15 +621,15 @@ class CostModel:
             t += over.quantize_seconds * self.w.model.num_layers
         return t
 
-    def decode_seconds(self, literal_eq2: bool = False) -> float:
+    def decode_seconds(self) -> float:
         """Total decode time across (n-1) tokens (Eq. 1's third term),
         every token priced in one NumPy pass."""
         iters = self.w.model.num_layers * self.p.num_gpu_batches
         tokens = np.arange(self.w.gen_len - 1, dtype=np.float64)
         costs = self.decode_task_costs_vec(tokens)
-        return float(self.step_seconds_vec(costs, literal_eq2).sum() * iters)
+        return float(self.step_seconds_vec(costs).sum() * iters)
 
-    def breakdown(self, literal_eq2: bool = False) -> LatencyBreakdown:
+    def breakdown(self) -> LatencyBreakdown:
         """Assemble Eq. 1 end to end, with reporting detail.
 
         All decode tokens (task costs *and* KV codec overheads) are priced
@@ -646,12 +640,12 @@ class CostModel:
         iters = w.model.num_layers * p.num_gpu_batches
 
         pf = self.prefill_task_costs()
-        t_prefill = self.step_seconds(pf, literal_eq2) * iters
+        t_prefill = self.step_seconds(pf) * iters
 
         tokens = np.arange(w.gen_len - 1, dtype=np.float64)
         kv_over = self._kv_overheads_vec(tokens)
         costs = self.decode_task_costs_vec(tokens, kv_over=kv_over)
-        t_decode = float(self.step_seconds_vec(costs, literal_eq2).sum() * iters)
+        t_decode = float(self.step_seconds_vec(costs).sum() * iters)
         col_totals = costs.sum(axis=0)
         task_totals = {
             name: pf_v * iters + col * iters
@@ -660,7 +654,7 @@ class CostModel:
         mid_idx = max(0, (w.gen_len - 1) // 2)
         if costs.shape[0] > 0:
             mid = TaskCosts(*costs[mid_idx])
-        else:
+        else:  # reach: tests/test_planner_grid.py::test_gen_len_one_throughput_matches_reference (gen_len=1)
             mid = self.decode_task_costs(0)
 
         return LatencyBreakdown(
@@ -703,7 +697,7 @@ class CostModel:
         if p.kv_quant is not None:
             pf = kv_quant_overheads(w, self.cal.codec, device="gpu")
             out["kv_prefill_quant"] = pf.prefill_quant_seconds * l
-            if kv_over is None:
+            if kv_over is None:  # reach: tests/test_perfmodel_vectorized.py::test_quant_overhead_totals_equivalence
                 kv_over = self._kv_overheads_vec(
                     np.arange(w.gen_len - 1, dtype=np.float64)
                 )
@@ -720,7 +714,7 @@ class CostModel:
 
         weights_per_token = self.offloaded_weight_bytes_per_layer() * l
         traffic[("cpu", "gpu", "weights")] = weights_per_token * n
-        if p.wc > 0 and p.wd > 0:
+        if p.wc > 0 and p.wd > 0:  # reach: tests/test_disk_tier.py::test_disk_traffic_accounted
             traffic[("disk", "cpu", "weights")] = (
                 weights_per_token * (p.wd / p.wc) * n
             )

@@ -144,7 +144,7 @@ def kv_quant_overheads(
     new_bytes = fp.kv_bytes_per_token_per_layer
     if token_idx is None:
         old_bytes = fp.avg_old_kv_bytes_per_layer
-    else:
+    else:  # reach: tests/test_lp_coefficients.py::test_tab3_lp_coefficients_match_scalar_probes (a per-token index)
         old_bytes = fp.kv_bytes_per_layer_at(token_idx)
 
     return KVQuantOverheads(

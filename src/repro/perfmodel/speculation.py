@@ -176,7 +176,7 @@ class SpecConfig:
         }
 
 
-def a_checked(alpha: float) -> float:
+def a_checked(alpha: float) -> float:  # reach: tests/test_perfmodel_property.py::test_spec_expected_accepted_monotone_in_alpha_and_bounded (an explicit alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"spec: alpha must be in [0, 1] (got {alpha})")
     return alpha
@@ -282,8 +282,6 @@ class SpecStepPricer:
         itself, so the result never exceeds the base price and is
         bitwise equal to it when no prefix wins).
         """
-        if not self.spec.enabled:
-            return base
         best = base.copy()
         for _, price in self._prefix_prices(token_indices, costs):
             np.minimum(best, price, out=best)

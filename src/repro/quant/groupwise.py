@@ -72,7 +72,7 @@ def compress(tensor: np.ndarray, config: QuantConfig) -> QuantizedTensor:
     length = moved.shape[-1]
     g = config.group_size
     pad = (-length) % g
-    if pad:
+    if pad:  # reach: input: a length that is not a multiple of the group size (tests/test_quant_groupwise.py::test_roundtrip_shape_preserved)
         moved = np.concatenate([moved, np.repeat(moved[..., -1:], pad, axis=-1)], axis=-1)
     groups = moved.reshape(-1, g)
 

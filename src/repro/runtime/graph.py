@@ -59,7 +59,7 @@ def topological_order(successors: dict[str, list[str]]) -> list[str]:
                     nxt.append(succ)
         frontier = nxt
     if len(order) != len(successors):
-        stuck = sorted(n for n, d in indegree.items() if d > 0)
+        stuck = sorted(n for n, d in indegree.items() if d > 0)  # reach: safety code, names the cycle the raise below reports (tests/test_runtime_graph.py::test_cycle_detected)
         raise ScheduleError(f"dependency cycle among {stuck}")
     return order
 
@@ -216,7 +216,7 @@ def build_attention_graph(
         "context": 2.0,
         "out_proj": 1.0,
     }
-    if per_batch_work:
+    if per_batch_work:  # reach: tests/test_runtime_graph.py::test_attention_graph_custom_work
         work.update(per_batch_work)
     graph = OpGraph()
     for b in range(num_batches):

@@ -67,7 +67,7 @@ class TaskCosts:
     compute: float = 0.0
 
     def __post_init__(self) -> None:
-        if (
+        if (  # reach: safety code, finds the negative cost the raise names (tests/test_runtime_tasks_events.py::test_negative_cost_rejected)
             self.load_weight < 0
             or self.load_cache < 0
             or self.load_activation < 0

@@ -275,9 +275,7 @@ def multimodel_trace(
     merged.sort(key=lambda r: (r.arrival_s, r.model))
     return RequestTrace(
         name=name
-        or "multimodel("
-        + ",".join(f"{m}={rates[m]:g}" for m in sorted(rates))
-        + ")",
+        or f"multimodel({','.join(f'{m}={rates[m]:g}' for m in sorted(rates))})",  # reach: tests/test_batch_clock.py::test_clock_matches_eager_multimodel (an unnamed merged trace)
         requests=tuple(merged),
         horizon_s=horizon_s,
     )

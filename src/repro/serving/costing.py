@@ -251,7 +251,7 @@ class StepCostOracle:
         plans (the chaos rung probe's ladder) and bulk-price its decode
         buckets in one vectorized call.  Returns the probed level."""
         probe_n = limit
-        while probe_n > 1 and self.planned(probe_n) is None:
+        while probe_n > 1 and self.planned(probe_n) is None:  # reach: input: a --max-batch the engine cannot plan at
             probe_n //= 2
         planned = self.planned(probe_n)
         if planned is not None:

@@ -254,7 +254,7 @@ class CircuitBreaker:
                 self._goto(now, BreakerState.HALF_OPEN, "cooldown")
                 self.probe_rid = None
                 return True
-            return False
+            return False  # reach: tests/test_batch_clock.py::test_clock_matches_eager_fleet (an open breaker inside its cooldown)
         # HALF_OPEN admits exactly one in-flight probe.
         return self.probe_rid is None
 
@@ -277,7 +277,7 @@ class CircuitBreaker:
         """A step aborted (transient fault) at ``now``."""
         if self.threshold <= 0:
             return
-        if self.state is BreakerState.HALF_OPEN:
+        if self.state is BreakerState.HALF_OPEN:  # reach: tests/test_fleet.py::test_conservation_under_stress (a half-open probe aborts)
             self.trips += 1
             self.opened_at = now
             self._goto(now, BreakerState.OPEN, "probe-failure")
@@ -309,7 +309,7 @@ class CircuitBreaker:
     def forget(self, rid: int) -> None:
         """The in-flight probe left this replica (migrated/cancelled):
         clear it so HALF_OPEN cannot wedge waiting on a ghost."""
-        if self.probe_rid == rid:
+        if self.probe_rid == rid:  # reach: tests/test_fleet.py::test_breaker_forget_clears_probe
             self.probe_rid = None
 
     def to_dict(self) -> dict:
@@ -461,7 +461,7 @@ def _merged_windows(
     )
     merged: list[tuple[float, float]] = []
     for s, e in spans:
-        if merged and s <= merged[-1][1]:
+        if merged and s <= merged[-1][1]:  # reach: input: overlapping outage windows (no bundled fleet scenario has them)
             merged[-1] = (merged[-1][0], max(merged[-1][1], e))
         else:
             merged.append((s, e))
@@ -574,10 +574,9 @@ class FleetSimulator:
             raise ConfigError("fleet: at least one replica spec is required")
         names = [s.name for s in specs]
         if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
             raise ConfigError(
                 f"fleet: replica names must be unique (duplicated: "
-                f"{', '.join(dupes)})"
+                f"{', '.join(sorted({n for n in names if names.count(n) > 1}))})"
             )
         self.specs = tuple(specs)
         self.model = model
@@ -769,7 +768,7 @@ class FleetSimulator:
                 continue
             if not r.breaker.allow(now):
                 continue
-            if len(r.queue.waiting) >= r.queue.capacity:
+            if len(r.queue.waiting) >= r.queue.capacity:  # reach: input: a full replica queue (fleet-sim sets no queue capacity)
                 any_full = True
                 continue
             cost = (
@@ -798,7 +797,7 @@ class FleetSimulator:
             # and retire outage windows that elapsed while empty — a crash
             # with nothing in flight destroys nothing.
             r.t = max(r.t, now)
-            while (
+            while (  # reach: tests/test_fleet.py::test_crash_destroys_in_flight_work_and_migrates
                 r.crash_i < len(r.crash_windows)
                 and r.crash_windows[r.crash_i][1] <= now
             ):
@@ -820,7 +819,7 @@ class FleetSimulator:
     def _arrival(self, req: Request) -> None:
         a = req.arrival_s
         r, any_full = self._route(a)
-        if r is None:
+        if r is None:  # reach: input: an arrival when every replica is down, draining, breaker-open, unplannable or full
             req.state = RequestState.DROPPED
             req.drop_s = a
             if any_full:
@@ -867,7 +866,7 @@ class FleetSimulator:
         origin and any live hedge sibling's replica excluded.  A racer
         whose race settled while it was in transit is discarded."""
         rid = req.rid
-        if rid in self.terminal:
+        if rid in self.terminal:  # reach: tests/test_fleet.py::test_cancelled_racer_in_transit_is_not_replaced
             return
         count = self.mig_count.get(rid, 0) + 1
         self.mig_count[rid] = count
@@ -894,7 +893,7 @@ class FleetSimulator:
             if sib_r is not None:
                 exclude.append(sib_r.idx)
         dest, _ = self._route(now, exclude=tuple(exclude))
-        if dest is None:
+        if dest is None:  # reach: input: a failover when every other replica is down, draining, breaker-open or full
             req.state = RequestState.DROPPED
             req.drop_s = now
             req.drop_reason = DropReason.REPLICA_LOST
@@ -927,11 +926,11 @@ class FleetSimulator:
         ):
             return
         home = self._replica_of(req)
-        if home is None:
+        if home is None:  # reach: input: a hedge that falls due while its request migrates
             # Mid-migration limbo: don't hedge a moving target.
             return
         dest, _ = self._route(due, exclude=(home.idx,))
-        if dest is None:
+        if dest is None:  # reach: input: a hedge that falls due when no other replica is schedulable
             return
         clone = Request(
             rid=rid,
@@ -1085,7 +1084,7 @@ class FleetSimulator:
         # 1. Outage windows.  Late-firing (a window that closed during a
         # backoff gap with work in flight) still destroys the batch: the
         # replica was down while the work sat on it.
-        if (
+        if (  # reach: input: a crash window that opens during a backoff gap with work in flight
             r.crash_i < len(r.crash_windows)
             and r.crash_windows[r.crash_i][0] <= t
         ):
@@ -1111,7 +1110,7 @@ class FleetSimulator:
                 self._push_deliver(t, req, r.idx)
 
         # 2. Expire queue deadlines.
-        for req in r.queue.expire(t):
+        for req in r.queue.expire(t):  # reach: input: a fleet queue timeout (fleet-sim sets none)
             self._on_drop(req, r, t)
 
         # 3. Admission (suppressed while draining).
@@ -1122,41 +1121,51 @@ class FleetSimulator:
             admitted = admit_batch(
                 self.policy, r.oracle, r.queue, r.running, t, r.limit
             )
-            for req in r.queue.dropped[before:]:
+            for req in r.queue.dropped[before:]:  # reach: input: a request no replica can plan even alone
                 self._on_drop(req, r, t)  # INFEASIBLE singletons
 
         # 4-5. The kernel's prefill and decode steps.
         if admitted and not self._step(r, "prefill", admitted):
             return
-        if r.running and not self._step(r, "decode", list(r.running)):
+        if r.running and not self._step(r, "decode"):
             return
         if r.t > self._makespan:
             self._makespan = r.t
 
-    def _step(self, r: _Replica, kind: str, batch: list[Request]) -> bool:
-        """Run one kernel step on ``r`` and settle its outcome fleet-wide:
+    def _step(
+        self, r: _Replica, kind: str, admitted: list[Request] | None = None
+    ) -> bool:
+        """Run one kernel step on ``r`` -- a prefill of ``admitted`` or a
+        decode of the running batch -- and settle its outcome fleet-wide:
         breaker bookkeeping, then finishes (hedge races) or abort drops.
         False when a crash window opened inside the step and destroyed it
         (recorded as a ``crash-<kind>`` slice, no tokens credited)."""
         n_finished, n_dropped = len(r.finished), len(r.queue.dropped)
         start = r.t
-        ok = r.prefill(batch) if kind == "prefill" else r.decode()
+        if admitted is None:
+            # The pre-step batch, which the breaker and a crash slice see;
+            # the running batch caches its rids until its members change.
+            rids = r.running.rids()
+            ok = r.decode()
+        else:
+            rids = tuple(req.rid for req in admitted)
+            ok = r.prefill(admitted)
         if ok is None:
             cs, ce = r.crash_windows[r.crash_i]
             r.crash_i += 1
-            rids = tuple(req.rid for req in batch) if self.collect_steps else ()
-            max_ctx = max(req.context_len for req in batch)
-            self._crash(
-                r, now=cs, window_end=ce,
-                extra=batch if kind == "prefill" else None,
-            )
+            # A crashed step credited nothing, so the batch is as it began.
+            if admitted is None:
+                n, max_ctx = len(r.running), r.running.max_context()
+            else:
+                n, max_ctx = len(admitted), max(req.context_len for req in admitted)
+            self._crash(r, now=cs, window_end=ce, extra=admitted)
             r.emit(
                 f"crash-{kind}", start, cs, cs - start, 1,
-                len(batch), max_ctx, rids, 0,
+                n, max_ctx, rids if self.collect_steps else (), 0,
             )
             return False
         if ok:
-            r.breaker.on_success(r.t, tuple(req.rid for req in batch))
+            r.breaker.on_success(r.t, rids)
             for req in r.finished[n_finished:]:
                 self._on_finish(req, r, r.t)
         else:

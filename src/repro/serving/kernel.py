@@ -114,19 +114,14 @@ class StepRun:
     sample_t: float
 
     def expand(self) -> list[StepRecord]:
-        if self.count == 1:
-            return [
-                StepRecord(
-                    kind=self.kind, start_s=self.start_s, end_s=self.end_s,
-                    batch=self.batch, max_ctx=self.max_ctx, rids=self.rids,
-                )
-            ]
-        # Clock values [start, t_1, ..., t_count].  ``np.cumsum`` adds
-        # sequentially, so each one is bit-identical to the kernel's
-        # repeated ``t += dur``.
-        steps = np.full(self.count + 1, self.dur_s)
-        steps[0] = self.start_s
-        times = np.cumsum(steps).tolist()
+        times = [self.start_s, self.end_s]
+        if self.count > 1:  # reach: tests/test_fleet.py::test_single_replica_zero_fault_byte_identical_to_serving_sim (coalesced runs)
+            # Clock values [start, t_1, ..., t_count].  ``np.cumsum`` adds
+            # sequentially, so each one is bit-identical to the kernel's
+            # repeated ``t += dur``.
+            steps = np.full(self.count + 1, self.dur_s)
+            steps[0] = self.start_s
+            times = np.cumsum(steps).tolist()
         return [
             StepRecord(
                 kind=self.kind, start_s=times[j], end_s=times[j + 1],
@@ -139,7 +134,7 @@ class StepRun:
         """``(clock, waiting, running)`` after each step: the inner steps
         end at the run's boundaries, the last at ``sample_t``."""
         out = [
-            (rec.end_s, self.queue_len, self.batch)
+            (rec.end_s, self.queue_len, self.batch)  # reach: tests/test_fleet.py::test_single_replica_zero_fault_byte_identical_to_serving_sim (coalesced runs)
             for rec in self.expand()[:-1]
         ]
         out.append((self.sample_t, self.queue_len, self.running_after))
@@ -587,7 +582,7 @@ class ReplicaKernel:
         for j in range(1, k):
             if next_arrival is not None and t >= next_arrival:
                 return j, t
-            if a_min is not None and t - a_min > timeout:
+            if a_min is not None and t - a_min > timeout:  # reach: tests/test_serving_event_engine.py::test_run_length_loop_is_bitwise_the_cumsum_cut (a queue timeout inside a decode run)
                 return j, t
             t += dur
         return k, t

@@ -84,7 +84,7 @@ def compute_metrics(result: ServingResult) -> dict[str, Any]:
             "tpot_slo_s": cfg.tpot_slo_s,
             "attainment": (len(slo_ok) / len(result.requests))
             if result.requests
-            else 0.0,
+            else 0.0,  # reach: input: a run with no requests (tests/test_fleet.py::test_fleet_bench_quick_payload_deterministic)
             "goodput_rps": len(slo_ok) / makespan if makespan > 0 else 0.0,
         },
         "throughput": {

@@ -34,12 +34,9 @@ single-model one: a K=1 run with the oracle predictor is
 byte-identical to :meth:`ServingSimulator.run` (pinned by an equivalence
 matrix across policies and traces).
 
-Faults: a :class:`~repro.faults.FaultSchedule` degrades the PCIe link a
-swap is priced on (``Platform.with_faults`` at the swap instant) — slow
-links make model switching expensive, which is the operational reason
-co-residency decisions need a cost model.  The full chaos *step*
-semantics (transient aborts, drift watchdog, degradation ladder) remain
-the single-model driver's; this driver prices steps on nominal specs.
+Faults (transient aborts, the drift watchdog, the degradation ladder)
+are the single-model driver's; this driver prices steps and swaps on
+nominal specs.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.errors import ConfigError, ServingError
-from repro.faults import FaultSchedule
 from repro.models.config import ModelConfig
 from repro.models.registry import get_model
 from repro.obs.profiling import PROFILER, span
@@ -248,8 +244,6 @@ class MultiModelSimulator:
         trace: RequestTrace,
         policy: SchedulerPolicy | None = None,
         config: ServingConfig | None = None,
-        faults: FaultSchedule | None = None,
-        seed: int = 0,
         collect_steps: bool = True,
         initial_model: str | None = None,
     ) -> None:
@@ -260,19 +254,11 @@ class MultiModelSimulator:
             raise ConfigError(
                 f"multi-model simulator: duplicate model slots in {names}"
             )
-        if faults is not None and faults.has_replica_faults:
-            raise ConfigError(
-                f"multi-model simulator: fault schedule {faults.name!r} "
-                "contains replica-level faults; a single platform has "
-                "nowhere to fail over to — use repro.serving.fleet for that"
-            )
         self.engine = engine
         self.slots = tuple(slots)
         self.trace = trace
         self.policy = policy or SchedulerPolicy()
         self.config = config or ServingConfig()
-        self.faults = faults if faults is not None and len(faults.faults) > 0 else None
-        self.seed = seed
         self.collect_steps = collect_steps
         self.base_platform = engine.platform
         self._by_name = {s.name: s for s in self.slots}
@@ -303,19 +289,14 @@ class MultiModelSimulator:
     def _slot_of(self, req: Request) -> ModelSlot:
         return self._by_name[req.model] if req.model else self.slots[0]
 
-    def swap_seconds(self, slot: ModelSlot, now: float) -> float:
+    def swap_seconds(self, slot: ModelSlot) -> float:
         """Wall seconds to stream ``slot``'s weights in over PCIe.
 
-        Priced on the *effective* platform at ``now`` — a fault window
-        that degrades the link makes the swap proportionally slower.
         Swap-out is free: resident weights are read-only (no writeback),
         and the evicted requests' KV is re-prefilled on return, a cost the
         preemption path already charges.
         """
-        platform = self.base_platform
-        if self.faults is not None:
-            platform = platform.with_faults(self.faults, now)
-        hw = HardwareParams.from_platform(platform)
+        hw = HardwareParams.from_platform(self.base_platform)
         bw = hw.pcie_bdw * self.engine.calibration.pcie_efficiency
         return slot.weight_bytes / bw
 
@@ -349,7 +330,7 @@ class MultiModelSimulator:
             ``"swap"`` step so timelines and step counters carry it."""
             nonlocal active, resident_since
             start = kern.t
-            dur = self.swap_seconds(slot, start)
+            dur = self.swap_seconds(slot)
             t = kern.t = start + dur
             residency[active.name] += start - resident_since
             resident_since = t

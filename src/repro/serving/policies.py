@@ -43,11 +43,12 @@ class SchedulerPolicy:
         order; the default is first-come-first-served."""
         return sorted(waiting, key=lambda r: (r.arrival_s, r.rid))
 
-    def victim(
+    def victim(  # reach: base method; only PriorityPolicy(preempt=True) is consulted
         self, running: Collection[Request], candidate: Request
     ) -> Request | None:
         """Which running request (if any) to preempt for ``candidate``.
-        ``None`` means don't preempt.  Only consulted when ``preemptive``."""
+        ``None`` means don't preempt.  Only consulted when ``preemptive``,
+        with a full (so non-empty) running batch."""
         return None
 
 
@@ -70,7 +71,7 @@ class SJFPolicy(SchedulerPolicy):
         # constant for the whole time a request sits in the queue.
         return (req.remaining_tokens, req.arrival_s, req.rid)
 
-    def order(self, waiting: list[Request], now: float) -> list[Request]:
+    def order(self, waiting: list[Request], now: float) -> list[Request]:  # reach: the full-sort order _run_reference uses (tests/test_batch_clock.py::test_clock_matches_eager_single_engine)
         return sorted(
             waiting, key=lambda r: (r.remaining_tokens, r.arrival_s, r.rid)
         )
@@ -102,8 +103,6 @@ class PriorityPolicy(SchedulerPolicy):
     def victim(
         self, running: Collection[Request], candidate: Request
     ) -> Request | None:
-        if not running:
-            return None
         lowest = min(running, key=lambda r: (r.priority, -r.arrival_s, -r.rid))
         if lowest.priority < candidate.priority:
             return lowest
@@ -131,7 +130,7 @@ class PredictedSJFPolicy(SchedulerPolicy):
         self.static_order = not self.predictor.learned
         self.name = f"sjf-predict({self.predictor.name})"
 
-    def sort_key(self, req: Request) -> tuple:
+    def sort_key(self, req: Request) -> tuple:  # reach: the static queue key under the oracle predictor (tests/test_serving_multimodel.py::test_k1_predicted_sjf_oracle_matches_sjf)
         return (self.predictor.predict(req), req.arrival_s, req.rid)
 
     def order(self, waiting: list[Request], now: float) -> list[Request]:

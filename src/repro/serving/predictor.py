@@ -46,7 +46,7 @@ class LengthPredictor:
     #:  waiting-time-constant sort key.
     learned = False
 
-    def predict(self, req: Request) -> float:
+    def predict(self, req: Request) -> float:  # reach: the oracle; shipped sjf-predict learns (tests/test_serving_multimodel.py::test_k1_predicted_sjf_oracle_matches_sjf)
         """Predicted *remaining* generation tokens for ``req``."""
         return float(req.remaining_tokens)
 
@@ -55,7 +55,7 @@ class LengthPredictor:
 
     # -- mispredict accounting (shared) ---------------------------------
 
-    def stats(self) -> dict[str, float]:
+    def stats(self) -> dict[str, float]:  # reach: the oracle's all-zero ledger; shipped sjf-predict learns
         """Summary of the mispredict ledger (all zeros for the oracle)."""
         return {
             "observations": 0,

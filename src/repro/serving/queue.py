@@ -91,16 +91,11 @@ class AdmissionQueue:
         if self._order_key is None:
             return
         # Keys are total orders (rid tiebreak), so bisect lands exactly
-        # on the request; the identity scan is a same-key safety net.
-        key = self._order_key(req)
-        idx = bisect_left(self._ordered, key, key=self._order_key)
-        while idx < len(self._ordered):
-            if self._ordered[idx] is req:
-                del self._ordered[idx]
-                return
-            if self._order_key(self._ordered[idx]) != key:
-                break
-            idx += 1
+        # on the request; the identity scan below is a safety net.
+        idx = bisect_left(self._ordered, self._order_key(req), key=self._order_key)
+        if idx < len(self._ordered) and self._ordered[idx] is req:
+            del self._ordered[idx]
+            return
         # Last resort: an identity scan over the whole view.  The old
         # fallback was ``self._ordered.remove(req)``, which compares
         # mutable ``Request`` dataclasses by *value* — under a stale sort
@@ -108,7 +103,7 @@ class AdmissionQueue:
         # equal, silently corrupting the ordered view.  A request that is
         # genuinely absent means the index and ``waiting`` have already
         # diverged; fail loudly instead of papering over it.
-        for i, entry in enumerate(self._ordered):
+        for i, entry in enumerate(self._ordered):  # reach: safety code, a sort key that changed while queued (tests/test_serving_multimodel.py::test_ordered_view_identity_scan_and_loud_failure)
             if entry is req:
                 del self._ordered[i]
                 return
@@ -180,33 +175,33 @@ class AdmissionQueue:
         """Drop requests whose *initial* wait exceeded the timeout."""
         if self.timeout_s is None:
             return []
-        if self.use_heap:
-            expired = []
-            while self._heap:
-                arrival, _, req = self._heap[0]
-                if not self._expirable(req):
-                    heapq.heappop(self._heap)
-                    continue
-                if not (now - arrival > self.timeout_s):
-                    break
-                heapq.heappop(self._heap)
-                # Drop immediately so a duplicate heap entry for the same
-                # request (requeue re-arms lazily) fails the liveness
-                # check instead of expiring twice.
+        if not self.use_heap:  # reach: tests/test_batch_clock.py::test_clock_matches_eager_single_engine (_run_reference with a queue timeout)
+            expired = [
+                r
+                for r in self.waiting
+                if r.tokens_done == 0 and now - r.arrival_s > self.timeout_s
+            ]
+            for req in expired:
                 self.waiting.remove(req)
                 self._index_remove(req)
                 self._drop(req, now, DropReason.TIMEOUT)
-                expired.append(req)
             return expired
-        expired = [
-            r
-            for r in self.waiting
-            if r.tokens_done == 0 and now - r.arrival_s > self.timeout_s
-        ]
-        for req in expired:
+        expired = []
+        while self._heap:
+            arrival, _, req = self._heap[0]
+            if not self._expirable(req):
+                heapq.heappop(self._heap)
+                continue
+            if not (now - arrival > self.timeout_s):
+                break
+            heapq.heappop(self._heap)
+            # Drop immediately so a duplicate heap entry for the same
+            # request (requeue re-arms lazily) fails the liveness
+            # check instead of expiring twice.
             self.waiting.remove(req)
             self._index_remove(req)
             self._drop(req, now, DropReason.TIMEOUT)
+            expired.append(req)
         return expired
 
     def take(self, req: Request) -> Request:

@@ -162,7 +162,7 @@ class Request:
     @property
     def ttft_s(self) -> float | None:
         """Time to first token (arrival -> end of the prefill step)."""
-        if self.first_token_s is None:
+        if self.first_token_s is None:  # reach: input: a request with no token yet
             return None
         return self.first_token_s - self.arrival_s
 
@@ -170,15 +170,15 @@ class Request:
     def tpot_s(self) -> float | None:
         """Mean time per output token after the first (queueing included:
         a preempted request's stall shows up here, as it does for users)."""
-        if self.finish_s is None or self.first_token_s is None:
+        if self.finish_s is None or self.first_token_s is None:  # reach: input: an unfinished request
             return None
-        if self.gen_len <= 1:
+        if self.gen_len <= 1:  # reach: input: a one-token request
             return 0.0
         return (self.finish_s - self.first_token_s) / (self.gen_len - 1)
 
     @property
     def e2e_s(self) -> float | None:
-        if self.finish_s is None:
+        if self.finish_s is None:  # reach: input: an unfinished request
             return None
         return self.finish_s - self.arrival_s
 

@@ -276,12 +276,11 @@ def admit_batch(
                 req.drop_s = now
                 req.drop_reason = DropReason.INFEASIBLE
                 req.drop_detail = oracle.last_plan_error(1) or (
-                    f"memory prescreen rejected a singleton batch at "
-                    f"context {ctx}"
+                    f"memory prescreen rejected a singleton batch at context {ctx}"  # reach: tests/test_serving_sim.py::test_infeasible_lone_request_dropped_not_wedged (no plan error to carry)
                 )
                 queue.dropped.append(req)
                 continue
-            break
+            break  # reach: tests/test_batch_clock.py::test_clock_matches_eager_when_the_watchdog_sheds
         admitted.append(queue.take(req))
         if req.context_len + 1 > adm_ctx:
             adm_ctx = req.context_len + 1
@@ -351,7 +350,7 @@ class ServingSimulator:
         with span("serving.run"):
             return self._run(coalesce=True)
 
-    def _run_reference(self) -> ServingResult:
+    def _run_reference(self) -> ServingResult:  # reach: the per-step reference the event loop must equal (tests/test_batch_clock.py::test_clock_matches_eager_single_engine)
         """The pre-rewrite per-step engine, kept as the equivalence
         reference: one priced step per iteration, a full policy re-sort
         per admission and the linear ``expire`` scan — no run-length
@@ -430,9 +429,10 @@ class ServingSimulator:
 
         def probe_ladder() -> int:
             """First rung (mildest first) whose constrained search still
-            plans on the degraded platform; engages it on the engine."""
+            plans on the degraded platform, or the last rung, which never
+            admits; engages it on the engine."""
             for idx, rung in enumerate(LADDER):
-                if not rung.admit:
+                if not rung.admit:  # reach: tests/test_chaos_serving.py::test_host_memory_shrink_walks_the_ladder_and_recovers
                     self.engine.set_degradation(rung)
                     self.oracle.invalidate()
                     return idx
@@ -441,7 +441,6 @@ class ServingSimulator:
                 target = max(1, probe_n // rung.batch_divisor)
                 if self.oracle.planned(target) is not None:
                     return idx
-            return len(LADDER) - 1
 
         def sync_faults(now: float) -> None:
             """Drift watchdog: runs once per fault segment (cheap key check
@@ -471,7 +470,7 @@ class ServingSimulator:
                         new_idx = 0
                     else:
                         new_idx = probe_ladder()
-                    if new_idx != rung_idx:
+                    if new_idx != rung_idx:  # reach: tests/test_chaos_serving.py::test_host_memory_shrink_walks_the_ladder_and_recovers
                         stats.transitions.append(
                             (now, LADDER[rung_idx].name, LADDER[new_idx].name, cause)
                         )
@@ -480,7 +479,7 @@ class ServingSimulator:
                     # running batch fits the degraded platform again.
                     running = kern.running
                     newest_last = list(running)
-                    while newest_last and not self.oracle.feasible(
+                    while newest_last and not self.oracle.feasible(  # reach: tests/test_chaos_serving.py::test_host_memory_shrink_walks_the_ladder_and_recovers
                         len(running), running.max_context() + 1
                     ):
                         victim = newest_last.pop()
@@ -523,7 +522,7 @@ class ServingSimulator:
                     coalesce=fast and not admission_can_act(),
                     next_arrival=pending[i].arrival_s if i < n_pending else None,
                 )
-            elif chaos and not admitted and queue.waiting:
+            elif chaos and not admitted and queue.waiting:  # reach: tests/test_chaos_serving.py::test_host_memory_shrink_walks_the_ladder_and_recovers
                 # Stalled: this iteration ran no step — backpressure (or
                 # blanket infeasibility) with nothing to advance the clock.
                 # Jump to whatever can change the situation — the next
@@ -540,7 +539,7 @@ class ServingSimulator:
                 ]
                 if horizon:
                     kern.t = min(horizon)
-                else:
+                else:  # reach: safety code, drains a queue that no fault transition or arrival can unblock
                     for req in list(queue.waiting):
                         queue.take(req)
                         req.state = RequestState.DROPPED

@@ -74,10 +74,10 @@ def export_request_timeline(
             builder.add_slice(f"backoff #{attempt}", "faults", s0, s1 - s0)
         for t, cause, drift in stats.replans:
             builder.add_instant(f"replan ({cause})", "faults", t, drift=drift)
-        for t, from_rung, to_rung, reason in stats.transitions:
+        for t, from_rung, to_rung, reason in stats.transitions:  # reach: tests/test_chaos_serving.py::test_host_memory_shrink_walks_the_ladder_and_recovers
             builder.add_instant(
                 f"rung {from_rung}->{to_rung}", "faults", t, reason=reason
             )
-        for t, rid in stats.sheds:
+        for t, rid in stats.sheds:  # reach: tests/test_chaos_serving.py::test_host_memory_shrink_walks_the_ladder_and_recovers
             builder.add_instant(f"shed r{rid}", "faults", t)
     return builder

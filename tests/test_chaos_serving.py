@@ -228,6 +228,84 @@ def test_lm_offload_replans_under_pcie_degrade(trace):
     assert engine._degradation is None
 
 
+#: The degradation ladder under a real host-memory fault, with no patched
+#: oracle: a ``HOST_MEM_SHRINK`` window over [5, 15) s on the quick
+#: default trace (opt-30b, seed 0).  ``(engine, severity)`` -> the rung
+#: transitions ``(t rounded to ms, from, to, cause)`` and whether the
+#: watchdog sheds running requests.  LM-Offload stays nominal up to
+#: severity 0.999, because its disk tier absorbs the shrink; at 0.9999 its
+#: probe tries every rung, the forced-quantization ones included, before
+#: backpressure.
+LADDER_RUNS = {
+    ("flexgen", 0.999): (
+        [(7.913, "nominal", "backpressure", "drift"),
+         (15.0, "backpressure", "nominal", "recovery")],
+        True,
+    ),
+    ("zero-inference", 0.999): (
+        [(5.433, "nominal", "backpressure", "drift"),
+         (15.0, "backpressure", "nominal", "recovery")],
+        True,
+    ),
+    ("zero-inference", 0.99): (
+        [(5.433, "nominal", "cpu-attention", "drift"),
+         (15.378, "cpu-attention", "nominal", "recovery")],
+        False,
+    ),
+    ("lm-offload", 0.9999): (
+        [(5.502, "nominal", "backpressure", "drift"),
+         (15.0, "backpressure", "nominal", "recovery")],
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("engine_name,severity", list(LADDER_RUNS))
+def test_host_memory_shrink_walks_the_ladder_and_recovers(
+    trace, engine_name, severity
+):
+    """A host-memory shrink walks the ladder down and back up: the
+    watchdog engages a rung, backpressure sheds the newest running
+    requests and stalls admission until the window closes, and every
+    request still finishes on the recovered platform."""
+    from repro.baselines import make_engine
+    from repro.bench.chaos import _rung_intervals
+    from repro.serving import export_request_timeline
+
+    transitions, sheds = LADDER_RUNS[engine_name, severity]
+    shrink = FaultSchedule(
+        name="host-shrink",
+        faults=(FaultSpec(FaultKind.HOST_MEM_SHRINK, 5.0, 10.0, severity),),
+    )
+    result = ServingSimulator(
+        engine=make_engine(engine_name),
+        model=get_model("opt-30b"),
+        trace=trace,
+        config=ServingConfig(),
+        faults=shrink,
+        seed=0,
+    ).run()
+    stats = result.fault_stats
+    assert [(round(t, 3), a, b, c) for t, a, b, c in stats.transitions] == transitions
+    assert (len(stats.sheds) >= 1) is sheds
+    assert len(result.finished) == len(result.requests) == 9
+    assert stats.final_rung == "nominal"
+    faults = compute_metrics(result)["faults"]
+    assert [(round(x["t_s"], 3), x["from"], x["to"], x["reason"])
+            for x in faults["rung_transitions"]] == transitions
+    assert faults["shed_requests"] == len(stats.sheds)
+    assert _rung_intervals(result) == [
+        (stats.transitions[0][0], stats.transitions[1][0])
+    ]
+    instants = {
+        e["name"]
+        for e in json.loads(export_request_timeline(result).to_json())["traceEvents"]
+        if e["ph"] == "i"
+    }
+    assert {f"rung {a}->{b}" for _, a, b, _ in transitions} <= instants
+    assert {f"shed r{rid}" for _, rid in stats.sheds} <= instants
+
+
 # -- config validation -----------------------------------------------------
 
 
@@ -279,7 +357,8 @@ def test_chaos_bench_payload_deterministic_and_accounted(model):
 
 
 def test_serving_drift_gate_reprices_executed_steps(model):
-    from repro.bench.chaos import DEFAULT_SERVING_DRIFT_TOLERANCE, run_chaos
+    from repro.bench.chaos import run_chaos
+    from repro.obs.drift import DEFAULT_SERVING_DRIFT_TOLERANCE
 
     payload, _ = run_chaos(
         model_name="opt-1.3b",

@@ -59,7 +59,7 @@ def test_literal_eq2_is_optimistic(hw, default_ctx):
     than the resource-grouped reality the executor enforces."""
     _, model = make_model(hw, default_ctx, attn_cpu=False)
     costs = model.decode_task_costs(5)
-    assert model.step_seconds(costs, literal_eq2=True) <= model.step_seconds(costs)
+    assert costs.step_time() <= model.step_seconds(costs)
 
 
 def test_bottleneck_shift_with_kv_growth(hw, default_ctx):

@@ -112,7 +112,7 @@ def test_step_seconds_literal_vs_grouped():
     from repro.runtime.tasks import TaskCosts
 
     costs = TaskCosts(load_weight=1, load_cache=1, load_activation=1, compute=2)
-    assert CostModel.step_seconds(costs, literal_eq2=True) == 2
+    assert costs.step_time() == 2
     # Grouped: the three loads share the H2D direction and sum to 3.
     assert CostModel.step_seconds(costs) == 3
 

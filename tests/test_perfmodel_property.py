@@ -142,9 +142,9 @@ def test_literal_eq2_is_max_of_six_on_random_costs():
     for _ in range(200):
         values = rng.random(6) * (10.0 ** rng.integers(-6, 3))
         costs = TaskCosts(**dict(zip(TASK_FIELD_NAMES, map(float, values))))
-        literal = CostModel.step_seconds(costs, literal_eq2=True)
+        literal = costs.step_time()
         assert literal == max(costs.as_tuple())
-        assert literal == costs.step_time()
+        assert literal == ref.step_seconds(costs, literal_eq2=True)
 
 
 def test_literal_eq2_is_max_of_six_on_model_costs(hw, default_ctx):
@@ -154,7 +154,7 @@ def test_literal_eq2_is_max_of_six_on_model_costs(hw, default_ctx):
         model = CostModel(workload, policy, hw, default_ctx)
         for t in range(workload.gen_len - 1):
             costs = model.decode_task_costs(t)
-            literal = CostModel.step_seconds(costs, literal_eq2=True)
+            literal = costs.step_time()
             assert literal == max(costs.as_tuple())
             assert literal == max(
                 getattr(costs, name) for name in TASK_FIELD_NAMES
@@ -168,25 +168,23 @@ def test_grouped_step_never_undercuts_literal_eq2(hw, default_ctx):
         model = CostModel(workload, policy, hw, default_ctx)
         for t in range(workload.gen_len - 1):
             costs = model.decode_task_costs(t)
-            assert CostModel.step_seconds(costs) >= CostModel.step_seconds(
-                costs, literal_eq2=True
-            )
+            assert CostModel.step_seconds(costs) >= costs.step_time()
 
 
 def test_step_seconds_vec_matches_scalar_on_random_matrices():
-    """Both groupings of the vectorized aggregator, row for row against
-    the scalar reference and the one-row ``step_seconds``, on arbitrary
-    non-negative cost matrices."""
+    """The vectorized aggregator and the row max, row for row against the
+    scalar reference's two groupings and the one-row ``step_seconds`` /
+    ``step_time``, on arbitrary non-negative cost matrices."""
     rng = seeded_rng(SEED, "perfmodel-property", "vec-agg")
     mat = rng.random((64, 6)) * (10.0 ** rng.integers(-6, 3, size=(64, 1)))
-    for literal in (False, True):
-        vec = CostModel.step_seconds_vec(mat, literal_eq2=literal)
-        for i in range(mat.shape[0]):
-            costs = TaskCosts(
-                **dict(zip(TASK_FIELD_NAMES, map(float, mat[i])))
-            )
-            assert vec[i] == ref.step_seconds(costs, literal_eq2=literal)
-            assert vec[i] == CostModel.step_seconds(costs, literal_eq2=literal)
+    vec = CostModel.step_seconds_vec(mat)
+    literal = mat.max(axis=1)
+    for i in range(mat.shape[0]):
+        costs = TaskCosts(**dict(zip(TASK_FIELD_NAMES, map(float, mat[i]))))
+        assert vec[i] == ref.step_seconds(costs)
+        assert vec[i] == CostModel.step_seconds(costs)
+        assert literal[i] == ref.step_seconds(costs, literal_eq2=True)
+        assert literal[i] == costs.step_time()
 
 
 def test_decode_task_costs_vec_matches_scalar_on_random_grid(hw, default_ctx):
@@ -206,11 +204,17 @@ def test_decode_seconds_vectorized_matches_scalar_on_random_grid(
     hw, default_ctx
 ):
     """Same per-token values, summed pairwise by NumPy vs the reference's
-    running sum: equal to 1e-9 relative."""
+    running sum, grouped and as the literal six-task max: equal to 1e-9
+    relative."""
     for workload, policy in random_grid(8, "vec-decode"):
         model = CostModel(workload, policy, hw, default_ctx)
-        for literal in (False, True):
-            fast = model.decode_seconds(literal)
+        tokens = np.arange(workload.gen_len - 1, dtype=np.float64)
+        iters = workload.model.num_layers * policy.num_gpu_batches
+        literal_sum = model.decode_task_costs_vec(tokens).max(axis=1).sum()
+        for literal, fast in (
+            (False, model.decode_seconds()),
+            (True, float(literal_sum * iters)),
+        ):
             expected = ref.decode_seconds(model, literal)
             assert abs(fast - expected) <= 1e-9 * max(abs(expected), 1e-12)
 

@@ -3,14 +3,11 @@
 ``reference_search_fixed`` is the planner's former search, kept here as
 the oracle: it walks the same candidates one at a time, builds a
 ``CostModel`` for each, screens memory with the scalar peak-byte oracle
-in ``tests/reference_costs.py``, retries
-a host-bound candidate with half and then all of its offloaded weights on
-disk, and scores every survivor with ``breakdown().throughput`` (or, for
-the LATENCY objective, the mid-token step of the scalar reference oracle
-in ``tests/reference_costs.py``).  The grid pass must keep the same
+in ``tests/reference_costs.py``, retries a host-bound candidate with half
+and then all of its offloaded weights on disk, and scores every survivor
+with ``breakdown().throughput``.  The grid pass must keep the same
 survivors in the same order, give each of them a score bitwise equal to
-the reference's, and return the identical
-``(policy, score)``.
+the reference's, and return the identical ``(policy, score)``.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from repro.hardware import single_a100
 from repro.models import get_model
 from repro.offload import OffloadPolicy
 from repro.offload import planner as planner_module
-from repro.offload.planner import PlannerObjective, PolicyPlanner, placements
+from repro.offload.planner import PolicyPlanner, placements
 from repro.perfmodel import CostModel, CpuExecutionContext, Workload
 from tests import reference_costs as ref
 
@@ -74,10 +71,6 @@ def reference_candidates(planner, workload, template, seed=None):
 def reference_score(planner, workload, policy):
     model = CostModel(workload, policy, planner.hw, planner.cpu_ctx)
     model.check_feasible()
-    if planner.objective is PlannerObjective.LATENCY:
-        mid = ref.decode_task_costs(model, max(0, (workload.gen_len - 1) // 2))
-        iters = workload.model.num_layers * policy.num_gpu_batches
-        return -ref.step_seconds(mid) * iters
     return model.breakdown().throughput(workload)
 
 
@@ -237,19 +230,6 @@ def test_require_quant_and_cpu_attention_only_match_reference(hw, default_ctx):
         PolicyPlanner(hw=hw, cpu_ctx=default_ctx, allow_gpu_attention=False),
     ):
         assert_planner_matches(planner, workload)
-
-
-@pytest.mark.parametrize("gen_len", [1, 2, 16])
-def test_latency_objective_matches_reference(hw, default_ctx, gen_len):
-    """LATENCY reads the mid-token column of the grid's step matrix;
-    ``gen_len=1`` decodes nothing but still prices token 0."""
-    workload = Workload(get_model("opt-30b"), 64, gen_len, 64, 10)
-    assert_planner_matches(
-        PolicyPlanner(
-            hw=hw, cpu_ctx=default_ctx, objective=PlannerObjective.LATENCY
-        ),
-        workload,
-    )
 
 
 def test_gen_len_one_throughput_matches_reference(hw, default_ctx):
