@@ -10,7 +10,8 @@ Composition rules (per device/link, multiplicative across kinds):
 
 * ``PCIE_DEGRADE`` / ``LINK_FLAP``  -> link ``bandwidth  *= (1 - severity)``
 * ``CPU_THROTTLE``                  -> cpu ``freq, peak_flops *= (1 - severity)``
-* ``CORE_LOSS``                     -> cpu ``cores = max(1, floor(cores * (1 - severity)))``
+* ``CORE_LOSS``                     -> cpu ``cores = floor(cores * (1 - severity))``
+  rounded down to a multiple of ``sockets``, at least one core per socket
   (and ``peak_flops`` scales with the surviving-core fraction)
 * ``GPU_THROTTLE``                  -> gpu ``peak_flops, freq *= (1 - severity)``
 * ``HOST_MEM_SHRINK``               -> cpu ``memory_capacity *= (1 - severity)``
@@ -139,7 +140,10 @@ def degraded_platform(
         changes: dict = {}
         for field_name, factor in factors.items():
             if field_name == "cores":
-                changes["cores"] = max(1, math.floor(spec.cores * factor))
+                # Survivors split evenly across sockets, as the CPU
+                # topology requires.
+                per_socket = math.floor(spec.cores * factor) // spec.sockets
+                changes["cores"] = spec.sockets * max(1, per_socket)
             elif field_name == "memory_capacity":
                 changes["memory_capacity"] = max(
                     1, math.floor(spec.memory_capacity * factor)

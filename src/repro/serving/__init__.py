@@ -8,9 +8,9 @@ turns the repo's offline block evaluator into an online serving study:
 requests arrive over time, queue under admission control, get batched
 continuously, and are scored against TTFT/TPOT SLOs.
 
-All three simulators below are drivers over one replica-step kernel
+All three simulators below are drivers over one replica kernel
 (:class:`~repro.serving.kernel.ReplicaKernel`: queue, batch, clock,
-prefill/decode steps, transient-fault aborts).
+transient-fault aborts, and the admit → prefill → decode iteration).
 
 Entry points: ``python -m repro serve-sim`` (CLI),
 :class:`ServingSimulator` (library), and
@@ -103,6 +103,7 @@ from repro.serving.simulator import (
     ServingSimulator,
     StepRecord,
     StepRun,
+    admit_batch,
 )
 from repro.serving.timeline import export_request_timeline
 
@@ -162,5 +163,6 @@ __all__ = [
     "ServingSimulator",
     "StepRecord",
     "StepRun",
+    "admit_batch",
     "export_request_timeline",
 ]

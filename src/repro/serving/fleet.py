@@ -13,10 +13,11 @@ time, but the fleet processes events in global time order: the next
 arrival, the next migration delivery, the next hedge deadline and each
 busy replica's next step boundary compete on a ``(time, kind, index)``
 key (arrivals < deliveries < hedges < boundaries at equal times).  At a
-replica boundary the fleet handles outage windows, expiry and admission
-(the shared :func:`~repro.serving.simulator.admit_batch`), runs one
-kernel prefill and one decode step, and settles the requests those
-steps finished or dropped (breakers, hedge races).  The steps are the
+replica boundary the fleet handles outage windows and expiry, then runs
+one :meth:`~repro.serving.kernel.ReplicaKernel.iterate` — admit,
+prefill, decode — whose per-step settlement the replica overrides:
+admission's infeasible drops, then for each step the breaker update and
+the requests it finished (hedge races) or dropped.  The iteration is the
 single engine's own, so a 1-replica zero-fault fleet replays
 :class:`~repro.serving.ServingSimulator` byte for byte (pinned in
 ``tests/test_fleet.py``).
@@ -100,9 +101,8 @@ from repro.serving.costing import StepCostOracle
 from repro.serving.kernel import ReplicaKernel, ServingAggregates
 from repro.serving.metrics import compute_metrics
 from repro.serving.policies import SchedulerPolicy
-from repro.serving.queue import AdmissionQueue
 from repro.serving.request import DropReason, Request, RequestState
-from repro.serving.simulator import ServingConfig, ServingResult, admit_batch
+from repro.serving.simulator import ServingConfig, ServingResult
 from repro.trace.chrome import ChromeTraceBuilder
 from repro.util.rng import seeded_rng
 
@@ -352,10 +352,12 @@ class FleetStats:
 
 class _Replica(ReplicaKernel):
     """One replica (internal): the shared step kernel plus its engine,
-    router price, breaker and outage windows."""
+    router price, breaker and outage windows, settling each step with
+    its ``fleet``."""
 
     def __init__(
         self,
+        fleet: FleetSimulator,
         idx: int,
         spec: ReplicaSpec,
         model: ModelConfig,
@@ -367,6 +369,7 @@ class _Replica(ReplicaKernel):
         seed: int,
         collect_steps: bool,
     ) -> None:
+        self.fleet = fleet
         self.idx = idx
         self.spec = spec
         from repro.baselines import make_engine
@@ -381,22 +384,12 @@ class _Replica(ReplicaKernel):
         oracle = StepCostOracle.for_requests(
             self.engine, model, trace.requests, scfg
         )
-        # The linear expire scan (use_heap=False) is deliberate: migration
-        # moves requests between queues, which would leave stale entries in
-        # a source queue's lazy deadline heap; the scan only ever touches
-        # actual members.  Byte-identical either way (pinned upstream).
-        queue = AdmissionQueue(
-            scfg.queue_capacity, scfg.queue_timeout_s, use_heap=False
-        )
-        if getattr(policy, "static_order", False):
-            queue.attach_order(policy.sort_key)
         chaos = schedule is not None and any(
             f.kind is FaultKind.TRANSIENT_ERROR for f in schedule.faults
         )
         super().__init__(
-            oracle, queue, scfg,
+            oracle, scfg, policy,
             collect_steps=collect_steps,
-            predictor=getattr(policy, "predictor", None),
             faults=schedule if chaos else None,
             rng=seeded_rng(seed, "fleet", spec.name, "chaos"),
             fault_stats=(
@@ -405,6 +398,8 @@ class _Replica(ReplicaKernel):
                 else None
             ),
         )
+        # The breaker reads every step's batch, kept or not.
+        self.want_rids = True
         self.breaker = breaker
         self.schedule = schedule
         # Static outage windows, merged per kind, consumed by pointer.
@@ -430,13 +425,43 @@ class _Replica(ReplicaKernel):
         self.crashes = 0
         self.down_s = 0.0
 
-    def _cut(self, start: float, end: float) -> bool:
-        """A crash window opens strictly inside the step: the fleet
-        destroys it instead (see :meth:`FleetSimulator._step`)."""
-        return (
+    def _cut(
+        self, kind: str, start: float, end: float, n: int, max_ctx: int,
+        admitted: list[Request] | None,
+    ) -> bool:
+        """A crash window opens strictly inside the step: the replica dies
+        at the window start, and the step is recorded as a
+        ``crash-<kind>`` slice with no tokens credited."""
+        if not (
             self.crash_i < len(self.crash_windows)
             and start < self.crash_windows[self.crash_i][0] < end
+        ):
+            return False
+        cs, ce = self.crash_windows[self.crash_i]
+        self.crash_i += 1
+        rids = (
+            self.running.rids() if admitted is None
+            else tuple(req.rid for req in admitted)
         )
+        self.fleet._crash(self, now=cs, window_end=ce, extra=admitted)
+        self.emit(f"crash-{kind}", start, cs, cs - start, 1, n, max_ctx, rids, 0)
+        return True
+
+    def _settle(
+        self, ok: bool | None, rids: tuple[int, ...], reqs: list[Request]
+    ) -> None:
+        """Fleet-wide settlement: the breaker sees the step first, then its
+        finishes run their hedge races and its drops settle."""
+        fleet = self.fleet
+        if ok:
+            self.breaker.on_success(self.t, rids)
+            for req in reqs:
+                fleet._on_finish(req, self, self.t)
+            return
+        if ok is False:
+            self.breaker.on_abort(self.fault_stats.aborts[-1][1])
+        for req in reqs:
+            fleet._on_drop(req, self)
 
     # -- outage-window queries (static: schedules are frozen) --------------
 
@@ -611,6 +636,7 @@ class FleetSimulator:
         cfg = self.config
         self.replicas = [
             _Replica(
+                self,
                 idx=i,
                 spec=spec,
                 model=model,
@@ -834,7 +860,7 @@ class FleetSimulator:
                     "down, draining, breaker-open or unplannable"
                 )
                 self.stats.router_drops += 1
-            self._on_drop(req, None, a)
+            self._on_drop(req, None)
             return
         self._place(r, req, a)
         self.stats.placements += 1
@@ -880,7 +906,7 @@ class FleetSimulator:
                 f"{self.config.migration_budget}); last replica {from_name}"
             )
             self.stats.failover_exhausted += 1
-            self._on_drop(req, None, now)
+            self._on_drop(req, None)
             return
         exclude = [from_idx]
         canonical = self.requests[rid]
@@ -903,7 +929,7 @@ class FleetSimulator:
                 "or full)"
             )
             self.stats.replica_lost += 1
-            self._on_drop(req, None, now)
+            self._on_drop(req, None)
             return
         req.migrations += 1
         self.stats.migrations += 1
@@ -1004,11 +1030,10 @@ class FleetSimulator:
         del self.hedges[rid]
         self.terminal[rid] = r.idx
 
-    def _on_drop(
-        self, obj: Request, r: _Replica | None, now: float
-    ) -> None:
-        """``obj`` was stamped DROPPED; settle the fleet-wide outcome."""
-        rid = obj.rid
+    def _on_drop(self, obj: Request, r: _Replica | None) -> None:
+        """``obj`` was stamped DROPPED (at ``drop_s``); settle the
+        fleet-wide outcome."""
+        rid, now = obj.rid, obj.drop_s
         rep = r.idx if r is not None else None
         canonical = self.requests[rid]
         clone = self.hedges.get(rid)
@@ -1075,10 +1100,9 @@ class FleetSimulator:
             self._makespan = r.t
 
     def _boundary(self, r: _Replica) -> None:
-        """One driver iteration for one replica: outage windows, expiry
-        and admission here, then one kernel prefill and one decode step
-        (no run-length advance: the router reads replica state between
-        steps)."""
+        """One driver iteration for one replica: outage windows and expiry
+        here, then one kernel iteration (no run-length advance: the router
+        reads replica state between steps)."""
         t = r.t
 
         # 1. Outage windows.  Late-firing (a window that closed during a
@@ -1110,69 +1134,13 @@ class FleetSimulator:
                 self._push_deliver(t, req, r.idx)
 
         # 2. Expire queue deadlines.
-        for req in r.queue.expire(t):  # reach: input: a fleet queue timeout (fleet-sim sets none)
-            self._on_drop(req, r, t)
+        for req in r.queue.expire(t):  # reach: tests/test_admission_queue.py::test_fleet_expiry_on_the_heap_equals_the_scan_reference (fleet-sim sets no queue timeout)
+            self._on_drop(req, r)
 
-        # 3. Admission (suppressed while draining).
-        if draining:
-            admitted: list[Request] = []
-        else:
-            before = len(r.queue.dropped)
-            admitted = admit_batch(
-                self.policy, r.oracle, r.queue, r.running, t, r.limit
-            )
-            for req in r.queue.dropped[before:]:  # reach: input: a request no replica can plan even alone
-                self._on_drop(req, r, t)  # INFEASIBLE singletons
-
-        # 4-5. The kernel's prefill and decode steps.
-        if admitted and not self._step(r, "prefill", admitted):
-            return
-        if r.running and not self._step(r, "decode"):
-            return
+        # 3. Admit, prefill, decode (no admission while draining).
+        r.iterate(0 if draining else r.limit)
         if r.t > self._makespan:
             self._makespan = r.t
-
-    def _step(
-        self, r: _Replica, kind: str, admitted: list[Request] | None = None
-    ) -> bool:
-        """Run one kernel step on ``r`` -- a prefill of ``admitted`` or a
-        decode of the running batch -- and settle its outcome fleet-wide:
-        breaker bookkeeping, then finishes (hedge races) or abort drops.
-        False when a crash window opened inside the step and destroyed it
-        (recorded as a ``crash-<kind>`` slice, no tokens credited)."""
-        n_finished, n_dropped = len(r.finished), len(r.queue.dropped)
-        start = r.t
-        if admitted is None:
-            # The pre-step batch, which the breaker and a crash slice see;
-            # the running batch caches its rids until its members change.
-            rids = r.running.rids()
-            ok = r.decode()
-        else:
-            rids = tuple(req.rid for req in admitted)
-            ok = r.prefill(admitted)
-        if ok is None:
-            cs, ce = r.crash_windows[r.crash_i]
-            r.crash_i += 1
-            # A crashed step credited nothing, so the batch is as it began.
-            if admitted is None:
-                n, max_ctx = len(r.running), r.running.max_context()
-            else:
-                n, max_ctx = len(admitted), max(req.context_len for req in admitted)
-            self._crash(r, now=cs, window_end=ce, extra=admitted)
-            r.emit(
-                f"crash-{kind}", start, cs, cs - start, 1,
-                n, max_ctx, rids if self.collect_steps else (), 0,
-            )
-            return False
-        if ok:
-            r.breaker.on_success(r.t, rids)
-            for req in r.finished[n_finished:]:
-                self._on_finish(req, r, r.t)
-        else:
-            r.breaker.on_abort(r.fault_stats.aborts[-1][1])
-            for req in r.queue.dropped[n_dropped:]:
-                self._on_drop(req, r, r.t)
-        return True
 
 
 # -- metrics / export ------------------------------------------------------

@@ -1,12 +1,17 @@
-"""The replica-step kernel: one serving replica's state and step mechanics.
+"""The replica-step kernel: one serving replica's state and iteration.
 
 Every serving driver in this package runs the same continuous-batching
 iteration — expire, admit, prefill, decode — over one replica.  The part
 that does not depend on the driver lives here, once:
 
-* **state** — the admission queue, the running batch, the virtual clock,
-  the step record (coalesced :class:`StepRun` entries plus exact
+* **state** — the admission queue (built here from the
+  :class:`~repro.serving.simulator.ServingConfig`, pre-sorted when the
+  policy's order is static), the running batch, the virtual clock, the
+  step record (coalesced :class:`StepRun` entries plus exact
   :class:`ServingAggregates`) and the chaos RNG/backoff state;
+* **admission** — :func:`admit_batch`: the policy's order, bounded by
+  free slots and by memory feasibility of the enlarged batch, with
+  preemption at token boundaries;
 * **prefill** — admitted prompts run one batched step that produces each
   request's first token (resumed requests re-prefill their accumulated
   context, the real cost of preemption under offloading);
@@ -26,14 +31,17 @@ that does not depend on the driver lives here, once:
   capped, jittered exponential backoff, and culls requests past their
   deadline (``FAULT_ABORT``) or retry budget (``RETRY_EXHAUSTED``).
 
-Three drivers sit on top and own only what differs between them:
-:class:`~repro.serving.simulator.ServingSimulator` (ingest, the drift
-watchdog and degradation ladder, stalls),
-:class:`~repro.serving.multimodel.MultiModelSimulator` (which model is
-resident) and :class:`~repro.serving.fleet.FleetSimulator` (outage
-windows, routing, breakers and hedges).  Each driver expires and admits
-(through :func:`~repro.serving.simulator.admit_batch`), then calls
-:meth:`ReplicaKernel.prefill` and :meth:`ReplicaKernel.decode`.
+:meth:`ReplicaKernel.iterate` runs one iteration — admit, prefill,
+decode — for all three drivers, which sit on top and own only what
+differs between them: every driver ingests arrivals and expires queue
+deadlines, then calls ``iterate`` with its slot limit.
+:class:`~repro.serving.simulator.ServingSimulator` adds the drift
+watchdog, degradation ladder and stalls;
+:class:`~repro.serving.multimodel.MultiModelSimulator` picks the resident
+model and passes its requests as the admission candidates; and
+:class:`~repro.serving.fleet.FleetSimulator` handles outage windows,
+routing, breakers and hedges, overriding :meth:`ReplicaKernel._cut`
+(crashes) and :meth:`ReplicaKernel._settle` (per-step settlement).
 
 Clocks are pure float arithmetic: a coalesced run advances with ``k``
 repeated ``t += dur`` additions, and :meth:`StepRun.expand` re-derives
@@ -51,12 +59,13 @@ import numpy as np
 
 from repro.errors import RetryExhaustedError, ServingError
 from repro.obs.profiling import PROFILER
+from repro.serving.queue import AdmissionQueue
 from repro.serving.request import DropReason, Request, RequestState
 
 if TYPE_CHECKING:
     from repro.faults import FaultSchedule, FaultStats
     from repro.serving.costing import StepCostOracle
-    from repro.serving.queue import AdmissionQueue
+    from repro.serving.policies import SchedulerPolicy
     from repro.serving.simulator import ServingConfig
 
 
@@ -346,41 +355,100 @@ class ServingAggregates:
         )
 
 
+def admit_batch(
+    policy: SchedulerPolicy,
+    oracle: StepCostOracle,
+    queue: AdmissionQueue,
+    running: RunningBatch,
+    now: float,
+    limit: int,
+    candidates: list[Request],
+) -> list[Request]:
+    """Move ``candidates`` (a policy-ordered snapshot of some of
+    ``queue.waiting``) queue -> GPU, bounded by slots and by memory
+    feasibility of the enlarged batch.  Only
+    :meth:`ReplicaKernel.iterate` calls it."""
+    admitted: list[Request] = []
+    # The candidate loop needs max(context_len + 1) over running and
+    # admitted at every step: the batch answers the running part from
+    # its heap (again only when preemption removes a victim), and the
+    # admitted part is tracked incrementally.
+    run_ctx = running.max_context() + 1 if running else 0
+    adm_ctx = 0
+    for req in candidates:
+        occupied = len(running) + len(admitted)
+        if occupied >= limit:
+            if not (policy.preemptive and running):
+                break
+            victim = policy.victim(running, req)
+            if victim is None:
+                break
+            running.leave(victim)
+            victim.preemptions += 1
+            queue.requeue(victim, now)
+            run_ctx = running.max_context() + 1 if running else 0
+        ctx = max(run_ctx, adm_ctx, req.context_len + 1)
+        if not oracle.feasible(len(running) + len(admitted) + 1, ctx):
+            if not running and not admitted:
+                # Even alone this request can never fit: drop it rather
+                # than wedge the loop — carrying the planner's own
+                # error message when planning (not the prescreen) said no.
+                queue.take(req)
+                req.state = RequestState.DROPPED
+                req.drop_s = now
+                req.drop_reason = DropReason.INFEASIBLE
+                req.drop_detail = oracle.last_plan_error(1) or (
+                    f"memory prescreen rejected a singleton batch at context {ctx}"  # reach: tests/test_serving_sim.py::test_infeasible_lone_request_dropped_not_wedged (no plan error to carry)
+                )
+                queue.dropped.append(req)
+                continue
+            break  # reach: tests/test_batch_clock.py::test_clock_matches_eager_when_the_watchdog_sheds
+        admitted.append(queue.take(req))
+        if req.context_len + 1 > adm_ctx:
+            adm_ctx = req.context_len + 1
+    return admitted
+
+
 class ReplicaKernel:
     """One replica's queue, batch, clock and step record, plus the
-    prefill/decode mechanics every serving driver shares.
+    admit/prefill/decode iteration every serving driver shares.
 
-    ``faults`` is the schedule each attempted step draws a transient
-    abort against (``None``: no draw, no RNG use); aborts are logged in
-    ``fault_stats``.  ``predictor`` is fed every completed request.
-    :meth:`prefill` and :meth:`decode` return ``True`` for a completed
-    step, ``False`` for an aborted one, and ``None`` when :meth:`_cut`
-    vetoed the step before it started.  Requests that completed here are
-    appended to ``finished``; requests an abort dropped go to
-    ``queue.dropped``.
+    The queue is built from ``config``; the policy's length predictor
+    is fed every completed request.  ``faults`` is the schedule each
+    attempted step draws a transient abort against (``None``: no draw,
+    no RNG use); aborts are logged in ``fault_stats``.  :meth:`prefill`
+    and :meth:`decode` return ``True`` for a completed step, ``False``
+    for an aborted one, and ``None`` when :meth:`_cut` vetoed the step
+    before it started.  Requests that completed here are appended to
+    ``finished``; requests an abort dropped go to ``queue.dropped``.
     """
 
     def __init__(
         self,
         oracle: StepCostOracle,
-        queue: AdmissionQueue,
         config: ServingConfig,
+        policy: SchedulerPolicy,
         *,
         collect_steps: bool = True,
-        predictor: Any = None,
         faults: FaultSchedule | None = None,
         rng: Any = None,
         fault_stats: FaultStats | None = None,
     ) -> None:
         self.oracle = oracle
-        self.queue = queue
+        self.policy = policy
+        self.queue = AdmissionQueue(config.queue_capacity, config.queue_timeout_s)
+        if policy.static_order:
+            self.queue.attach_order(policy.sort_key)
         self.running = RunningBatch()
         self.t = 0.0
         self.runs: list[StepRun] = []
         self.agg = ServingAggregates()
         #: Retain the coalesced step runs; ``False`` keeps only aggregates.
         self.keep = collect_steps
-        self.predictor = predictor
+        #: Build each step's member rids: kept runs record them, and a
+        #: driver whose :meth:`_settle` reads them sets this.
+        self.want_rids = collect_steps
+        self.predictor = policy.predictor
         self.faults = faults
         self.rng = rng
         self.fault_stats = fault_stats
@@ -429,9 +497,70 @@ class ReplicaKernel:
         PROFILER.count("serving.batch.member_visits", batch.visits)
         batch.joins = batch.visits = 0
 
-    def _cut(self, start: float, end: float) -> bool:
-        """Driver veto on a priced step before it runs (fleet crashes)."""
+    def _cut(
+        self, kind: str, start: float, end: float, n: int, max_ctx: int,
+        admitted: list[Request] | None,
+    ) -> bool:
+        """Driver veto on a priced step before it runs (``True``: the
+        driver ended it, a fleet crash); ``admitted`` is ``None`` for a
+        decode."""
         return False
+
+    def _settle(
+        self, ok: bool | None, rids: tuple[int, ...], reqs: list[Request]
+    ) -> None:
+        """Driver hook after admission's infeasible drops (``ok is None``)
+        and after every step: completed (``reqs`` finished) or aborted
+        (``reqs`` dropped), over the batch ``rids`` (built when
+        ``want_rids``).  Only the fleet settles."""
+
+    # -- the iteration ------------------------------------------------------
+
+    def ordered(self) -> list[Request]:
+        """The waiting requests in admission order, head first (a new
+        list)."""
+        view = self.queue.ordered_view()
+        return list(view) if view is not None else self.policy.order(self.queue.waiting)
+
+    def _admission_is_noop(self, limit: int) -> bool:
+        """Proof that admission would change nothing: an empty queue
+        admits nothing, and a full batch under a non-preemptive policy
+        breaks at the first candidate without touching any state."""
+        return not self.queue.waiting or (
+            not self.policy.preemptive and len(self.running) >= limit
+        )
+
+    def iterate(
+        self,
+        limit: int,
+        candidates: list[Request] | None = None,
+        coalesce: bool = False,
+        next_arrival: float | None = None,
+    ) -> bool:
+        """Admit up to ``limit`` running requests (``0``: none) from
+        ``candidates`` (default :meth:`ordered`), prefill them, decode the
+        batch; returns whether a step was priced.  With ``coalesce`` a
+        provable no-op admission is skipped and, while admission cannot
+        act, decode runs up to the next event (``next_arrival`` or an
+        expiry).  A step :meth:`_cut` vetoes ends the iteration."""
+        queue = self.queue
+        admitted: list[Request] = []
+        idle = coalesce and self._admission_is_noop(limit)
+        if limit and not idle:
+            mark = len(queue.dropped)
+            admitted = admit_batch(
+                self.policy, self.oracle, queue, self.running, self.t, limit,
+                self.ordered() if candidates is None else candidates,
+            )
+            if len(queue.dropped) > mark:
+                self._settle(None, (), queue.dropped[mark:])
+            if admitted and self.prefill(admitted) is None:
+                return True
+            idle = coalesce and self._admission_is_noop(limit)
+        if self.running:
+            self.decode(idle, next_arrival)
+            return True
+        return bool(admitted)
 
     def _abort(
         self, start: float, dur: float, kind: str, participants: list[Request]
@@ -478,12 +607,13 @@ class ReplicaKernel:
         max_ctx = max(r.context_len for r in admitted)
         dur = self.oracle.prefill_seconds(n, max_ctx)
         start = self.t
-        if self._cut(start, start + dur):
+        if self._cut("prefill", start, start + dur, n, max_ctx, admitted):
             return None
-        rids = tuple(r.rid for r in admitted) if self.keep else ()
+        rids = tuple(r.rid for r in admitted) if self.want_rids else ()
         # The chaos draw: one RNG sample per attempted step.
         faults = self.faults
         if faults is not None and self.rng.random() < faults.transient_abort_probability(start):
+            mark = len(self.queue.dropped)
             for req in self._abort(start, dur, "prefill", admitted):
                 # Aborted before its first token: back to the queue intact
                 # (arrival_s keeps its place in FCFS order).
@@ -492,6 +622,7 @@ class ReplicaKernel:
                 "abort-prefill", start, start + dur, dur, 1,
                 n, max_ctx, rids, len(self.running),
             )
+            self._settle(False, rids, self.queue.dropped[mark:])
             return False
         self.consec_aborts = 0
         t = self.t = start + dur
@@ -515,6 +646,7 @@ class ReplicaKernel:
         if PROFILER.enabled:
             PROFILER.count("serving.steps.prefill")
             self._report_batch()
+        self._settle(True, rids, done)
         return True
 
     def decode(
@@ -532,12 +664,13 @@ class ReplicaKernel:
         max_ctx = running.max_context()
         dur = self.oracle.decode_step_seconds(n, max_ctx)
         start = self.t
-        if self._cut(start, start + dur):
+        if self._cut("decode", start, start + dur, n, max_ctx, None):
             return None
-        rids = running.rids() if self.keep else ()
+        rids = running.rids() if self.want_rids else ()
         faults = self.faults
         if faults is not None and self.rng.random() < faults.transient_abort_probability(start):
             members = list(running)
+            mark = len(self.queue.dropped)
             if len(self._abort(start, dur, "decode", members)) < n:
                 for req in members:
                     if req.state is RequestState.DROPPED:
@@ -546,6 +679,7 @@ class ReplicaKernel:
                 "abort-decode", start, start + dur, dur, 1,
                 n, max_ctx, rids, len(running),
             )
+            self._settle(False, rids, self.queue.dropped[mark:])
             return False
         self.consec_aborts = 0
         k = 1
@@ -560,6 +694,7 @@ class ReplicaKernel:
         if PROFILER.enabled:
             PROFILER.count("serving.steps.decode", k)
             self._report_batch()
+        self._settle(True, rids, done)
         return True
 
     def _run_length(

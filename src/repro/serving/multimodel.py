@@ -10,14 +10,15 @@ paper calibrates, not a made-up constant.
 
 :class:`MultiModelSimulator` is a driver over the same
 :class:`~repro.serving.kernel.ReplicaKernel` as
-:class:`~repro.serving.simulator.ServingSimulator` — ingest, expire,
-admit, then the kernel's prefill and decode, one priced step per
+:class:`~repro.serving.simulator.ServingSimulator` — ingest, expire, then
+the kernel's admit → prefill → decode iteration, one priced step per
 iteration — with one extra decision before admission: *which model
-deserves the platform now*.  The kernel then steps on the resident
+deserves the platform now*.  The kernel then admits only the resident
+model's requests (its ordered queue, filtered) and steps on the resident
 slot's :class:`~repro.serving.costing.StepCostOracle`.
 
-* **swap-on-idle** — when nothing is running, the policy orders the whole
-  queue and the platform swaps to the model of the head request (FCFS
+* **swap-on-idle** — when nothing is running, the head of the ordered
+  queue decides and the platform swaps to its model (FCFS
   chases the oldest wait, SJF the shortest predicted job, priority the
   highest class).
 * **cross-model preemption** — a preemptive policy may evict the entire
@@ -54,9 +55,8 @@ from repro.serving.arrivals import RequestTrace
 from repro.serving.costing import StepCostOracle
 from repro.serving.kernel import ReplicaKernel
 from repro.serving.policies import SchedulerPolicy
-from repro.serving.queue import AdmissionQueue
 from repro.serving.request import Request, RequestState
-from repro.serving.simulator import ServingConfig, ServingResult, admit_batch
+from repro.serving.simulator import ServingConfig, ServingResult
 from repro.units import dtype_bytes
 
 #: Bundled model mixes for ``serve-sim --models``.  Each entry lists the
@@ -276,7 +276,6 @@ class MultiModelSimulator:
                 f"slot (have {names})"
             )
         self._initial = self._by_name[initial]
-        self._predictor = getattr(self.policy, "predictor", None)
         self._oracles: dict[str, StepCostOracle] = {
             s.name: StepCostOracle.for_requests(
                 engine, s.model, trace.requests, self.config
@@ -313,12 +312,12 @@ class MultiModelSimulator:
             Request.from_spec(i, spec) for i, spec in enumerate(self.trace.requests)
         ]
         all_requests = list(pending)
-        queue = AdmissionQueue(cfg.queue_capacity, cfg.queue_timeout_s)
         active = self._initial
         kern = ReplicaKernel(
-            self._oracles[active.name], queue, cfg,
-            collect_steps=self.collect_steps, predictor=self._predictor,
+            self._oracles[active.name], cfg, policy,
+            collect_steps=self.collect_steps,
         )
+        queue = kern.queue
         swaps: list[SwapRecord] = []
         residency: dict[str, float] = {s.name: 0.0 for s in self.slots}
         resident_since = 0.0
@@ -355,10 +354,10 @@ class MultiModelSimulator:
                 i += 1
             queue.expire(kern.t)
 
-            # -- between-model scheduling + admission ----------------------
-            admitted: list[Request] = []
+            # -- between-model scheduling ----------------------------------
+            candidates: list[Request] | None = None
             if queue.waiting:
-                ordered = policy.order(list(queue.waiting), kern.t)
+                ordered = kern.ordered()
                 head_slot = self._slot_of(ordered[0])
                 if not kern.running:
                     # Swap-on-idle: the platform follows the policy's head.
@@ -379,17 +378,9 @@ class MultiModelSimulator:
                         victim.preemptions += 1
                         queue.requeue(victim, kern.t)
                     swap_to(head_slot, "preempt")
-                    ordered = policy.order(list(queue.waiting), kern.t)
+                    ordered = kern.ordered()
                 candidates = [r for r in ordered if self._slot_of(r) is active]
-                admitted = admit_batch(
-                    policy, kern.oracle, queue, kern.running, kern.t,
-                    cfg.max_batch, candidates=candidates,
-                )
-
-            if admitted:
-                kern.prefill(admitted)
-            if kern.running:
-                kern.decode()
+            kern.iterate(cfg.max_batch, candidates)
 
         residency[active.name] += kern.t - resident_since
 

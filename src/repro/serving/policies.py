@@ -26,22 +26,24 @@ class SchedulerPolicy:
 
     name = "fcfs"
     preemptive = False
-    #: True when :meth:`sort_key` is a faithful, *waiting-time-constant*
-    #: factorization of :meth:`order` — the event engine then keeps the
-    #: queue pre-sorted incrementally instead of re-sorting per step.
-    #: Subclasses that override ``order`` with a ranking that depends on
-    #: ``now`` (or on state that changes while a request waits) must set
-    #: this False or provide a matching ``sort_key``.
+    #: True when :meth:`sort_key` is constant while a request waits — the
+    #: replica kernel then keeps its queue pre-sorted incrementally
+    #: instead of re-sorting per step.  A policy whose key can change
+    #: while a request waits must set this False.
     static_order = True
+    #: Length predictor the replica kernel feeds every completed request
+    #: (``None``: the policy ranks without one).
+    predictor: LengthPredictor | None = None
 
     def sort_key(self, req: Request) -> tuple:
-        """The total-order key :meth:`order` sorts by (ties on rid)."""
+        """The total-order key :meth:`order` sorts by (ties on rid).
+        The default is first-come-first-served."""
         return (req.arrival_s, req.rid)
 
-    def order(self, waiting: list[Request], now: float) -> list[Request]:
-        """Admission order, head first.  Must be a deterministic total
-        order; the default is first-come-first-served."""
-        return sorted(waiting, key=lambda r: (r.arrival_s, r.rid))
+    def order(self, waiting: list[Request]) -> list[Request]:
+        """Admission order, head first: ``waiting`` sorted by
+        :meth:`sort_key`, a deterministic total order."""
+        return sorted(waiting, key=self.sort_key)
 
     def victim(  # reach: base method; only PriorityPolicy(preempt=True) is consulted
         self, running: Collection[Request], candidate: Request
@@ -71,11 +73,6 @@ class SJFPolicy(SchedulerPolicy):
         # constant for the whole time a request sits in the queue.
         return (req.remaining_tokens, req.arrival_s, req.rid)
 
-    def order(self, waiting: list[Request], now: float) -> list[Request]:  # reach: the full-sort order _run_reference uses (tests/test_batch_clock.py::test_clock_matches_eager_single_engine)
-        return sorted(
-            waiting, key=lambda r: (r.remaining_tokens, r.arrival_s, r.rid)
-        )
-
 
 class PriorityPolicy(SchedulerPolicy):
     """Highest priority first, optionally preempting at token boundaries.
@@ -94,11 +91,6 @@ class PriorityPolicy(SchedulerPolicy):
 
     def sort_key(self, req: Request) -> tuple:
         return (-req.priority, req.arrival_s, req.rid)
-
-    def order(self, waiting: list[Request], now: float) -> list[Request]:
-        return sorted(
-            waiting, key=lambda r: (-r.priority, r.arrival_s, r.rid)
-        )
 
     def victim(
         self, running: Collection[Request], candidate: Request
@@ -130,14 +122,8 @@ class PredictedSJFPolicy(SchedulerPolicy):
         self.static_order = not self.predictor.learned
         self.name = f"sjf-predict({self.predictor.name})"
 
-    def sort_key(self, req: Request) -> tuple:  # reach: the static queue key under the oracle predictor (tests/test_serving_multimodel.py::test_k1_predicted_sjf_oracle_matches_sjf)
+    def sort_key(self, req: Request) -> tuple:
         return (self.predictor.predict(req), req.arrival_s, req.rid)
-
-    def order(self, waiting: list[Request], now: float) -> list[Request]:
-        return sorted(
-            waiting,
-            key=lambda r: (self.predictor.predict(r), r.arrival_s, r.rid),
-        )
 
 
 def _learned_sjf() -> PredictedSJFPolicy:

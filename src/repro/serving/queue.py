@@ -6,21 +6,22 @@ wait longer than ``timeout_s`` are expired at step boundaries
 (``TIMEOUT``).  Both kinds of drop are stamped on the request and tallied
 so the metrics layer can report exact drop accounting.
 
-Two optional indexes accelerate the event-driven simulator without
-changing any observable behaviour (the equivalence matrix pins both):
+:class:`~repro.serving.kernel.ReplicaKernel` builds every queue, from a
+validated :class:`~repro.serving.simulator.ServingConfig`, in one
+configuration:
 
-* ``use_heap=True`` maintains a lazy min-heap over unstarted requests'
-  arrival times, so :meth:`expire` is O(1) when nothing can expire and
-  O(log n) per drop, replacing the per-iteration linear scan.  Entries
-  are never removed eagerly; a popped entry is validated against the
-  request's live state (lazy deletion), and :meth:`requeue` pushes a
-  fresh entry for still-unstarted requests so an aborted prefill cannot
-  orphan its deadline.
-* :meth:`attach_order` keeps a policy-ordered view of ``waiting``
+* a lazy min-heap over unstarted requests' arrival times, so
+  :meth:`expire` is O(1) when nothing can expire and O(log n) per drop.
+  Each enqueue of an unstarted request pushes a fresh entry and records
+  it on the request; an entry is live only while it is the one recorded
+  there, and :meth:`take` and :meth:`expire` clear the record.  An entry
+  whose request was admitted, requeued again or moved to another queue
+  (fleet migration) is therefore dead, and is dropped when it surfaces.
+* with :meth:`attach_order`, a policy-ordered view of ``waiting``
   maintained incrementally by binary insertion, so admission reads a
   pre-sorted list instead of re-sorting the whole queue every step.
   Only valid for policies whose sort key is constant while a request
-  waits (all built-ins: tokens_done never changes in QUEUED state).
+  waits (``static_order``).
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ class AdmissionQueue:
     timeout_s: float | None = None
     waiting: list[Request] = field(default_factory=list)
     dropped: list[Request] = field(default_factory=list)
-    #: Maintain the lazy deadline heap (event-engine fast path).  The
-    #: legacy linear scan remains the reference implementation.
-    use_heap: bool = False
 
     _heap: list[tuple[float, int, Request]] = field(
         default_factory=list, repr=False
@@ -55,16 +53,10 @@ class AdmissionQueue:
     )
     _ordered: list[Request] = field(default_factory=list, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ServingError("queue capacity must be positive")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ServingError("queue timeout must be positive when set")
-
     def __len__(self) -> int:
         return len(self.waiting)
 
-    # -- optional indexes ---------------------------------------------------
+    # -- indexes ------------------------------------------------------------
 
     def attach_order(self, key: Callable[[Request], tuple]) -> None:
         """Maintain ``waiting`` pre-sorted by ``key`` from now on.
@@ -114,30 +106,27 @@ class AdmissionQueue:
             "mutated externally"
         )
 
-    def _heap_push(self, req: Request) -> None:
-        if self.use_heap and self.timeout_s is not None and req.tokens_done == 0:
-            heapq.heappush(self._heap, (req.arrival_s, self._seq, req))
-            self._seq += 1
+    def _leave(self, req: Request) -> None:
+        self.waiting.remove(req)
+        self._index_remove(req)
+        req._deadline = None
 
-    @staticmethod
-    def _expirable(req: Request) -> bool:
-        # Preempted requests (tokens_done > 0) are exempt: the timeout
-        # models a user abandoning a request that never started.
-        return req.state is RequestState.QUEUED and req.tokens_done == 0
+    def _live_head(self) -> tuple[float, int, Request] | None:
+        """The earliest live deadline entry (its request still records
+        it), popping dead ones above it."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[2]._deadline is entry:
+                return entry
+            heapq.heappop(heap)
+        return None
 
     def next_expirable_arrival(self) -> float | None:
         """Arrival time of the earliest request the timeout can still
-        expire (``None`` when no timeout or nothing unstarted waits).
-        Purges dead heap heads; safe because every live unstarted request
-        re-enters the heap on :meth:`requeue`."""
-        if not self.use_heap or self.timeout_s is None:
-            return None
-        while self._heap:
-            arrival, _, req = self._heap[0]
-            if self._expirable(req):
-                return arrival
-            heapq.heappop(self._heap)
-        return None
+        expire (``None`` when no timeout or nothing unstarted waits)."""
+        entry = self._live_head()
+        return None if entry is None else entry[0]
 
     # -- queue operations ---------------------------------------------------
 
@@ -152,60 +141,41 @@ class AdmissionQueue:
         if len(self.waiting) >= self.capacity:
             self._drop(req, now, DropReason.QUEUE_FULL)
             return False
-        req.state = RequestState.QUEUED
-        req.queued_since_s = now
-        self.waiting.append(req)
-        self._index_insert(req)
-        self._heap_push(req)
+        self.requeue(req, now)
         return True
 
     def requeue(self, req: Request, now: float) -> None:
-        """Return a preempted request to the queue (never dropped: it has
-        already been admitted once and holds generated tokens)."""
+        """Append ``req`` (never dropped: a preempted or aborted request
+        returns, or :meth:`offer` found room).  Only an unstarted request
+        is armed: the timeout models a user abandoning a request that
+        never started."""
         req.state = RequestState.QUEUED
         req.queued_since_s = now
         self.waiting.append(req)
         self._index_insert(req)
-        # An aborted prefill re-enters still unstarted: its original heap
-        # entry may already have been consumed while it ran, so push a
-        # fresh one (duplicates are harmless under lazy deletion).
-        self._heap_push(req)
+        entry = None
+        if self.timeout_s is not None and req.tokens_done == 0:
+            entry = (req.arrival_s, self._seq, req)
+            self._seq += 1
+            heapq.heappush(self._heap, entry)
+        req._deadline = entry
 
     def expire(self, now: float) -> list[Request]:
-        """Drop requests whose *initial* wait exceeded the timeout."""
+        """Drop requests whose *initial* wait exceeded the timeout, in
+        deadline order."""
         if self.timeout_s is None:
             return []
-        if not self.use_heap:  # reach: tests/test_batch_clock.py::test_clock_matches_eager_single_engine (_run_reference with a queue timeout)
-            expired = [
-                r
-                for r in self.waiting
-                if r.tokens_done == 0 and now - r.arrival_s > self.timeout_s
-            ]
-            for req in expired:
-                self.waiting.remove(req)
-                self._index_remove(req)
-                self._drop(req, now, DropReason.TIMEOUT)
-            return expired
         expired = []
-        while self._heap:
-            arrival, _, req = self._heap[0]
-            if not self._expirable(req):
-                heapq.heappop(self._heap)
-                continue
-            if not (now - arrival > self.timeout_s):
-                break
-            heapq.heappop(self._heap)
-            # Drop immediately so a duplicate heap entry for the same
-            # request (requeue re-arms lazily) fails the liveness
-            # check instead of expiring twice.
-            self.waiting.remove(req)
-            self._index_remove(req)
+        entry = self._live_head()
+        while entry is not None and now - entry[0] > self.timeout_s:
+            req = entry[2]
+            self._leave(req)
             self._drop(req, now, DropReason.TIMEOUT)
             expired.append(req)
+            entry = self._live_head()
         return expired
 
     def take(self, req: Request) -> Request:
         """Remove a specific request (the scheduler picked it)."""
-        self.waiting.remove(req)
-        self._index_remove(req)
+        self._leave(req)
         return req

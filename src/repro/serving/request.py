@@ -119,6 +119,11 @@ class Request:
     )
     _join: int = field(default=0, init=False, repr=False, compare=False)
     _ticket: int = field(default=0, init=False, repr=False, compare=False)
+    #: The admission queue's deadline-heap entry that is live for this
+    #: request (``None`` unless it waits unstarted under a timeout).
+    _deadline: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_spec(cls, rid: int, spec: RequestSpec) -> "Request":

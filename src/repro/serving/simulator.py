@@ -6,19 +6,19 @@ loop would:
 
 1. **ingest** — arrivals up to the clock enter the bounded admission
    queue (overflow and timeouts are dropped with accounting);
-2. **admit** — :func:`admit_batch`: the scheduler policy orders the
-   queue; requests are admitted while a GPU slot is free *and* the
-   cost model's peak-byte kernel says the enlarged batch still fits
-   (admission control is the same feasibility question the policy search
-   asks).  Preemptive policies may evict a running victim at this token
-   boundary;
-3. **prefill** and 4. **decode** — the shared
-   :class:`~repro.serving.kernel.ReplicaKernel` steps, priced by the
-   performance model (Eq. 2's max over the six tasks, times the
-   ``l x k`` zig-zag iterations).
+2. **admit** — :func:`~repro.serving.kernel.admit_batch` (re-exported
+   here): the scheduler policy orders the queue; requests are admitted
+   while a GPU slot is free *and* the cost model's peak-byte kernel says
+   the enlarged batch still fits (admission control is the same
+   feasibility question the policy search asks).  Preemptive policies
+   may evict a running victim at this token boundary;
+3. **prefill** and 4. **decode** — steps priced by the performance model
+   (Eq. 2's max over the six tasks, times the ``l x k`` zig-zag
+   iterations).
 
-The same kernel runs under the multi-model and fleet drivers; this
-driver adds only ingest, the drift watchdog/degradation ladder and stall
+Phases 2-4 are one call, :meth:`~repro.serving.kernel.ReplicaKernel.iterate`,
+which the multi-model and fleet drivers share; this driver adds only
+ingest, expiry, the drift watchdog/degradation ladder and stall
 handling.  It is event-driven: between scheduling events — the next
 arrival, the next queue-deadline expiry, the earliest request
 completion, and the next step-price bucket boundary — the batch and its
@@ -64,13 +64,12 @@ from repro.serving.arrivals import RequestTrace
 from repro.serving.costing import StepCostOracle
 from repro.serving.kernel import (
     ReplicaKernel,
-    RunningBatch,
     ServingAggregates,
     StepRecord,
     StepRun,
+    admit_batch,  # re-exported: tracers address it as simulator.admit_batch
 )
 from repro.serving.policies import SchedulerPolicy
-from repro.serving.queue import AdmissionQueue
 from repro.serving.request import DropReason, Request, RequestState
 from repro.util.rng import seeded_rng
 
@@ -117,6 +116,16 @@ class ServingConfig:
             raise ConfigError(
                 f"serving config: num_gpu_batches must be positive (got "
                 f"{self.num_gpu_batches})"
+            )
+        if self.queue_capacity <= 0:
+            raise ConfigError(
+                f"serving config: queue_capacity must be positive (got "
+                f"{self.queue_capacity}); the queue needs at least one slot"
+            )
+        if self.queue_timeout_s is not None and self.queue_timeout_s <= 0:
+            raise ConfigError(
+                f"serving config: queue_timeout_s must be positive when set "
+                f"(got {self.queue_timeout_s}); use None for no timeout"
             )
         if self.ttft_slo_s <= 0 or self.tpot_slo_s <= 0:
             raise ConfigError(
@@ -219,74 +228,6 @@ class ServingResult:
         return [r for r in self.requests if r.state is RequestState.DROPPED]
 
 
-def admit_batch(
-    policy: SchedulerPolicy,
-    oracle: StepCostOracle,
-    queue: AdmissionQueue,
-    running: RunningBatch,
-    now: float,
-    limit: int,
-    candidates: list[Request] | None = None,
-) -> list[Request]:
-    """Move requests queue -> GPU per the policy, bounded by slots and
-    by memory feasibility of the enlarged batch.
-
-    The one admission routine of all three drivers — the 1-replica and
-    K=1 byte-identity guarantees depend on it.
-
-    ``candidates`` overrides the admission view: a policy-ordered subset
-    of ``queue.waiting`` to consider (the multi-model simulator passes
-    only the resident model's requests).  ``None`` — every single-model
-    caller — reads the queue's pre-sorted view or re-sorts, as before.
-    """
-    if candidates is None:
-        ordered = queue.ordered_view()
-        candidates = (
-            list(ordered)
-            if ordered is not None
-            else policy.order(list(queue.waiting), now)
-        )
-    admitted: list[Request] = []
-    # The candidate loop needs max(context_len + 1) over running and
-    # admitted at every step: the batch answers the running part from
-    # its heap (again only when preemption removes a victim), and the
-    # admitted part is tracked incrementally.
-    run_ctx = running.max_context() + 1 if running else 0
-    adm_ctx = 0
-    for req in candidates:
-        occupied = len(running) + len(admitted)
-        if occupied >= limit:
-            if not (policy.preemptive and running):
-                break
-            victim = policy.victim(running, req)
-            if victim is None:
-                break
-            running.leave(victim)
-            victim.preemptions += 1
-            queue.requeue(victim, now)
-            run_ctx = running.max_context() + 1 if running else 0
-        ctx = max(run_ctx, adm_ctx, req.context_len + 1)
-        if not oracle.feasible(len(running) + len(admitted) + 1, ctx):
-            if not running and not admitted:
-                # Even alone this request can never fit: drop it rather
-                # than wedge the loop — carrying the planner's own
-                # error message when planning (not the prescreen) said no.
-                queue.take(req)
-                req.state = RequestState.DROPPED
-                req.drop_s = now
-                req.drop_reason = DropReason.INFEASIBLE
-                req.drop_detail = oracle.last_plan_error(1) or (
-                    f"memory prescreen rejected a singleton batch at context {ctx}"  # reach: tests/test_serving_sim.py::test_infeasible_lone_request_dropped_not_wedged (no plan error to carry)
-                )
-                queue.dropped.append(req)
-                continue
-            break  # reach: tests/test_batch_clock.py::test_clock_matches_eager_when_the_watchdog_sheds
-        admitted.append(queue.take(req))
-        if req.context_len + 1 > adm_ctx:
-            adm_ctx = req.context_len + 1
-    return admitted
-
-
 class ServingSimulator:
     """Trace-driven continuous batching on top of one engine."""
 
@@ -329,11 +270,6 @@ class ServingSimulator:
         #: record-keeping for maximum throughput; everything derived from
         #: aggregates — ``compute_metrics`` included — is byte-identical.
         self.collect_steps = collect_steps
-        #: Length predictor riding on the policy (PredictedSJFPolicy): the
-        #: loop feeds it every completed request so it learns online.  The
-        #: oracle predictor's ``observe`` is a no-op, and policies without
-        #: a predictor skip the hook entirely — byte-identical either way.
-        self._predictor = getattr(self.policy, "predictor", None)
         #: Chaos mode is engaged only by a non-empty schedule; an empty
         #: one runs the exact fault-free code path.
         self._chaos = faults is not None and len(faults.faults) > 0
@@ -351,10 +287,9 @@ class ServingSimulator:
             return self._run(coalesce=True)
 
     def _run_reference(self) -> ServingResult:  # reach: the per-step reference the event loop must equal (tests/test_batch_clock.py::test_clock_matches_eager_single_engine)
-        """The pre-rewrite per-step engine, kept as the equivalence
-        reference: one priced step per iteration, a full policy re-sort
-        per admission and the linear ``expire`` scan — no run-length
-        advance, no deadline heap, no pre-sorted admission view."""
+        """The per-step engine, kept as the equivalence reference: one
+        priced step per iteration and an admission pass every iteration
+        — no run-length advance, no skipped no-op admission."""
         with span("serving.run_reference"):
             return self._run(coalesce=False)
 
@@ -366,11 +301,6 @@ class ServingSimulator:
             Request.from_spec(i, spec) for i, spec in enumerate(self.trace.requests)
         ]
         all_requests = list(pending)
-        queue = AdmissionQueue(
-            cfg.queue_capacity, cfg.queue_timeout_s, use_heap=coalesce
-        )
-        if coalesce and getattr(policy, "static_order", False):
-            queue.attach_order(policy.sort_key)
         i = 0
         n_pending = len(pending)
 
@@ -390,13 +320,13 @@ class ServingSimulator:
             # engine never planned at doesn't masquerade as fault damage.
             probe_n = self.oracle.warm_up(cfg.max_batch)
         kern = ReplicaKernel(
-            self.oracle, queue, cfg,
+            self.oracle, cfg, policy,
             collect_steps=self.collect_steps,
-            predictor=self._predictor,
             faults=self.faults if chaos else None,
             rng=rng,
             fault_stats=stats,
         )
+        queue = kern.queue
 
         reg = self.metrics
         if reg is not None:
@@ -418,14 +348,6 @@ class ServingSimulator:
         # chaos draws one RNG sample per attempted step, and a live
         # registry samples each step's curves — both force k=1.
         fast = coalesce and not chaos and reg is None
-
-        def admission_can_act() -> bool:
-            # False proves admission a no-op: an empty queue admits
-            # nothing, and a full batch under a non-preemptive policy
-            # breaks at the first candidate without touching any state.
-            return bool(queue.waiting) and (
-                policy.preemptive or len(kern.running) < cfg.max_batch
-            )
 
         def probe_ladder() -> int:
             """First rung (mildest first) whose constrained search still
@@ -508,21 +430,12 @@ class ServingSimulator:
                 sync_faults(t)
                 rung = LADDER[rung_idx]
                 limit = max(1, limit // rung.batch_divisor) if rung.admit else 0
-            elif coalesce and not admission_can_act():
-                limit = 0
-            admitted = (
-                admit_batch(policy, self.oracle, queue, kern.running, t, limit)
-                if limit else []
+            stepped = kern.iterate(
+                limit,
+                coalesce=fast,
+                next_arrival=pending[i].arrival_s if i < n_pending else None,
             )
-
-            if admitted:
-                kern.prefill(admitted)
-            if kern.running:
-                kern.decode(
-                    coalesce=fast and not admission_can_act(),
-                    next_arrival=pending[i].arrival_s if i < n_pending else None,
-                )
-            elif chaos and not admitted and queue.waiting:  # reach: tests/test_chaos_serving.py::test_host_memory_shrink_walks_the_ladder_and_recovers
+            if not stepped and chaos and queue.waiting:  # reach: tests/test_chaos_serving.py::test_host_memory_shrink_walks_the_ladder_and_recovers
                 # Stalled: this iteration ran no step — backpressure (or
                 # blanket infeasibility) with nothing to advance the clock.
                 # Jump to whatever can change the situation — the next

@@ -54,6 +54,26 @@ def metrics_json(result):
     return json.dumps(compute_metrics(result), sort_keys=True)
 
 
+def test_severe_core_loss_retargets_and_finishes_every_request():
+    """A 0.9 core loss leaves an uneven core count before rounding; the
+    watchdog's retarget must still derive a CPU topology and replan."""
+    trace = replay_trace(
+        [(0.0, 64, 8), (0.5, 32, 8), (1.0, 64, 4), (2.0, 16, 8)], name="cores"
+    )
+    sched = FaultSchedule(
+        name="core-loss-0.9",
+        faults=(FaultSpec(FaultKind.CORE_LOSS, 1.0, 1000.0, 0.9),),
+    )
+    result = ServingSimulator(
+        engine=LMOffloadEngine(single_a100()),
+        model=get_model("opt-30b"),
+        trace=trace,
+        faults=sched,
+    ).run()
+    assert len(result.finished) == len(trace.requests)
+    assert result.fault_stats.replans
+
+
 # -- zero-fault identity ---------------------------------------------------
 
 
@@ -327,6 +347,16 @@ def test_serving_config_rejects_negative_deadline():
 def test_serving_config_rejects_cap_below_base():
     with pytest.raises(ConfigError, match="cap"):
         ServingConfig(backoff_base_s=4.0, backoff_cap_s=1.0)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("queue_capacity", 0), ("queue_capacity", -3), ("queue_timeout_s", 0.0),
+     ("queue_timeout_s", -1.0)],
+)
+def test_serving_config_rejects_bad_queue_settings(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ServingConfig(**{field: value})
 
 
 # -- chaos bench -----------------------------------------------------------

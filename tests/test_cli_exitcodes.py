@@ -65,6 +65,23 @@ def test_missing_trace_file_is_config_error():
     assert "--trace-file" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--queue-timeout", "0"),
+        ("--queue-capacity", "0"),
+        ("--models", "opt-duo", "--queue-timeout", "0"),
+    ],
+    ids=["queue-timeout", "queue-capacity", "models-queue-timeout"],
+)
+def test_invalid_queue_setting_is_config_error(argv, tmp_path):
+    out = tmp_path / "out.json"
+    proc = run_repro("serve-sim", "--quick", *argv, "--output", str(out))
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert "config error" in proc.stderr and "queue_" in proc.stderr
+    assert not out.exists()
+
+
 def test_infeasible_plan_is_four():
     proc = run_repro(
         "plan", "--batch", "4096", "--num-batches", "12", "--gen-len", "8"

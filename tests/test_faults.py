@@ -1,5 +1,7 @@
 """Fault layer: spec validation, overlay algebra, retry/backoff, ladder."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError, FaultError, RetryExhaustedError
@@ -14,7 +16,8 @@ from repro.faults import (
     make_scenario,
     relative_drift,
 )
-from repro.hardware import single_a100
+from repro.hardware import PLATFORMS, single_a100
+from repro.parallel.topology import CpuTopology
 from repro.perfmodel import HardwareParams
 
 
@@ -121,6 +124,23 @@ def test_overlay_core_loss_keeps_at_least_one_core(a100_platform):
     )
     degraded = degraded_platform(a100_platform, sched, 5.0)
     assert degraded.cpu.cores >= 1
+
+
+@pytest.mark.parametrize("platform", ["single-a100", "power9-4xv100"])
+@pytest.mark.parametrize("severity", [0.9, 0.99, 0.999])
+def test_core_loss_at_high_severity_keeps_a_valid_topology(platform, severity):
+    """Survivors round down to a multiple of the socket count, at least
+    one core per socket, so the CPU topology can still be derived."""
+    base = PLATFORMS[platform]()
+    sched = FaultSchedule(
+        name="s", faults=(FaultSpec(FaultKind.CORE_LOSS, 0.0, 10.0, severity),)
+    )
+    cpu = base.with_faults(sched, 5.0).cpu
+    topo = CpuTopology.from_device(cpu)
+    assert topo.sockets * topo.cores_per_socket == cpu.cores
+    assert cpu.sockets <= cpu.cores <= max(
+        cpu.sockets, math.floor(base.cpu.cores * (1 - severity))
+    )
 
 
 def test_overlay_mem_shrink(a100_platform):

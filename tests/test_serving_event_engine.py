@@ -35,6 +35,7 @@ from repro.serving import (
 from repro.serving.kernel import ReplicaKernel
 from repro.serving.request import Request, RequestSpec
 from tests import reference_costs as ref
+from tests.reference_queue import ScanQueue
 from tests.traces import replay_trace
 
 
@@ -299,15 +300,15 @@ def _req(rid: int, arrival: float, tokens_done: int = 0) -> Request:
     return req
 
 
-def _filled(use_heap: bool) -> AdmissionQueue:
-    q = AdmissionQueue(capacity=64, timeout_s=2.0, use_heap=use_heap)
+def _filled(cls: type[AdmissionQueue]) -> AdmissionQueue:
+    q = cls(capacity=64, timeout_s=2.0)
     for rid, arrival in enumerate([0.0, 0.5, 3.0, 1.0, 2.0]):
         q.offer(_req(rid, arrival), arrival)
     return q
 
 
 def test_heap_expire_matches_linear_scan():
-    heap_q, lin_q = _filled(True), _filled(False)
+    heap_q, lin_q = _filled(AdmissionQueue), _filled(ScanQueue)
     for now in (1.0, 2.6, 3.2, 10.0):
         dropped_h = sorted(r.rid for r in heap_q.expire(now))
         dropped_l = sorted(r.rid for r in lin_q.expire(now))
@@ -321,7 +322,7 @@ def test_heap_expire_matches_linear_scan():
 
 
 def test_heap_expire_exempts_preempted_requests():
-    q = AdmissionQueue(capacity=8, timeout_s=1.0, use_heap=True)
+    q = AdmissionQueue(capacity=8, timeout_s=1.0)
     started = _req(0, 0.0, tokens_done=3)
     q.requeue(started, 0.0)  # preempted: already holds generated tokens
     q.offer(_req(1, 0.0), 0.0)
@@ -335,7 +336,7 @@ def test_heap_tracks_requeued_unstarted_request():
     # An aborted prefill re-enters the queue with tokens_done == 0; its
     # original heap entry may have been consumed — requeue must re-arm
     # the deadline.
-    q = AdmissionQueue(capacity=8, timeout_s=1.0, use_heap=True)
+    q = AdmissionQueue(capacity=8, timeout_s=1.0)
     req = _req(0, 0.0)
     q.offer(req, 0.0)
     q.take(req)  # admitted
@@ -345,7 +346,7 @@ def test_heap_tracks_requeued_unstarted_request():
 
 
 def test_next_expirable_arrival_purges_dead_entries():
-    q = AdmissionQueue(capacity=8, timeout_s=1.0, use_heap=True)
+    q = AdmissionQueue(capacity=8, timeout_s=1.0)
     a, b = _req(0, 0.0), _req(1, 0.7)
     q.offer(a, 0.0)
     q.offer(b, 0.7)
@@ -355,7 +356,7 @@ def test_next_expirable_arrival_purges_dead_entries():
 
 
 def test_ordered_view_tracks_policy_order():
-    q = AdmissionQueue(capacity=8, use_heap=True)
+    q = AdmissionQueue(capacity=8)
     policy = make_policy("sjf")
     q.attach_order(policy.sort_key)
     specs = [(0, 0.0, 9), (1, 0.1, 2), (2, 0.2, 5), (3, 0.3, 2)]
@@ -368,8 +369,8 @@ def test_ordered_view_tracks_policy_order():
         reqs.append(r)
     view = q.ordered_view()
     assert view is not None
-    assert [r.rid for r in view] == [r.rid for r in policy.order(list(q.waiting), 1.0)]
+    assert [r.rid for r in view] == [r.rid for r in policy.order(q.waiting)]
     q.take(reqs[1])
     assert [r.rid for r in q.ordered_view()] == [
-        r.rid for r in policy.order(list(q.waiting), 1.0)
+        r.rid for r in policy.order(q.waiting)
     ]
