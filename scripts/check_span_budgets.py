@@ -17,11 +17,12 @@ Three checks are structural and machine-independent:
   miss, so every search must come from a plan-cache miss (none bypasses
   the process-wide plan cache);
 * the ``planner.score_grid`` span may run at most once per
-  ``planner.search_fixed`` call, so each strategy's candidates are
-  priced in one grid pass (scoring them one at a time would run it
-  ~24 times as often);
-* the ``planner.lp_placement`` span may run at most once per
-  ``planner.search_fixed`` call: one placement LP per strategy;
+  ``planner.search`` call, so the candidates of the whole strategy menu
+  are priced in one grid pass (one pass per strategy would run it up to
+  six times as often, one per candidate ~1,000 times);
+* a report in which ``planner.search`` ran must show ``planner.lp``
+  cache lookups, at most six per search: one placement LP per strategy
+  of the menu (attention placement x quantization), each looked up once;
 * a report in which the ``parallel.controller.plan`` span ran must show
   ``parallel.curve`` cache lookups (Algorithm 3 reads its compute curve
   from that cache, so a rename or a bypass cannot hide);
@@ -90,18 +91,27 @@ REQUIRED_SPANS = (
 
 #: ``(span, per, why)``: ``span`` may run at most once per ``per`` call.
 AT_MOST_ONCE_PER = (
-    ("planner.score_grid", "planner.search_fixed",
-     "candidates were scored one at a time instead of in one grid pass "
-     "per strategy"),
-    ("planner.lp_placement", "planner.search_fixed",
-     "a strategy solved its placement LP more than once"),
+    ("planner.score_grid", "planner.search",
+     "candidates were not scored in one grid pass per search over the "
+     "whole strategy menu"),
 )
 
 #: ``(span, cache)``: when ``span`` ran, ``cache`` must report lookups.
 #: The CI chaos smoke (``chaos --quick --drift-gate
 #: --serving-drift-gate``) also floors ``parallel.curve`` at a 0.9 hit
-#: rate; it measured 0.997 (3,386 hits, 10 misses).
-CACHE_USED_BY = (("parallel.controller.plan", "parallel.curve"),)
+#: rate; it measured 0.997 (3,386 hits, 10 misses).  It floors
+#: ``planner.lp`` at 0.5; that measured 0.527 (405 hits, 363 misses).
+CACHE_USED_BY = (
+    ("parallel.controller.plan", "parallel.curve"),
+    ("planner.search", "planner.lp"),
+)
+
+#: ``(cache, per, ratio, why)``: the cache may be looked up at most
+#: ``ratio`` times per ``per`` span call.
+LOOKUPS_PER = (
+    ("planner.lp", "planner.search", 6,
+     "a search solved more placement LPs than its menu has strategies"),
+)
 
 
 #: ``(counter, per, ratio, span, why)``: when ``span`` ran, counter
@@ -164,6 +174,15 @@ def check(
                 f"span {name!r} ran {calls} times for {bound} {per!r} calls: {why}"
             )
     caches = report.get("caches", {})
+    for cache, per, ratio, why in LOOKUPS_PER:
+        stats = caches.get(cache, {})
+        lookups = stats.get("hits", 0) + stats.get("misses", 0)
+        calls = scopes.get(per, {}).get("calls", 0)
+        if lookups > ratio * calls:
+            problems.append(
+                f"cache {cache!r} was looked up {lookups} times for {calls} "
+                f"{per!r} calls (more than {ratio:g} per): {why}"
+            )
     for name, cache in CACHE_USED_BY:
         if scopes.get(name, {}).get("calls", 0) and cache not in caches:
             problems.append(

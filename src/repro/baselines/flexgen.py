@@ -69,6 +69,7 @@ class FlexGenEngine:
             cpu_ctx=self.ctx,
             quant_aware=False,
             allow_gpu_attention=allow_gpu_attention,
+            calibration=self.calibration,
         )
         policy, _ = planner.search(workload)
         return policy

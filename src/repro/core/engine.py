@@ -100,6 +100,7 @@ class LMOffloadEngine:
             wg_step=self.config.wg_step,
             allow_gpu_attention=allow_gpu_attention,
             require_quant=require_quant,
+            calibration=self.config.calibration,
         )
 
     def planner(self, ctx: CpuExecutionContext | None = None) -> PolicyPlanner:

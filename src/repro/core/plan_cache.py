@@ -27,6 +27,10 @@ compute-makespan curves and the list-schedule makespans behind
 ``CpuExecutionContext.parallel_efficiency``, keyed on the content of the
 op graph and the contention model (see :mod:`repro.parallel.controller`).
 It reports as ``parallel.curve``.
+
+:data:`LP_CACHE` holds the planner's placement-LP solutions, keyed on
+the LP's own coefficients and capacities (see
+:func:`repro.offload.planner.solve_lp`).  It reports as ``planner.lp``.
 """
 
 from __future__ import annotations
@@ -88,3 +92,6 @@ PLAN_CACHE = PlanCache()
 
 #: The cache every compute-makespan schedule goes through.
 CURVE_CACHE = PlanCache(name="parallel.curve")
+
+#: The cache every placement LP goes through.
+LP_CACHE = PlanCache(name="planner.lp")

@@ -12,7 +12,8 @@ Composition rules (per device/link, multiplicative across kinds):
 * ``CPU_THROTTLE``                  -> cpu ``freq, peak_flops *= (1 - severity)``
 * ``CORE_LOSS``                     -> cpu ``cores = floor(cores * (1 - severity))``
   rounded down to a multiple of ``sockets``, at least one core per socket
-  (and ``peak_flops`` scales with the surviving-core fraction)
+  (and ``peak_flops`` scales with the surviving-core fraction after that
+  rounding, on top of any ``CPU_THROTTLE`` factor)
 * ``GPU_THROTTLE``                  -> gpu ``peak_flops, freq *= (1 - severity)``
 * ``HOST_MEM_SHRINK``               -> cpu ``memory_capacity *= (1 - severity)``
 
@@ -122,7 +123,6 @@ def degraded_platform(
         elif fault.kind is FaultKind.CORE_LOSS:
             for dev in _resolve_devices(base, fault):
                 scale(dev, "cores", keep)
-                scale(dev, "peak_flops", keep)
         elif fault.kind is FaultKind.GPU_THROTTLE:
             for dev in _resolve_devices(base, fault):
                 scale(dev, "peak_flops", keep)
@@ -150,6 +150,11 @@ def degraded_platform(
                 )
             else:
                 changes[field_name] = getattr(spec, field_name) * factor
+        if "cores" in changes:
+            # Peak FLOP/s follows the cores that survive the rounding.
+            changes["peak_flops"] = changes.get("peak_flops", spec.peak_flops) * (
+                changes["cores"] / spec.cores
+            )
         devices[name] = dataclasses.replace(spec, **changes)
 
     links = [

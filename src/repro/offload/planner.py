@@ -8,14 +8,24 @@ linear constraints.  :class:`PolicyPlanner` implements:
 * :meth:`lp_placement` — the LP relaxation for a fixed (attention
   placement, quantization) choice, solved exactly by vertex enumeration
   (:func:`repro.offload.lp.vertex_lp`);
-* :meth:`search` — enumerate the discrete choices (attention placement x
-  quantization menu when ``quant_aware``), solve/grid each, validate with
-  the *true* cost model, and return the best feasible policy.
+* :meth:`search` — the whole discrete menu (attention placement x
+  quantization menu when ``quant_aware``) in one array pass: one
+  probe-kernel call gives every strategy's LP rows, and one memory screen
+  and one grid pricing cover the candidates of all strategies, each
+  carrying its strategy's columns
+  (:class:`~repro.perfmodel.latency.StrategyMenu`).  Each strategy's
+  winner is validated with the *true* cost model; :meth:`search_fixed`
+  is the same pass over a one-strategy menu.
 
 Memory is never modelled here: :func:`memory_bytes` evaluates the cost
 model's own peak-byte kernel (``CostModel._weight_bytes_at`` plus
 ``_memory_columns``) over candidate arrays, and both the grid screen
 (:func:`placements`) and the LP's capacity rows read it.
+
+LP solutions are kept in the process-wide ``planner.lp``
+:class:`~repro.core.plan_cache.PlanCache`, keyed on the LP's own
+numbers: a replan after a fault that changes nothing the LP reads (a CPU
+throttle) finds its answers there.
 
 The FlexGen baseline uses ``quant_aware=False`` (it has no model of
 quantization cost/benefit, per the paper's critique); LM-Offload uses
@@ -27,7 +37,7 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,10 +45,12 @@ from repro.errors import PolicyError, PrescreenMismatchError
 from repro.obs.profiling import span
 from repro.offload.lp import vertex_lp
 from repro.offload.policy import OffloadPolicy
+from repro.perfmodel.constants import EngineCalibration
 from repro.perfmodel.latency import (
     CostModel,
     CpuExecutionContext,
-    per_weight_split,
+    StrategyColumns,
+    StrategyMenu,
     price_grid,
 )
 from repro.perfmodel.notation import HardwareParams, Workload
@@ -47,26 +59,49 @@ from repro.quant.config import QuantConfig
 logger = logging.getLogger(__name__)
 
 
-def memory_bytes(model: CostModel, wg, cg, hg, wd) -> tuple[np.ndarray, np.ndarray]:
-    """Peak (GPU, host) bytes of every placement of ``model``'s strategy.
+def lp_cache():
+    """The process-wide ``planner.lp`` cache (bound on use: ``repro.core``
+    imports this module)."""
+    from repro.core.plan_cache import LP_CACHE
 
-    The cost model's own byte kernel over candidate arrays: its weight
-    terms are computed once per distinct ``(wg, wd)`` split and gathered,
-    the KV and activation terms in one array pass.  ``model``'s own
-    fractions are ignored.
-    """
-    weights = per_weight_split(model._weight_bytes_at, wg, wd)
+    return LP_CACHE
+
+
+def solve_lp(t0, t_mat, g0, g_mat, caps) -> tuple[float, ...]:
+    """:func:`~repro.offload.lp.vertex_lp`'s fractions through the
+    ``planner.lp`` cache, keyed on the shapes and bytes of every input;
+    ``()`` when the LP is infeasible."""
+    key = tuple((a.shape, a.tobytes()) for a in (t0, t_mat, g0, g_mat, caps))
+
+    def solve() -> tuple[float, ...]:
+        try:
+            return tuple(vertex_lp(t0, t_mat, g0, g_mat, caps).tolist())
+        except PolicyError:
+            return ()
+
+    return lp_cache().get(key, solve)
+
+
+def memory_bytes(
+    model: CostModel, wg, cg, hg, wd, s: StrategyColumns
+) -> tuple[np.ndarray, np.ndarray]:
+    """Peak (GPU, host) bytes of every placement: the cost model's own
+    byte kernel over candidate arrays, for the strategy columns ``s``.
+    ``model``'s own policy is ignored."""
+    wg = np.asarray(wg, dtype=np.float64)
+    wd = np.asarray(wd, dtype=np.float64)
     return model._memory_columns(
-        weights[:, 0], weights[:, 1],
-        np.asarray(cg, dtype=np.float64), np.asarray(hg, dtype=np.float64),
+        *model._weight_bytes_at(wg, wd, s),
+        np.asarray(cg, dtype=np.float64), np.asarray(hg, dtype=np.float64), s,
     )
 
 
 def placements(
-    model: CostModel, wg: np.ndarray, cg: np.ndarray, hg: np.ndarray
+    model: CostModel, wg: np.ndarray, cg: np.ndarray, hg: np.ndarray,
+    s: StrategyColumns,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(fits, wd)``: which placements of ``model``'s strategy fit both
-    memories, and the disk share each needs.
+    """``(fits, wd)``: which placements fit both memories, and the disk
+    share each needs (``s`` as in :func:`memory_bytes`).
 
     A GPU-infeasible candidate is out (the disk tier cannot relieve GPU
     pressure).  A host-infeasible one retries with half, then all, of
@@ -74,7 +109,7 @@ def placements(
     """
     hw = model.hw
     wd = np.zeros_like(wg)
-    gpu, host = memory_bytes(model, wg, cg, hg, wd)
+    gpu, host = memory_bytes(model, wg, cg, hg, wd, s)
     on_gpu = gpu <= hw.gpu_mem_capacity
     fits = on_gpu & (host <= hw.cpu_mem_capacity)
     for spill in (0.5, 1.0):
@@ -84,7 +119,9 @@ def placements(
         trial = np.array(
             [round((1.0 - x) * spill, 4) for x in wg[retry].tolist()]
         )
-        _, host = memory_bytes(model, wg[retry], cg[retry], hg[retry], trial)
+        _, host = memory_bytes(
+            model, wg[retry], cg[retry], hg[retry], trial, s.rows(retry)
+        )
         ok = host <= hw.cpu_mem_capacity
         wd[retry[ok]] = trial[ok]
         fits[retry[ok]] = True
@@ -115,6 +152,25 @@ def _lp_variables(template: OffloadPolicy) -> tuple[str, ...]:
     return ("wg", "hg") if template.attention_on_cpu else ("wg", "cg", "hg")
 
 
+def _fractions(template: OffloadPolicy, x) -> tuple[float, float, float]:
+    """``(wg, cg, hg)`` from the LP variables ``x`` of ``template``."""
+    values = dict(zip(_lp_variables(template), x))
+    return values.get("wg", 0.0), values.get("cg", 0.0), values.get("hg", 0.0)
+
+
+class MenuPrices(NamedTuple):
+    """Every candidate of a menu with its strategy (``menu.index``), the
+    ones that fit memory (``keep``) and their scores."""
+
+    menu: StrategyMenu
+    wg: np.ndarray
+    cg: np.ndarray
+    hg: np.ndarray
+    wd: np.ndarray
+    keep: np.ndarray
+    scores: np.ndarray
+
+
 @dataclass
 class PolicyPlanner:
     """Searches placement/quantization for a workload on given hardware.
@@ -132,6 +188,9 @@ class PolicyPlanner:
         The quantizer considered when ``quant_aware``.
     wg_step:
         Grid resolution for the weights-on-GPU fraction.
+    calibration:
+        The engine's calibration, so the search scores a policy as the
+        engine's report will (paper defaults when ``None``).
     """
 
     hw: HardwareParams
@@ -144,8 +203,9 @@ class PolicyPlanner:
     #: the search must pick a quantized W/KV configuration (the ladder's
     #: "aggressive quantization" rung under memory/wire pressure).
     require_quant: bool = False
+    calibration: EngineCalibration | None = None
 
-    # -- quantization menu ---------------------------------------------------
+    # -- the discrete menu ---------------------------------------------------
 
     def _quant_menu(self) -> list[tuple[QuantConfig | None, QuantConfig | None]]:
         if not self.quant_aware:
@@ -158,9 +218,60 @@ class PolicyPlanner:
     def _attention_menu(self) -> list[bool]:
         return [True, False] if self.allow_gpu_attention else [True]
 
+    def strategies(self) -> list[tuple[bool, QuantConfig | None, QuantConfig | None]]:
+        """The discrete menu in search order: ``(attention_on_cpu,
+        weight_quant, kv_quant)``.  KV never crosses the interconnect
+        under CPU attention, so quantizing it there only costs time
+        (Observation 1) and is left out."""
+        return [
+            (attn, wq, kq)
+            for attn in self._attention_menu()
+            for wq, kq in self._quant_menu()
+            if not (attn and kq is not None)
+        ]
+
+    def _model(self, workload: Workload, policy: OffloadPolicy) -> CostModel:
+        return CostModel(workload, policy, self.hw, self.cpu_ctx, self.calibration)
+
     # -- LP relaxation ---------------------------------------------------------
 
-    def lp_coefficients(
+    def _lp_rows(
+        self, model: CostModel, templates: list[OffloadPolicy]
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Every template's LP coefficients (see :meth:`lp_coefficients`)
+        from one probe array: ``nvars + 1`` probe placements per
+        strategy, priced in one ``_decode_columns`` call and sized by one
+        :func:`memory_bytes` call on ``model``."""
+        names = [_lp_variables(t) for t in templates]
+        probes = [np.vstack([np.zeros(len(v)), np.eye(len(v))]) for v in names]
+        wg, cg, hg = (
+            np.concatenate([
+                block[:, v.index(x)] if x in v else np.zeros(len(block))
+                for block, v in zip(probes, names)
+            ])
+            for x in ("wg", "cg", "hg")
+        )
+        wd = np.zeros_like(wg)
+        sizes = [len(block) for block in probes]
+        menu = StrategyMenu(tuple(templates), np.repeat(np.arange(len(templates)), sizes))
+        s = menu.columns(model)
+        mid = np.array([max(0, (model.w.gen_len - 1) // 2)], dtype=np.float64)
+        kv_old, kv_new = menu.kv_overheads(model, mid)
+        lw, lc, la, sc, sa, compute = model._decode_columns(
+            mid, kv_old, kv_new, s.rows(np.s_[:, None]), cg[:, None], hg[:, None],
+            model._load_weight_iter_at(wg, wd, s)[:, None],
+            model._resident_weight_dequant_at(wg, s)[:, None],
+        )
+        tasks = np.hstack([lw + lc + la, sc + sa, compute])
+        mem = np.column_stack(memory_bytes(model, wg, cg, hg, wd, s))
+        rows = []
+        bounds = np.cumsum([0, *sizes]).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            t, g = tasks[lo:hi], mem[lo:hi]
+            rows.append((t[0], (t[1:] - t[0]).T, g[0], (g[1:] - g[0]).T))
+        return rows
+
+    def lp_coefficients(  # reach: tests/test_lp_coefficients.py::test_tab3_lp_coefficients_match_scalar_probes (the one-strategy rows; searches read _lp_rows)
         self, workload: Workload, template: OffloadPolicy
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The placement LP's affine coefficients ``(t0, t_mat, g0, g_mat)``.
@@ -168,37 +279,15 @@ class PolicyPlanner:
         ``t0`` holds the mid decode token's (h2d, d2h, compute) seconds and
         ``g0`` the (GPU, host) bytes with every LP variable at 0; column
         ``i`` of ``t_mat``/``g_mat`` is the change when variable ``i`` of
-        :func:`_lp_variables` goes to 1.  All ``nvars + 1`` probe
-        placements are priced in one ``_decode_columns`` call and sized by
-        one :func:`memory_bytes` call, both kernels of the same
-        :class:`CostModel`; the model is affine in each fraction, so the
-        differences are exact.
+        :func:`_lp_variables` goes to 1.  The cost model is affine in each
+        fraction, so the differences are exact.
         """
-        names = _lp_variables(template)
-        probes = np.vstack([np.zeros(len(names)), np.eye(len(names))])
-        wg, cg, hg = (
-            probes[:, names.index(v)] if v in names else np.zeros(len(probes))
-            for v in ("wg", "cg", "hg")
-        )
-        wd = np.full_like(wg, template.wd)
-        model = CostModel(workload, template, self.hw, self.cpu_ctx)
-        load_weight, resident_dequant = per_weight_split(
-            lambda a, d: (
-                model._load_weight_iter_at(a, d),
-                model._resident_weight_dequant_at(a),
-            ),
-            wg, wd,
-        ).T
-        mid = np.array([max(0, (workload.gen_len - 1) // 2)], dtype=np.float64)
-        lw, lc, la, sc, sa, compute = model._decode_columns(
-            mid, model._kv_overheads_vec(mid), cg[:, None], hg[:, None],
-            load_weight[:, None], resident_dequant[:, None],
-        )
-        tasks = np.hstack([lw + lc + la, sc + sa, compute])
-        mem = np.column_stack(memory_bytes(model, wg, cg, hg, wd))
-        return tasks[0], (tasks[1:] - tasks[0]).T, mem[0], (mem[1:] - mem[0]).T
+        return self._lp_rows(self._model(workload, template), [template])[0]
 
-    def lp_placement(
+    def _caps(self) -> np.ndarray:
+        return np.array([self.hw.gpu_mem_capacity, self.hw.cpu_mem_capacity])
+
+    def lp_placement(  # reach: tests/test_offload_planner.py::test_lp_placement_within_bounds (the one-strategy LP; searches solve through solve_lp)
         self,
         workload: Workload,
         template: OffloadPolicy,
@@ -215,25 +304,23 @@ class PolicyPlanner:
         :class:`PolicyError` when the LP is infeasible.
         """
         with span("planner.lp_placement"):
-            names = _lp_variables(template)
-            t0, t_mat, g0, g_mat = self.lp_coefficients(workload, template)
-            caps = np.array([self.hw.gpu_mem_capacity, self.hw.cpu_mem_capacity])
-            values = dict(zip(names, vertex_lp(t0, t_mat, g0, g_mat, caps).tolist()))
-            return (
-                values.get("wg", 0.0),
-                values.get("cg", 0.0),
-                values.get("hg", 0.0),
-            )
+            x = solve_lp(*self.lp_coefficients(workload, template), self._caps())
+            if not x:
+                raise PolicyError(
+                    "placement LP infeasible: no vertex satisfies every constraint"
+                )
+            return _fractions(template, x)
 
     # -- grid + validation ---------------------------------------------------
 
     def _candidate_fractions(
         self,
-        workload: Workload,
-        template: OffloadPolicy,
+        lp: tuple[float, float, float] | None,
+        attention_on_cpu: bool,
         seed: tuple[float, float, float] | None = None,
     ) -> np.ndarray:
-        """LP solution, its grid-snapped neighbours, and a coarse wg grid.
+        """The LP solution ``lp``'s grid-snapped neighbours (none when the
+        LP is infeasible), then a coarse wg grid.
 
         Returns a ``(3, candidates)`` array of ``(wg, cg, hg)`` columns in
         search order, without duplicates.  ``seed`` (e.g. the fractions a
@@ -241,32 +328,30 @@ class PolicyPlanner:
         candidates when they do not already contain it, so a known-good
         point is never lost to LP failure or grid resolution.
         """
-        lp: list[tuple[float, float, float]] = []
-        try:
-            wg, cg, hg = self.lp_placement(workload, template)
+        snapped: list[tuple[float, float, float]] = []
+        if lp is not None:
+            wg, cg, hg = lp
             for dwg in (-self.wg_step, 0.0, self.wg_step):
                 cand = (
-                    float(np.clip(round((wg + dwg) / self.wg_step) * self.wg_step, 0, 1)),
+                    float(min(max(round((wg + dwg) / self.wg_step) * self.wg_step, 0.0), 1.0)),
                     round(cg, 2),
                     1.0 if hg >= 0.5 else 0.0,
                 )
-                if cand not in lp:
-                    lp.append(cand)
-        except PolicyError:
-            pass
-        grid, column = _placement_grid(self.wg_step, template.attention_on_cpu)
+                if cand not in snapped:
+                    snapped.append(cand)
+        grid, column = _placement_grid(self.wg_step, attention_on_cpu)
         parts = [
-            np.array(lp, dtype=np.float64).reshape(-1, 3).T,
-            np.delete(grid, [column[c] for c in lp if c in column], axis=1),
+            np.array(snapped, dtype=np.float64).reshape(-1, 3).T,
+            np.delete(grid, [column[c] for c in snapped if c in column], axis=1),
         ]
-        if seed is not None and seed not in lp and seed not in column:
+        if seed is not None and seed not in snapped and seed not in column:
             parts.append(np.array(seed, dtype=np.float64).reshape(3, 1))
         return np.concatenate(parts, axis=1)
 
-    def _scores(self, model: CostModel, wg, cg, hg, wd) -> np.ndarray:
-        """Throughput of every placement of ``model``'s strategy, in one
+    def _scores(self, model: CostModel, wg, cg, hg, wd, menu: StrategyMenu) -> np.ndarray:
+        """Throughput of every placement of ``menu``'s candidates, in one
         :func:`~repro.perfmodel.latency.price_grid` pass."""
-        return price_grid(model, wg, cg, hg, wd).throughput(model.w)
+        return price_grid(model, wg, cg, hg, wd, menu).throughput(model.w)
 
     def search_batch_geometry(
         self,
@@ -304,102 +389,130 @@ class PolicyPlanner:
             )
         return best[1], best[2], best[0]
 
+    def _price_menu(
+        self,
+        workload: Workload,
+        strategies: list[tuple[bool, QuantConfig | None, QuantConfig | None]],
+        seed: OffloadPolicy | None = None,
+    ) -> MenuPrices:
+        """Every candidate of every strategy, screened and scored in one
+        pass: each strategy's candidates (LP points, then the grid minus
+        those, then ``seed``'s fractions if it has this strategy) are
+        concatenated, and one :func:`placements` screen and one grid pass
+        on one :class:`CostModel` cover them all."""
+        templates = [
+            OffloadPolicy(
+                wg=0.0, cg=0.0, hg=0.0, attention_on_cpu=attn, weight_quant=wq,
+                kv_quant=kq, gpu_batch_size=workload.gpu_batch_size,
+                num_gpu_batches=workload.num_gpu_batches,
+            )
+            for attn, wq, kq in strategies
+        ]
+        model = self._model(workload, templates[0])
+        caps = self._caps()
+        parts = []
+        for template, rows in zip(templates, self._lp_rows(model, templates)):
+            x = solve_lp(*rows, caps)
+            seed_fractions = None
+            if seed is not None and (
+                seed.attention_on_cpu, seed.weight_quant, seed.kv_quant
+            ) == (template.attention_on_cpu, template.weight_quant, template.kv_quant):
+                seed_fractions = (seed.wg, seed.cg, seed.hg)
+            parts.append(self._candidate_fractions(
+                _fractions(template, x) if x else None,
+                template.attention_on_cpu, seed_fractions,
+            ))
+        wg, cg, hg = np.concatenate(parts, axis=1)
+        menu = StrategyMenu(
+            tuple(templates),
+            np.repeat(np.arange(len(templates)), [p.shape[1] for p in parts]),
+        )
+        fits, wd = placements(model, wg, cg, hg, menu.columns(model))
+        keep = np.flatnonzero(fits)
+        scores = np.empty(0)
+        if keep.size:
+            with span("planner.score_grid"):
+                scores = self._scores(
+                    model, wg[keep], cg[keep], hg[keep], wd[keep], menu.take(keep)
+                )
+        return MenuPrices(menu, wg, cg, hg, wd, keep, scores)
+
+    def _search_menu(
+        self,
+        workload: Workload,
+        strategies: list[tuple[bool, QuantConfig | None, QuantConfig | None]],
+        seed: OffloadPolicy | None = None,
+    ) -> list[tuple[OffloadPolicy, float] | None]:
+        """Each strategy's best placement and its score (``None`` when no
+        placement fits), from one :meth:`_price_menu` pass: the first
+        maximum among the strategy's own survivors.  Only winners become
+        :class:`OffloadPolicy`, and each one's own ``check_feasible``
+        must agree with the array screen."""
+        prices = self._price_menu(workload, strategies, seed)
+        menu, keep, scores = prices.menu, prices.keep, prices.scores
+        bounds = np.searchsorted(
+            menu.index[keep], np.arange(len(menu.policies) + 1)
+        ).tolist()
+        results: list[tuple[OffloadPolicy, float] | None] = []
+        for i, template in enumerate(menu.policies):
+            lo, hi = bounds[i], bounds[i + 1]
+            if lo == hi:
+                results.append(None)
+                continue
+            best = lo + int(np.argmax(scores[lo:hi]))
+            win = keep[best]
+            policy = template.with_(
+                wg=float(prices.wg[win]), cg=float(prices.cg[win]),
+                hg=float(prices.hg[win]), wd=float(prices.wd[win]),
+            )
+            try:
+                self._model(workload, policy).check_feasible()
+            except PolicyError as exc:
+                raise PrescreenMismatchError(
+                    f"memory prescreen passed {policy.describe()} "
+                    f"(wd={policy.wd}) but the cost model rejects it: {exc}"
+                ) from exc
+            results.append((policy, float(scores[best])))
+        return results
+
     def search_fixed(
         self,
         workload: Workload,
         attention_on_cpu: bool,
         weight_quant: QuantConfig | None,
         kv_quant: QuantConfig | None,
-        seed_fractions: tuple[float, float, float] | None = None,
     ) -> tuple[OffloadPolicy, float]:
-        """Best placement fractions for one fixed discrete strategy.
-
-        The whole candidate set is screened by :func:`placements`
-        (disk-spill retries included) and the survivors are scored in one
-        grid pass, both on one template :class:`CostModel`; the first
-        maximum wins.  Only the winner becomes an :class:`OffloadPolicy`,
-        and its own one-row ``check_feasible`` must agree with the array
-        screen.
-        """
+        """Best placement fractions for one fixed discrete strategy: the
+        stacked pass of :meth:`search` over a one-strategy menu."""
         with span("planner.search_fixed"):
-            template = OffloadPolicy(
-                wg=0.0,
-                cg=0.0,
-                hg=0.0,
-                attention_on_cpu=attention_on_cpu,
-                weight_quant=weight_quant,
-                kv_quant=kv_quant,
-                gpu_batch_size=workload.gpu_batch_size,
-                num_gpu_batches=workload.num_gpu_batches,
+            (result,) = self._search_menu(
+                workload, [(attention_on_cpu, weight_quant, kv_quant)]
             )
-            wg, cg, hg = self._candidate_fractions(
-                workload, template, seed_fractions
-            )
-            model = CostModel(workload, template, self.hw, self.cpu_ctx)
-            fits, wd = placements(model, wg, cg, hg)
-            keep = np.flatnonzero(fits)
-            if keep.size == 0:
+            if result is None:
                 raise PolicyError(
                     f"no feasible placement for {workload.describe()} under "
                     f"attn={'cpu' if attention_on_cpu else 'gpu'}"
                 )
-            with span("planner.score_grid"):
-                scores = self._scores(model, wg[keep], cg[keep], hg[keep], wd[keep])
-            best = int(np.argmax(scores))
-            win = keep[best]
-            policy = template.with_(
-                wg=float(wg[win]), cg=float(cg[win]), hg=float(hg[win]),
-                wd=float(wd[win]),
-            )
-            try:
-                CostModel(workload, policy, self.hw, self.cpu_ctx).check_feasible()
-            except PolicyError as exc:
-                raise PrescreenMismatchError(
-                    f"memory prescreen passed {policy.describe()} "
-                    f"(wd={policy.wd}) but the cost model rejects it: {exc}"
-                ) from exc
-            return policy, float(scores[best])
+            return result
 
     def search(
         self, workload: Workload, seed: OffloadPolicy | None = None
     ) -> tuple[OffloadPolicy, float]:
         """Best feasible policy for ``workload`` and its modelled tput.
 
-        ``seed`` injects a known-good policy (e.g. the engine's pass-1
-        result) as an extra candidate for its own discrete configuration;
-        it never removes candidates, so the search space only grows.
+        The whole menu is priced in one pass (:meth:`_search_menu`); the
+        first strictly best strategy in menu order wins.  ``seed``
+        injects a known-good policy (e.g. the engine's pass-1 result) as
+        an extra candidate for its own discrete configuration; it never
+        removes candidates, so the search space only grows.
         """
         with span("planner.search"):
-            return self._search(workload, seed)
-
-    def _search(
-        self, workload: Workload, seed: OffloadPolicy | None = None
-    ) -> tuple[OffloadPolicy, float]:
-        best: tuple[float, OffloadPolicy] | None = None
-        for attn_cpu in self._attention_menu():
-            for wq, kq in self._quant_menu():
-                if attn_cpu and kq is not None:
-                    # KV never crosses the interconnect: quantizing it only
-                    # costs time (Observation 1); skip.
-                    continue
-                seed_fractions = None
-                if (
-                    seed is not None
-                    and seed.attention_on_cpu == attn_cpu
-                    and seed.weight_quant == wq
-                    and seed.kv_quant == kq
-                ):
-                    seed_fractions = (seed.wg, seed.cg, seed.hg)
-                try:
-                    policy, tput = self.search_fixed(
-                        workload, attn_cpu, wq, kq, seed_fractions
-                    )
-                except PolicyError:
-                    continue
-                if best is None or tput > best[0]:
-                    best = (tput, policy)
-        if best is None:
-            raise PolicyError(
-                f"no feasible policy for {workload.describe()} on this hardware"
-            )
-        return best[1], best[0]
+            best: tuple[OffloadPolicy, float] | None = None
+            for result in self._search_menu(workload, self.strategies(), seed):
+                if result is not None and (best is None or result[1] > best[1]):
+                    best = result
+            if best is None:
+                raise PolicyError(
+                    f"no feasible policy for {workload.describe()} on this hardware"
+                )
+            return best

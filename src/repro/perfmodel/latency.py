@@ -9,7 +9,16 @@ context, calibration) and produces:
   over the six tasks) and the resource-grouped variant (tasks sharing a
   PCIe direction serialize) that the discrete-event executor validates;
 * an end-to-end :class:`LatencyBreakdown` (Eq. 1) with the quantization
-  overhead split (Figure 4) and the I/O traffic (Table 1).
+  overhead split (Figure 4) and the I/O traffic (Table 1);
+* :func:`price_grid`, Eq. 1 for many placements at once.
+
+Every formula is written once, as a column kernel over scalars or
+per-candidate arrays.  The kernels read the discrete strategy (attention
+placement, W/KV quantization) from :class:`StrategyColumns`, not from
+the bound policy: a one-policy model passes its own, and the policy
+search passes a :class:`StrategyMenu`, so the candidates of every
+strategy are priced in one pass and bitwise equal to their one-policy
+models.
 
 Policy semantics (how quantization composes with placement):
 
@@ -31,6 +40,7 @@ Policy semantics (how quantization composes with placement):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -54,6 +64,7 @@ from repro.perfmodel.quant_model import (
     kv_quant_overheads_vec,
     weight_quant_overheads,
 )
+from repro.quant.config import QuantConfig
 from repro.runtime.graph import build_attention_graph
 from repro.runtime.tasks import TASK_FIELD_NAMES, TaskCosts
 from repro.units import dtype_bytes
@@ -182,12 +193,108 @@ class LatencyBreakdown:
         return workload.block_size * workload.gen_len / self.total_seconds
 
 
+def _where(mask, a, b):
+    """``np.where`` over per-candidate masks; a one-policy (Python
+    ``bool``) mask just picks ``a`` or ``b``, so scalar pricing stays in
+    Python floats."""
+    if isinstance(mask, bool):
+        return a if mask else b
+    return np.where(mask, a, b)
+
+
 def _grouped_step(load_weight, load_cache, load_act, store_cache, store_act, compute):
     """Resource-grouped Eq. 2 on broadcastable task costs: the three H2D
     loads share a PCIe direction, the two D2H stores the other."""
     h2d = load_weight + load_cache + load_act
     d2h = store_cache + store_act
     return np.maximum(np.maximum(h2d, d2h), compute)
+
+
+@dataclass(frozen=True)
+class StrategyColumns:
+    """The discrete strategy the cost kernels price: one policy's scalars
+    (:meth:`CostModel.strategy`) or one row per candidate
+    (:meth:`StrategyMenu.columns`).  Where a strategy skips a term the
+    kernels add a zero or select with ``np.where``, so every row is
+    bitwise equal to its one-policy model."""
+
+    #: Attention runs on the CPU.
+    attention_on_cpu: Any
+    #: The offloaded weights (and the resident share, when the model's
+    #: policy stores it compressed) are stored in ``weight_format``.
+    weight_quant: Any
+    #: Stored bytes of one token's KV entries (whole block, one layer).
+    kv_bytes: Any
+    #: Eq. 5's prefill KV quantization seconds per layer (0 without KV
+    #: quantization).
+    kv_prefill: Any
+    #: The compressed weight format of every ``weight_quant`` row.
+    weight_format: QuantConfig | None
+
+    def rows(self, index) -> "StrategyColumns":
+        """The columns of candidates ``index`` (scalars stay as they are)."""
+        return StrategyColumns(
+            *(
+                x[index] if isinstance(x, np.ndarray) else x
+                for x in (self.attention_on_cpu, self.weight_quant,
+                          self.kv_bytes, self.kv_prefill)
+            ),
+            self.weight_format,
+        )
+
+
+@dataclass(frozen=True)
+class StrategyMenu:
+    """Strategies stacked along the candidate axis: one template policy
+    per strategy (sharing the batch geometry and any weight format) and
+    each candidate's index into them."""
+
+    policies: tuple[OffloadPolicy, ...]
+    index: np.ndarray
+
+    def take(self, rows) -> "StrategyMenu":
+        return StrategyMenu(self.policies, self.index[rows])
+
+    def columns(self, model: "CostModel") -> StrategyColumns:
+        """Each candidate's template's columns on ``model``."""
+        per = [model.strategy(p) for p in self.policies]
+        formats = {c.weight_format for c in per} - {None}
+        return StrategyColumns(
+            *(
+                np.array([getattr(c, name) for c in per])[self.index]
+                for name in ("attention_on_cpu", "weight_quant", "kv_bytes", "kv_prefill")
+            ),
+            formats.pop() if formats else None,
+        )
+
+    def runs(self) -> list[tuple[int, int, OffloadPolicy]]:
+        """``(start, stop, policy)`` of each maximal block of consecutive
+        candidates sharing attention placement and KV format, with the
+        block's first template.  The decode kernel reads no other
+        strategy column (weights reach it through the weight terms)."""
+        groups = {}
+        group = np.array([
+            groups.setdefault((p.attention_on_cpu, p.kv_quant), len(groups))
+            for p in self.policies
+        ])[self.index]
+        starts = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
+        return [
+            (lo, hi, self.policies[self.index[lo]])
+            for lo, hi in zip(starts, starts[1:] + [len(group)])
+        ]
+
+    def kv_overheads(self, model: "CostModel", tokens: np.ndarray) -> tuple:
+        """``(kv_old, kv_new)`` for :meth:`CostModel._decode_columns`:
+        ``(candidates, tokens)`` and ``(candidates, 1)`` KV codec seconds,
+        zero for strategies without KV quantization."""
+        per = [model._kv_overheads_vec(tokens, p) for p in self.policies]
+        old = np.zeros((len(per), len(tokens)))
+        new = np.zeros((len(per), 1))
+        for i, over in enumerate(per):
+            if over is not None:
+                old[i] = over.old_dequant_seconds
+                new[i] = over.new_quant_seconds
+        return old[self.index], new[self.index]
 
 
 class CostModel:
@@ -217,7 +324,7 @@ class CostModel:
         #: Memo for policy-fixed sub-quantities (byte sizes, per-iteration
         #: task constants) — each is pure in the frozen inputs and read by
         #: every per-token and per-step pricing call.
-        self._memo: dict[str, float | tuple[float, float]] = {}
+        self._memo: dict = {}
         #: Cached feasibility verdict: ``None`` until checked, then ``True``
         #: or the :class:`PolicyError` to re-raise.  Lets an explicit
         #: ``check_feasible()`` and ``breakdown()`` share one memory check.
@@ -230,51 +337,79 @@ class CostModel:
         """Achieved PCIe bytes/s per direction."""
         return self.hw.pcie_bdw * self.cal.pcie_efficiency
 
+    # -- the discrete strategy -------------------------------------------------
+
+    def strategy(self, policy: OffloadPolicy | None = None) -> StrategyColumns:
+        """The scalar strategy columns of ``policy`` (default: this
+        model's own policy) on this model's workload and calibration."""
+        key = "strategy" if policy is None else ("strategy", policy)
+        columns = self._memo.get(key)
+        if columns is None:
+            columns = self._memo[key] = self._strategy_of(policy or self.p)
+        return columns
+
+    def _strategy_of(self, policy: OffloadPolicy) -> StrategyColumns:
+        kv_prefill = 0.0
+        if policy.kv_quant is not None:
+            # Prefill always quantizes on the GPU (Eq. 5).
+            kv_prefill = kv_quant_overheads(
+                self.w, self.cal.codec, device="gpu"
+            ).prefill_quant_seconds
+        return StrategyColumns(
+            attention_on_cpu=policy.attention_on_cpu,
+            weight_quant=policy.weight_quant is not None,
+            kv_bytes=self._kv_bytes(policy.kv_quant),
+            kv_prefill=kv_prefill,
+            weight_format=policy.weight_quant,
+        )
+
     # -- stored byte sizes -----------------------------------------------------
 
     def offloaded_weight_bytes_per_layer(self) -> float:
         """Stored bytes of the CPU-resident weight share of one layer."""
         if "offloaded_weight_bytes" not in self._memo:
-            self._memo["offloaded_weight_bytes"] = self._offloaded_weight_bytes(
-                self.p.wc
+            self._memo["offloaded_weight_bytes"] = float(
+                self._offloaded_weight_bytes(self.p.wc, self.strategy())
             )
         return self._memo["offloaded_weight_bytes"]
 
-    def _offloaded_weight_bytes(self, wc: float) -> float:
-        """Stored bytes of one layer's weights with ``wc`` of them off-GPU."""
+    def _offloaded_weight_bytes(self, wc, s: StrategyColumns):
+        """Stored bytes of one layer's weights with ``wc`` of them off-GPU
+        (``wc`` and ``s`` scalar or per-candidate)."""
         n = self.w.model.weights_per_layer * wc
-        if n == 0:
-            return 0.0
-        if self.p.weight_quant is not None:
-            return self.p.weight_quant.total_bytes(n)
-        return n * dtype_bytes("fp16")
+        stored = n * dtype_bytes("fp16")
+        if s.weight_format is not None:
+            stored = _where(s.weight_quant, s.weight_format.total_bytes(n), stored)
+        return stored
 
     def _resident_weight_dequant_iter(self) -> float:
         """Per-iteration dequant of compressed resident weights (on the
         compute stream — the weights are unpacked at point of use)."""
         if "resident_weight_dequant" not in self._memo:
-            self._memo["resident_weight_dequant"] = self._resident_weight_dequant_at(
-                self.p.wg
+            self._memo["resident_weight_dequant"] = float(
+                self._resident_weight_dequant_at(self.p.wg, self.strategy())
             )
         return self._memo["resident_weight_dequant"]
 
-    def _resident_weight_dequant_at(self, wg: float) -> float:
+    def _resident_weight_dequant_at(self, wg, s: StrategyColumns):
         """:meth:`_resident_weight_dequant_iter` with ``wg`` GPU-resident."""
-        if not (self.p.quantize_resident_weights and self.p.weight_quant):
-            return 0.0
         over = weight_quant_overheads(self.w, wg, self.cal.codec)
-        return over.dequantize_seconds / self.p.num_gpu_batches
+        return _where(
+            self.p.quantize_resident_weights & s.weight_quant,
+            over.dequantize_seconds / self.p.num_gpu_batches,
+            0.0,
+        )
 
     def kv_store_bytes_per_token(self) -> float:
         """Stored bytes of one token's KV entries (whole block, one layer)."""
-        if "kv_store_bytes" not in self._memo:
-            elements = self.fp.kv_elements_per_token_per_layer
-            if self.p.kv_quant is not None:
-                value = self.p.kv_quant.total_bytes(elements)
-            else:
-                value = elements * dtype_bytes("fp16")
-            self._memo["kv_store_bytes"] = value
-        return self._memo["kv_store_bytes"]
+        return self.strategy().kv_bytes
+
+    def _kv_bytes(self, kv_quant: QuantConfig | None) -> float:
+        """:meth:`kv_store_bytes_per_token` under ``kv_quant``."""
+        elements = self.fp.kv_elements_per_token_per_layer
+        if kv_quant is not None:
+            return kv_quant.total_bytes(elements)
+        return elements * dtype_bytes("fp16")
 
     # -- memory feasibility --------------------------------------------------
 
@@ -289,61 +424,65 @@ class CostModel:
     def _memory_bytes(self) -> tuple[float, float]:
         """Peak (GPU, host) bytes: one row of :meth:`_memory_columns`."""
         if "memory_bytes" not in self._memo:
-            p = self.p
-            self._memo["memory_bytes"] = self._memory_columns(
-                *self._weight_bytes_at(p.wg, p.wd), p.cg, p.hg
+            p, s = self.p, self.strategy()
+            gpu, host = self._memory_columns(
+                *self._weight_bytes_at(p.wg, p.wd, s), p.cg, p.hg, s
             )
+            self._memo["memory_bytes"] = (float(gpu), float(host))
         return self._memo["memory_bytes"]
 
-    def _weight_bytes_at(self, wg: float, wd: float) -> tuple[float, float]:
+    def _weight_bytes_at(self, wg, wd, s: StrategyColumns) -> tuple:
         """(GPU, host) bytes of the weights with ``wg`` GPU- and ``wd``
         disk-resident: the resident share (compressed when the policy
         stores it quantized, as ZeRO-Inference's 4-bit mode does) plus the
-        working layers, and the offloaded share net of what sits on disk."""
+        working layers, and the offloaded share net of what sits on disk.
+        Every argument is a scalar or a ``(candidates,)`` array."""
         l = self.w.model.num_layers
         n = self.w.model.weights_per_layer
-        if self.p.quantize_resident_weights and self.p.weight_quant is not None:
-            resident = self.p.weight_quant.total_bytes(n * wg)
-        else:
-            resident = n * wg * dtype_bytes("fp16")
+        resident = n * wg * dtype_bytes("fp16")
+        if self.p.quantize_resident_weights and s.weight_format is not None:
+            resident = _where(
+                s.weight_quant, s.weight_format.total_bytes(n * wg), resident
+            )
         wc = 1.0 - wg
         # Uncompressed working weights: current + prefetch when layers
         # stream from the host; a single dequantization buffer when all
         # weights are resident (ZeRO-Inference's mode).
-        working_layers = 2 if wc > 0 else 1
+        working_layers = _where(wc > 0, 2, 1)
         gpu = resident * l + working_layers * n * dtype_bytes("fp16")
-        offloaded = self._offloaded_weight_bytes(wc)
+        offloaded = self._offloaded_weight_bytes(wc, s)
         host = offloaded * l
-        if wc > 0 and wd > 0:
-            # Disk-resident weights only occupy a 2-layer staging window
-            # in host memory, not their full footprint.
-            disk_share = wd / wc
-            host = host * (1.0 - disk_share) + min(2 * offloaded, host * disk_share)
+        # Disk-resident weights only occupy a 2-layer staging window in
+        # host memory, not their full footprint.
+        spilled = (wc > 0) & (wd > 0)
+        disk_share = wd / _where(spilled, wc, 1.0)
+        host = _where(
+            spilled,
+            host * (1.0 - disk_share) + np.minimum(2 * offloaded, host * disk_share),
+            host,
+        )
         return gpu, host
 
-    def _memory_columns(self, weights_gpu, weights_host, cg, hg) -> tuple:
+    def _memory_columns(self, weights_gpu, weights_host, cg, hg, s: StrategyColumns) -> tuple:
         """Peak (GPU, host) bytes from :meth:`_weight_bytes_at`'s weight
         terms plus the KV cache and activations.  Every argument is a
         scalar or a ``(candidates,)`` array, so one placement and a whole
-        search grid read the same formula."""
+        stacked search grid read the same formula."""
         w = self.w
         tokens = w.prompt_len + w.gen_len
-        kv_total = tokens * self.kv_store_bytes_per_token() * w.model.num_layers
+        kv_total = tokens * s.kv_bytes * w.model.num_layers
         act = self.fp.activation_bytes_per_layer
-        if self.p.attention_on_cpu:
-            gpu = weights_gpu
-            host_kv = kv_total
-        else:
-            # The GPU share of the cache, plus a working buffer for one
-            # layer's (dequantized) cache slice.
-            gpu = weights_gpu + (
-                cg * kv_total
-                + tokens
-                * self.fp.kv_elements_per_token_per_layer
-                * dtype_bytes("fp16")
-                / self.p.num_gpu_batches
-            )
-            host_kv = (1.0 - cg) * kv_total
+        # Under GPU attention: the GPU share of the cache, plus a working
+        # buffer for one layer's (dequantized) cache slice.
+        kv_gpu = (
+            cg * kv_total
+            + tokens
+            * self.fp.kv_elements_per_token_per_layer
+            * dtype_bytes("fp16")
+            / self.p.num_gpu_batches
+        )
+        gpu = weights_gpu + _where(s.attention_on_cpu, 0.0, kv_gpu)
+        host_kv = _where(s.attention_on_cpu, kv_total, (1.0 - cg) * kv_total)
         gpu = gpu + act * (2 + 2 * hg)
         host = weights_host + host_kv + act * 2 * (1.0 - hg)
         return gpu, host
@@ -381,28 +520,30 @@ class CostModel:
         """Per-iteration load_weight incl. Eq. 4 dequant, host staging, and
         the disk leg for any disk-resident share (third tier)."""
         if "load_weight_iter" not in self._memo:
-            self._memo["load_weight_iter"] = self._load_weight_iter_at(
-                self.p.wg, self.p.wd
+            self._memo["load_weight_iter"] = float(
+                self._load_weight_iter_at(self.p.wg, self.p.wd, self.strategy())
             )
         return self._memo["load_weight_iter"]
 
-    def _load_weight_iter_at(self, wg: float, wd: float) -> float:
-        """:meth:`_load_weight_iter` with ``wg`` GPU- and ``wd`` disk-resident."""
+    def _load_weight_iter_at(self, wg, wd, s: StrategyColumns):
+        """:meth:`_load_weight_iter` with ``wg`` GPU- and ``wd``
+        disk-resident (scalars or per-candidate arrays)."""
+        k = self.p.num_gpu_batches
         wc = 1.0 - wg
-        per_iter = self._offloaded_weight_bytes(wc) / self.p.num_gpu_batches
+        per_iter = self._offloaded_weight_bytes(wc, s) / k
         wire = per_iter / self.pcie_bw
         stage = self.ctx.staging_seconds("load_weight", per_iter)
-        t = max(wire, stage)
-        if wd > 0 and wc > 0:
-            # The disk-resident slice of the offloaded share must first
-            # reach host memory at disk bandwidth (pipelined with PCIe, so
-            # the slower leg dominates).
-            disk_per_iter = per_iter * (wd / wc)
-            t = max(t, disk_per_iter / self.hw.disk_bdw)
-        if self.p.weight_quant is not None and wc > 0:
-            over = weight_quant_overheads(self.w, wc, self.cal.codec)
-            t += over.dequantize_seconds / self.p.num_gpu_batches
-        return t
+        t = np.maximum(wire, stage)
+        # The disk-resident slice of the offloaded share must first reach
+        # host memory at disk bandwidth (pipelined with PCIe, so the
+        # slower leg dominates).
+        spilled = (wd > 0) & (wc > 0)
+        disk_per_iter = per_iter * (wd / _where(spilled, wc, 1.0))
+        t = _where(spilled, np.maximum(t, disk_per_iter / self.hw.disk_bdw), t)
+        over = weight_quant_overheads(self.w, wc, self.cal.codec)
+        return t + _where(
+            s.weight_quant & (wc > 0), over.dequantize_seconds / k, 0.0
+        )
 
     def _attention_flops_bytes(self, ctx_len: int, tokens: int) -> tuple[float, float]:
         """FLOPs and fp16 bytes of attention for one batch iteration."""
@@ -434,14 +575,15 @@ class CostModel:
         return TaskCosts(*self.decode_task_costs_vec([token_idx])[0].tolist())
 
     def _kv_overheads_vec(
-        self, token_indices: np.ndarray
+        self, token_indices: np.ndarray, policy: OffloadPolicy | None = None
     ) -> KVQuantOverheadsVec | None:
-        """Per-token KV codec overheads on the device the policy runs the
-        codec on, for all ``token_indices`` at once (``None`` without
-        ``kv_quant``)."""
-        if self.p.kv_quant is None:
+        """Per-token KV codec overheads of ``policy`` (default: this
+        model's) on the device it runs the codec on, for all
+        ``token_indices`` at once (``None`` without ``kv_quant``)."""
+        p = policy or self.p
+        if p.kv_quant is None:
             return None
-        device = "cpu" if self.p.attention_on_cpu else "gpu"
+        device = "cpu" if p.attention_on_cpu else "gpu"
         return kv_quant_overheads_vec(
             self.w, token_indices, self.cal.codec, device=device
         )
@@ -464,8 +606,12 @@ class CostModel:
         tokens = np.asarray(token_indices, dtype=np.float64)
         if p.kv_quant is not None and kv_over is None:
             kv_over = self._kv_overheads_vec(tokens)
+        kv_old, kv_new = (
+            (0.0, 0.0) if kv_over is None
+            else (kv_over.old_dequant_seconds, kv_over.new_quant_seconds)
+        )
         columns = self._decode_columns(
-            tokens, kv_over, p.cg, p.hg,
+            tokens, kv_old, kv_new, self.strategy(), p.cg, p.hg,
             self._load_weight_iter(), self._resident_weight_dequant_iter(),
         )
         out = np.empty((tokens.shape[0], 6), dtype=np.float64)
@@ -476,7 +622,9 @@ class CostModel:
     def _decode_columns(
         self,
         tokens: np.ndarray,
-        kv_over: KVQuantOverheadsVec | None,
+        kv_old,
+        kv_new,
+        s: StrategyColumns,
         cg,
         hg,
         load_weight,
@@ -484,105 +632,98 @@ class CostModel:
     ) -> tuple:
         """The six decode task costs, in ``TASK_FIELD_NAMES`` order.
 
-        ``tokens`` runs along the last axis.  The placement-dependent
-        inputs (``cg``, ``hg`` and the per-iteration ``load_weight`` and
-        resident-weight dequant seconds) are either this policy's scalars
-        or ``(candidates, 1)`` columns, so :meth:`decode_task_costs_vec`
-        (and its one-row view :meth:`decode_task_costs`),
-        :func:`price_grid` and the planner's LP coefficients share one
-        formula and one operation order.
+        ``tokens`` runs along the last axis.  The strategy columns ``s``
+        and the placement inputs (``cg``, ``hg`` and the per-iteration
+        ``load_weight`` and resident-weight dequant seconds) are either
+        one policy's scalars or ``(candidates, 1)`` columns; ``kv_old``
+        (per token) and ``kv_new`` are the KV codec seconds of each row's
+        strategy, 0 without KV quantization.  Both attention placements
+        are priced and each row selects its own, so
+        :meth:`decode_task_costs_vec` (and its one-row view
+        :meth:`decode_task_costs`), :func:`price_grid` and the planner's
+        LP coefficients share one formula and one operation order.
         """
         w, p = self.w, self.p
         ctx_len = w.prompt_len + 1 + tokens
         k = p.num_gpu_batches
+        on_cpu = s.attention_on_cpu
 
         act_bytes = self.fp.activation_bytes_per_layer
         # Activations cross PCIe for the offloaded share; CPU attention
         # additionally ships the attention output up every layer.
-        act_flow = act_bytes * np.maximum(
-            1.0 - hg, 1.0 if p.attention_on_cpu else 0.0
-        )
+        act_flow = act_bytes * np.maximum(1.0 - hg, _where(on_cpu, 1.0, 0.0))
         load_act = act_flow / k / self.pcie_bw
         store_act = act_flow / k / self.pcie_bw
 
         flops, kv_bytes = self._attention_flops_bytes(ctx_len, 1)
+        codec = kv_old + kv_new
+        dense = self._gpu_dense_seconds(1)
 
-        if p.attention_on_cpu:
-            load_cache = 0.0
-            store_cache = 0.0
-            rates = self.cal.attention
-            share = self.ctx.cpu_share
-            flop_rate = min(
-                rates.cpu_flops_per_thread * self._eff, rates.cpu_flops_ceiling
-            ) * share
-            bw_rate = min(
-                rates.cpu_bw_per_thread * self._eff, rates.cpu_bw_ceiling
-            ) * share
-            # One gpu_batch iteration of offloaded attention.
-            cpu_attn = np.maximum(flops / flop_rate, kv_bytes / bw_rate)
-            if kv_over is not None:
-                cpu_attn = cpu_attn + (
-                    kv_over.old_dequant_seconds + kv_over.new_quant_seconds
-                ) / k
-            compute = np.maximum(cpu_attn, self._gpu_dense_seconds(1))
-        else:
-            stored = self.kv_store_bytes_per_token()
-            streamed_share = 1.0 - cg
-            old_bytes = ctx_len * stored * streamed_share / k
-            new_bytes = stored * streamed_share / k
-            load_cache = np.maximum(
-                old_bytes / self.pcie_bw,
-                self.ctx.staging_seconds("load_cache", old_bytes),
-            )
-            store_cache = np.maximum(
-                new_bytes / self.pcie_bw,
-                self.ctx.staging_seconds("store_cache", new_bytes),
-            )
-            eff = self.cal.gpu_dense_efficiency
-            gpu_attn = np.maximum(
-                flops / (self.hw.gpu_flops * eff), kv_bytes / self.hw.gpu_mem_bdw
-            )
-            compute = gpu_attn + self._gpu_dense_seconds(1)
-            if kv_over is not None:
-                # Streamed share: codec charged to the cache tasks (Eqs. 6-7).
-                load_cache = (
-                    load_cache
-                    + kv_over.old_dequant_seconds * streamed_share / k
-                )
-                store_cache = (
-                    store_cache + kv_over.new_quant_seconds * streamed_share / k
-                )
-                # Resident share: codec runs when the cache is used/updated.
-                compute = compute + (
-                    kv_over.old_dequant_seconds + kv_over.new_quant_seconds
-                ) * cg / k
+        # CPU attention: one gpu_batch iteration of offloaded attention,
+        # and the CPU codec on the host cache; no cache crosses PCIe.
+        rates = self.cal.attention
+        share = self.ctx.cpu_share
+        flop_rate = min(
+            rates.cpu_flops_per_thread * self._eff, rates.cpu_flops_ceiling
+        ) * share
+        bw_rate = min(
+            rates.cpu_bw_per_thread * self._eff, rates.cpu_bw_ceiling
+        ) * share
+        cpu_attn = np.maximum(flops / flop_rate, kv_bytes / bw_rate) + codec / k
+        cpu_compute = np.maximum(cpu_attn, dense)
 
-        compute = compute + resident_dequant
+        # GPU attention: the streamed share of the cache crosses PCIe.
+        stored = s.kv_bytes
+        streamed_share = 1.0 - cg
+        old_bytes = ctx_len * stored * streamed_share / k
+        new_bytes = stored * streamed_share / k
+        load_cache = np.maximum(
+            old_bytes / self.pcie_bw,
+            self.ctx.staging_seconds("load_cache", old_bytes),
+        )
+        store_cache = np.maximum(
+            new_bytes / self.pcie_bw,
+            self.ctx.staging_seconds("store_cache", new_bytes),
+        )
+        eff = self.cal.gpu_dense_efficiency
+        gpu_attn = np.maximum(
+            flops / (self.hw.gpu_flops * eff), kv_bytes / self.hw.gpu_mem_bdw
+        )
+        # Streamed share: codec charged to the cache tasks (Eqs. 6-7).
+        load_cache = load_cache + kv_old * streamed_share / k
+        store_cache = store_cache + kv_new * streamed_share / k
+        # Resident share: codec runs when the cache is used/updated.
+        compute = gpu_attn + dense + codec * cg / k
+
+        load_cache = _where(on_cpu, 0.0, load_cache)
+        store_cache = _where(on_cpu, 0.0, store_cache)
+        compute = _where(on_cpu, cpu_compute, compute) + resident_dequant
         return load_weight, load_cache, load_act, store_cache, store_act, compute
 
     def prefill_task_costs(self) -> TaskCosts:
         """Per-iteration costs of the prefill pass (all prompt tokens)."""
-        return TaskCosts(*self._prefill_columns(
-            self.p.cg, self.p.hg,
+        p = self.p
+        return TaskCosts(*(float(c) for c in self._prefill_columns(
+            self.strategy(), p.cg, p.hg,
             self._load_weight_iter(), self._resident_weight_dequant_iter(),
-        ))
+        )))
 
-    def _prefill_columns(self, cg, hg, load_weight, resident_dequant) -> tuple:
+    def _prefill_columns(
+        self, s: StrategyColumns, cg, hg, load_weight, resident_dequant
+    ) -> tuple:
         """The six prefill task costs, in ``TASK_FIELD_NAMES`` order, for
-        scalar or per-candidate placement inputs (see
+        scalar or per-candidate strategy and placement inputs (see
         :meth:`_decode_columns`)."""
         w, p = self.w, self.p
-        s = w.prompt_len
+        n = w.prompt_len
         k = p.num_gpu_batches
         # Prefill attention/MLP always run on the GPU (paper Fig. 2, 1.2).
-        compute = self._gpu_attention_seconds(s, s) + self._gpu_dense_seconds(s)
-        resident = 0.0 if p.attention_on_cpu else cg
-        pf_bytes = (s + 1) * self.kv_store_bytes_per_token() * (1.0 - resident)
+        compute = self._gpu_attention_seconds(n, n) + self._gpu_dense_seconds(n)
+        resident = _where(s.attention_on_cpu, 0.0, cg)
+        pf_bytes = (n + 1) * s.kv_bytes * (1.0 - resident)
         store_cache = pf_bytes / k / self.pcie_bw
-        if p.kv_quant is not None:
-            over = kv_quant_overheads(w, self.cal.codec, device="gpu")
-            compute += over.prefill_quant_seconds / k  # Eq. 5
-        compute += resident_dequant
+        compute = compute + s.kv_prefill / k  # Eq. 5
+        compute = compute + resident_dequant
         act_flow = self.fp.prefill_activation_bytes_per_layer * (1.0 - hg)
         load_act = act_flow / k / self.pcie_bw
         return load_weight, 0.0, load_act, store_cache, load_act, compute
@@ -608,18 +749,21 @@ class CostModel:
 
     def t_init_seconds(self) -> float:
         """Eq. 3: disk -> host weight load + one-time weight quantization."""
-        return self._t_init_at(self.p.wg)
+        return float(self._t_init_at(self.p.wg, self.strategy()))
 
-    def _t_init_at(self, wg: float) -> float:
-        """:meth:`t_init_seconds` with ``wg`` of the weights GPU-resident."""
+    def _t_init_at(self, wg, s: StrategyColumns):
+        """:meth:`t_init_seconds` with ``wg`` of the weights GPU-resident
+        (scalar or per-candidate)."""
         t = 0.0
         if not self.weights_preloaded:  # reach: tests/test_perfmodel_latency.py::test_t_init_disk_load
             t += self.fp.total_weight_bytes / self.hw.disk_bdw
         wc = 1.0 - wg
-        if self.p.weight_quant is not None and wc > 0:
-            over = weight_quant_overheads(self.w, wc, self.cal.codec)
-            t += over.quantize_seconds * self.w.model.num_layers
-        return t
+        over = weight_quant_overheads(self.w, wc, self.cal.codec)
+        return t + _where(
+            s.weight_quant & (wc > 0),
+            over.quantize_seconds * self.w.model.num_layers,
+            0.0,
+        )
 
     def decode_seconds(self) -> float:
         """Total decode time across (n-1) tokens (Eq. 1's third term),
@@ -739,17 +883,19 @@ class CostModel:
         return traffic
 
 
+#: Elements of the ``(candidates, tokens)`` decode matrix :func:`price_grid`
+#: prices per block: a stacked menu of long generations is walked in row
+#: blocks, so only a few block-sized temporaries are alive at once.
+DECODE_BLOCK = 1 << 15
+
+
 @dataclass(frozen=True)
 class GridPrices:
-    """Eq. 1's three terms for every candidate placement of one strategy."""
+    """Eq. 1's three terms for every candidate placement."""
 
     t_init: np.ndarray
     t_prefill: np.ndarray
     t_decode: np.ndarray
-    #: ``(candidates, tokens)`` resource-grouped decode step seconds; row
-    #: ``i``, column ``t`` prices decode token ``t`` of candidate ``i``.  A
-    #: ``gen_len=1`` workload decodes nothing but still gets column 0.
-    step: np.ndarray
 
     def throughput(self, workload: Workload) -> np.ndarray:
         """Generated tokens per second of each candidate."""
@@ -758,59 +904,49 @@ class GridPrices:
         )
 
 
-def per_weight_split(fn, wg, wd) -> np.ndarray:
-    """``fn(wg, wd)`` evaluated once per distinct ``(wg, wd)`` pair and
-    gathered to one row per candidate.
+def price_grid(model: CostModel, wg, cg, hg, wd, menu: StrategyMenu) -> GridPrices:
+    """Price many placements in one pass.
 
-    Terms that depend only on how the weights split across GPU, host and
-    disk stay scalar formulas: a grid has ~20 distinct splits among ~170
-    candidates.
-    """
-    index: dict[tuple[float, float], int] = {}
-    rows = [
-        index.setdefault(pair, len(index))
-        for pair in zip(np.ravel(wg).tolist(), np.ravel(wd).tolist())
-    ]
-    return np.array([fn(*pair) for pair in index]).reshape(len(index), -1)[rows]
-
-
-def price_grid(model: CostModel, wg, cg, hg, wd) -> GridPrices:
-    """Price many placements of ``model``'s discrete strategy in one pass.
-
-    ``model`` fixes everything but the placement (attention placement,
-    W/KV quantization, batch geometry, CPU context, calibration); its own
-    fractions are ignored.  ``wg``/``cg``/``hg``/``wd`` are equal-length
-    sequences, one entry per candidate.  Candidate-invariant terms (KV
-    codec overheads, attention and dense compute, CPU efficiency) are
-    computed once; terms that depend only on ``(wg, wd)`` are computed
-    once per distinct pair and gathered.  The decode matrix keeps tokens
-    on its last, contiguous axis and ``breakdown``'s operation order, so
-    ``throughput()`` of every candidate is bitwise equal to
+    ``model`` fixes the batch geometry, CPU context and calibration; its
+    own policy is ignored.  ``menu`` gives each candidate's strategy, and
+    ``wg``/``cg``/``hg``/``wd`` are equal-length sequences, one entry per
+    candidate.  Candidate-invariant terms (attention and dense compute,
+    CPU efficiency) are computed once, the weight terms as arrays over
+    ``(wg, wd)`` and the weight-quant mask, and the KV codec once per
+    strategy.  The decode matrix keeps tokens on its last, contiguous
+    axis and ``breakdown``'s operation order, so ``throughput()`` of every
+    candidate is bitwise equal to
     ``CostModel(...).breakdown().throughput(workload)`` at that placement.
     Memory feasibility is the caller's business.
     """
     w = model.w
-    load_weight, resident_dequant, t_init = per_weight_split(
-        lambda a, d: (
-            model._load_weight_iter_at(a, d),
-            model._resident_weight_dequant_at(a),
-            model._t_init_at(a),
-        ),
-        wg, wd,
-    ).T
+    s = menu.columns(model)
     cg = np.asarray(cg, dtype=np.float64)
     hg = np.asarray(hg, dtype=np.float64)
+    load_weight = model._load_weight_iter_at(wg, wd, s)
+    resident_dequant = model._resident_weight_dequant_at(wg, s)
     iters = w.model.num_layers * model.p.num_gpu_batches
 
     t_prefill = _grouped_step(
-        *model._prefill_columns(cg, hg, load_weight, resident_dequant)
+        *model._prefill_columns(s, cg, hg, load_weight, resident_dequant)
     ) * iters
 
     n = w.gen_len - 1
-    tokens = np.arange(max(n, 1), dtype=np.float64)
-    step = _grouped_step(*model._decode_columns(
-        tokens, model._kv_overheads_vec(tokens), cg[:, None], hg[:, None],
-        load_weight[:, None], resident_dequant[:, None],
-    ))
-    t_decode = step.sum(axis=1) * iters if n > 0 else np.zeros(len(cg))
-    return GridPrices(t_init, t_prefill, t_decode, step)
+    t_decode = np.zeros(len(cg))
+    if n > 0:
+        tokens = np.arange(n, dtype=np.float64)
+        rows = max(1, DECODE_BLOCK // n)
+        for start, stop, policy in menu.runs():
+            over = model._kv_overheads_vec(tokens, policy)
+            kv_old, kv_new = (0.0, 0.0) if over is None else (
+                over.old_dequant_seconds, over.new_quant_seconds
+            )
+            for lo in range(start, stop, rows):
+                block = slice(lo, min(lo + rows, stop))
+                step = _grouped_step(*model._decode_columns(
+                    tokens, kv_old, kv_new, model.strategy(policy),
+                    cg[block, None], hg[block, None],
+                    load_weight[block, None], resident_dequant[block, None],
+                ))
+                t_decode[block] = step.sum(axis=1) * iters
+    return GridPrices(model._t_init_at(wg, s), t_prefill, t_decode)

@@ -56,12 +56,13 @@ class WeightQuantOverheads:
 
 def weight_quant_overheads(
     workload: Workload,
-    wc: float,
+    wc,
     rates: CodecRates | None = None,
     src_dtype: str = "fp16",
 ) -> WeightQuantOverheads:
-    """Eqs. 12-16 for one layer with ``wc`` of its weights offloaded."""
-    if not 0.0 <= wc <= 1.0:
+    """Eqs. 12-16 for one layer with ``wc`` of its weights offloaded
+    (a fraction, or an array of them: every field is then an array)."""
+    if not (np.all((wc >= 0.0) & (wc <= 1.0)) if isinstance(wc, np.ndarray) else 0.0 <= wc <= 1.0):
         raise ValueError("wc must be in [0, 1]")
     r = rates or CodecRates()
     elements = workload.model.weights_per_layer * wc

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import QuantizationError
 
@@ -43,25 +46,26 @@ class QuantConfig:
     def codes_per_byte(self) -> int:
         return 8 // self.bits
 
-    def payload_bytes(self, num_elements: int) -> float:
-        """Packed payload size for ``num_elements`` values, excluding
-        per-group min/scale metadata."""
-        if num_elements < 0:
+    def payload_bytes(self, num_elements):
+        """Packed payload size for ``num_elements`` values (a count or an
+        array of counts), excluding per-group min/scale metadata."""
+        if np.any(num_elements < 0) if isinstance(num_elements, np.ndarray) else num_elements < 0:
             raise ValueError("num_elements must be non-negative")
         return num_elements * self.bits / 8
 
-    def metadata_bytes(self, num_elements: int, scale_dtype_bytes: int = 2) -> float:
+    def metadata_bytes(self, num_elements, scale_dtype_bytes: int = 2) -> float:
         """Per-group (min, scale) metadata bytes.
 
         Stored min/scale are fp16 on the wire (the in-memory
         :class:`~repro.quant.groupwise.QuantizedTensor` keeps fp32 for
         numeric headroom, but transport layers ship fp16 like FlexGen's).
         """
-        import math
-
-        groups = math.ceil(num_elements / self.group_size)
+        if isinstance(num_elements, np.ndarray):
+            groups = np.ceil(num_elements / self.group_size)
+        else:
+            groups = math.ceil(num_elements / self.group_size)
         return groups * 2 * scale_dtype_bytes
 
-    def total_bytes(self, num_elements: int) -> float:
+    def total_bytes(self, num_elements):
         """Payload + metadata: what actually crosses the interconnect."""
         return self.payload_bytes(num_elements) + self.metadata_bytes(num_elements)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core.plan_cache import CURVE_CACHE, PLAN_CACHE
+from repro.core.plan_cache import CURVE_CACHE, LP_CACHE, PLAN_CACHE
 from repro.hardware import single_a100, small_test_platform
 from repro.models import get_model
 from repro.parallel import ContentionModel, CpuTopology
@@ -16,10 +16,11 @@ from repro.perfmodel import CpuExecutionContext, HardwareParams, Workload
 
 @pytest.fixture(autouse=True)
 def _cold_plan_cache():
-    """Start every test with empty process-wide plan and curve caches, so
-    cold-start expectations (a first lookup misses) hold in any order."""
+    """Start every test with empty process-wide plan, curve and LP caches,
+    so cold-start expectations (a first lookup misses) hold in any order."""
     PLAN_CACHE.clear()
     CURVE_CACHE.clear()
+    LP_CACHE.clear()
 
 
 @pytest.fixture
@@ -79,6 +80,7 @@ def quick_bench_timing(tmp_path_factory) -> SimpleNamespace:
 
     PLAN_CACHE.clear()
     CURVE_CACHE.clear()
+    LP_CACHE.clear()
     path = tmp_path_factory.mktemp("bench-timing") / "BENCH_timing.json"
     registry = MetricsRegistry(namespace="bench-timing")
     payload = write_bench_timing(path=str(path), quick=True, registry=registry)

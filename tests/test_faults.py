@@ -143,6 +143,24 @@ def test_core_loss_at_high_severity_keeps_a_valid_topology(platform, severity):
     )
 
 
+@pytest.mark.parametrize("severity", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("throttle", [None, 0.3])
+def test_core_loss_scales_flops_by_the_surviving_cores(a100_platform, severity, throttle):
+    """``peak_flops`` follows the cores left after rounding to a socket
+    multiple (4 of 56 at 0.9, 2 of 56 at 0.99), times any CPU throttle
+    on the same device."""
+    faults = [FaultSpec(FaultKind.CORE_LOSS, 0.0, 10.0, severity)]
+    if throttle is not None:
+        faults.append(FaultSpec(FaultKind.CPU_THROTTLE, 0.0, 10.0, throttle))
+    base = a100_platform.cpu
+    cpu = degraded_platform(a100_platform, faults, 5.0).cpu
+    keep = {0.5: 28, 0.9: 4, 0.99: 2}[severity]
+    assert cpu.cores == keep
+    speed = 1.0 if throttle is None else 1.0 - throttle
+    assert cpu.peak_flops == pytest.approx(base.peak_flops * speed * keep / 56, rel=1e-12)
+    assert cpu.freq == pytest.approx(base.freq * speed, rel=1e-12)
+
+
 def test_overlay_mem_shrink(a100_platform):
     sched = FaultSchedule(
         name="s", faults=(FaultSpec(FaultKind.HOST_MEM_SHRINK, 0.0, 10.0, 0.7),)

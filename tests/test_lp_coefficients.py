@@ -1,16 +1,18 @@
 """The placement LP's coefficients against the scalar probes they replaced.
 
-``PolicyPlanner.lp_coefficients`` reads ``(t0, t_mat, g0, g_mat)`` from
-one ``CostModel._decode_columns`` call and one ``memory_bytes`` call (the
-cost model's ``_weight_bytes_at`` / ``_memory_columns`` byte kernel) over
-a ``(nvars + 1)``-placement probe array.
-``reference_costs.lp_probe_coefficients`` is the former extraction: one
-probe policy and ``CostModel`` per LP variable plus the origin, each
-priced through the scalar reference decode and peak-byte formulas.  The two must be
-``np.array_equal`` on every Tab. 3 cell, attention placement and
-quantization menu, under both the default and the Alg. 3-controlled CPU
-context and on a PCIe-degraded platform, and ``lp_placement`` must return
-the same fractions from either.
+``PolicyPlanner._lp_rows`` reads every strategy's ``(t0, t_mat, g0,
+g_mat)`` from one ``CostModel._decode_columns`` call and one
+``memory_bytes`` call (the cost model's ``_weight_bytes_at`` /
+``_memory_columns`` byte kernel) over the stacked ``(nvars + 1)``-placement
+probe arrays of the whole menu; ``lp_coefficients`` is that pass over a
+one-strategy menu.  ``reference_costs.lp_probe_coefficients`` is the
+former extraction: one probe policy and ``CostModel`` per LP variable
+plus the origin, each priced through the scalar reference decode and
+peak-byte formulas.  Both the stacked rows and the one-strategy rows must
+be ``np.array_equal`` to it on every Tab. 3 cell, attention placement
+and quantization menu, under both the default and the Alg. 3-controlled
+CPU context and on a PCIe-degraded platform, and ``lp_placement`` must
+return the same fractions from either.
 
 The LP itself is checked against scipy's HiGHS (``linprog``), the solver
 :func:`~repro.offload.lp.vertex_lp` replaced, on every LP of that matrix
@@ -33,6 +35,7 @@ from scipy.optimize import linprog
 
 from repro.bench import paper_data
 from repro.bench.experiments import run_tab3_overall
+from repro.core.plan_cache import LP_CACHE
 from repro.core import LMOffloadEngine
 from repro.errors import PolicyError
 from repro.faults import FaultKind, FaultSpec, degraded_platform
@@ -40,7 +43,8 @@ from repro.hardware import single_a100
 from repro.models import get_model
 from repro.offload import OffloadPolicy
 from repro.offload.lp import vertex_lp
-from repro.offload.planner import PolicyPlanner, _lp_variables
+from repro.offload import planner as planner_mod
+from repro.offload.planner import PolicyPlanner, _fractions
 from repro.perfmodel import Workload
 from repro.quant import QuantConfig
 from tests import reference_costs as ref
@@ -78,16 +82,19 @@ def _solve(planner, workload, template):
 
 
 def assert_lp_matches_probes(planner, workload, monkeypatch):
-    for attn, wq, kq in STRATEGIES:
-        template = _template(workload, attn, wq, kq)
+    templates = [_template(workload, *strategy) for strategy in STRATEGIES]
+    stacked = planner._lp_rows(planner._model(workload, templates[0]), templates)
+    for template, rows in zip(templates, stacked):
         got = planner.lp_coefficients(workload, template)
         want = ref.lp_probe_coefficients(planner, workload, template)
-        for name, a, b in zip(("t0", "t_mat", "g0", "g_mat"), got, want):
-            assert a.shape == b.shape, name
+        for name, a, b, c in zip(("t0", "t_mat", "g0", "g_mat"), got, want, rows):
+            assert a.shape == b.shape == c.shape, name
             assert np.array_equal(a, b), (name, a, b)
+            assert np.array_equal(c, b), (name, c, b)
         fractions = _solve(planner, workload, template)
         with monkeypatch.context() as m:
             m.setattr(PolicyPlanner, "lp_coefficients", ref.lp_probe_coefficients)
+            LP_CACHE.clear()
             assert _solve(planner, workload, template) == fractions
 
 
@@ -127,8 +134,6 @@ def test_pcie_degraded_lp_coefficients_match_scalar_probes(monkeypatch):
 
 def test_lp_builds_one_cost_model_and_no_probe_policies(monkeypatch, hw, default_ctx):
     """One ``CostModel`` per LP, built on the template itself."""
-    import repro.offload.planner as planner_mod
-
     built = []
     real = planner_mod.CostModel
 
@@ -170,7 +175,7 @@ def step_time(t0, t_mat, x):
     return max(0.0, float(np.max(t0 + t_mat @ x)))
 
 
-def assert_vertex_matches_highs(planner, workload, template, monkeypatch):
+def assert_vertex_matches_highs(planner, workload, template):
     t0, t_mat, g0, g_mat = planner.lp_coefficients(workload, template)
     caps = np.array([planner.hw.gpu_mem_capacity, planner.hw.cpu_mem_capacity])
     res = highs(t0, t_mat, g0, g_mat, caps)
@@ -181,14 +186,9 @@ def assert_vertex_matches_highs(planner, workload, template, monkeypatch):
         return
     assert res.success, (template.describe(), res.message)
     assert step_time(t0, t_mat, x) == pytest.approx(res.fun, rel=1e-9, abs=0.0)
-    theirs = dict(zip(_lp_variables(template), res.x[:-1].tolist()))
-    ours = planner._candidate_fractions(workload, template)
-    with monkeypatch.context() as m:
-        m.setattr(
-            PolicyPlanner, "lp_placement",
-            lambda self, w, t: tuple(theirs.get(v, 0.0) for v in ("wg", "cg", "hg")),
-        )
-        want = planner._candidate_fractions(workload, template)
+    attn = template.attention_on_cpu
+    ours = planner._candidate_fractions(_fractions(template, x.tolist()), attn)
+    want = planner._candidate_fractions(_fractions(template, res.x[:-1].tolist()), attn)
     assert np.array_equal(ours, want), (template.describe(), x, res.x)
 
 
@@ -196,11 +196,11 @@ def assert_vertex_matches_highs(planner, workload, template, monkeypatch):
 @pytest.mark.parametrize(
     "platform", [single_a100, _pcie_degraded], ids=["single-a100", "pcie-degraded"]
 )
-def test_tab3_vertex_lp_matches_highs(platform, model_name, monkeypatch):
+def test_tab3_vertex_lp_matches_highs(platform, model_name):
     for planner, workload in tab3_planners(platform(), model_name):
         for attn, wq, kq in STRATEGIES:
             template = _template(workload, attn, wq, kq)
-            assert_vertex_matches_highs(planner, workload, template, monkeypatch)
+            assert_vertex_matches_highs(planner, workload, template)
 
 
 def _lp(t0, t_mat, g0, g_mat, caps):
@@ -264,21 +264,22 @@ def test_tab3_sweep_plans_no_negative_zero(monkeypatch):
     """No LP result or planned policy of the Tab. 3 sweep carries a
     ``-0.0`` fraction, which a JSON artifact would print as ``-0.0``."""
     values: list[float] = []
-    lp_placement = PolicyPlanner.lp_placement
-    search_fixed = PolicyPlanner.search_fixed
+    solve_lp = planner_mod.solve_lp
+    search_menu = PolicyPlanner._search_menu
 
-    def recording_lp(self, *args, **kwargs):
-        out = lp_placement(self, *args, **kwargs)
+    def recording_lp(*args):
+        out = solve_lp(*args)
         values.extend(out)
         return out
 
     def recording_search(self, *args, **kwargs):
-        policy, score = search_fixed(self, *args, **kwargs)
-        values.extend((policy.wg, policy.cg, policy.hg, policy.wd))
-        return policy, score
+        results = search_menu(self, *args, **kwargs)
+        for policy, _ in filter(None, results):
+            values.extend((policy.wg, policy.cg, policy.hg, policy.wd))
+        return results
 
-    monkeypatch.setattr(PolicyPlanner, "lp_placement", recording_lp)
-    monkeypatch.setattr(PolicyPlanner, "search_fixed", recording_search)
+    monkeypatch.setattr(planner_mod, "solve_lp", recording_lp)
+    monkeypatch.setattr(PolicyPlanner, "_search_menu", recording_search)
     rows = run_tab3_overall()
     assert values
     assert [v for v in values if math.copysign(1.0, v) < 0] == []

@@ -230,10 +230,14 @@ def test_profiling_captures_planner_and_executor_spans():
         assert rep["scopes"][name]["calls"] >= 1, name
     memo = rep["caches"]["engine.plan_memo"]
     assert memo == {"hits": 1, "misses": 1, "hit_rate": 0.5}
-    # One grid pass per strategy search, never one pricing per candidate.
-    searches = rep["scopes"]["planner.search_fixed"]["calls"]
+    # One stacked grid pass per search over the whole strategy menu, and
+    # at most one LP lookup per strategy.
+    searches = rep["scopes"]["planner.search"]["calls"]
     assert searches >= 1
+    assert "planner.search_fixed" not in rep["scopes"]
     assert rep["scopes"]["planner.score_grid"]["calls"] == searches
+    lp = rep["caches"]["planner.lp"]
+    assert 0 < lp["hits"] + lp["misses"] <= 6 * searches
 
 
 # -- zero-overhead / zero-effect contract -----------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import LMOffloadEngine
+from repro.core.plan_cache import LP_CACHE
 from repro.errors import PolicyError
 from repro.hardware import single_a100
 from repro.models import get_model
@@ -146,23 +147,29 @@ def test_kv_quant_overheads_vec_matches_scalar(workload, device):
 
 
 def test_plan_policy_unchanged_scalar_vs_vectorized(workload, monkeypatch):
-    """The planner chooses the identical policy when its LP coefficients
-    come from the scalar probes and every candidate is scored by the
-    scalar reference ``breakdown``."""
+    """The planner chooses the identical policy when every strategy's LP
+    coefficients come from the scalar probes and every candidate of the
+    stacked menu is scored by the scalar reference ``breakdown``."""
     fast_policy, _, _ = LMOffloadEngine(single_a100()).plan(workload)
 
-    def reference_scores(planner, model, wg, cg, hg, wd):
+    def reference_scores(planner, model, wg, cg, hg, wd, menu):
         w = model.w
         return np.array([
             ref.breakdown(CostModel(
-                w, model.p.with_(wg=a, cg=b, hg=c, wd=d),
+                w, menu.policies[s].with_(wg=a, cg=b, hg=c, wd=d),
                 planner.hw, planner.cpu_ctx,
             )).throughput(w)
-            for a, b, c, d in zip(*(np.ravel(x).tolist() for x in (wg, cg, hg, wd)))
+            for s, a, b, c, d in zip(
+                menu.index.tolist(), *(np.ravel(x).tolist() for x in (wg, cg, hg, wd))
+            )
         ])
 
+    def reference_lp_rows(planner, model, templates):
+        return [ref.lp_probe_coefficients(planner, model.w, t) for t in templates]
+
     monkeypatch.setattr(PolicyPlanner, "_scores", reference_scores)
-    monkeypatch.setattr(PolicyPlanner, "lp_coefficients", ref.lp_probe_coefficients)
+    monkeypatch.setattr(PolicyPlanner, "_lp_rows", reference_lp_rows)
+    LP_CACHE.clear()
     slow_policy, _, _ = LMOffloadEngine(single_a100()).plan(workload)
     assert slow_policy == fast_policy
 
@@ -203,9 +210,8 @@ def test_memory_prescreen_matches_cost_model(engine, attn, wq, kq, resident):
                 for spill in (0.0, 0.5, 1.0)
             ]
             wg, cg, hg, wd = (np.array(axis) for axis in zip(*cands))
-            gpu, host = memory_bytes(
-                CostModel(workload, template, engine.hw, ctx), wg, cg, hg, wd
-            )
+            model = CostModel(workload, template, engine.hw, ctx)
+            gpu, host = memory_bytes(model, wg, cg, hg, wd, model.strategy())
             for i, (a, b, c, d) in enumerate(cands):
                 m = CostModel(
                     workload, template.with_(wg=a, cg=b, hg=c, wd=d), engine.hw, ctx

@@ -1,13 +1,18 @@
-"""The vectorized candidate search against the per-candidate loop it replaced.
+"""The stacked policy search against the per-candidate loop it replaced.
 
-``reference_search_fixed`` is the planner's former search, kept here as
-the oracle: it walks the same candidates one at a time, builds a
-``CostModel`` for each, screens memory with the scalar peak-byte oracle
-in ``tests/reference_costs.py``, retries a host-bound candidate with half
-and then all of its offloaded weights on disk, and scores every survivor
-with ``breakdown().throughput``.  The grid pass must keep the same
-survivors in the same order, give each of them a score bitwise equal to
-the reference's, and return the identical ``(policy, score)``.
+``reference_search_fixed`` is the planner's former per-strategy search,
+kept here as the oracle: it walks the same candidates one at a time,
+builds a ``CostModel`` for each, screens memory with the scalar peak-byte
+oracle in ``tests/reference_costs.py``, retries a host-bound candidate
+with half and then all of its offloaded weights on disk, and scores every
+survivor with ``breakdown().throughput``.  ``reference_search`` is the
+former strategy loop over it: strategies in menu order, the first
+strictly better one wins.
+
+The planner prices the whole menu in one pass (``_price_menu``).  That
+pass must keep each strategy's survivors in the same order and give each
+of them a score bitwise equal to the reference's, and ``search`` and
+every ``search_fixed`` must return the identical ``(policy, score)``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from repro.hardware import single_a100
 from repro.models import get_model
 from repro.offload import OffloadPolicy
 from repro.offload import planner as planner_module
-from repro.offload.planner import PolicyPlanner, placements
+from repro.offload.planner import PolicyPlanner
 from repro.perfmodel import CostModel, CpuExecutionContext, Workload
 from tests import reference_costs as ref
 
@@ -124,40 +129,70 @@ def strategies(planner):
                 yield attn, wq, kq
 
 
-def assert_matches_reference(planner, workload, attn, wq, kq, seed=None):
-    """Grid scores, survivors and the search result all equal the
-    reference's; returns the reference's survivors."""
-    ref_policy, ref_score, scored = reference_search_fixed(
-        planner, workload, attn, wq, kq, seed
-    )
-    template = _template(workload, attn, wq, kq)
-    wg, cg, hg = planner._candidate_fractions(workload, template, seed)
-    model = CostModel(workload, template, planner.hw, planner.cpu_ctx)
-    fits, wd = placements(model, wg, cg, hg)
-    keep = np.flatnonzero(fits)
-    assert [
-        (float(wg[i]), float(cg[i]), float(hg[i]), float(wd[i])) for i in keep
-    ] == list(scored)
-    if ref_policy is None:
-        with pytest.raises(PolicyError):
-            planner.search_fixed(workload, attn, wq, kq, seed)
-        return scored
-    grid = planner._scores(model, wg[keep], cg[keep], hg[keep], wd[keep])
-    assert grid.tolist() == list(scored.values())
-    policy, score = planner.search_fixed(workload, attn, wq, kq, seed)
-    assert (policy, score) == (ref_policy, ref_score)
-    assert type(score) is float
-    return scored
+def _seed_fractions(seed, attn, wq, kq):
+    if seed is not None and (
+        seed.attention_on_cpu, seed.weight_quant, seed.kv_quant
+    ) == (attn, wq, kq):
+        return (seed.wg, seed.cg, seed.hg)
+    return None
+
+
+def reference_search(results):
+    """The former strategy loop over each strategy's reference
+    ``(policy, score)`` in menu order: the first strictly best one wins;
+    ``(None, None)`` when no strategy has a feasible placement."""
+    best = None
+    for policy, score in results:
+        if policy is not None and (best is None or score > best[1]):
+            best = (policy, score)
+    return best or (None, None)
+
+
+def stacked_survivors(planner, workload, seed=None):
+    """Per strategy, the ``{(wg, cg, hg, wd): score}`` survivors of the
+    planner's one stacked pass over the whole menu."""
+    menu = list(strategies(planner))
+    prices = planner._price_menu(workload, menu, seed)
+    out = [{} for _ in menu]
+    for i, score in zip(prices.keep.tolist(), prices.scores.tolist()):
+        point = tuple(float(a[i]) for a in (prices.wg, prices.cg, prices.hg, prices.wd))
+        out[prices.menu.index[i]][point] = score
+    return out
 
 
 def assert_planner_matches(planner, workload, seed=None):
-    for attn, wq, kq in strategies(planner):
-        fractions = None
-        if seed is not None and (
-            seed.attention_on_cpu, seed.weight_quant, seed.kv_quant
-        ) == (attn, wq, kq):
-            fractions = (seed.wg, seed.cg, seed.hg)
-        assert_matches_reference(planner, workload, attn, wq, kq, fractions)
+    """The stacked pass's survivors and scores, ``search`` and every
+    strategy's ``search_fixed`` all equal the reference's."""
+    stacked = stacked_survivors(planner, workload, seed)
+    results = []
+    for (attn, wq, kq), survivors in zip(strategies(planner), stacked):
+        fractions = _seed_fractions(seed, attn, wq, kq)
+        ref_policy, ref_score, scored = reference_search_fixed(
+            planner, workload, attn, wq, kq, fractions
+        )
+        results.append((ref_policy, ref_score))
+        assert list(survivors.items()) == list(scored.items())
+        if fractions is not None:
+            # search_fixed takes no seed: the one-strategy menu directly.
+            (result,) = planner._search_menu(workload, [(attn, wq, kq)], seed)
+            assert result == (ref_policy, ref_score)
+            continue
+        if ref_policy is None:
+            with pytest.raises(PolicyError):
+                planner.search_fixed(workload, attn, wq, kq)
+            continue
+        policy, score = planner.search_fixed(workload, attn, wq, kq)
+        assert (policy, score) == (ref_policy, ref_score)
+        assert type(score) is float
+    ref_policy, ref_score = reference_search(results)
+    if ref_policy is None:
+        with pytest.raises(PolicyError):
+            planner.search(workload, seed)
+        return stacked
+    policy, score = planner.search(workload, seed)
+    assert (policy, score) == (ref_policy, ref_score)
+    assert type(score) is float
+    return stacked
 
 
 def lm_offload_planners(engine, workload):
@@ -210,12 +245,12 @@ def test_host_bound_disk_spill_matches_reference(hw, default_ctx, host_bytes):
     small_host = dataclasses.replace(hw, cpu_mem_capacity=host_bytes)
     planner = PolicyPlanner(hw=small_host, cpu_ctx=default_ctx, quant_aware=True)
     workload = Workload(get_model("opt-30b"), 64, 8, 64, 2)
-    spills = set()
-    for attn, wq, kq in strategies(planner):
-        scored = assert_matches_reference(planner, workload, attn, wq, kq)
-        spills |= {
-            round(wd / (1.0 - wg), 4) for wg, _, _, wd in scored if wd > 0
-        }
+    spills = {
+        round(wd / (1.0 - wg), 4)
+        for scored in assert_planner_matches(planner, workload)
+        for wg, _, _, wd in scored
+        if wd > 0
+    }
     if host_bytes < 100e9:
         assert spills == {0.5, 1.0}
         assert any(
@@ -237,30 +272,76 @@ def test_gen_len_one_throughput_matches_reference(hw, default_ctx):
     assert_planner_matches(PolicyPlanner(hw=hw, cpu_ctx=default_ctx), workload)
 
 
+def test_coarse_wg_step_matches_reference(hw, default_ctx):
+    """A 0.25 ``wg`` grid snaps the LP points to other grid columns."""
+    workload = Workload(get_model("opt-30b"), 64, 32, 64, 10)
+    planner = PolicyPlanner(hw=hw, cpu_ctx=default_ctx, wg_step=0.25)
+    assert_planner_matches(planner, workload)
+
+
+def test_lp_cache_is_transparent(monkeypatch):
+    """Every search of the Tab. 3 cells of one model and of a PCIe-halved
+    platform returns the same ``(policy, score)`` with the ``planner.lp``
+    cache on as with ``maxsize = 0`` (nothing stored), and the cached
+    run does hit."""
+    from repro.core.plan_cache import LP_CACHE
+    from repro.obs.profiling import profiling_enabled
+
+    platform = degraded_platform(
+        single_a100(), [FaultSpec(FaultKind.PCIE_DEGRADE, 0.0, 1e9, 0.5)], 1.0
+    )
+
+    def searches():
+        out = []
+        for engine in (LMOffloadEngine(single_a100()), LMOffloadEngine(platform)):
+            for gen_len in TAB3_GEN_LENS:
+                workload = Workload(get_model("opt-30b"), 64, gen_len, 64, 10)
+                first, second, seed = lm_offload_planners(engine, workload)
+                out += [first.search(workload), second.search(workload, seed)]
+        return out
+
+    with profiling_enabled() as prof:
+        cached = searches()
+    lookups = prof.report()["caches"]["planner.lp"]
+    assert lookups["hits"] > 0
+    LP_CACHE.clear()
+    monkeypatch.setattr(LP_CACHE, "maxsize", 0)
+    assert searches() == cached
+    assert len(LP_CACHE) == 0
+
+
 # -- selection -------------------------------------------------------------
 
 
 def test_tie_keeps_first_maximum(monkeypatch, hw, default_ctx, short_workload):
     """Equal scores go to the earliest candidate, as the strict ``>`` of
-    the per-candidate loop did: the LP-snapped point before the grid."""
+    the per-candidate loop did: the LP-snapped point before the grid,
+    and across strategies the first one in menu order."""
     planner = PolicyPlanner(hw=hw, cpu_ctx=default_ctx)
-    template = _template(short_workload, False, None, None)
-    wg, cg, hg = planner._candidate_fractions(short_workload, template)
-    fits, _ = placements(
-        CostModel(short_workload, template, hw, default_ctx), wg, cg, hg
-    )
-    first, second = np.flatnonzero(fits)[:2]
+    strategy = (False, None, None)
+    prices = planner._price_menu(short_workload, [strategy])
+    first, second = prices.keep[:2]
 
-    def tied(self, model, wg, cg, hg, wd):
+    def tied(self, model, wg, cg, hg, wd, menu):
+        """7.0 on each strategy's first two and last survivors, else 0."""
         scores = np.zeros(len(wg))
-        scores[[0, 1, -1]] = 7.0
+        for i in range(len(menu.policies)):
+            rows = np.flatnonzero(menu.index == i)
+            scores[rows[:2]] = 7.0
+            scores[rows[-1:]] = 7.0
         return scores
 
     monkeypatch.setattr(PolicyPlanner, "_scores", tied)
-    policy, score = planner.search_fixed(short_workload, False, None, None)
+    policy, score = planner.search_fixed(short_workload, *strategy)
     assert score == 7.0
-    assert (policy.wg, policy.cg, policy.hg) == (wg[first], cg[first], hg[first])
-    assert (policy.wg, policy.cg, policy.hg) != (wg[second], cg[second], hg[second])
+    point = (policy.wg, policy.cg, policy.hg)
+    assert point == tuple(a[first] for a in (prices.wg, prices.cg, prices.hg))
+    assert point != tuple(a[second] for a in (prices.wg, prices.cg, prices.hg))
+    winners = [
+        w for w in planner._search_menu(short_workload, planner.strategies()) if w
+    ]
+    assert len(winners) > 1 and {score for _, score in winners} == {7.0}
+    assert planner.search(short_workload) == winners[0]
 
 
 # -- prescreen / cost-model disagreement ------------------------------------
@@ -269,12 +350,12 @@ def test_tie_keeps_first_maximum(monkeypatch, hw, default_ctx, short_workload):
 def test_optimistic_prescreen_raises_typed_error(monkeypatch, hw, default_ctx):
     """A winner the array screen passes but the winner's one-row
     ``check_feasible`` rejects raises PrescreenMismatchError, which the
-    strategy loop does not swallow."""
+    stacked search does not swallow."""
     assert issubclass(PrescreenMismatchError, ReproError)
     assert not issubclass(PrescreenMismatchError, PolicyError)
     monkeypatch.setattr(
         planner_module, "placements",
-        lambda model, wg, cg, hg: (np.ones(len(wg), dtype=bool), np.zeros_like(wg)),
+        lambda model, wg, cg, hg, s: (np.ones(len(wg), dtype=bool), np.zeros_like(wg)),
     )
     planner = PolicyPlanner(hw=hw, cpu_ctx=default_ctx)
     workload = Workload(get_model("opt-30b"), 64, 32, 64, 10)

@@ -126,9 +126,10 @@ def test_plan_memo_gate_flags_searches_that_bypass_the_cache(budgets_mod, tmp_pa
 
 
 def _grid_report(searches, grids):
-    report = _report(**{"planner.search_fixed": 0.5, "planner.score_grid": 0.1})
-    report["scopes"]["planner.search_fixed"]["calls"] = searches
+    report = _report(**{"planner.search": 0.5, "planner.score_grid": 0.1})
+    report["scopes"]["planner.search"]["calls"] = searches
     report["scopes"]["planner.score_grid"]["calls"] = grids
+    report["caches"] = {"planner.lp": {"hits": searches, "misses": searches}}
     return report
 
 
@@ -138,10 +139,13 @@ def test_score_grid_gate_allows_one_grid_pass_per_search(budgets_mod):
 
 
 def test_score_grid_gate_flags_per_candidate_scoring(budgets_mod, tmp_path):
-    problems = budgets_mod.check(_grid_report(7, 168), {}, required=())
-    assert len(problems) == 1 and "168 times for 7" in problems[0]
+    """One grid pass per strategy (six per search) fails the gate, as
+    does one per candidate."""
+    for grids in (42, 168):
+        problems = budgets_mod.check(_grid_report(7, grids), {}, required=())
+        assert len(problems) == 1 and f"{grids} times for 7" in problems[0]
     no_search = _grid_report(0, 1)
-    del no_search["scopes"]["planner.search_fixed"]
+    del no_search["scopes"]["planner.search"]
     assert budgets_mod.check(no_search, {}, required=())
     path = tmp_path / "chaos.json"
     path.write_text(json.dumps(_grid_report(7, 168)))
@@ -150,27 +154,41 @@ def test_score_grid_gate_flags_per_candidate_scoring(budgets_mod, tmp_path):
     assert budgets_mod.main([str(path), "--require", "planner.score_grid"]) == 0
 
 
-def _lp_report(searches, lps):
-    report = _report(**{"planner.search_fixed": 0.5, "planner.lp_placement": 0.1})
-    report["scopes"]["planner.search_fixed"]["calls"] = searches
-    report["scopes"]["planner.lp_placement"]["calls"] = lps
+def _lp_report(searches, hits, misses):
+    report = _report(**{"planner.search": 0.5})
+    report["scopes"]["planner.search"]["calls"] = searches
+    report["caches"] = {"planner.lp": {"hits": hits, "misses": misses}}
     return report
 
 
 def test_lp_gate_allows_one_lp_per_search(budgets_mod):
-    for report in (_lp_report(280, 280), _lp_report(7, 5)):
+    """Up to one LP lookup per strategy of the six-strategy menu."""
+    for report in (_lp_report(280, 0, 280), _lp_report(7, 20, 22), _lp_report(1, 0, 1)):
         assert budgets_mod.check(report, {}, required=()) == []
 
 
 def test_lp_gate_flags_repeated_lp_solves(budgets_mod, tmp_path):
-    problems = budgets_mod.check(_lp_report(7, 14), {}, required=())
-    assert len(problems) == 1 and "14 times for 7" in problems[0]
-    assert "planner.lp_placement" in problems[0]
+    problems = budgets_mod.check(_lp_report(7, 40, 3), {}, required=())
+    assert len(problems) == 1 and "43 times for 7" in problems[0]
+    assert "planner.lp" in problems[0]
     path = tmp_path / "chaos.json"
-    path.write_text(json.dumps(_lp_report(7, 14)))
-    assert budgets_mod.main([str(path), "--require", "planner.lp_placement"]) == 1
-    path.write_text(json.dumps(_lp_report(7, 7)))
-    assert budgets_mod.main([str(path), "--require", "planner.lp_placement"]) == 0
+    path.write_text(json.dumps(_lp_report(7, 40, 3)))
+    assert budgets_mod.main([str(path), "--require", "planner.search"]) == 1
+    path.write_text(json.dumps(_lp_report(7, 21, 21)))
+    assert budgets_mod.main([str(path), "--require", "planner.search"]) == 0
+
+
+def test_lp_cache_cannot_vanish_while_searches_run(budgets_mod, tmp_path):
+    no_lookups = _lp_report(7, 0, 0)
+    del no_lookups["caches"]["planner.lp"]
+    problems = budgets_mod.check(no_lookups, {}, required=())
+    assert len(problems) == 1 and "'planner.lp' reported no lookups" in problems[0]
+    path = tmp_path / "chaos.json"
+    path.write_text(json.dumps(_lp_report(7, 21, 21)))
+    args = [str(path), "--require", "planner.search"]
+    assert budgets_mod.main(args + ["--require-cache", "planner.lp>=0.5"]) == 0
+    path.write_text(json.dumps(_lp_report(7, 10, 32)))
+    assert budgets_mod.main(args + ["--require-cache", "planner.lp>=0.5"]) == 1
 
 
 def _curve_report(hits, misses, plans=4):
