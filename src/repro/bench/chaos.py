@@ -40,7 +40,13 @@ from repro.serving.arrivals import RequestTrace, default_trace
 from repro.serving.metrics import compute_metrics
 from repro.serving.policies import make_policy
 from repro.serving.request import RequestState
-from repro.serving.simulator import ServingConfig, ServingResult, ServingSimulator
+from repro.serving.simulator import (
+    BACKOFF_JITTER,
+    DRIFT_TOLERANCE,
+    ServingConfig,
+    ServingResult,
+    ServingSimulator,
+)
 from repro.bench.serving import ENGINES
 
 SCHEMA_VERSION = 1
@@ -339,7 +345,8 @@ def run_chaos(
     segment, kind, batch, context bucket) and re-priced by a fresh
     engine retargeted at the exactly-faulted platform, checked at
     ``serving_drift_tolerance`` (looser than the plan gate: the watchdog
-    legitimately serves on plans up to ``config.drift_tolerance`` stale).
+    legitimately serves on plans up to
+    :data:`~repro.serving.simulator.DRIFT_TOLERANCE` stale).
     Adds ``"serving_drift"`` / ``"all_serving_drift_ok"`` sections.
     """
     plan_gate = DriftGate(drift_tolerance, "drift_tolerance") if drift_gate else None
@@ -419,8 +426,8 @@ def run_chaos(
             "retry_limit": config.retry_limit,
             "backoff_base_s": config.backoff_base_s,
             "backoff_cap_s": config.backoff_cap_s,
-            "backoff_jitter": config.backoff_jitter,
-            "drift_tolerance": config.drift_tolerance,
+            "backoff_jitter": BACKOFF_JITTER,
+            "drift_tolerance": DRIFT_TOLERANCE,
             "request_deadline_s": config.request_deadline_s,
         },
         "scenarios": list(scenarios),

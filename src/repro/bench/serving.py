@@ -38,32 +38,25 @@ def simulate_engine(
     trace: RequestTrace,
     scheduler: str = "fcfs",
     config: ServingConfig | None = None,
-    collect_timeseries: bool = False,
     collect_steps: bool = True,
     faults: Any = None,
     seed: int = 0,
 ) -> ServingResult:
     """One engine, one trace -> the full simulation result.
 
-    ``collect_timeseries`` injects a registry so the loop samples its
-    per-step curves (queue depth, step price, batch, rung); off by
-    default because the curves are export-only — the run itself is
-    byte-identical either way.  ``collect_steps=False`` skips retaining
-    per-step records entirely (the throughput setting for huge traces);
-    every summary metric is byte-identical either way, only the
-    ``steps``/``queue_depth`` views (timeline export) need it on.
+    ``collect_steps=False`` skips retaining per-step records entirely
+    (the throughput setting for huge traces); every summary metric is
+    byte-identical either way, only the ``steps``/``queue_depth`` views
+    (timeline export and the ``curve.*`` time series) need it on.
     ``faults`` (a :class:`~repro.faults.FaultSchedule`) plus ``seed``
     switch the run into the fault-injected regime.
     """
-    from repro.obs.registry import MetricsRegistry
-
     sim = ServingSimulator(
         engine=make_engine(engine_name),
         model=get_model(model_name),
         trace=trace,
         policy=make_policy(scheduler),
         config=config,
-        metrics=MetricsRegistry(namespace="serving") if collect_timeseries else None,
         collect_steps=collect_steps,
         faults=faults,
         seed=seed,
@@ -79,7 +72,6 @@ def run_serving_comparison(
     engines: tuple[str, ...] = ENGINES,
     quick: bool = False,
     seed: int = 0,
-    collect_timeseries: bool = False,
     collect_steps: bool = True,
     scenario: str | None = None,
 ) -> tuple[dict[str, Any], dict[str, ServingResult]]:
@@ -87,9 +79,9 @@ def run_serving_comparison(
 
     Returns ``(payload, results)``: the JSON-ready comparison document and
     the raw per-engine :class:`ServingResult` (for timeline export).
-    ``collect_timeseries`` / ``collect_steps`` are forwarded to
-    :func:`simulate_engine`; the payload never contains per-step data, so
-    it is byte-identical whatever their setting.
+    ``collect_steps`` is forwarded to :func:`simulate_engine`; the payload
+    never contains per-step data, so it is byte-identical whatever its
+    setting.
 
     ``scenario`` names a bundled fault scenario
     (:func:`repro.faults.make_scenario`) to run every engine under: each
@@ -110,7 +102,6 @@ def run_serving_comparison(
     for name in engines:
         results[name] = simulate_engine(
             name, model_name, trace, scheduler=scheduler, config=config,
-            collect_timeseries=collect_timeseries,
             collect_steps=collect_steps,
         )
         if scenario is not None and scenario_doc is not None:
@@ -123,7 +114,6 @@ def run_serving_comparison(
             }
             results[name] = simulate_engine(
                 name, model_name, trace, scheduler=scheduler, config=config,
-                collect_timeseries=collect_timeseries,
                 collect_steps=collect_steps,
                 faults=schedule, seed=seed,
             )

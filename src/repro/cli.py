@@ -325,11 +325,9 @@ def cmd_serve_sim(args) -> int:
         config=config,
         engines=engines,
         seed=args.seed,
-        # Live time-series sampling forces a per-step advance; under
-        # --no-steps (the throughput mode) the registry export falls back
-        # to the aggregate-derived series instead of the curve.* samples.
-        collect_timeseries=bool(args.metrics_out or args.chrome_trace)
-        and not args.no_steps,
+        # Under --no-steps (the throughput mode) the registry export has
+        # only the aggregate-derived series: the curve.* series are
+        # derived from the per-step record it discards.
         collect_steps=not args.no_steps,
         scenario=args.scenario,
     )

@@ -231,8 +231,8 @@ def relative_drift(reference: HardwareParams, observed: HardwareParams) -> float
     ``0.0`` means identical hardware; ``0.6`` means some rate lost (or
     gained) 60% relative to the reference.  This is the watchdog's
     tolerance metric: replanning triggers when the effective platform
-    drifts beyond ``ServingConfig.drift_tolerance`` from the one the
-    current plan was computed against.
+    drifts beyond :data:`repro.serving.simulator.DRIFT_TOLERANCE` from the
+    one the current plan was computed against.
     """
     worst = 0.0
     for name in _DRIFT_FIELDS:

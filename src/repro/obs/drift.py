@@ -41,8 +41,8 @@ DEFAULT_E2E_TOLERANCE = 0.15
 #: charged and a fresh engine's price on the exactly-faulted platform at
 #: that instant (the *serving* drift gate).  Looser than the model-level
 #: gate by design: the watchdog deliberately tolerates hardware drift up
-#: to ``ServingConfig.drift_tolerance`` before retargeting, so executed
-#: prices may legitimately be stale by about that much.
+#: to :data:`repro.serving.simulator.DRIFT_TOLERANCE` before retargeting,
+#: so executed prices may legitimately be stale by about that much.
 DEFAULT_SERVING_DRIFT_TOLERANCE = 0.15
 
 

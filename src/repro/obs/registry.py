@@ -258,22 +258,6 @@ class MetricsRegistry:
             )
         return series
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Adopt every series of ``other`` (by reference, not copied).
-
-        Lets a producer-local registry (e.g. the serving loop's per-step
-        time series) fold into the run-level export registry.  A name
-        collision is a programming error — two owners for one series —
-        and raises rather than silently overwriting either side.
-        """
-        for name, series in other._series.items():
-            if name in self._series:
-                raise ValueError(
-                    f"metric {name!r} exists in both registries; refusing to "
-                    "merge overlapping series"
-                )
-            self._series[name] = series
-
     def to_dict(self) -> dict:
         """Deterministic document: series sorted by name, typed payloads."""
         doc: dict = {"series": {}}

@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.errors import ConfigError, ScheduleError
 from repro.obs.profiling import span
-from repro.obs.registry import MetricsRegistry
 from repro.parallel.bundling import bundle_operators
 from repro.parallel.speedup import ContentionModel, ParallelismSetting
 from repro.parallel.topology import CpuTopology
@@ -207,19 +206,16 @@ class ParallelismController:
     io_volumes:
         Bytes each I/O task moves per decode step (drives the proportional
         thread split and the staging time).
-    metrics:
-        Optional time-series sink for the Algorithm 3 search itself: each
-        candidate ``intra`` the sweep evaluates lands one point in
-        ``curve.search.step_s`` / ``curve.search.compute_s`` keyed by the
-        candidate's intra-op width (the search's own virtual axis), so the
-        cost landscape the controller walked is inspectable after the
-        fact.  ``None`` (default) is structurally inert.
+
+    The search landscape — every candidate's step and compute time over
+    the intra-op axis (the sweep behind the paper's Fig. 5) — is one
+    array pass, :meth:`_landscape`, that :meth:`plan` reduces to its
+    best candidate.
     """
 
     topology: CpuTopology
     contention: ContentionModel
     io_volumes: dict[str, float] = field(default_factory=dict)
-    metrics: MetricsRegistry | None = None
 
     def io_task_seconds(
         self, task: str, threads: int | np.ndarray, wire_seconds: float
@@ -314,11 +310,15 @@ class ParallelismController:
         with span("parallel.controller.plan"):
             return self._plan(graph, io_wire_seconds)
 
-    def _plan(
+    def _landscape(
         self,
         graph: OpGraph,
         io_wire_seconds: dict[str, float] | None = None,
-    ) -> ParallelismPlan:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray], np.ndarray]:
+        """Every feasible candidate of the search, in intra order:
+        ``(intra, inter, compute_s, io_threads, step)``, where
+        ``io_threads`` maps each I/O task to its thread counts and
+        ``step`` is the overlapped decode step each candidate scores."""
         wire = {t: 0.0 for t in IO_TASKS}
         if io_wire_seconds:
             wire.update(io_wire_seconds)
@@ -332,14 +332,16 @@ class ParallelismController:
         step = compute_s
         for t in IO_TASKS:
             step = np.maximum(step, self.io_task_seconds(t, io_threads[t], wire[t]))
-        if self.metrics is not None:  # reach: tests/test_curve_cache.py::test_array_pass_equals_scalar_search (a controller with a metrics registry)
-            steps = self.metrics.timeseries("curve.search.step_s")
-            computes = self.metrics.timeseries("curve.search.compute_s")
-            for x, step_s, comp_s in zip(
-                intra.tolist(), step.tolist(), compute_s.tolist()
-            ):
-                steps.sample(float(x), step_s)
-                computes.sample(float(x), comp_s)
+        return intra, inter, compute_s, io_threads, step
+
+    def _plan(
+        self,
+        graph: OpGraph,
+        io_wire_seconds: dict[str, float] | None = None,
+    ) -> ParallelismPlan:
+        intra, inter, compute_s, io_threads, step = self._landscape(
+            graph, io_wire_seconds
+        )
         # Lexicographic preference: minimise the overlapped step time,
         # then the compute task itself (ties are common when an I/O task
         # is the bottleneck regardless of threading); the first such

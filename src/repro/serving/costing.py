@@ -90,12 +90,11 @@ class StepCostOracle:
         """The oracle a serving loop over ``requests`` uses: planned at
         their maximum prompt and generation lengths, so the chosen
         placement stays memory-feasible for every step the loop can form.
-        ``config`` supplies ``num_gpu_batches`` and ``ctx_bucket``."""
+        ``config`` supplies ``num_gpu_batches``."""
         return cls(
             engine=engine,
             model=model,
             num_gpu_batches=config.num_gpu_batches,
-            ctx_bucket=config.ctx_bucket,
             plan_prompt_len=max((r.prompt_len for r in requests), default=64),
             plan_gen_len=max((r.gen_len for r in requests), default=32),
         )

@@ -103,6 +103,7 @@ from repro.serving.metrics import compute_metrics
 from repro.serving.policies import SchedulerPolicy
 from repro.serving.request import DropReason, Request, RequestState
 from repro.serving.simulator import ServingConfig, ServingResult
+from repro.serving.timeline import add_queue_counters, add_step_slices
 from repro.trace.chrome import ChromeTraceBuilder
 from repro.util.rng import seeded_rng
 
@@ -1271,20 +1272,8 @@ def export_fleet_timeline(
     )
     for rr in result.replicas:
         name = rr.spec.name
-        for step in rr.serving.steps:
-            builder.add_slice(
-                f"{step.kind} b={step.batch}",
-                f"{name}/gpu",
-                step.start_s,
-                step.duration_s,
-                batch=step.batch,
-                max_ctx=step.max_ctx,
-                rids=list(step.rids),
-            )
-        for t, waiting, running in rr.serving.queue_depth:
-            builder.add_counter(
-                f"{name}/queue", t, waiting=waiting, running=running
-            )
+        add_step_slices(builder, rr.serving, f"{name}/gpu")
+        add_queue_counters(builder, rr.serving, f"{name}/queue")
         for t, frm, to, cause in rr.breaker["transitions"]:
             builder.add_instant(
                 f"breaker {frm}->{to}", f"{name}/breaker", t, cause=cause

@@ -46,14 +46,17 @@ routing, breakers and hedges, overriding :meth:`ReplicaKernel._cut`
 Clocks are pure float arithmetic: a coalesced run advances with ``k``
 repeated ``t += dur`` additions, and :meth:`StepRun.expand` re-derives
 them with ``np.cumsum``, whose sequential accumulation is bit-identical,
-so a run expands back into exactly the per-step records.
+so a run expands back into exactly the per-step records.  That record
+(:meth:`ReplicaKernel.emit`) is the kernel's only per-step output: no
+driver observes a step live, and every exported trajectory — timeline
+rows and the ``curve.*`` time series alike — is expanded from it.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
@@ -124,7 +127,7 @@ class StepRun:
 
     def expand(self) -> list[StepRecord]:
         times = [self.start_s, self.end_s]
-        if self.count > 1:  # reach: tests/test_fleet.py::test_single_replica_zero_fault_byte_identical_to_serving_sim (coalesced runs)
+        if self.count > 1:
             # Clock values [start, t_1, ..., t_count].  ``np.cumsum`` adds
             # sequentially, so each one is bit-identical to the kernel's
             # repeated ``t += dur``.
@@ -143,7 +146,7 @@ class StepRun:
         """``(clock, waiting, running)`` after each step: the inner steps
         end at the run's boundaries, the last at ``sample_t``."""
         out = [
-            (rec.end_s, self.queue_len, self.batch)  # reach: tests/test_fleet.py::test_single_replica_zero_fault_byte_identical_to_serving_sim (coalesced runs)
+            (rec.end_s, self.queue_len, self.batch)
             for rec in self.expand()[:-1]
         ]
         out.append((self.sample_t, self.queue_len, self.running_after))
@@ -456,9 +459,6 @@ class ReplicaKernel:
         self.deadline_s = config.request_deadline_s
         self.consec_aborts = 0
         self.finished: list[Request] = []
-        #: Optional ``sample(start, end, batch)`` called after every
-        #: recorded step (a driver's live time-series sampling).
-        self.sample: Callable[[float, float, int], None] | None = None
 
     def emit(
         self, kind: str, start: float, end: float, dur: float, count: int,
@@ -476,8 +476,6 @@ class ReplicaKernel:
                     queue_len=q, running_after=running_after, sample_t=self.t,
                 )
             )
-        if self.sample is not None:
-            self.sample(start, end, batch)
 
     def _finish(self, done: list[Request], now: float) -> None:
         """Stamp requests that produced their last token at ``now``."""

@@ -23,8 +23,10 @@ entirely for fault-free runs so their documents stay byte-identical.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any
 
+from repro.faults import LADDER
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.serving.simulator import ServingResult
 
@@ -122,7 +124,11 @@ def metrics_registry(result: ServingResult) -> MetricsRegistry:
     this registry is the machine-facing one — every tally a Counter, every
     sampled quantity a Histogram/Gauge, serialized deterministically and
     renderable as Chrome-trace counter rows via
-    :meth:`~repro.obs.registry.MetricsRegistry.export_chrome`.
+    :meth:`~repro.obs.registry.MetricsRegistry.export_chrome`.  The
+    per-step series — ``step_duration_s.*``, ``queue.*`` gauges and the
+    ``curve.{queue_waiting,in_system,step_s,batch,rung}`` time series —
+    are derived from the run's step record, so they exist whenever the
+    run kept its steps (``collect_steps``), chaos runs included.
     """
     reg = MetricsRegistry(namespace="serving")
     reg.counter("requests.total").inc(len(result.requests))
@@ -156,21 +162,30 @@ def metrics_registry(result: ServingResult) -> MetricsRegistry:
         reg.gauge("queue.mean_waiting").set(agg.waiting_sum / agg.depth_samples)
         reg.gauge("queue.max_in_system").set(agg.max_in_system)
     # Per-step distributions and trajectories genuinely need the retained
-    # records; they are emitted only when the run kept them.
-    for step in result.steps:
+    # records; they are emitted only when the run kept them.  Every
+    # ``curve.*`` point sits at its step's ``queue_depth`` clock (an
+    # aborted step's lands after its backoff).  The watchdog moves the
+    # ladder only between iterations, so a step runs on the target rung of
+    # the last transition at or before its start.
+    transitions = result.fault_stats.transitions if result.fault_stats else []
+    shift_t = [t for t, _, _, _ in transitions]
+    rungs = [rung.name for rung in LADDER]
+    rung_after = [0.0] + [float(rungs.index(to)) for _, _, to, _ in transitions]
+    for step, (t, waiting, running) in zip(result.steps, result.queue_depth):
         reg.histogram(f"step_duration_s.{step.kind}").observe(step.duration_s)
         reg.gauge("batch").set(step.batch)
-    for _, waiting, running in result.queue_depth:
         reg.gauge("queue.waiting").set(waiting)
         reg.gauge("queue.in_system").set(waiting + running)
+        reg.timeseries("curve.queue_waiting").sample(t, float(waiting))
+        reg.timeseries("curve.in_system").sample(t, float(waiting + running))
+        reg.timeseries("curve.step_s").sample(t, step.duration_s)
+        reg.timeseries("curve.batch").sample(t, float(step.batch))
+        reg.timeseries("curve.rung").sample(
+            t, rung_after[bisect_right(shift_t, step.start_s)]
+        )
     reg.gauge("makespan_s").set(result.makespan_s)
     if result.fault_stats is not None:
         result.fault_stats.fill_registry(reg, result.makespan_s)
-    if result.timeseries is not None:
-        # The loop sampled per-step curves live (``curve.*`` — a disjoint
-        # namespace from the aggregates above); fold them in so one export
-        # carries both the end-of-run summary and the trajectories.
-        reg.merge(result.timeseries)
     return reg
 
 

@@ -27,16 +27,20 @@ identical decode steps in one multiply.  Coalesced runs are recorded as
 :class:`StepRun` entries that expand lazily into the exact per-step
 :class:`StepRecord` sequence only when something iterates steps;
 summary metrics come from running aggregates, so results are
-byte-identical whether per-step collection is on or off.  The per-step
-loop is kept as :meth:`ServingSimulator._run_reference`, and an
-equivalence matrix pins the two byte for byte across traces, policies
-and fault scenarios.
+byte-identical whether per-step collection is on or off.  The loop takes
+no metrics sink: every exported per-step series, the ``curve.*`` time
+series included (:func:`~repro.serving.metrics.metrics_registry`), is
+derived from that step record afterwards, so ``--metrics-out`` and
+``--chrome-trace`` describe the same coalesced run a plain command
+makes.  The per-step loop is kept as
+:meth:`ServingSimulator._run_reference`, and an equivalence matrix pins
+the two byte for byte across traces, policies and fault scenarios.
 
 Fault injection (optional, off by default): pass a
 :class:`~repro.faults.FaultSchedule` and the loop gains chaos semantics —
 a **drift watchdog** re-derives the effective platform at every fault
 segment boundary, retargets the engine and invalidates the oracle's plans
-and prices when the deviation exceeds ``drift_tolerance``, and walks the
+and prices when the deviation exceeds :data:`DRIFT_TOLERANCE`, and walks the
 :data:`~repro.faults.LADDER` until a rung plans again; the kernel's
 **transient faults** abort in-flight steps and retry after a seeded
 backoff.  Chaos draws one RNG sample per attempted step, so runs are
@@ -58,7 +62,6 @@ from repro.errors import ConfigError
 from repro.faults import LADDER, FaultSchedule, FaultStats, RetryPolicy, relative_drift
 from repro.models.config import ModelConfig
 from repro.obs.profiling import span
-from repro.obs.registry import MetricsRegistry
 from repro.perfmodel.notation import HardwareParams
 from repro.serving.arrivals import RequestTrace
 from repro.serving.costing import StepCostOracle
@@ -72,6 +75,15 @@ from repro.serving.kernel import (
 from repro.serving.policies import SchedulerPolicy
 from repro.serving.request import DropReason, Request, RequestState
 from repro.util.rng import seeded_rng
+
+
+#: Relative jitter of the retry backoff: each delay is scaled by
+#: ``1 + BACKOFF_JITTER * u`` for a seeded uniform ``u``.
+BACKOFF_JITTER = 0.1
+
+#: Max relative deviation of any effective hardware rate/capacity from the
+#: currently applied specs before the drift watchdog retargets and replans.
+DRIFT_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -89,19 +101,15 @@ class ServingConfig:
     queue_timeout_s: float | None = None
     ttft_slo_s: float = 30.0
     tpot_slo_s: float = 3.5
-    ctx_bucket: int = 32
 
     # -- fault semantics (only consulted when a schedule is injected) -----
     #: Aborted steps a single request may survive before RETRY_EXHAUSTED.
     retry_limit: int = 3
     #: Capped exponential backoff after an aborted step: the k-th
-    #: consecutive abort waits ``min(cap, base * 2^(k-1) * (1+jitter*u))``.
+    #: consecutive abort waits ``min(cap, base * 2^(k-1) * (1+jitter*u))``
+    #: (``jitter`` is :data:`BACKOFF_JITTER`).
     backoff_base_s: float = 0.5
     backoff_cap_s: float = 8.0
-    backoff_jitter: float = 0.1
-    #: Max relative deviation of any effective hardware rate/capacity from
-    #: the currently applied specs before the watchdog retargets + replans.
-    drift_tolerance: float = 0.05
     #: Arrival-to-now budget checked when a request is caught in an abort;
     #: exceeding it drops the request FAULT_ABORT.  ``None`` = no deadline.
     request_deadline_s: float | None = None
@@ -132,12 +140,6 @@ class ServingConfig:
                 "serving config: SLO targets must be positive (got "
                 f"ttft_slo_s={self.ttft_slo_s}, tpot_slo_s={self.tpot_slo_s})"
             )
-        if self.drift_tolerance <= 0:
-            raise ConfigError(
-                f"serving config: drift_tolerance must be > 0 (got "
-                f"{self.drift_tolerance}); a zero tolerance would replan on "
-                "every float-level wobble"
-            )
         if self.request_deadline_s is not None and self.request_deadline_s <= 0:
             raise ConfigError(
                 f"serving config: request_deadline_s must be positive when "
@@ -155,7 +157,7 @@ class ServingConfig:
         return RetryPolicy(
             base_s=self.backoff_base_s,
             cap_s=self.backoff_cap_s,
-            jitter=self.backoff_jitter,
+            jitter=BACKOFF_JITTER,
             limit=self.retry_limit,
             max_elapsed_s=self.request_deadline_s,
         )
@@ -187,11 +189,6 @@ class ServingResult:
     #: pre-fault-layer simulator.
     fault_stats: FaultStats | None = None
     fault_schedule: FaultSchedule | None = None
-    #: Per-step time-series curves (queue depth, step price, batch, rung)
-    #: sampled live by the loop — only when a registry was injected via
-    #: ``ServingSimulator(metrics=...)``; ``None`` otherwise, and nothing
-    #: serialized from this result ever includes it implicitly.
-    timeseries: MetricsRegistry | None = None
 
     _steps_cache: list[StepRecord] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -240,7 +237,6 @@ class ServingSimulator:
         config: ServingConfig | None = None,
         faults: FaultSchedule | None = None,
         seed: int = 0,
-        metrics: MetricsRegistry | None = None,
         collect_steps: bool = True,
     ) -> None:
         if faults is not None and faults.has_replica_faults:
@@ -258,13 +254,6 @@ class ServingSimulator:
         self.config = config or ServingConfig()
         self.faults = faults
         self.seed = seed
-        #: Optional per-step time-series sink.  ``None`` (the default) is
-        #: structurally inert: the loop takes no RNG draw, touches no
-        #: state and branches on nothing because of it, so a run with and
-        #: without sampling is byte-identical (tested).  A registry also
-        #: forces per-step advance (no coalescing) so every step is
-        #: sampled live — byte-identical too, just slower.
-        self.metrics = metrics
         #: Retain the coalesced step runs on the result (``steps`` /
         #: ``queue_depth`` views need them).  ``False`` skips all step
         #: record-keeping for maximum throughput; everything derived from
@@ -327,27 +316,9 @@ class ServingSimulator:
             fault_stats=stats,
         )
         queue = kern.queue
-
-        reg = self.metrics
-        if reg is not None:
-            def sample_step(start: float, end: float, batch: int) -> None:
-                """One point per curve at each step boundary, timestamped
-                with the clock the loop actually advanced to (aborted steps
-                land after their backoff)."""
-                t = kern.t
-                reg.timeseries("curve.queue_waiting").sample(t, float(len(queue)))
-                reg.timeseries("curve.in_system").sample(
-                    t, float(len(queue) + len(kern.running))
-                )
-                reg.timeseries("curve.step_s").sample(t, end - start)
-                reg.timeseries("curve.batch").sample(t, float(batch))
-                reg.timeseries("curve.rung").sample(t, float(rung_idx))
-
-            kern.sample = sample_step
-        # Run-length advance only when every per-step observer is inert:
-        # chaos draws one RNG sample per attempted step, and a live
-        # registry samples each step's curves — both force k=1.
-        fast = coalesce and not chaos and reg is None
+        # Run-length advance, except under chaos: it draws one RNG sample
+        # per attempted step.
+        fast = coalesce and not chaos
 
         def probe_ladder() -> int:
             """First rung (mildest first) whose constrained search still
@@ -375,11 +346,11 @@ class ServingSimulator:
                 fault_key = key
                 effective = self.base_platform.with_faults(self.faults, now)
                 eff_hw = HardwareParams.from_platform(effective)
-                if relative_drift(applied_hw, eff_hw) > cfg.drift_tolerance:
+                if relative_drift(applied_hw, eff_hw) > DRIFT_TOLERANCE:
                     self.engine.retarget(effective)
                     self.oracle.invalidate()
                     base_drift = relative_drift(base_hw, eff_hw)
-                    recovered = base_drift <= cfg.drift_tolerance
+                    recovered = base_drift <= DRIFT_TOLERANCE
                     # On recovery the overlay returns the base platform
                     # itself; track that by identity so the degraded-time
                     # window closes.
@@ -488,5 +459,4 @@ class ServingSimulator:
             makespan_s=kern.t,
             fault_stats=stats,
             fault_schedule=self.faults if chaos else None,
-            timeseries=reg,
         )

@@ -10,6 +10,9 @@ Format the decode-schedule exporter emits) with three rows:
 * a ``queue`` counter series sampling waiting/running depth after each
   step, rendered by Perfetto as a stacked area chart.
 
+:func:`add_step_slices` and :func:`add_queue_counters` draw the ``gpu``
+and ``queue`` rows; the fleet exporter draws each replica's with them.
+
 Chaos runs add a ``faults`` row — injected fault windows, aborted-step
 and backoff slices, replan/rung-transition/shed instants — so the causal
 chain (fault window -> aborts -> backoff -> replan -> rung change) reads
@@ -25,6 +28,30 @@ from repro.serving.simulator import ServingResult
 from repro.trace.chrome import ChromeTraceBuilder
 
 
+def add_step_slices(
+    builder: ChromeTraceBuilder, result: ServingResult, resource: str
+) -> None:
+    """One complete slice per step of ``result`` on the ``resource`` row."""
+    for step in result.steps:
+        builder.add_slice(
+            f"{step.kind} b={step.batch}",
+            resource,
+            step.start_s,
+            step.duration_s,
+            batch=step.batch,
+            max_ctx=step.max_ctx,
+            rids=list(step.rids),
+        )
+
+
+def add_queue_counters(
+    builder: ChromeTraceBuilder, result: ServingResult, name: str
+) -> None:
+    """The ``name`` counter: waiting/running depth after every step."""
+    for t, waiting, running in result.queue_depth:
+        builder.add_counter(name, t, waiting=waiting, running=running)
+
+
 def export_request_timeline(
     result: ServingResult, builder: ChromeTraceBuilder | None = None
 ) -> ChromeTraceBuilder:
@@ -32,16 +59,7 @@ def export_request_timeline(
     builder = builder or ChromeTraceBuilder(
         process_name=f"serve-sim:{result.engine}"
     )
-    for step in result.steps:
-        builder.add_slice(
-            f"{step.kind} b={step.batch}",
-            "gpu",
-            step.start_s,
-            step.duration_s,
-            batch=step.batch,
-            max_ctx=step.max_ctx,
-            rids=list(step.rids),
-        )
+    add_step_slices(builder, result, "gpu")
     for req in sorted(result.requests, key=lambda r: r.rid):
         builder.add_instant(f"arrive r{req.rid}", "requests", req.arrival_s,
                             prompt=req.prompt_len, gen=req.gen_len)
@@ -58,8 +76,7 @@ def export_request_timeline(
             assert req.drop_reason is not None
             builder.add_instant(f"drop r{req.rid}", "requests", req.drop_s,
                                 reason=req.drop_reason.value)
-    for t, waiting, running in result.queue_depth:
-        builder.add_counter("queue", t, waiting=waiting, running=running)
+    add_queue_counters(builder, result, "queue")
     if result.fault_schedule is not None:
         for f in result.fault_schedule.faults:
             builder.add_slice(

@@ -158,7 +158,7 @@ def test_backoff_delays_monotone_and_capped(model, trace):
     cap = 4.0
     result = simulate(
         model, trace, faults=_always_abort(), retry_limit=6,
-        backoff_base_s=0.5, backoff_cap_s=cap, backoff_jitter=0.1,
+        backoff_base_s=0.5, backoff_cap_s=cap,
     )
     backoffs = result.fault_stats.backoffs
     assert backoffs, "a persistent transient fault must force backoffs"
@@ -332,11 +332,6 @@ def test_host_memory_shrink_walks_the_ladder_and_recovers(
 def test_serving_config_rejects_zero_backoff_base():
     with pytest.raises(ConfigError, match="tight loop"):
         ServingConfig(backoff_base_s=0.0)
-
-
-def test_serving_config_rejects_bad_drift_tolerance():
-    with pytest.raises(ConfigError, match="drift_tolerance"):
-        ServingConfig(drift_tolerance=0.0)
 
 
 def test_serving_config_rejects_negative_deadline():

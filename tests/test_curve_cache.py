@@ -20,7 +20,6 @@ from repro.hardware.cache import CacheHierarchy
 from repro.models import get_model
 from repro.obs import profiling_enabled
 from repro.obs.profiling import PROFILER
-from repro.obs.registry import MetricsRegistry
 from repro.parallel import ContentionModel, CpuTopology, ParallelismSetting
 from repro.parallel.bundling import bundle_operators
 from repro.parallel.controller import (
@@ -91,7 +90,8 @@ def reference_io_seconds(io_volumes, task, threads, wire_seconds):
 
 def reference_plan(controller, graph, io_wire_seconds=None):
     """One list schedule, split and candidate plan per intra width; returns
-    the plan and the ``(intra, step, compute)`` landscape in search order."""
+    the plan and the ``(intra, inter, io_threads, compute, step)``
+    landscape in search order."""
     wire = {t: 0.0 for t in IO_TASKS}
     if io_wire_seconds:
         wire.update(io_wire_seconds)
@@ -115,7 +115,7 @@ def reference_plan(controller, graph, io_wire_seconds=None):
             for t in IO_TASKS
         }
         step = max(compute_s, *io_s.values())
-        landscape.append((float(intra), step, compute_s))
+        landscape.append((intra, inter, io_threads, compute_s, step))
         if best is None or (step, compute_s) < (
             best.predicted_step_seconds, best.predicted_compute_seconds
         ):
@@ -166,7 +166,7 @@ def _random_volumes(rng, case):
 def test_array_pass_equals_scalar_search(topo_name, a100):
     """Seeded random I/O volumes (all-zero, single-task, tied and random)
     and wire times on 1-4-batch graphs: the array pass returns the scalar
-    loop's plan and samples the same landscape."""
+    loop's plan and walks the same landscape."""
     topo = TOPOLOGIES[topo_name]
     contention = ContentionModel(topo, a100.cache)
     rng = np.random.default_rng(sorted(TOPOLOGIES).index(topo_name))
@@ -174,18 +174,23 @@ def test_array_pass_equals_scalar_search(topo_name, a100):
         volumes = _random_volumes(rng, trial % 5)
         wire = {t: float(rng.choice([0.0, rng.uniform(0, 5e-3)])) for t in IO_TASKS}
         graph = build_attention_graph(int(rng.integers(1, 5)))
-        registry = MetricsRegistry()
         controller = ParallelismController(
-            topology=topo, contention=contention, io_volumes=volumes, metrics=registry
+            topology=topo, contention=contention, io_volumes=volumes
         )
         want, landscape = reference_plan(controller, graph, wire)
         assert_same_plan(controller.plan(graph, io_wire_seconds=wire), want)
-        assert registry.timeseries("curve.search.step_s").points() == [
-            (x, s) for x, s, _ in landscape
-        ]
-        assert registry.timeseries("curve.search.compute_s").points() == [
-            (x, c) for x, _, c in landscape
-        ]
+        intra, inter, compute_s, io_threads, step = controller._landscape(
+            graph, wire
+        )
+        assert list(zip(
+            intra.tolist(),
+            inter.tolist(),
+            [dict(zip(IO_TASKS, row)) for row in zip(
+                *(io_threads[t].tolist() for t in IO_TASKS)
+            )],
+            compute_s.tolist(),
+            step.tolist(),
+        )) == landscape
 
 
 def test_vectorized_split_equals_scalar_split():

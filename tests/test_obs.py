@@ -398,24 +398,6 @@ def test_timeseries_empty_to_dict_has_no_point_keys():
     }
 
 
-def test_registry_merge_adopts_by_reference_and_rejects_collisions():
-    a = MetricsRegistry(namespace="a")
-    b = MetricsRegistry(namespace="b")
-    ts = b.timeseries("curve.q")
-    ts.sample(0.0, 1.0)
-    b.counter("other").inc()
-    a.counter("reqs").inc(2)
-    a.merge(b)
-    assert a.timeseries("curve.q") is ts  # adopted, not copied
-    assert json.loads(a.to_json())["series"].keys() == {
-        "curve.q", "other", "reqs",
-    }
-    c = MetricsRegistry()
-    c.gauge("reqs").set(1.0)
-    with pytest.raises(ValueError):
-        a.merge(c)
-
-
 def test_timeseries_export_chrome_one_row_per_point():
     from repro.trace import ChromeTraceBuilder
 
@@ -434,23 +416,25 @@ def test_timeseries_export_chrome_one_row_per_point():
     ]
 
 
-# -- per-step curve sampling (structurally inert when off) ------------------
+# -- per-step curves, derived from the step record --------------------------
 
 
 def test_serving_timeseries_collection_is_structurally_inert():
     """The acceptance contract: the serving comparison payload is
-    byte-identical with per-step sampling on and off."""
+    byte-identical whether the per-step record behind the curves is kept
+    or not, and the curves exist exactly when it is."""
     from repro.bench.serving import run_serving_comparison
+    from repro.serving.metrics import metrics_registry
 
     docs = {}
     for collect in (False, True):
         payload, results = run_serving_comparison(
             engines=("zero-inference",), quick=True,
-            collect_timeseries=collect,
+            collect_steps=collect,
         )
         docs[collect] = json.dumps(payload, sort_keys=True)
-        ts = results["zero-inference"].timeseries
-        assert (ts is not None) is collect
+        series = metrics_registry(results["zero-inference"]).to_dict()["series"]
+        assert ("curve.step_s" in series) is collect
     assert docs[False] == docs[True]
 
 
@@ -461,9 +445,8 @@ def test_serving_simulator_samples_per_step_curves():
 
     result = simulate_engine(
         "zero-inference", "opt-1.3b", default_trace(quick=True),
-        collect_timeseries=True,
     )
-    reg = result.timeseries
+    reg = metrics_registry(result)
     curves = {
         name: reg.timeseries(name)
         for name in (
@@ -472,39 +455,37 @@ def test_serving_simulator_samples_per_step_curves():
         )
     }
     counts = {name: ts.count for name, ts in curves.items()}
-    assert len(set(counts.values())) == 1  # one sample per loop event, each
+    assert len(set(counts.values())) == 1  # one sample per step, each
     assert counts["curve.step_s"] == len(result.queue_depth) > 0
     for ts in curves.values():
         times = [t for t, _ in ts.points()]
         assert times == sorted(times)
+        assert times == [t for t, _, _ in result.queue_depth]
     assert all(v == 0.0 for _, v in curves["curve.rung"].points())  # no chaos
     assert max(v for _, v in curves["curve.batch"].points()) >= 1.0
-    # The aggregate view folds the curves in alongside the scalar series.
-    merged = metrics_registry(result).to_dict()["series"]
-    assert "curve.step_s" in merged and "queue.waiting" in merged
+    # One registry carries the curves alongside the scalar series.
+    series = reg.to_dict()["series"]
+    assert "curve.step_s" in series and "queue.waiting" in series
 
 
 def test_controller_samples_search_landscape(topo, contention):
     from repro.parallel.controller import ParallelismController
     from repro.runtime.graph import build_attention_graph
 
-    kwargs = dict(
+    controller = ParallelismController(
         topology=topo, contention=contention,
         io_volumes={"load_weight": 30e6, "load_activation": 1e5},
     )
     graph = build_attention_graph(4)
-    bare = ParallelismController(**kwargs).plan(graph)
-    reg = MetricsRegistry()
-    plan = ParallelismController(**kwargs, metrics=reg).plan(graph)
-    assert plan == bare  # structurally inert
-    steps = reg.timeseries("curve.search.step_s")
-    compute = reg.timeseries("curve.search.compute_s")
-    assert steps.count == compute.count > 1
+    plan = controller.plan(graph)
+    intra, _, compute_s, _, step = controller._landscape(graph)
+    assert intra.size == compute_s.size == step.size > 1
+    assert (step >= compute_s).all()  # the overlapped step covers compute
     # The landscape's floor is exactly the chosen plan's step time, at the
     # chosen intra width.
-    best_t, best_v = min(steps.points(), key=lambda p: (p[1], p[0]))
+    best_v, best_t = min(zip(step.tolist(), intra.tolist()))
     assert best_v == plan.predicted_step_seconds
-    assert best_t == float(plan.compute.intra_op)
+    assert best_t == plan.compute.intra_op
 
 
 def test_bench_timing_registry_records_distribution_and_trajectory(
