@@ -10,16 +10,16 @@
 import numpy as np
 import pytest
 
-from repro.bench.experiments import Q4, motivating_workload, _default_ctx
+from repro.bench.experiments import Q4, motivating_workload
+from repro.core.engine import Substrate
 from repro.hardware import single_a100
 from repro.offload.planner import PolicyPlanner
-from repro.parallel import ContentionModel, CpuTopology
 from repro.parallel.controller import (
     UNIT_WORK_SECONDS,
     ParallelismController,
     compute_makespan,
 )
-from repro.perfmodel import CostModel, HardwareParams
+from repro.perfmodel import CostModel
 from repro.perfmodel.constants import EngineCalibration
 from repro.quant import QuantConfig, compress, decompress
 from repro.runtime.graph import build_attention_graph
@@ -27,17 +27,15 @@ from repro.runtime.graph import build_attention_graph
 
 @pytest.fixture(scope="module")
 def setup():
-    platform = single_a100()
-    hw = HardwareParams.from_platform(platform)
-    ctx = _default_ctx(platform)
-    return platform, hw, ctx
+    sub = Substrate.of(single_a100())
+    return sub.hw, sub.default_context()
 
 
 @pytest.mark.paper
 def test_ablation_per_tensor_vs_blanket_quant(benchmark, setup):
     """LM-Offload decides per tensor; blanket 'compress everything' loses
     (this is Observation 2 turned into an ablation)."""
-    _, hw, ctx = setup
+    hw, ctx = setup
     planner = PolicyPlanner(hw=hw, cpu_ctx=ctx, quant_aware=True)
     workload = motivating_workload()
 
@@ -56,11 +54,9 @@ def test_ablation_per_tensor_vs_blanket_quant(benchmark, setup):
 @pytest.mark.paper
 def test_ablation_kahn_interop_vs_fixed(benchmark):
     """Algorithm 3's Kahn-derived plan vs naive fixed settings."""
-    platform = single_a100()
-    topo = CpuTopology.from_device(platform.cpu)
-    contention = ContentionModel(topo, platform.cache)
+    sub = Substrate.of(single_a100())
     controller = ParallelismController(
-        topology=topo, contention=contention,
+        topology=sub.topology, contention=sub.contention,
         io_volumes={"load_weight": 30e6},
     )
     graph = build_attention_graph(4)
@@ -73,7 +69,7 @@ def test_ablation_kahn_interop_vs_fixed(benchmark):
         plan = controller.plan(graph)
         fixed = {
             (i, c): compute_makespan(
-                bundled, ParallelismSetting(i, c), contention, UNIT_WORK_SECONDS
+                bundled, ParallelismSetting(i, c), sub.contention, UNIT_WORK_SECONDS
             )
             for i, c in [(56, 112), (1, 1), (56, 1), (1, 112)]
         }
@@ -89,15 +85,13 @@ def test_ablation_kahn_interop_vs_fixed(benchmark):
 @pytest.mark.paper
 def test_ablation_io_thread_split(benchmark):
     """Volume-proportional thread split vs uniform split of the same pool."""
-    platform = single_a100()
-    topo = CpuTopology.from_device(platform.cpu)
-    contention = ContentionModel(topo, platform.cache)
+    sub = Substrate.of(single_a100())
     volumes = {
         "load_weight": 35e6, "load_cache": 5e6, "store_cache": 1e6,
         "load_activation": 0.1e6, "store_activation": 0.1e6,
     }
     controller = ParallelismController(
-        topology=topo, contention=contention, io_volumes=volumes,
+        topology=sub.topology, contention=sub.contention, io_volumes=volumes,
     )
 
     def run():
@@ -143,7 +137,7 @@ def test_ablation_group_size(benchmark, rng=np.random.default_rng(5)):
 def test_ablation_codec_rates(benchmark, setup):
     """The quantization tradeoff exists *because* codec kernels are slow:
     at ideal kernel rates weight quantization flips to beneficial."""
-    _, hw, ctx = setup
+    hw, ctx = setup
     from repro.offload.policy import OffloadPolicy
 
     workload = motivating_workload()

@@ -12,7 +12,7 @@ from repro.core import FunctionalEngine, LMOffloadEngine
 from repro.hardware import single_a100
 from repro.models.quality import bits_sweep
 from repro.offload import OffloadPolicy
-from repro.perfmodel import CostModel, Workload
+from repro.perfmodel import Workload
 from repro.trace import trace_decode_schedule
 
 
@@ -44,7 +44,7 @@ def main() -> None:
     workload = Workload(get_model("opt-30b"), 64, 8, 64, 10)
     engine = LMOffloadEngine(single_a100())
     pol, ctx, _ = engine.plan(workload)
-    cost = CostModel(workload, pol, engine.hw, ctx, engine.config.calibration)
+    cost = engine.cost_model(workload, pol, ctx)
     costs = [cost.decode_task_costs(t) for t in range(2)]
     builder = trace_decode_schedule(costs, num_layers=6, num_gpu_batches=pol.num_gpu_batches)
     builder.save("decode_trace.json")

@@ -14,138 +14,99 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.plan_cache import PLAN_CACHE, platform_signature
+from repro.core.engine import OffloadEngine, Plan
 from repro.core.report import InferenceReport
 from repro.errors import PolicyError
-from repro.hardware.platform import Platform
 from repro.offload.policy import OffloadPolicy
-from repro.parallel.speedup import ContentionModel
-from repro.parallel.topology import CpuTopology
 from repro.perfmodel.constants import EngineCalibration
-from repro.perfmodel.latency import CostModel, CpuExecutionContext
-from repro.perfmodel.notation import HardwareParams, Workload
+from repro.perfmodel.latency import CpuExecutionContext
+from repro.perfmodel.notation import Workload
 from repro.quant.config import QuantConfig
+
+#: ZeRO-Inference's default weight quantization.
+W4 = QuantConfig(bits=4, group_size=64)
+#: The batch its own search starts halving from.
+MAX_BATCH = 64
 
 
 @dataclass
-class ZeroInferenceEngine:
-    """ZeRO-Inference: whole-tensor offloading, 4-bit resident weights."""
+class ZeroInferenceEngine(OffloadEngine):
+    """ZeRO-Inference: whole-tensor offloading, 4-bit resident weights.
 
-    platform: Platform
+    It already runs W4 resident weights and streams the whole KV cache,
+    so the quant/attention degradation rungs are inert; only the
+    batch-shrink/backpressure mechanics (owned by the serving loop)
+    apply.  The rung still keys the plan cache.
+    """
+
     calibration: EngineCalibration = field(
         default_factory=EngineCalibration.deepspeed_defaults
     )
-    max_batch: int = 64
     name: str = "zero-inference"
 
-    def __post_init__(self) -> None:
-        self._degradation = None
-        self._rebuild()
+    # The per-layer tracer (perfbench/tracing.py) wraps these on each
+    # engine class's own namespace.
+    plan_cached = OffloadEngine.plan_cached
+    retarget = OffloadEngine.retarget
+    set_degradation = OffloadEngine.set_degradation
 
-    def _rebuild(self) -> None:
-        self.hw = HardwareParams.from_platform(self.platform)
-        self.topology = CpuTopology.from_device(self.platform.cpu)
-        self.contention = ContentionModel(self.topology, self.platform.cache)
-        self.ctx = CpuExecutionContext.pytorch_default(self.topology, self.contention)
-        # DeepSpeed streams through pre-pinned buffers: no staging limits.
-        self.ctx.io_staging_threads = {}
-        self.quant = QuantConfig(bits=4, group_size=64)
-        self._platform_sig = platform_signature(self.platform, self.hw)
+    def default_context(self) -> CpuExecutionContext:
+        """PyTorch threading without staging limits: DeepSpeed streams
+        through pre-pinned buffers."""
+        ctx = super().default_context()
+        ctx.io_staging_threads = {}
+        return ctx
 
-    def retarget(self, platform: Platform) -> None:
-        """Re-derive everything from a (degraded) platform; the new
-        platform signature keys the next plan request."""
-        self.platform = platform
-        self._rebuild()
-
-    def set_degradation(self, rung) -> None:
-        """Degradation hook (uniform engine interface).
-
-        ZeRO-Inference already runs W4 resident weights and streams the
-        whole KV cache, so the quant/attention rungs are inert; only the
-        batch-shrink/backpressure mechanics (owned by the serving loop)
-        apply.  The rung still keys the plan cache."""
-        self._degradation = rung
-
-    def _policy(self, batch: int) -> OffloadPolicy:
-        return OffloadPolicy(
+    def _fitting(
+        self, workload: Workload, batch: int, ctx: CpuExecutionContext
+    ) -> OffloadPolicy:
+        """The policy at ``batch``; raises :class:`PolicyError` when it
+        does not fit in memory."""
+        policy = OffloadPolicy(
             wg=1.0,               # whole weight tensor on GPU...
             cg=0.0,               # ...whole KV cache off GPU,
             hg=1.0,               # activations stay on GPU,
             attention_on_cpu=False,  # attention on GPU over the streamed cache
-            weight_quant=self.quant,
+            weight_quant=W4,
             kv_quant=None,
             quantize_resident_weights=True,
             gpu_batch_size=batch,
             num_gpu_batches=1,    # no zig-zag blocking
         )
+        self.cost_model(workload.with_batches(batch, 1), policy, ctx).check_feasible()
+        return policy
 
-    def plan(self, workload: Workload, batch: int | None = None) -> OffloadPolicy:
-        """Largest power-of-two batch (<= max_batch) that fits in memory.
+    def plan(self, workload: Workload, batch: int | None = None) -> Plan:
+        """Largest power-of-two batch (<= :data:`MAX_BATCH`) that fits in
+        memory.
 
         ``batch`` forces a specific size (used by the Table 3 harness to
         replicate the paper's measured ZeRO-Inference configurations).
         """
+        ctx = self.default_context()
         if batch is not None:
-            policy = self._policy(batch)
-            CostModel(
-                workload.with_batches(batch, 1), policy, self.hw, self.ctx,
-                self.calibration,
-            ).check_feasible()
-            return policy
-        batch = self.max_batch
+            return self._fitting(workload, batch, ctx), ctx, None
+        batch = MAX_BATCH
         while batch >= 1:
-            trial = workload.with_batches(batch, 1)
-            policy = self._policy(batch)
             try:
-                CostModel(
-                    trial, policy, self.hw, self.ctx, self.calibration
-                ).check_feasible()
-                return policy
+                return self._fitting(workload, batch, ctx), ctx, None
             except PolicyError:
                 batch //= 2
         raise PolicyError(
             f"ZeRO-Inference cannot fit {workload.model.name} at any batch size"
         )
 
-    def plan_cached(
-        self, workload: Workload
-    ) -> tuple[OffloadPolicy, CpuExecutionContext, None]:
-        """Planned-step costing hook.
+    def _search(self, workload: Workload) -> Plan:
+        """The planned-step costing search.
 
         ZeRO-Inference has no zig-zag blocking, so the workload's whole
-        block runs as a single batch: the returned policy has
-        ``num_gpu_batches=1`` and ``gpu_batch_size == block_size`` (raises
-        :class:`PolicyError` when that batch does not fit).  Shares
-        LMOffloadEngine's process-wide plan cache.
+        block runs as a single batch: the policy has ``num_gpu_batches=1``
+        and ``gpu_batch_size == block_size`` (raises :class:`PolicyError`
+        when that batch does not fit).
         """
         block = workload.block_size
-        key = (
-            type(self), self.calibration, self.max_batch, self.quant,
-            self._platform_sig, self._degradation, workload,
-        )
-
-        def search() -> tuple[OffloadPolicy, CpuExecutionContext, None]:
-            policy = self.plan(workload.with_batches(block, 1), batch=block)
-            return policy, self.ctx, None
-
-        return PLAN_CACHE.get(key, search)
-
-    def planned_cost_model(self, workload: Workload) -> CostModel:
-        policy, ctx, _ = self.plan_cached(workload)
-        trial = workload.with_batches(policy.gpu_batch_size, 1)
-        return CostModel(trial, policy, self.hw, ctx, self.calibration)
+        return self.plan(workload.with_batches(block, 1), batch=block)
 
     def run(self, workload: Workload, batch: int | None = None) -> InferenceReport:
-        policy = self.plan(workload, batch=batch)
-        trial = workload.with_batches(policy.gpu_batch_size, 1)
-        model = CostModel(trial, policy, self.hw, self.ctx, self.calibration)
-        return InferenceReport(
-            engine=self.name,
-            workload=trial,
-            policy=policy,
-            breakdown=model.breakdown(),
-            gpu_bytes=model.gpu_bytes_required(),
-            cpu_bytes=model.cpu_bytes_required(),
-            parallelism=None,
-        )
+        """Plan (at ``batch`` when given) and evaluate end to end."""
+        return self._report(workload, *self.plan(workload, batch=batch))

@@ -2,6 +2,7 @@
 
 Each runner returns plain dict-rows so the pytest-benchmark targets,
 examples and EXPERIMENTS.md generator all share one implementation.
+Every runner prices the paper's single-A100 platform (``single_a100()``).
 """
 
 from __future__ import annotations
@@ -14,15 +15,13 @@ from repro.bench import paper_data
 from repro.core.engine import LMOffloadEngine
 from repro.core.config import EngineConfig
 from repro.errors import PolicyError
-from repro.hardware.platform import Platform, single_a100
+from repro.hardware.platform import single_a100
 from repro.models.registry import get_model
-from repro.offload.planner import PolicyPlanner
 from repro.offload.policy import OffloadPolicy
 from repro.parallel.llc import LLCModel
-from repro.parallel.speedup import ContentionModel, ParallelismSetting
-from repro.parallel.topology import CpuTopology
-from repro.perfmodel.latency import CostModel, CpuExecutionContext
-from repro.perfmodel.notation import HardwareParams, Workload
+from repro.parallel.speedup import ParallelismSetting
+from repro.perfmodel.latency import CpuExecutionContext
+from repro.perfmodel.notation import Workload
 from repro.quant.config import QuantConfig
 from repro.units import dtype_bytes
 
@@ -31,11 +30,6 @@ Q4 = QuantConfig(bits=4, group_size=64)
 #: The motivating workload of §3.1: OPT-30B, s=64, n=128, bsz=64, bls=640.
 def motivating_workload(gen_len: int = 128) -> Workload:
     return Workload(get_model("opt-30b"), 64, gen_len, 64, 10)
-
-
-def _default_ctx(platform: Platform) -> CpuExecutionContext:
-    topo = CpuTopology.from_device(platform.cpu)
-    return CpuExecutionContext.pytorch_default(topo, ContentionModel(topo, platform.cache))
 
 
 # ---------------------------------------------------------------------------
@@ -54,13 +48,10 @@ FIG3_STRATEGIES: list[tuple[str, bool, QuantConfig | None, QuantConfig | None]] 
 ]
 
 
-def run_fig3_quant_strategies(platform: Platform | None = None) -> list[dict[str, Any]]:
+def run_fig3_quant_strategies() -> list[dict[str, Any]]:
     """Throughput of every (attention placement, quantization) strategy,
     each at its best feasible placement fractions."""
-    platform = platform or single_a100()
-    hw = HardwareParams.from_platform(platform)
-    ctx = _default_ctx(platform)
-    planner = PolicyPlanner(hw=hw, cpu_ctx=ctx, quant_aware=True)
+    planner = LMOffloadEngine(single_a100()).planner()
     workload = motivating_workload()
     rows = []
     for name, attn_cpu, wq, kq in FIG3_STRATEGIES:
@@ -85,11 +76,10 @@ def run_fig3_quant_strategies(platform: Platform | None = None) -> list[dict[str
 # ---------------------------------------------------------------------------
 
 
-def run_fig4_breakdown(platform: Platform | None = None) -> list[dict[str, Any]]:
-    platform = platform or single_a100()
-    hw = HardwareParams.from_platform(platform)
-    ctx = _default_ctx(platform)
-    planner = PolicyPlanner(hw=hw, cpu_ctx=ctx, quant_aware=True)
+def run_fig4_breakdown() -> list[dict[str, Any]]:
+    engine = LMOffloadEngine(single_a100())
+    ctx = engine.default_context()
+    planner = engine.planner(ctx)
     workload = motivating_workload()
     rows = []
     for name, attn_cpu, wq, kq in FIG3_STRATEGIES:
@@ -97,8 +87,7 @@ def run_fig4_breakdown(platform: Platform | None = None) -> list[dict[str, Any]]
             policy, _ = planner.search_fixed(workload, attn_cpu, wq, kq)
         except PolicyError:
             continue
-        model = CostModel(workload, policy, hw, ctx)
-        b = model.breakdown()
+        b = engine.cost_model(workload, policy, ctx).breakdown()
         q = b.quant_overheads
         quant = q["weight_quant_init"] + q["kv_prefill_quant"] + q["kv_new_quant"]
         dequant = q["weight_dequant"] + q["kv_old_dequant"]
@@ -119,10 +108,9 @@ def run_fig4_breakdown(platform: Platform | None = None) -> list[dict[str, Any]]
 # ---------------------------------------------------------------------------
 
 
-def run_tab1_io_traffic(platform: Platform | None = None) -> list[dict[str, Any]]:
-    platform = platform or single_a100()
-    hw = HardwareParams.from_platform(platform)
-    ctx = _default_ctx(platform)
+def run_tab1_io_traffic() -> list[dict[str, Any]]:
+    engine = LMOffloadEngine(single_a100())
+    ctx = engine.default_context()
     workload = motivating_workload()
     rows = []
     for label, policy in [
@@ -141,8 +129,7 @@ def run_tab1_io_traffic(platform: Platform | None = None) -> list[dict[str, Any]
             ),
         ),
     ]:
-        model = CostModel(workload, policy, hw, ctx)
-        traffic = model._traffic_totals()
+        traffic = engine.cost_model(workload, policy, ctx)._traffic_totals()
         n = workload.gen_len
         for (src, dst, cat), nbytes in sorted(traffic.items()):
             rows.append(
@@ -162,29 +149,21 @@ def run_tab1_io_traffic(platform: Platform | None = None) -> list[dict[str, Any]
 
 
 def run_fig5_parallelism_sweep(
-    platform: Platform | None = None,
     intra_points: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 56),
     inter_points: tuple[int, ...] = (1, 2, 4, 8, 12, 16, 24, 56, 112),
 ) -> dict[str, list[dict[str, Any]]]:
     """End-to-end throughput vs intra-op (inter at default 112) and
     vs inter-op (intra at default 56); OPT-30B, s=64, n=8, CPU attention."""
-    platform = platform or single_a100()
-    hw = HardwareParams.from_platform(platform)
-    topo = CpuTopology.from_device(platform.cpu)
-    contention = ContentionModel(topo, platform.cache)
-    workload = motivating_workload(gen_len=8)
-    policy = OffloadPolicy(
-        wg=0.55, hg=0.0, attention_on_cpu=True, gpu_batch_size=64, num_gpu_batches=10
-    )
+    engine, workload, policy = _fig8_setup()
 
     def tput(intra: int, inter: int) -> float:
         ctx = CpuExecutionContext(
-            topology=topo,
-            contention=contention,
+            topology=engine.substrate.topology,
+            contention=engine.substrate.contention,
             setting=ParallelismSetting(intra_op=intra, inter_op=inter),
             use_fine_grained_graph=True,
         )
-        model = CostModel(workload, policy, hw, ctx)
+        model = engine.cost_model(workload, policy, ctx)
         return model.breakdown().throughput(workload)
 
     out: dict[str, list[dict[str, Any]]] = {"intra": [], "inter": []}
@@ -201,11 +180,9 @@ def run_fig5_parallelism_sweep(
 
 
 def run_tab3_overall(
-    platform: Platform | None = None,
     models: tuple[str, ...] = ("opt-30b", "opt-66b", "llama-30b", "llama-65b"),
     gen_lens: tuple[int, ...] = (8, 16, 32, 64, 128),
 ) -> list[dict[str, Any]]:
-    platform = platform or single_a100()
     rows: list[dict[str, Any]] = []
     for mname in models:
         model = get_model(mname)
@@ -239,7 +216,6 @@ def run_tab3_overall(
 
 
 def run_fig7_effective_quantization(
-    platform: Platform | None = None,
     models: tuple[str, ...] = ("opt-30b", "llama-30b"),
     gen_lens: tuple[int, ...] = (8, 16, 32, 64, 128),
 ) -> list[dict[str, Any]]:
@@ -273,34 +249,29 @@ def run_fig7_effective_quantization(
 # ---------------------------------------------------------------------------
 
 
-def _fig8_setup(platform: Platform):
-    hw = HardwareParams.from_platform(platform)
-    topo = CpuTopology.from_device(platform.cpu)
-    contention = ContentionModel(topo, platform.cache)
+def _fig8_setup() -> tuple[LMOffloadEngine, Workload, OffloadPolicy]:
+    """Figs. 5/8 and Tab. 5's point: OPT-30B, s=64, n=8, CPU attention."""
     workload = motivating_workload(gen_len=8)
     policy = OffloadPolicy(
         wg=0.55, hg=0.0, attention_on_cpu=True, gpu_batch_size=64, num_gpu_batches=10
     )
-    return hw, topo, contention, workload, policy
+    return LMOffloadEngine(single_a100()), workload, policy
 
 
-def run_fig8_parallelism_control(platform: Platform | None = None) -> dict[str, Any]:
-    platform = platform or single_a100()
-    hw, topo, contention, workload, policy = _fig8_setup(platform)
-
-    engine = LMOffloadEngine(platform)
+def run_fig8_parallelism_control() -> dict[str, Any]:
+    engine, workload, policy = _fig8_setup()
     plan = engine.plan_parallelism(workload, policy)
-    default_ctx = CpuExecutionContext.pytorch_default(topo, contention)
-    controlled_ctx = CpuExecutionContext.from_plan(topo, contention, plan)
+    default_ctx = engine.default_context()
+    controlled_ctx = engine.substrate.controlled_context(plan)
 
     def task_totals(ctx: CpuExecutionContext) -> dict[str, float]:
-        model = CostModel(workload, policy, hw, ctx)
+        model = engine.cost_model(workload, policy, ctx)
         iters = workload.model.num_layers * policy.num_gpu_batches
         mid = model.decode_task_costs(max(0, (workload.gen_len - 1) // 2))
         return {k: v * iters for k, v in mid.as_dict().items()}
 
     def end_to_end(ctx: CpuExecutionContext) -> float:
-        return CostModel(workload, policy, hw, ctx).breakdown().total_seconds
+        return engine.cost_model(workload, policy, ctx).breakdown().total_seconds
 
     default_tasks = task_totals(default_ctx)
     controlled_tasks = task_totals(controlled_ctx)
@@ -326,11 +297,10 @@ def run_fig8_parallelism_control(platform: Platform | None = None) -> dict[str, 
 # ---------------------------------------------------------------------------
 
 
-def run_tab5_llc_misses(platform: Platform | None = None) -> dict[str, Any]:
-    platform = platform or single_a100()
-    hw, topo, contention, workload, policy = _fig8_setup(platform)
-    engine = LMOffloadEngine(platform)
+def run_tab5_llc_misses() -> dict[str, Any]:
+    engine, workload, policy = _fig8_setup()
     plan = engine.plan_parallelism(workload, policy)
+    topo = engine.substrate.topology
 
     # CPU-side traffic: the offloaded attention streams the whole KV cache
     # (plus writes of comparable volume for intermediates) every token.
@@ -345,7 +315,7 @@ def run_tab5_llc_misses(platform: Platform | None = None) -> dict[str, Any]:
 
     llc = LLCModel(
         cache=CacheHierarchy(
-            llc_bytes=platform.cache.llc_bytes, compulsory_ratio=0.15
+            llc_bytes=engine.platform.cache.llc_bytes, compulsory_ratio=0.15
         ),
         store_rfo_factor=1.9,
     )

@@ -21,7 +21,6 @@ from dataclasses import replace
 from typing import Any
 
 from repro.obs.profiling import span
-from repro.perfmodel.latency import CostModel
 from repro.perfmodel.notation import Workload
 from repro.perfmodel.speculation import SpecConfig
 
@@ -63,7 +62,7 @@ def _sweep_cell(model, base_oracle, ctx: int, alpha: float,
     # single-bucket workload at ctx) and ask the engine which depth won.
     policy, cpu_ctx = oracle.planned(1)
     wl = Workload(model, ctx, 2, policy.gpu_batch_size, policy.num_gpu_batches)
-    cm = CostModel(wl, policy, engine.hw, cpu_ctx, engine.calibration)
+    cm = engine.cost_model(wl, policy, cpu_ctx)
     summary = engine.speculation_summary(cm)
 
     return {

@@ -194,7 +194,6 @@ def run_bench_timing(
     from repro.bench.fleet import run_fleet_bench
     from repro.core import LMOffloadEngine
     from repro.hardware import single_a100
-    from repro.perfmodel import CostModel
 
     workload = _bench_workload()
     results: dict[str, Any] = {}
@@ -217,9 +216,7 @@ def run_bench_timing(
     policy, ctx, _ = engine.plan(workload)
 
     def construct_and_breakdown():
-        CostModel(
-            workload, policy, engine.hw, ctx, engine.config.calibration
-        ).breakdown()
+        engine.cost_model(workload, policy, ctx).breakdown()
 
     results["breakdown"] = _with_baseline(
         "breakdown",

@@ -13,13 +13,11 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.engine import Substrate
 from repro.errors import PolicyError
-from repro.hardware.platform import Platform, single_a100
+from repro.hardware.platform import single_a100
 from repro.offload.planner import PolicyPlanner
-from repro.parallel.speedup import ContentionModel
-from repro.parallel.topology import CpuTopology
-from repro.perfmodel.latency import CpuExecutionContext
-from repro.perfmodel.notation import HardwareParams, Workload
+from repro.perfmodel.notation import Workload
 from repro.units import GB
 from repro.util.rng import seeded_rng
 
@@ -79,21 +77,19 @@ class WhatIfResult:
 def run_whatif(
     workload: Workload,
     variants: dict[str, dict[str, float]] | None = None,
-    platform: Platform | None = None,
     samples: int = 0,
     seed: int = 0,
     spread: float = 0.15,
 ) -> list[WhatIfResult]:
-    """Plan the best LM-Offload policy under each hardware variant.
+    """Plan the best LM-Offload policy under each hardware variant of
+    the single-A100 platform.
 
     ``samples > 0`` appends that many seeded Monte-Carlo variants (rate
     jitter around the base platform, see :func:`sample_variants`) after
     the named ones — one ``--seed`` reproduces the whole sweep.
     """
-    platform = platform or single_a100()
-    base_hw = HardwareParams.from_platform(platform)
-    topo = CpuTopology.from_device(platform.cpu)
-    ctx = CpuExecutionContext.pytorch_default(topo, ContentionModel(topo, platform.cache))
+    base = Substrate.of(single_a100())
+    base_hw, ctx = base.hw, base.default_context()
     sweep = dict(variants if variants is not None else HARDWARE_VARIANTS)
     for name, factors in sample_variants(samples, seed, spread).items():
         sweep[name] = {

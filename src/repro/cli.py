@@ -403,14 +403,13 @@ def cmd_trace(args) -> int:
 
     from repro.core import LMOffloadEngine
     from repro.hardware import single_a100
-    from repro.perfmodel import CostModel
     from repro.runtime.tasks import TaskCosts
     from repro.trace import trace_decode_schedule
 
     workload = _workload(args)
     engine = LMOffloadEngine(single_a100())
     policy, ctx, _ = engine.plan(workload)
-    model = CostModel(workload, policy, engine.hw, ctx, engine.config.calibration)
+    model = engine.cost_model(workload, policy, ctx)
     tokens = min(args.tokens, workload.gen_len - 1)
     costs = [
         TaskCosts(*row)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.perfmodel.constants import EngineCalibration
-from repro.quant.config import QuantConfig
 
 
 @dataclass(frozen=True)
@@ -20,9 +19,6 @@ class EngineConfig:
 
     quant_aware: bool = True
     parallelism_control: bool = True
-    allow_gpu_attention: bool = True
-    quant: QuantConfig = field(default_factory=lambda: QuantConfig(bits=4, group_size=64))
     calibration: EngineCalibration = field(
         default_factory=EngineCalibration.paper_defaults
     )
-    wg_step: float = 0.05

@@ -2,11 +2,12 @@
 
 LM-Offload's policy is an offline search: the Eq. 1-24 pricing plus the
 Algorithm 3 thread allocation is solved once per (hardware, workload)
-and then reused.  Every engine's ``plan_cached`` therefore looks its
+and then reused.  Every engine's ``plan_cached`` (one body,
+:meth:`repro.core.engine.OffloadEngine.plan_cached`) therefore looks its
 answer up here under a *content* key that names everything the search
 reads::
 
-    (engine type, engine knobs, platform signature, degradation rung, workload)
+    (engine type, engine knobs, substrate signature, degradation rung, workload)
 
 Identical replicas share one search, and an engine retargeted back to a
 platform it has already planned on (a link that flaps back, a fault
@@ -43,13 +44,6 @@ from repro.obs.profiling import PROFILER
 #: Entries kept before the least recently used one is evicted.  A serving
 #: run meets a few dozen distinct questions; an entry is a few KB.
 DEFAULT_MAXSIZE = 512
-
-
-def platform_signature(platform, hw) -> tuple:
-    """Everything an engine derives from ``platform``: the Table 2 rates
-    (``hw``), the CPU spec (topology) and the shared-cache spec
-    (contention model).  ``Platform`` itself is mutable and unhashable."""
-    return (hw, platform.cpu, platform.cache)
 
 
 class PlanCache:

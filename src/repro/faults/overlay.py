@@ -209,8 +209,11 @@ def fault_signature(active: Iterable[FaultSpec]) -> tuple:
     )
 
 
-#: HardwareParams fields the drift metric compares (rates and capacities
-#: the performance model actually consumes).
+#: HardwareParams fields the drift metric compares: every rate and
+#: capacity of Table 2.  No cost formula reads ``gpu_freq``, ``cpu_flops``
+#: or ``cpu_freq`` (the CPU's compute rate comes from the calibration's
+#: per-thread FLOPs), so a drift in those three alone triggers a replan
+#: that returns the same plan.
 _DRIFT_FIELDS = (
     "gpu_flops",
     "gpu_mem_bdw",

@@ -26,8 +26,6 @@ from repro.errors import ConfigError
 from repro.hardware.platform import Platform, power9_4xv100
 from repro.models.config import ModelConfig
 from repro.offload.policy import OffloadPolicy
-from repro.parallel.speedup import ContentionModel
-from repro.parallel.topology import CpuTopology
 from repro.perfmodel.constants import EngineCalibration
 from repro.perfmodel.latency import CostModel, CpuExecutionContext
 from repro.perfmodel.notation import HardwareParams, Workload
@@ -84,18 +82,21 @@ class PipelineParallelRunner:
     def _stage_contexts(
         self, platform: Platform, num_gpus: int
     ) -> list[CpuExecutionContext]:
-        topo = CpuTopology.from_device(platform.cpu)
-        contention = ContentionModel(topo, platform.cache)
-        default = CpuExecutionContext.pytorch_default(topo, contention)
+        from repro.core.engine import Substrate
+
+        sub = Substrate.of(platform)
+        default = sub.default_context()
         default.cpu_share = 1.0 / num_gpus
         contexts = [default]
         if self.parallelism_control:
             from repro.parallel.controller import ParallelismController
             from repro.runtime.graph import build_attention_graph
 
-            controller = ParallelismController(topology=topo, contention=contention)
+            controller = ParallelismController(
+                topology=sub.topology, contention=sub.contention
+            )
             plan = controller.plan(build_attention_graph(4))
-            controlled = CpuExecutionContext.from_plan(topo, contention, plan)
+            controlled = sub.controlled_context(plan)
             controlled.cpu_share = 1.0 / num_gpus
             contexts.append(controlled)
         return contexts

@@ -125,11 +125,12 @@ def _grouped_terms(costs) -> dict[str, float]:
 
 def audit_case(
     case: AuditCase,
-    hw,
-    ctx,
+    substrate,
     full: bool = True,
 ) -> dict[str, Any]:
-    """Run one grid point; returns its JSON-ready audit record."""
+    """Run one grid point on a platform's
+    :class:`~repro.core.engine.Substrate` under PyTorch's default
+    threading; returns its JSON-ready audit record."""
     import numpy as np
 
     from repro.models import get_model
@@ -155,7 +156,7 @@ def audit_case(
         gpu_batch_size=case.gpu_batch_size,
         num_gpu_batches=case.num_gpu_batches,
     )
-    model = CostModel(workload, policy, hw, ctx)
+    model = CostModel(workload, policy, substrate.hw, substrate.default_context())
     iters = model_cfg.num_layers * case.num_gpu_batches
     steady, costs = steady_state(model)
     predicted = steady["predicted_s"]
@@ -214,23 +215,6 @@ def audit_case(
     return record
 
 
-def _execution_context(platform):
-    """(HardwareParams, CpuExecutionContext) the audit prices a platform
-    with — rebuilt from scratch so a degraded platform re-derives its CPU
-    topology, contention model and thread allocation like the serving
-    watchdog does."""
-    from repro.parallel.speedup import ContentionModel
-    from repro.parallel.topology import CpuTopology
-    from repro.perfmodel.latency import CpuExecutionContext
-    from repro.perfmodel.notation import HardwareParams
-
-    hw = HardwareParams.from_platform(platform)
-    topology = CpuTopology.from_device(platform.cpu)
-    contention = ContentionModel(topology, platform.cache)
-    ctx = CpuExecutionContext.pytorch_default(topology, contention)
-    return hw, ctx
-
-
 def _faulted_sweep(
     platform,
     cases: list[AuditCase],
@@ -247,13 +231,14 @@ def _faulted_sweep(
     is about whether degradation changes *how well the model tracks the
     executor*, and steady state is where that shows.
     """
+    from repro.core.engine import Substrate
     from repro.faults import make_scenario
     from repro.faults.scenarios import SCENARIOS
     from repro.obs.drift import price_windows
 
     def price(t: float) -> dict[str, Any]:
-        hw_f, ctx_f = _execution_context(platform.with_faults(schedule, t))
-        records = [audit_case(case, hw_f, ctx_f, full=False) for case in cases]
+        faulted = Substrate.of(platform.with_faults(schedule, t))
+        records = [audit_case(case, faulted, full=False) for case in cases]
         window = DriftGate(gate.tolerance)
         for record in records:
             window.add(record["name"], record["steady_state"]["rel_err"])
@@ -331,20 +316,21 @@ def run_audit(
     or not the flag exists — the ``faulted`` section only appears when
     requested.
     """
+    from repro.core.engine import Substrate
     from repro.hardware import single_a100
 
     steady = DriftGate(tolerance, "tolerance")
     e2e = DriftGate(e2e_tolerance, "e2e_tolerance")
     fault_gate = DriftGate(fault_tolerance, "fault_tolerance") if faults else None
     platform = single_a100()
-    hw, ctx = _execution_context(platform)
+    substrate = Substrate.of(platform)
 
     cases = [c for c in AUDIT_GRID if (c.quick or not quick)]
     registry = MetricsRegistry(namespace="audit")
     records: list[dict[str, Any]] = []
     with span("obs.audit.sweep"):
         for case in cases:
-            record = audit_case(case, hw, ctx, full=not quick)
+            record = audit_case(case, substrate, full=not quick)
             records.append(record)
             registry.counter("audit.cases").inc()
             registry.histogram("audit.steady_state.rel_err").observe(

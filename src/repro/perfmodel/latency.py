@@ -332,10 +332,16 @@ class CostModel:
 
     # -- effective rates -----------------------------------------------------
 
+    @staticmethod
+    def link_bandwidth(hw: HardwareParams, calibration: EngineCalibration) -> float:
+        """Achieved PCIe bytes/s per direction: the Table 2 rate derated
+        by the engine's calibrated copy efficiency."""
+        return hw.pcie_bdw * calibration.pcie_efficiency
+
     @property
     def pcie_bw(self) -> float:
         """Achieved PCIe bytes/s per direction."""
-        return self.hw.pcie_bdw * self.cal.pcie_efficiency
+        return self.link_bandwidth(self.hw, self.cal)
 
     # -- the discrete strategy -------------------------------------------------
 

@@ -41,13 +41,10 @@ from repro.perfmodel.notation import Workload
 class StepCostOracle:
     """Prices serving steps for one (engine, model) pair.
 
-    ``engine`` is any object with the planned-step costing hook:
-    ``plan_cached(workload) -> (policy, cpu_ctx, _)`` plus ``hw`` and
-    ``calibration`` attributes, and a ``name`` the serving loops label
-    their results with — :class:`~repro.core.LMOffloadEngine`,
-    :class:`~repro.baselines.FlexGenEngine`,
-    :class:`~repro.baselines.ZeroInferenceEngine` and
-    :class:`~repro.baselines.SpecOffloadEngine` all qualify.
+    ``engine`` is an :class:`~repro.core.engine.OffloadEngine`: the
+    planned-step costing hook ``plan_cached(workload) -> (policy,
+    cpu_ctx, _)``, ``cost_model(workload, policy, cpu_ctx)``, the ``hw``
+    capacities and a ``name`` the serving loops label their results with.
 
     Engines may additionally expose ``step_pricer(cost_model)`` returning
     a per-step price transform (or ``None``); the speculative engine uses
@@ -182,9 +179,8 @@ class StepCostOracle:
         else:
             policy, cpu_ctx = planned
             hw = self.engine.hw
-            model = CostModel(
-                self._price_workload(policy, ctx_b), policy, hw, cpu_ctx,
-                self.engine.calibration,
+            model = self.engine.cost_model(
+                self._price_workload(policy, ctx_b), policy, cpu_ctx
             )
             verdict = (
                 model.gpu_bytes_required() <= hw.gpu_mem_capacity
@@ -225,7 +221,7 @@ class StepCostOracle:
             self.model, base, top - base + 2,
             policy.gpu_batch_size, policy.num_gpu_batches,
         )
-        model = CostModel(wl, policy, self.engine.hw, cpu_ctx, self.engine.calibration)
+        model = self.engine.cost_model(wl, policy, cpu_ctx)
         toks = np.array([b - base for b in buckets], dtype=np.float64)
         costs = model.decode_task_costs_vec(toks)
         vals = CostModel.step_seconds_vec(costs)
@@ -279,9 +275,8 @@ class StepCostOracle:
         if hit is not None:
             return hit
         policy, cpu_ctx = self._planned_or_raise(n_seqs)
-        model = CostModel(
-            self._price_workload(policy, ctx_b), policy, self.engine.hw,
-            cpu_ctx, self.engine.calibration,
+        model = self.engine.cost_model(
+            self._price_workload(policy, ctx_b), policy, cpu_ctx
         )
         costs = model.prefill_task_costs()
         value = CostModel.step_seconds(costs) * self._iters(policy)

@@ -50,7 +50,7 @@ from repro.models.config import ModelConfig
 from repro.models.registry import get_model
 from repro.obs.profiling import PROFILER, span
 from repro.obs.registry import Histogram
-from repro.perfmodel.notation import HardwareParams
+from repro.perfmodel.latency import CostModel
 from repro.serving.arrivals import RequestTrace
 from repro.serving.costing import StepCostOracle
 from repro.serving.kernel import ReplicaKernel
@@ -234,7 +234,8 @@ class MultiModelSimulator:
     carries its model); each slot gets its own :class:`StepCostOracle` so
     step prices reflect the resident model's shape.  ``trace`` requests
     are routed by their ``model`` tag; untagged requests go to the first
-    slot, which keeps single-model traces valid as-is.
+    slot, which keeps single-model traces valid as-is.  The first slot's
+    weights are resident when the run starts.
     """
 
     def __init__(
@@ -245,7 +246,6 @@ class MultiModelSimulator:
         policy: SchedulerPolicy | None = None,
         config: ServingConfig | None = None,
         collect_steps: bool = True,
-        initial_model: str | None = None,
     ) -> None:
         if not slots:
             raise ConfigError("multi-model simulator: at least one ModelSlot required")
@@ -260,7 +260,6 @@ class MultiModelSimulator:
         self.policy = policy or SchedulerPolicy()
         self.config = config or ServingConfig()
         self.collect_steps = collect_steps
-        self.base_platform = engine.platform
         self._by_name = {s.name: s for s in self.slots}
         tagged = {r.model for r in trace.requests if r.model}
         unknown = tagged - set(names)
@@ -269,13 +268,6 @@ class MultiModelSimulator:
                 f"multi-model simulator: trace {trace.name!r} tags models "
                 f"{sorted(unknown)} with no matching slot (have {names})"
             )
-        initial = initial_model or self.slots[0].name
-        if initial not in self._by_name:
-            raise ConfigError(
-                f"multi-model simulator: initial model {initial!r} is not a "
-                f"slot (have {names})"
-            )
-        self._initial = self._by_name[initial]
         self._oracles: dict[str, StepCostOracle] = {
             s.name: StepCostOracle.for_requests(
                 engine, s.model, trace.requests, self.config
@@ -295,9 +287,9 @@ class MultiModelSimulator:
         and the evicted requests' KV is re-prefilled on return, a cost the
         preemption path already charges.
         """
-        hw = HardwareParams.from_platform(self.base_platform)
-        bw = hw.pcie_bdw * self.engine.calibration.pcie_efficiency
-        return slot.weight_bytes / bw
+        return slot.weight_bytes / CostModel.link_bandwidth(
+            self.engine.hw, self.engine.calibration
+        )
 
     # -- the loop ----------------------------------------------------------
 
@@ -312,7 +304,7 @@ class MultiModelSimulator:
             Request.from_spec(i, spec) for i, spec in enumerate(self.trace.requests)
         ]
         all_requests = list(pending)
-        active = self._initial
+        active = self.slots[0]
         kern = ReplicaKernel(
             self._oracles[active.name], cfg, policy,
             collect_steps=self.collect_steps,

@@ -3,6 +3,7 @@ import pytest
 from repro.baselines import FlexGenEngine, ZeroInferenceEngine
 from repro.bench import paper_data
 from repro.core import EngineConfig, LMOffloadEngine
+from repro.faults import LADDER
 from repro.hardware import single_a100
 from repro.models import get_model
 from repro.perfmodel import Workload
@@ -63,32 +64,29 @@ def test_disabling_parallelism_control(workload):
 
 def test_disabling_quant_awareness_matches_flexgen_class():
     """FlexGen is exactly LM-Offload with both contributions ablated: the
-    same policy, throughput and memory on every Tab. 3 workload."""
+    same policy, throughput and memory on every Tab. 3 workload, under
+    every degradation rung that still admits work (``force_quant`` is
+    inert for both quantization-blind searches; ``force_cpu_attention``
+    applies to both)."""
     fg = FlexGenEngine(single_a100())
     ablated = LMOffloadEngine(
         single_a100(),
         config=EngineConfig(quant_aware=False, parallelism_control=False),
     )
-    for mname, rows in paper_data.TAB3.items():
-        model = get_model(mname)
-        for n, ref in rows.items():
-            b, k = paper_data.bls_split(ref["flexgen"][0])
-            workload = Workload(model, 64, n, b, k)
-            want, got = fg.run(workload), ablated.run(workload)
-            assert (got.policy, got.throughput, got.gpu_bytes, got.cpu_bytes) == (
-                want.policy, want.throughput, want.gpu_bytes, want.cpu_bytes
-            ), (mname, n)
-
-
-def test_forced_policy_respected(workload):
-    from repro.offload import OffloadPolicy
-
-    engine = LMOffloadEngine(single_a100())
-    policy = OffloadPolicy(
-        wg=0.5, hg=0.0, attention_on_cpu=True, gpu_batch_size=64, num_gpu_batches=10
-    )
-    report = engine.run(workload, policy=policy)
-    assert report.policy == policy
+    for rung in (r for r in LADDER if r.admit):
+        fg.set_degradation(rung)
+        ablated.set_degradation(rung)
+        for mname, rows in paper_data.TAB3.items():
+            model = get_model(mname)
+            for n, ref in rows.items():
+                b, k = paper_data.bls_split(ref["flexgen"][0])
+                workload = Workload(model, 64, n, b, k)
+                want, got = fg.run(workload), ablated.run(workload)
+                assert (
+                    got.policy, got.throughput, got.gpu_bytes, got.cpu_bytes
+                ) == (
+                    want.policy, want.throughput, want.gpu_bytes, want.cpu_bytes
+                ), (rung.name, mname, n)
 
 
 def test_table_row_shape(lm_report):

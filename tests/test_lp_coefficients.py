@@ -103,8 +103,8 @@ def default_and_controlled(engine, workload):
     CPU context, then the Alg. 3-controlled one."""
     _, controlled, _ = engine.plan(workload)
     return (
-        engine._planner(engine.default_context()),
-        engine._planner(controlled),
+        engine.planner(engine.default_context()),
+        engine.planner(controlled),
     )
 
 

@@ -88,10 +88,6 @@ KEY_PARTS = {
             single_a100(), calibration=EngineCalibration.ideal_kernels()
         ),
     ),
-    "zero-max-batch": (
-        lambda: ZeroInferenceEngine(single_a100()),
-        lambda: ZeroInferenceEngine(single_a100(), max_batch=32),
-    ),
     "pcie-degraded-hw": (
         lambda: LMOffloadEngine(single_a100()),
         lambda: LMOffloadEngine(_pcie_degraded(single_a100())),

@@ -32,7 +32,7 @@ from repro.models import get_model
 from repro.offload import OffloadPolicy
 from repro.offload import planner as planner_module
 from repro.offload.planner import PolicyPlanner
-from repro.perfmodel import CostModel, CpuExecutionContext, Workload
+from repro.perfmodel import CostModel, Workload
 from tests import reference_costs as ref
 
 TAB3_MODELS = ("opt-30b", "opt-66b", "llama-30b", "llama-65b")
@@ -197,12 +197,12 @@ def assert_planner_matches(planner, workload, seed=None):
 
 def lm_offload_planners(engine, workload):
     """The pass-1 and pass-2 planners of ``engine.plan`` and pass 2's seed."""
-    first = engine._planner(engine.default_context())
+    first = engine.planner(engine.default_context())
     seed, _ = first.search(workload)
     plan = engine.plan_parallelism(workload, seed)
-    ctx = CpuExecutionContext.from_plan(engine.topology, engine.contention, plan)
+    ctx = engine.substrate.controlled_context(plan)
     ctx.io_staging_threads = {}
-    return first, engine._planner(ctx), seed
+    return first, engine.planner(ctx), seed
 
 
 # -- Tab. 3 ----------------------------------------------------------------
@@ -218,7 +218,9 @@ def test_tab3_cells_match_reference(model_name):
         b, k = paper_data.bls_split(paper_data.TAB3[model_name][gen_len]["flexgen"][0])
         workload = Workload(get_model(model_name), 64, gen_len, b, k)
         assert_planner_matches(
-            PolicyPlanner(hw=flexgen.hw, cpu_ctx=flexgen.ctx, quant_aware=False),
+            PolicyPlanner(
+                hw=flexgen.hw, cpu_ctx=flexgen.default_context(), quant_aware=False
+            ),
             workload,
         )
         first, second, seed = lm_offload_planners(lm, workload)

@@ -235,11 +235,6 @@ def test_simulator_rejects_bad_slot_configs(engine, model):
     )
     with pytest.raises(ConfigError):
         MultiModelSimulator(engine=engine, slots=(slot,), trace=tagged)
-    with pytest.raises(ConfigError):
-        MultiModelSimulator(
-            engine=engine, slots=(slot,), trace=trace,
-            initial_model="opt-30b",
-        )
 
 
 # -- predictor properties --------------------------------------------------
